@@ -14,7 +14,6 @@ from functools import lru_cache
 from typing import Optional
 
 from . import data as _data
-from .cache import load_cached_group, store_cached_group
 from .groups import FinGroup, GroupId
 from .linalg import MatC, mat_from_strings
 
@@ -99,24 +98,17 @@ def load_group(key: str) -> GroupDefinition:
 _BUILD_MEMO: dict[str, FinGroup] = {}
 
 
-def build_group(key: str, cache_dir: Optional[str] = None, no_cache: bool = False,
-                cap: int = 250000) -> FinGroup:
-    """Enumerate a catalog group (memoized in-process, cached on disk).
+def build_group(key: str) -> FinGroup:
+    """Enumerate a catalog group (memoized in-process).
 
     The enumerated order is checked against the definition; a mismatch is
     a validation failure, not a silent fallback.
     """
-    cached = _BUILD_MEMO.get(key)
-    if cached is not None:
-        return cached
+    group = _BUILD_MEMO.get(key)
+    if group is not None:
+        return group
     definition = load_group(key)
-    group = None
-    if not no_cache:
-        group = load_cached_group(definition.generators, cache_dir)
-    if group is None:
-        group = FinGroup.generate(definition.generators, cap=cap)
-        if not no_cache:
-            store_cached_group(definition.generators, group, cache_dir)
+    group = FinGroup.generate(definition.generators)
     if group.n != definition.order:
         raise CatalogValidationError(
             f"{key}: enumerated order {group.n} != declared order {definition.order}"

@@ -107,7 +107,10 @@ def parse_subgroup_spec(spec: str, gens: Sequence[MatC]) -> list[MatC]:
     matrix of the form mat:entry,...;entry,...  (rows split by ';')."""
     if spec.startswith("mat:"):
         rows = [cell.split(",") for cell in spec[4:].split(";")]
-        return [mat_from_strings(rows)]
+        try:
+            return [mat_from_strings(rows)]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise CliError(f"bad matrix in subgroup specification {spec!r}: {exc}")
     return [_parse_word(part, gens) for part in spec.split(",") if part.strip()]
 
 
@@ -200,7 +203,7 @@ def render_records(records, fmt: str, ambient: str, mode: str) -> str:
 def cmd_table(args) -> int:
     definition = load_group(args.group)
     if args.mode == "targeted":
-        group = build_group(args.group, cache_dir=args.cache_dir, no_cache=args.no_cache)
+        group = build_group(args.group)
         targeted = _resolve_subgroups(group, definition, args.subgroup or [])
         if not targeted:
             raise CliError("targeted mode requires at least one --subgroup")
@@ -213,15 +216,13 @@ def cmd_table(args) -> int:
         budget=args.budget,
         all_subgroups=args.all_subgroups,
         resolve_ranks=not args.no_rank_resolution,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
     )
     sys.stdout.write(render_records(records, args.format, args.group, args.mode))
     return EXIT_OK
 
 
 def cmd_detect_l3(args) -> int:
-    group = build_group(args.group, cache_dir=args.cache_dir, no_cache=args.no_cache)
+    group = build_group(args.group)
     l3 = detect_l3(group)
     out = [f"group {args.group}: {l3.count} codimension-2 order-3 subgroup(s)"]
     for k, gen in enumerate(l3.generators, start=1):
@@ -279,7 +280,7 @@ def cmd_check_deformation(args) -> int:
 
 
 def cmd_fingerprint(args) -> int:
-    group = build_group(args.group, cache_dir=args.cache_dir, no_cache=args.no_cache)
+    group = build_group(args.group)
     fp = fingerprint(group.view)
     gid = identify(group.view)
     lines = [
@@ -302,7 +303,7 @@ def cmd_validate_catalog(args) -> int:
     for key in keys:
         definition = load_group(key)
         try:
-            group = build_group(key, cache_dir=args.cache_dir, no_cache=args.no_cache)
+            group = build_group(key)
         except CatalogValidationError as exc:
             failures.append(f"{key}: {exc}")
             continue
@@ -326,11 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, group_required=True):
-        if group_required:
-            p.add_argument("--group", required=True, choices=group_keys())
-        p.add_argument("--cache-dir", default=None, help="group enumeration cache directory")
-        p.add_argument("--no-cache", action="store_true", help="bypass the disk cache")
+    def common(p):
+        p.add_argument("--group", required=True, choices=group_keys())
 
     p = sub.add_parser("table", help="classification table for one ambient group")
     common(p)
@@ -363,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-catalog", help="re-enumerate and check the shipped definitions")
     p.add_argument("--group", default=None, choices=group_keys())
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--no-cache", action="store_true")
     p.set_defaults(func=cmd_validate_catalog)
 
     return parser

@@ -23,29 +23,16 @@ __all__ = [
     "root_of_unity",
     "sqrt_rational",
     "parse_cyclo",
-    "get_conductor_limit",
-    "set_conductor_limit",
 ]
 
 RationalLike = Union[int, Fraction]
 
 
 class ConductorLimitError(ValueError):
-    """Raised when an operation would exceed the configured conductor bound."""
+    """Raised when an operation would exceed the conductor bound."""
 
 
 _CONDUCTOR_LIMIT = 264
-
-
-def get_conductor_limit() -> int:
-    return _CONDUCTOR_LIMIT
-
-
-def set_conductor_limit(limit: int) -> None:
-    global _CONDUCTOR_LIMIT
-    if limit < 1:
-        raise ValueError("conductor limit must be positive")
-    _CONDUCTOR_LIMIT = limit
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +539,7 @@ def _common_conductor(a: int, b: int) -> int:
     n = a * b // math.gcd(a, b)
     if n > _CONDUCTOR_LIMIT:
         raise ConductorLimitError(
-            f"conductor {n} exceeds the configured limit {_CONDUCTOR_LIMIT}"
+            f"conductor {n} exceeds the limit {_CONDUCTOR_LIMIT}"
         )
     return n
 
@@ -643,7 +630,7 @@ def root_of_unity(n: int, k: int = 1) -> CycloNum:
     if n == 2:
         return rational(-1)
     if n > _CONDUCTOR_LIMIT:
-        raise ConductorLimitError(f"conductor {n} exceeds the configured limit")
+        raise ConductorLimitError(f"conductor {n} exceeds the limit {_CONDUCTOR_LIMIT}")
     vec = list(_power_vec(n, k))
     return _canonical(n, vec, 1)
 

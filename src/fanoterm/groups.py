@@ -259,6 +259,7 @@ class FinGroup:
             inv[i] = self.mult(inv[parent[i]], invgen[letter[i]])
         self._inv = inv
         self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx)
+        self.l3_memo = None  # set by fanoterm.invariants.detect_l3
 
     # -- construction -----------------------------------------------------
 

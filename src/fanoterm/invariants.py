@@ -89,18 +89,15 @@ def is_l3_matrix(mat: MatC) -> bool:
     return cp == quad * quad * quad
 
 
-_L3_MEMO: dict[int, L3Set] = {}
-
-
 def detect_l3(group: FinGroup) -> L3Set:
     """All order-3 subgroups acting with the codimension-2 normal form.
 
     One subgroup per {g, g^2} pair; cheap trace prefilter first, then the
-    exact characteristic-polynomial confirmation.
+    exact characteristic-polynomial confirmation.  The result is memoized
+    on the group, so it lives exactly as long as the group does.
     """
-    memo = _L3_MEMO.get(id(group))
-    if memo is not None:
-        return memo
+    if group.l3_memo is not None:
+        return group.l3_memo
     seen: set[frozenset[int]] = set()
     subs: list[tuple[frozenset[int], int]] = []
     for x in range(1, group.n):
@@ -125,7 +122,7 @@ def detect_l3(group: FinGroup) -> L3Set:
         generators=tuple(g for _, g in subs),
         members=members,
     )
-    _L3_MEMO[id(group)] = out
+    group.l3_memo = out
     return out
 
 
@@ -313,9 +310,7 @@ def records_for_classes(ambient_key: str, group: FinGroup, l3: L3Set,
 def classification_table(ambient_key: str, *, mode: str = "full-sweep",
                          targeted: Optional[Sequence[SubgroupHandle]] = None,
                          budget: int = 1000, all_subgroups: bool = False,
-                         resolve_ranks: bool = True,
-                         cache_dir: Optional[str] = None,
-                         no_cache: bool = False) -> list[SubgroupRecord]:
+                         resolve_ranks: bool = True) -> list[SubgroupRecord]:
     """One record per subgroup conjugacy class with n2 + n3 > 0.
 
     ``full-sweep`` enumerates every class (within the budget), keeping the
@@ -324,7 +319,7 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
     """
     from .catalog import build_group
 
-    group = build_group(ambient_key, cache_dir=cache_dir, no_cache=no_cache)
+    group = build_group(ambient_key)
     l3 = detect_l3(group)
     if mode == "full-sweep":
         classes = group.subgroup_conjugacy_classes(budget=budget)

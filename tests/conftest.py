@@ -18,17 +18,8 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _cache_dir(tmp_path_factory):
-    # keep the disk cache inside the test session, exercising store+load
-    # without touching the user's home directory
-    path = tmp_path_factory.mktemp("group-cache")
-    os.environ["FANOTERM_CACHE"] = str(path)
-    yield path
-
-
 @pytest.fixture(scope="session")
-def built(_cache_dir):
+def built():
     from fanoterm.catalog import build_group
 
     def get(key):

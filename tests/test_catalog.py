@@ -1,6 +1,5 @@
 import pytest
 
-from fanoterm.cache import load_cached_group, store_cached_group
 from fanoterm.catalog import (
     CatalogValidationError,
     build_group,
@@ -76,23 +75,6 @@ def test_identification_matches_declared(built, key, expected):
     group = built(key)
     assert identify(group.view) == expected
     assert load_group(key).group_id == expected
-
-
-def test_disk_cache_round_trip(built, tmp_path):
-    definition = load_group("Q8_S3")
-    group = built("Q8_S3")
-    store_cached_group(definition.generators, group, tmp_path)
-    loaded = load_cached_group(definition.generators, tmp_path)
-    assert loaded is not None
-    assert loaded.n == group.n
-    assert [e.key for e in loaded.elements] == [e.key for e in group.elements]
-    assert loaded._perms == group._perms
-    assert [loaded.inv(i) for i in range(loaded.n)] == [group.inv(i) for i in range(group.n)]
-
-
-def test_cache_miss_on_other_generators(tmp_path):
-    definition = load_group("Q8_S3")
-    assert load_cached_group(definition.generators, tmp_path) is None
 
 
 def test_rank_rows_cover_all_labels():

@@ -1,9 +1,14 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fanoterm
 from fanoterm.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
 
 
@@ -111,6 +116,17 @@ def test_targeted_matrix_outside_group(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("entry", ["E(1000)", "foo", "1/0"])
+def test_targeted_bad_matrix_entry(capsys, entry):
+    rows = [",".join(entry if i == j == 0 else "1" if i == j else "0" for j in range(6))
+            for i in range(6)]
+    code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted",
+                           "--subgroup", "mat:" + ";".join(rows))
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
 def test_targeted_requires_subgroup(capsys):
     code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted")
     assert code == EXIT_VALIDATION
@@ -166,3 +182,16 @@ def test_unknown_group_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--group", "UNKNOWN"])
     assert exc.value.code == 2
+
+
+def test_run_writes_nothing_to_disk(tmp_path):
+    # fresh processes, so no in-process memo can hide a write
+    env = {k: v for k, v in os.environ.items() if k != "FANOTERM_CACHE"}
+    env["HOME"] = str(tmp_path)
+    env["PYTHONPATH"] = str(pathlib.Path(fanoterm.__file__).resolve().parents[1])
+    for args in (["table", "--group", "Q8_S3", "--mode", "full-group-only"],
+                 ["validate-catalog", "--group", "Q8_S3"]):
+        proc = subprocess.run([sys.executable, "-m", "fanoterm.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    assert list(tmp_path.iterdir()) == []

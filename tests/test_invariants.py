@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from fanoterm.catalog import build_group
@@ -101,6 +104,16 @@ def test_l3_detection_conjugation_invariant(built):
     conj_gens = [conj * m * conj.inv() for m in definition_gens]
     regrouped = FinGroup.generate(conj_gens, cap=3000)
     assert detect_l3(regrouped).count == l3.count
+
+
+def test_detect_l3_does_not_keep_the_group_alive():
+    g = FinGroup.generate([_exps((0, 0, 0, 1, 1, 1))])
+    l3 = detect_l3(g)
+    assert l3.count == 1 and detect_l3(g) is l3
+    ref = weakref.ref(g)
+    del g, l3
+    gc.collect()
+    assert ref() is None
 
 
 def test_singular_invariants_trivial(fermat, fermat_l3):
