@@ -1,10 +1,24 @@
 #!/usr/bin/env python3
 """Regenerate the group definition data files from the vetted transcriptions.
 
+Each file holds the generators and the ``cubic:`` line: the 56 coefficients,
+on the monomials x_i*x_j*x_k (i <= j <= k) in
+``combinations_with_replacement(range(6), 3)`` order, of a cubic form F that
+every generator preserves.  Matrices act on column vectors, x -> Mx, so the
+condition is F(Mx) = F(x).  F is derived here, not transcribed: it is a
+nonzero vector of the intersection over the generators of the kernels of
+Sym^3(M) - I, found by exact elimination.
+
 Run from the repository root:  python3 scripts/gen_catalog_data.py
 """
 
 import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+
+from fanoterm.cyclo import ONE, ZERO
+from fanoterm.linalg import CUBIC_MONOMIALS, cubic_compose, mat_from_strings
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "fanoterm" / "data" / "groups"
 
@@ -29,6 +43,49 @@ def diag_rows(entries):
     return rows
 
 
+def invariant_cubic(gens):
+    """The cubic of a group: F with F(Mx) = F(x) for every generator M.
+
+    Each generator contributes the rows of Sym^3(M) - I, whose column a is
+    the image of the a-th monomial minus that monomial.  When the common
+    kernel has dimension above one, F is the sum of its reduced basis.  F
+    is scaled so that its first nonzero coefficient is 1.
+    """
+    n = len(CUBIC_MONOMIALS)
+    unit = [tuple(ONE if a == b else ZERO for b in range(n)) for a in range(n)]
+    rows = []
+    for mat in gens:
+        cols = [cubic_compose(unit[a], mat) for a in range(n)]
+        for i in range(n):
+            row = [cols[a][i] - unit[a][i] for a in range(n)]
+            if any(not e.is_zero for e in row):
+                rows.append(row)
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][col].inv()
+        rows[r] = [e * inv for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][col].is_zero:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    free = [c for c in range(n) if c not in pivots]
+    if not free:
+        raise ValueError("the generators preserve no cubic form")
+    coeffs = [ZERO] * n
+    for f in free:
+        coeffs[f] = coeffs[f] + ONE
+        for i, p in enumerate(pivots):
+            coeffs[p] = coeffs[p] - rows[i][f]
+    lead = next(c for c in coeffs if not c.is_zero).inv()
+    return [c * lead for c in coeffs]
+
+
 C11 = "E(11)+E(11)^3+E(11)^4+E(11)^5+E(11)^9"
 CC11 = f"-1-({C11})"
 
@@ -39,7 +96,6 @@ GROUPS["C3_4_A6"] = dict(
     order=29160,
     gid=(29160, 0),
     variant="monomial model: diagonal C3 block with zero exponent sum, plus A6 permutations",
-    equation="x0^3+x1^3+x2^3+x3^3+x4^3+x5^3",
     gens=[
         diag_rows(["1", W, "1", "1", "1", W2]),
         diag_rows(["1", "1", W, "1", "1", W2]),
@@ -55,7 +111,6 @@ GROUPS["A7_perm"] = dict(
     order=2520,
     gid=(2520, 0),
     variant="even permutations of {x0..x5, -x0-x1-x2-x3-x4-x5}",
-    equation="x0^3+x1^3+x2^3+x3^3+x4^3+x5^3+(-x0-x1-x2-x3-x4-x5)^3",
     gens=[
         perm_rows([1, 2, 0, 3, 4, 5]),
         [
@@ -74,7 +129,6 @@ GROUPS["A7_second"] = dict(
     order=2520,
     gid=(2520, 0),
     variant="second linearization; dense generator with quadratic irrationalities",
-    equation="x0^3+x1^3+x2^3+12/5*x0*x1*x2+x0*x3^2+x1*x4^2+x2*x5^2+4*ER(15)/9*x3*x4*x5",
     gens=[
         diag_rows(["1", "E(3)", "E(3)^2", "-1", "E(3)", "-E(3)^2"]),
         [
@@ -94,7 +148,6 @@ GROUPS["G1944"] = dict(
     order=1944,
     gid=(1944, 3559),
     variant="extraspecial 3-group extension acting on a Fermat-plus-cross-term cubic",
-    equation="x0^3+x1^3+x2^3+x3^3+x4^3+x5^3+3*(E(4)-2*E(12)-1)*(x0*x1*x2+x3*x4*x5)",
     gens=[
         diag_rows([W, W, W, "1", "1", "1"]),
         diag_rows(["1", W, W2, "1", "1", "1"]),
@@ -119,7 +172,6 @@ GROUPS["M10_first"] = dict(
     order=720,
     gid=(720, 765),
     variant="first linearization (Fermat-plus-cross-terms cubic)",
-    equation="x0^3+..+x5^3 + c*(sum of 19 squarefree cross terms), c cyclotomic of conductor 24",
     gens=[
         perm_rows([0, 2, 1, 4, 3, 5]),
         [
@@ -146,7 +198,6 @@ GROUPS["M10_second"] = dict(
     order=720,
     gid=(720, 765),
     variant="second linearization; dense conductor-24 generator",
-    equation="(second M10 cubic; coefficients of conductor 24)",
     gens=[
         [
             ["1/4*E(3)^2",
@@ -197,7 +248,6 @@ GROUPS["L2_11"] = dict(
     variant="involution h1 and order-3 h2 over Q(zeta_11); (h1*h2)^11 = 1. "
             "The final entry of h1's fifth row is -c: the printed source drops the sign, "
             "and only the sign-corrected matrix has finite order.",
-    equation="x0^3+x1^2*x5+x2^2*x4+x3^2*x2+x4^2*x1+x5^2*x3",
     gens=[
         [
             ["1", "0", "0", "0", "0", "0"],
@@ -223,7 +273,6 @@ GROUPS["A3_5"] = dict(
     order=360,
     gid=(360, 120),
     variant="permutations of {x0,x1,-x0-x1} times {x2..x5,-x2-x3-x4-x5}, even overall",
-    equation="x0^3+x1^3+(-x0-x1)^3+x2^3+x3^3+x4^3+x5^3+(-x2-x3-x4-x5)^3",
     gens=[
         [
             ["0", "-1", "0", "0", "0", "0"],
@@ -250,7 +299,6 @@ GROUPS["Q8_S3"] = dict(
     order=48,
     gid=(48, 29),
     variant="one-dimensional moduli; generators n1, n2 for S3 and n3, n4 for Q8",
-    equation="x0^3+x0*(x1^2+x2^2+x3^2)+x1*x2*x3+E(4)*x2*(x4^2+x5^2)+2*x1*x4*x5+x3*(x4^2-x5^2)",
     gens=[
         [
             ["1", "0", "0", "0", "0", "0"],
@@ -290,8 +338,9 @@ def main():
             f"order: {spec['order']}",
             f"id: {spec['gid'][0]},{spec['gid'][1]}",
             f"variant: {spec['variant']}",
-            f"equation: {spec['equation']}",
         ]
+        cubic = invariant_cubic([mat_from_strings(rows) for rows in spec["gens"]])
+        lines.append("cubic: " + ", ".join(c.to_string() for c in cubic))
         for gi, rows in enumerate(spec["gens"], start=1):
             lines.append(f"generator {gi}:")
             for row in rows:

@@ -1,21 +1,22 @@
-"""Data layer: group definitions, rank table, overlays, comparison catalogs.
+"""Data layer: group definitions, rank table, comparison catalogs.
 
-Matrices live in text files under ``fanoterm/data`` using the cyclotomic
-grammar, one file per group; the tables are whitespace-separated columns
-with ``#`` comments.  Everything is read-only once loaded.
+Matrices and cubic forms live in text files under ``fanoterm/data`` using
+the cyclotomic grammar, one file per group; the tables are
+whitespace-separated columns with ``#`` comments.  Everything is read-only
+once loaded.
 """
 
 from __future__ import annotations
 
 import importlib.resources as res
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from . import data as _data
+from .cyclo import ONE, CycloNum, parse_cyclo
 from .groups import FinGroup, GroupId
-from .linalg import MatC, mat_from_strings
+from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose, mat_from_strings
 
 __all__ = [
     "GroupDefinition",
@@ -24,16 +25,15 @@ __all__ = [
     "load_group",
     "build_group",
     "load_rank_rows",
-    "load_overlay",
     "load_deformation_catalog",
     "load_fixtures",
     "FixtureRow",
-    "OverlayRule",
 ]
 
 
 class CatalogValidationError(RuntimeError):
-    """A catalog definition failed its order or id check."""
+    """Shipped data disagree: a definition failed a check, or a computed
+    rank contradicts the rank table or the codimension-2 bounds."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class GroupDefinition:
     order: int
     group_id: GroupId
     variant: str
-    equation: str
+    cubic: tuple[CycloNum, ...]  # coefficients on CUBIC_MONOMIALS
     generators: tuple[MatC, ...]
 
 
@@ -80,17 +80,22 @@ def load_group(key: str) -> GroupDefinition:
         else:
             current.append([e.strip() for e in line.split(",")])
     order_s, id_s = header["id"].split(",")
-    mats = tuple(mat_from_strings(g) for g in gens)
-    for i, m in enumerate(mats):
-        if m.det().is_zero:
-            raise CatalogValidationError(f"{key}: generator {i + 1} is singular")
+    try:
+        cubic = tuple(parse_cyclo(c) for c in header["cubic"].split(","))
+        mats = tuple(mat_from_strings(g) for g in gens)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CatalogValidationError(f"{key}: bad entry: {exc}") from None
+    if len(cubic) != len(CUBIC_MONOMIALS) or all(c.is_zero for c in cubic):
+        raise CatalogValidationError(
+            f"{key}: the cubic needs {len(CUBIC_MONOMIALS)} coefficients, not all zero"
+        )
     return GroupDefinition(
         key=key,
         name=header["name"],
         order=int(header["order"]),
         group_id=GroupId(int(order_s), int(id_s)),
         variant=header.get("variant", ""),
-        equation=header.get("equation", ""),
+        cubic=cubic,
         generators=mats,
     )
 
@@ -101,13 +106,23 @@ _BUILD_MEMO: dict[str, FinGroup] = {}
 def build_group(key: str) -> FinGroup:
     """Enumerate a catalog group (memoized in-process).
 
-    The enumerated order is checked against the definition; a mismatch is
-    a validation failure, not a silent fallback.
+    Every generator must have determinant 1 and preserve the cubic,
+    F(Mx) = F(x), so the action is symplectic (lambda^2 = det); and the
+    enumerated order must match the definition.  A failure is a validation
+    error, not a silent fallback.
     """
     group = _BUILD_MEMO.get(key)
     if group is not None:
         return group
     definition = load_group(key)
+    for i, m in enumerate(definition.generators, start=1):
+        det = m.det()
+        if det != ONE:
+            raise CatalogValidationError(
+                f"{key}: generator {i} has determinant {det.to_string()}, not 1"
+            )
+        if cubic_compose(definition.cubic, m) != definition.cubic:
+            raise CatalogValidationError(f"{key}: generator {i} does not preserve the cubic")
     group = FinGroup.generate(definition.generators)
     if group.n != definition.order:
         raise CatalogValidationError(
@@ -130,26 +145,6 @@ def load_rank_rows() -> tuple[tuple[str, GroupId, int], ...]:
         label, order_s, id_s, rank_s = line.split()
         rows.append((label, GroupId(int(order_s), int(id_s)), int(rank_s)))
     return tuple(rows)
-
-
-@dataclass(frozen=True)
-class OverlayRule:
-    ambient_key: str
-    group_id: GroupId
-    min_n3: int
-    rank: int
-
-
-@lru_cache(maxsize=None)
-def load_overlay() -> tuple[OverlayRule, ...]:
-    rules = []
-    for line in _read("overlay.table").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, order_s, id_s, min_n3, rank = line.split()
-        rules.append(OverlayRule(key, GroupId(int(order_s), int(id_s)), int(min_n3), int(rank)))
-    return tuple(rules)
 
 
 def _load_b2_table(name: str) -> dict[int, tuple[int, ...]]:

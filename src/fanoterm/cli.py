@@ -124,6 +124,8 @@ def _resolve_subgroups(group, definition, specs: Sequence[str]) -> list[Subgroup
             idxs = [group.index_of(ProjElem(m)) for m in mats]
         except KeyError:
             raise CliError(f"subgroup specification {spec!r} leaves the ambient group")
+        except ZeroDivisionError as exc:
+            raise CliError(f"bad matrix in subgroup specification {spec!r}: {exc}")
         out.append(group.subgroup(gens=idxs))
     return out
 
@@ -148,13 +150,13 @@ def _record_cells(r) -> list[str]:
     return [
         str(r.class_index),
         _gid_str(r.group_id),
-        r.rank_str(),
+        str(r.rank),
         str(r.n2),
         str(r.n3_subgroups),
         str(r.n3),
         str(r.n31),
         str(r.n32),
-        r.b2_str(),
+        str(r.b2),
         _gid_str(r.pi1),
     ]
 
@@ -168,16 +170,13 @@ def render_records(records, fmt: str, ambient: str, mode: str) -> str:
                     "class_index": r.class_index,
                     "order": r.order,
                     "group_id": _gid_json(r.group_id),
-                    "rank": r.rank_resolution.rank,
-                    "rank_candidates": list(r.rank_resolution.candidates),
-                    "rank_method": r.rank_resolution.method,
+                    "rank": r.rank,
                     "n2": r.n2,
                     "N3": r.n3_subgroups,
                     "n3": r.n3,
                     "n31": r.n31,
                     "n32": r.n32,
                     "b2": r.b2,
-                    "b2_candidates": list(r.b2_candidates),
                     "pi1": _gid_json(r.pi1),
                     "pi1_trivial": r.pi1_trivial,
                 }
@@ -215,7 +214,6 @@ def cmd_table(args) -> int:
         targeted=targeted,
         budget=args.budget,
         all_subgroups=args.all_subgroups,
-        resolve_ranks=not args.no_rank_resolution,
     )
     sys.stdout.write(render_records(records, args.format, args.group, args.mode))
     return EXIT_OK
@@ -301,11 +299,11 @@ def cmd_validate_catalog(args) -> int:
     keys = [args.group] if args.group else list(group_keys())
     failures = []
     for key in keys:
-        definition = load_group(key)
         try:
+            definition = load_group(key)
             group = build_group(key)
         except CatalogValidationError as exc:
-            failures.append(f"{key}: {exc}")
+            failures.append(str(exc))  # the message starts with the key
             continue
         gid = identify(group.view)
         if gid != definition.group_id:
@@ -342,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum ambient order for a full sweep")
     p.add_argument("--all-subgroups", action="store_true",
                    help="emit every class, not only the non-terminal ones")
-    p.add_argument("--no-rank-resolution", action="store_true",
-                   help="report raw rank candidate sets without resolving")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("detect-l3", help="codimension-2 order-3 subgroups of an action")

@@ -260,6 +260,8 @@ class FinGroup:
         self._inv = inv
         self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx)
         self.l3_memo = None  # set by fanoterm.invariants.detect_l3
+        self.class_memo = None  # set by class_map
+        self.trace_memo = None  # set by fanoterm.ranks.class_traces
 
     # -- construction -----------------------------------------------------
 
@@ -345,6 +347,18 @@ class FinGroup:
 
     def conjugacy_classes(self):
         return self.view.conjugacy_classes()
+
+    def class_map(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The conjugacy classes and the class index of every element,
+        memoized on the group."""
+        if self.class_memo is None:
+            classes = self.conjugacy_classes()
+            class_of = [0] * self.n
+            for c, members in enumerate(classes):
+                for x in members:
+                    class_of[x] = c
+            self.class_memo = (classes, tuple(class_of))
+        return self.class_memo
 
     def subgroup(self, gens: Iterable[int] = (), members: Optional[frozenset[int]] = None) -> "SubgroupHandle":
         if members is None:
@@ -499,9 +513,6 @@ class SubgroupClass:
     index: int
     rep: SubgroupHandle
     orbit: tuple[frozenset[int], ...]
-
-    def contains_up_to_conjugacy(self, other: "SubgroupHandle") -> bool:
-        return any(other.members <= s for s in self.orbit)
 
 
 # ---------------------------------------------------------------------------

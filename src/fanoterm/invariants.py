@@ -9,15 +9,13 @@ locus, and the second Betti number
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cyclo import ZERO, rational
+from .cyclo import CycloNum, rational
 from .groups import (
-    BudgetExceeded,
     FinGroup,
     GroupId,
-    SubgroupClass,
     SubgroupHandle,
     TableGroup,
     UnidentifiedGroup,
@@ -25,7 +23,7 @@ from .groups import (
     quotient_group,
 )
 from .linalg import MatC, PolyC
-from .ranks import RankResolution, refine_candidates_by_lattice, resolve_rank
+from .ranks import resolve_rank
 
 __all__ = [
     "L3Set",
@@ -40,10 +38,7 @@ __all__ = [
     "classification_table",
     "records_for_classes",
     "merged_rows",
-    "FERMAT_KEY",
 ]
-
-FERMAT_KEY = "C3_4_A6"
 
 
 @dataclass(frozen=True)
@@ -230,7 +225,7 @@ class SubgroupRecord:
     n3: int
     n31: int
     n32: int
-    rank_resolution: RankResolution
+    rank: int  # coinvariant rank
     pi1: Union[GroupId, UnidentifiedGroup]
 
     @property
@@ -238,58 +233,23 @@ class SubgroupRecord:
         return self.n2 + self.n3 == 0
 
     @property
-    def b2(self) -> Optional[int]:
-        rr = self.rank_resolution
-        if rr.resolved:
-            return b2_of_terminalization(rr.rank, self.n2, self.n31, self.n32)
-        return None
-
-    @property
-    def b2_candidates(self) -> tuple[int, ...]:
-        rr = self.rank_resolution
-        if rr.resolved:
-            return (self.b2,)
-        return tuple(
-            sorted(b2_of_terminalization(r, self.n2, self.n31, self.n32) for r in rr.candidates)
-        )
+    def b2(self) -> int:
+        return b2_of_terminalization(self.rank, self.n2, self.n31, self.n32)
 
     @property
     def pi1_trivial(self) -> bool:
         return isinstance(self.pi1, GroupId) and self.pi1 == GroupId(1, 1)
 
-    def rank_str(self) -> str:
-        rr = self.rank_resolution
-        if rr.resolved:
-            return str(rr.rank)
-        if rr.candidates:
-            return "{" + ",".join(str(r) for r in rr.candidates) + "}"
-        return "?"
 
-    def b2_str(self) -> str:
-        if self.b2 is not None:
-            return str(self.b2)
-        cands = self.b2_candidates
-        if cands:
-            return "{" + ",".join(str(b) for b in cands) + "}"
-        return "?"
-
-
-def records_for_classes(ambient_key: str, group: FinGroup, l3: L3Set,
-                        classes: Sequence[tuple[int, SubgroupHandle]],
-                        resolve_ranks: bool = True) -> list[SubgroupRecord]:
-    """Build one record per (index, subgroup) pair, ranks not yet refined."""
-    use_fermat = resolve_ranks and ambient_key == FERMAT_KEY
+def records_for_classes(group: FinGroup, l3: L3Set, cubic: Sequence[CycloNum],
+                        classes: Sequence[tuple[int, SubgroupHandle]]) -> list[SubgroupRecord]:
+    """Build one record per (index, subgroup) pair; ``cubic`` is the form
+    the group preserves, from which the ranks are computed."""
     records = []
     for idx, h in classes:
         n2, n3s, n3, n31, n32 = singular_invariants(h, l3)
         gid = identify(h.view)
         pid = pi1_id(h, l3)
-        if resolve_ranks:
-            rr = resolve_rank(h, ambient_key, gid, n3s, use_fermat)
-        else:
-            from .ranks import rank_candidates
-
-            rr = RankResolution(None, tuple(sorted(rank_candidates(gid))), "unresolved")
         records.append(
             SubgroupRecord(
                 class_index=idx,
@@ -300,7 +260,7 @@ def records_for_classes(ambient_key: str, group: FinGroup, l3: L3Set,
                 n3=n3,
                 n31=n31,
                 n32=n32,
-                rank_resolution=rr,
+                rank=resolve_rank(h, cubic, gid, n3s),
                 pi1=pid,
             )
         )
@@ -309,25 +269,22 @@ def records_for_classes(ambient_key: str, group: FinGroup, l3: L3Set,
 
 def classification_table(ambient_key: str, *, mode: str = "full-sweep",
                          targeted: Optional[Sequence[SubgroupHandle]] = None,
-                         budget: int = 1000, all_subgroups: bool = False,
-                         resolve_ranks: bool = True) -> list[SubgroupRecord]:
+                         budget: int = 1000, all_subgroups: bool = False) -> list[SubgroupRecord]:
     """One record per subgroup conjugacy class with n2 + n3 > 0.
 
     ``full-sweep`` enumerates every class (within the budget), keeping the
     canonical class indices even after filtering; ``full-group-only`` and
     ``targeted`` compute the requested rows with class index 0.
     """
-    from .catalog import build_group
+    from .catalog import build_group, load_group
 
     group = build_group(ambient_key)
+    cubic = load_group(ambient_key).cubic
     l3 = detect_l3(group)
     if mode == "full-sweep":
         classes = group.subgroup_conjugacy_classes(budget=budget)
         pairs = [(c.index, c.rep) for c in classes]
-        records = records_for_classes(ambient_key, group, l3, pairs, resolve_ranks)
-        if resolve_ranks and ambient_key != FERMAT_KEY:
-            containments = _containments(classes)
-            refine_candidates_by_lattice(records, containments)
+        records = records_for_classes(group, l3, cubic, pairs)
         if not all_subgroups:
             records = [r for r in records if not r.terminal]
         return records
@@ -339,26 +296,10 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
         pairs = [(0, h) for h in targeted]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    records = records_for_classes(ambient_key, group, l3, pairs, resolve_ranks)
+    records = records_for_classes(group, l3, cubic, pairs)
     if not all_subgroups and mode == "targeted":
         records = [r for r in records if not r.terminal]
     return records
-
-
-def _containments(classes: Sequence[SubgroupClass]) -> dict[int, list[int]]:
-    """containments[i] = indices j (in the records list) of classes whose
-    conjugates contain class i's representative."""
-    out: dict[int, list[int]] = {}
-    for i, ci in enumerate(classes):
-        sups = []
-        for j, cj in enumerate(classes):
-            if i == j or cj.rep.order % ci.rep.order != 0 or cj.rep.order <= ci.rep.order:
-                continue
-            if ci.rep.order == 1 or cj.contains_up_to_conjugacy(ci.rep):
-                sups.append(j)
-        if sups:
-            out[i] = sups
-    return out
 
 
 def merged_rows(records: Sequence[SubgroupRecord]) -> list[tuple]:
@@ -371,7 +312,7 @@ def merged_rows(records: Sequence[SubgroupRecord]) -> list[tuple]:
     seen = set()
     out = []
     for r in records:
-        key = (str(r.group_id), r.rank_str(), r.n2, r.n31, r.n32, r.b2_str(), str(r.pi1))
+        key = (str(r.group_id), str(r.rank), r.n2, r.n31, r.n32, str(r.b2), str(r.pi1))
         if key not in seen:
             seen.add(key)
             out.append(key)

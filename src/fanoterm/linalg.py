@@ -8,6 +8,7 @@ small integers occur.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .cyclo import ONE, ZERO, CycloNum, parse_cyclo, rational
@@ -20,6 +21,9 @@ __all__ = [
     "perm_mat",
     "scalar_mat",
     "mat_from_strings",
+    "CUBIC_MONOMIALS",
+    "cubic_eval",
+    "cubic_compose",
 ]
 
 
@@ -266,3 +270,53 @@ def perm_mat(images: Sequence[int], dim: Optional[int] = None) -> MatC:
 
 def mat_from_strings(rows: Sequence[Sequence[str]]) -> MatC:
     return MatC([[parse_cyclo(s) for s in row] for row in rows])
+
+
+# -- cubic forms in six variables -------------------------------------------------
+
+# A cubic form is the tuple of its coefficients on these monomials
+# x_i*x_j*x_k, i <= j <= k, in this order.
+CUBIC_MONOMIALS = tuple(combinations_with_replacement(range(6), 3))
+_MONOMIAL_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
+
+
+def cubic_eval(coeffs: Sequence[CycloNum], point: Sequence[CycloNum]) -> CycloNum:
+    """The value F(p) of a cubic form at a point."""
+    total = ZERO
+    for c, (i, j, k) in zip(coeffs, CUBIC_MONOMIALS):
+        if not c.is_zero:
+            total = total + c * point[i] * point[j] * point[k]
+    return total
+
+
+def cubic_compose(coeffs: Sequence[CycloNum], mat: MatC) -> tuple[CycloNum, ...]:
+    """The coefficients of the cubic form x -> F(Mx), M acting on column vectors.
+
+    F is grouped as the sum over i <= j of x_i*x_j times a linear form in
+    x_j..x_5, so each product (Mx)_i*(Mx)_j is expanded once.
+    """
+    forms = [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in mat.rows]
+    out = [ZERO] * len(CUBIC_MONOMIALS)
+    for i in range(6):
+        for j in range(i, 6):
+            tail = [ZERO] * 6  # the image of sum_k c_ijk x_k, as a linear form
+            for k in range(j, 6):
+                c = coeffs[_MONOMIAL_INDEX[(i, j, k)]]
+                if not c.is_zero:
+                    for b, e in forms[k]:
+                        tail[b] = tail[b] + c * e
+            tail_terms = [(c, e) for c, e in enumerate(tail) if not e.is_zero]
+            if not tail_terms:
+                continue
+            quad: dict[tuple[int, int], CycloNum] = {}
+            for a, ea in forms[i]:
+                for b, eb in forms[j]:
+                    key = (a, b) if a <= b else (b, a)
+                    quad[key] = quad.get(key, ZERO) + ea * eb
+            for (a, b), q in quad.items():
+                if q.is_zero:
+                    continue
+                for c, e in tail_terms:
+                    idx = _MONOMIAL_INDEX[tuple(sorted((a, b, c)))]
+                    out[idx] = out[idx] + q * e
+    return tuple(out)

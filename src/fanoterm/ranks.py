@@ -1,42 +1,40 @@
-"""Coinvariant-rank determination for subgroups of the symplectic actions.
+"""Coinvariant ranks of subgroups of the symplectic actions.
 
-Three mechanisms, in priority order: the exact invariant-trace computation
-on the 20 squarefree cubic monomials (monomial ambients only), the curated
-overlay for the order-1944 ambient, and the rank table with singleton or
-lattice-refined candidate sets.
+One exact mechanism for every ambient and every subgroup.  By Griffiths'
+residue theorem the primitive middle cohomology H^{2,2}_prim(X) of the
+cubic X = {F = 0} is the degree-3 piece R_3 of its Jacobian ring, and by
+Beauville-Donagi H^2(F(X)) = H^4(X) equivariantly.  For a lift M of g with
+F(Mx) = lambda(M) F(x) this gives
+
+    tr(g | H^2(F(X))) = 3 + h3(M)/lambda(M) - tr(M) tr(M^-1),
+    h3 = (p1^3 + 3 p1 p2 + 2 p3)/6,  p_k = tr(M^k),
+
+and the coinvariant rank of H is 23 minus the average of that trace over H.
+The trace is a class function, so it is evaluated once per conjugacy class
+of the ambient; the rank of a subgroup then needs no matrix work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import Optional
+from typing import Sequence
 
-from .cyclo import CycloNum, ONE
+from .catalog import CatalogValidationError, load_rank_rows
+from .cyclo import ZERO, CycloNum, rational
 from .groups import FinGroup, GroupId, SubgroupHandle
-from .linalg import MatC
+from .linalg import CUBIC_MONOMIALS, cubic_eval
 
 __all__ = [
     "rank_candidates",
-    "monomial_parts",
-    "fermat_invariant_dim",
-    "fermat_invariant_rank",
-    "fermat_coinvariant_rank",
-    "RankResolution",
+    "class_traces",
+    "coinvariant_rank",
     "resolve_rank",
-    "refine_candidates_by_lattice",
 ]
-
-MONOMIAL_TRIPLES = tuple(combinations(range(6), 3))
-_TRIPLE_INDEX = {t: i for i, t in enumerate(MONOMIAL_TRIPLES)}
 
 
 @lru_cache(maxsize=None)
 def _rank_by_id() -> dict[GroupId, frozenset[int]]:
-    from .catalog import load_rank_rows
-
     table: dict[GroupId, set[int]] = {}
     for _, gid, rank in load_rank_rows():
         table.setdefault(gid, set()).add(rank)
@@ -50,148 +48,77 @@ def rank_candidates(gid) -> frozenset[int]:
     return frozenset()
 
 
-def monomial_parts(mat: MatC) -> Optional[tuple[tuple[int, ...], tuple[CycloNum, ...]]]:
-    """Decompose a monomial matrix into (permutation, scalars).
+def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
+    """tr(g | H^2(F(X))) for each conjugacy class of the group, memoized on it.
 
-    Returns (pi, c) with the unique nonzero of column j at row pi[j] equal
-    to c[j]; None when any column has other than exactly one nonzero.
+    The group must preserve the cubic up to scalars.  lambda(M) is read off
+    at a point where F does not vanish; some e_i + e_j + e_k is one, since
+    the values at these points determine a cubic.  tr(M^-1) comes from the
+    stored inverse class, a scalar multiple s*M^-1 with s = (M*(s*M^-1))_00.
     """
-    d = mat.dim
-    pi = [-1] * d
-    scal = [None] * d
-    for i in range(d):
-        row = mat.rows[i]
-        for j in range(d):
-            e = row[j]
-            if not e.is_zero:
-                if pi[j] != -1:
-                    return None
-                pi[j] = i
-                scal[j] = e
-    if any(p == -1 for p in pi):
-        return None
-    return tuple(pi), tuple(scal)
-
-
-def _w_trace(mat: MatC) -> CycloNum:
-    """Trace of a monomial matrix acting by substitution on the 20 cubic
-    squarefree monomials."""
-    parts = monomial_parts(mat)
-    if parts is None:
-        raise ValueError("element is not monomial; the trace is undefined")
-    pi, scal = parts
-    total = None
-    for (a, b, c) in MONOMIAL_TRIPLES:
-        image = tuple(sorted((pi[a], pi[b], pi[c])))
-        if image == (a, b, c):
-            term = scal[a] * scal[b] * scal[c]
-            total = term if total is None else total + term
-    from .cyclo import ZERO
-
-    return ZERO if total is None else total
-
-
-def fermat_invariant_dim(h: SubgroupHandle) -> int:
-    """dim of the invariants of H on the span of the 20 monomials.
-
-    Averages the substitution traces over the subgroup; the result must be
-    a rational integer in [0, 20], asserted exactly.
-    """
-    group = h.group
-    total = None
-    for idx in sorted(h.members):
-        t = _w_trace(group.elements[idx].mat)
-        total = t if total is None else total + t
-    avg = total * Fraction(1, h.order)
-    value = avg.to_rational()
-    if value is None or value.denominator != 1 or not (0 <= value <= 20):
-        raise ValueError(f"invariant trace average {avg} is not an integer in [0, 20]")
-    return int(value)
-
-
-def fermat_invariant_rank(h: SubgroupHandle) -> int:
-    """Rank of the invariant part of the second cohomology: 3 + dim W^H
-    (the three always-invariant classes plus the invariant monomials)."""
-    return 3 + fermat_invariant_dim(h)
-
-
-def fermat_coinvariant_rank(h: SubgroupHandle) -> int:
-    """Coinvariant rank 23 - (3 + dim W^H) = 20 - dim W^H."""
-    return 20 - fermat_invariant_dim(h)
-
-
-@dataclass(frozen=True)
-class RankResolution:
-    rank: Optional[int]
-    candidates: tuple[int, ...]
-    method: str
-
-    @property
-    def resolved(self) -> bool:
-        return self.rank is not None
-
-
-def resolve_rank(h: SubgroupHandle, ambient_key: str, gid, n3: int,
-                 use_fermat: bool) -> RankResolution:
-    """Resolve the coinvariant rank of one subgroup, or report candidates.
-
-    Priority: exact monomial trace (Fermat ambient), curated overlay,
-    singleton table entry; otherwise the candidate set is returned
-    unresolved (lattice refinement may narrow it afterwards).
-    """
-    candidates = rank_candidates(gid)
-    if use_fermat:
-        rank = fermat_coinvariant_rank(h)
-        if candidates and rank not in candidates:
-            raise ValueError(
-                f"computed rank {rank} for {gid} not among table candidates {sorted(candidates)}"
+    memo = group.trace_memo
+    if memo is not None and memo[0] == tuple(cubic):
+        return memo[1]
+    for mono in CUBIC_MONOMIALS:
+        point = [rational(mono.count(a)) for a in range(6)]
+        value = cubic_eval(cubic, point)
+        if not value.is_zero:
+            break
+    classes, _ = group.class_map()
+    d = group.dim
+    traces = []
+    for members in classes:
+        x = members[0]
+        m = group.elements[x].mat
+        m_inv = group.elements[group.inv(x)].mat
+        s = sum((m[0, j] * m_inv[j, 0] for j in range(d)), ZERO)
+        m2 = m * m
+        p1, p2 = m.trace(), m2.trace()
+        p3 = sum((m2[i, j] * m[j, i] for i in range(d) for j in range(d)), ZERO)
+        h3 = (p1 * p1 * p1 + 3 * p1 * p2 + 2 * p3) / 6
+        image = [sum((m[i, j] * point[j] for j in range(d)), ZERO) for i in range(d)]
+        lam = cubic_eval(cubic, image) / value
+        trace = 3 + h3 / lam - p1 * m_inv.trace() / s
+        q = trace.to_rational()
+        if q is None or q.denominator != 1:
+            raise CatalogValidationError(
+                f"the trace of element {x} on H^2 is {trace.to_string()}, not an integer"
             )
-        if n3 >= 1 and rank < 18:
-            raise ValueError(f"rank bound violated: N3={n3} but computed rank {rank} < 18")
-        if n3 >= 2 and rank != 20:
-            raise ValueError(f"rank bound violated: N3={n3} but computed rank {rank} != 20")
-        return RankResolution(rank, tuple(sorted(candidates)), "monomial-trace")
-    from .catalog import load_overlay
-
-    if isinstance(gid, GroupId):
-        for rule in load_overlay():
-            if rule.ambient_key == ambient_key and rule.group_id == gid and n3 >= rule.min_n3:
-                return RankResolution(rule.rank, tuple(sorted(candidates)), "overlay")
-    if len(candidates) == 1:
-        return RankResolution(next(iter(candidates)), tuple(sorted(candidates)), "table")
-    return RankResolution(None, tuple(sorted(candidates)), "unresolved")
+        traces.append(int(q))
+    group.trace_memo = (tuple(cubic), tuple(traces))
+    return group.trace_memo[1]
 
 
-def refine_candidates_by_lattice(records, containments) -> None:
-    """Narrow unresolved candidate sets using subgroup monotonicity.
+def coinvariant_rank(h: SubgroupHandle, cubic: Sequence[CycloNum]) -> int:
+    """23 minus the average over H of the trace on H^2(F(X)).
 
-    Nested subgroups have nested coinvariant lattices, so a resolved
-    overgroup bounds the rank from above and a resolved subgroup from
-    below.  ``containments[i]`` lists indices j with records[i] contained
-    in records[j] up to conjugacy.  Mutates record.rank_resolution until a
-    fixed point.
+    The result must be an integer in [0, 20]; anything else means the
+    shipped cubic or generators are wrong, a CatalogValidationError.
     """
-    changed = True
-    while changed:
-        changed = False
-        for i, rec in enumerate(records):
-            rr = rec.rank_resolution
-            if rr.resolved or not rr.candidates:
-                continue
-            lo, hi = 0, 23
-            for j in containments.get(i, ()):
-                other = records[j].rank_resolution
-                if other.resolved:
-                    hi = min(hi, other.rank)
-            for j, sups in containments.items():
-                if i in sups:
-                    other = records[j].rank_resolution
-                    if other.resolved:
-                        lo = max(lo, other.rank)
-            narrowed = [r for r in rr.candidates if lo <= r <= hi]
-            if narrowed != list(rr.candidates):
-                changed = True
-                if len(narrowed) == 1:
-                    rec.rank_resolution = RankResolution(narrowed[0], rr.candidates, "lattice")
-                else:
-                    rec.rank_resolution = RankResolution(None, tuple(narrowed), "unresolved")
+    traces = class_traces(h.group, cubic)
+    _, class_of = h.group.class_map()
+    rank = Fraction(23 * h.order - sum(traces[class_of[x]] for x in h.members), h.order)
+    if rank.denominator != 1 or not 0 <= rank <= 20:
+        raise CatalogValidationError(
+            f"coinvariant rank {rank} of a subgroup of order {h.order} "
+            f"is not an integer in [0, 20]"
+        )
+    return int(rank)
+
+
+def resolve_rank(h: SubgroupHandle, cubic: Sequence[CycloNum], gid, n3: int) -> int:
+    """The coinvariant rank, checked against the rank table's candidates for
+    the id and against the codimension-2 bounds: N3 >= 1 forces rank >= 18
+    and N3 >= 2 forces rank 20.  A failed check raises CatalogValidationError.
+    """
+    rank = coinvariant_rank(h, cubic)
+    candidates = rank_candidates(gid)
+    if candidates and rank not in candidates:
+        raise CatalogValidationError(
+            f"computed rank {rank} for {gid} not among table candidates {sorted(candidates)}"
+        )
+    if n3 >= 1 and rank < 18:
+        raise CatalogValidationError(f"rank bound violated: N3={n3} but computed rank {rank} < 18")
+    if n3 >= 2 and rank != 20:
+        raise CatalogValidationError(f"rank bound violated: N3={n3} but computed rank {rank} != 20")
+    return rank

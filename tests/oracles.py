@@ -1,14 +1,16 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: Fraction-coefficient polynomial
-arithmetic with textbook long division, so results never depend on the
-code paths under test.
+arithmetic with textbook long division, and a direct trace over monomials
+for ranks on the Fermat cubic, so results never depend on the code paths
+under test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 
 def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -85,3 +87,67 @@ def cyclo_as_power_poly(x, n: int) -> tuple[Fraction, ...]:
         if c:
             sparse[j * step] = sparse.get(j * step, Fraction(0)) + c
     return reduce_power_poly(sparse, n)
+
+
+# -- the monomial trace: coinvariant ranks on the Fermat cubic --------------------
+#
+# For a monomial group preserving the Fermat cubic, H^2(F(X)) is the three
+# always-invariant classes plus the span W of the 20 squarefree cubic
+# monomials x_a*x_b*x_c, so the coinvariant rank is 20 - dim W^H, and dim W^H
+# is the average over H of the substitution trace on W.
+
+SQUAREFREE_TRIPLES = tuple(combinations(range(6), 3))
+
+
+def monomial_parts(mat):
+    """Decompose a monomial matrix into (permutation, scalars).
+
+    Returns (pi, c) with the unique nonzero of column j at row pi[j] equal
+    to c[j]; None when any column has other than exactly one nonzero.
+    """
+    d = mat.dim
+    pi = [-1] * d
+    scal = [None] * d
+    for i in range(d):
+        for j in range(d):
+            e = mat.rows[i][j]
+            if not e.is_zero:
+                if pi[j] != -1:
+                    return None
+                pi[j] = i
+                scal[j] = e
+    if any(p == -1 for p in pi):
+        return None
+    return tuple(pi), tuple(scal)
+
+
+def _w_trace(mat):
+    """Trace of a monomial matrix acting by substitution on the squarefree
+    cubic monomials."""
+    from fanoterm.cyclo import ZERO
+
+    parts = monomial_parts(mat)
+    if parts is None:
+        raise ValueError("element is not monomial; the trace is undefined")
+    pi, scal = parts
+    total = ZERO
+    for (a, b, c) in SQUAREFREE_TRIPLES:
+        if tuple(sorted((pi[a], pi[b], pi[c]))) == (a, b, c):
+            total = total + scal[a] * scal[b] * scal[c]
+    return total
+
+
+def monomial_invariant_dim(h) -> int:
+    """dim W^H, the average of the substitution traces over the subgroup."""
+    from fanoterm.cyclo import ZERO, rational
+
+    total = ZERO
+    for idx in h.members:
+        total = total + _w_trace(h.group.elements[idx].mat)
+    value = (total * rational(Fraction(1, h.order))).to_rational()
+    assert value is not None and value.denominator == 1 and 0 <= value <= 20, value
+    return int(value)
+
+
+def monomial_coinvariant_rank(h) -> int:
+    return 20 - monomial_invariant_dim(h)

@@ -9,11 +9,19 @@ from fractions import Fraction
 
 import pytest
 
-from fanoterm.catalog import build_group, load_deformation_catalog, load_fixtures
+from fanoterm.catalog import build_group, load_deformation_catalog, load_fixtures, load_group
 from fanoterm.cli import main as cli_main
 from fanoterm.cyclo import ONE, rational, root_of_unity, sqrt_rational
 from fanoterm.deform import ObstructionEntry, is_square_rational, obstruction_report
-from fanoterm.groups import BudgetExceeded, GroupId, ProjElem, fingerprint, identify, quotient_group
+from fanoterm.groups import (
+    BudgetExceeded,
+    GroupId,
+    ProjElem,
+    UnidentifiedGroup,
+    fingerprint,
+    identify,
+    quotient_group,
+)
 from fanoterm.invariants import (
     classification_table,
     detect_l3,
@@ -21,7 +29,8 @@ from fanoterm.invariants import (
     singular_invariants,
 )
 from fanoterm.linalg import MatC, diag, perm_mat
-from fanoterm.ranks import fermat_coinvariant_rank, fermat_invariant_dim, monomial_parts
+from fanoterm.ranks import coinvariant_rank
+from oracles import monomial_parts
 
 W = root_of_unity(3, 1)
 W2 = W * W
@@ -95,7 +104,7 @@ def test_criterion_2_full_group_rows(key, gid, b2):
     row = records[0]
     pi1 = FULL_GROUP_PI1[key]
     ok = row.group_id == gid and row.b2 == b2 and row.pi1 == pi1
-    _report(2, ok, f"{key}: id {row.group_id} b2 {row.b2_str()} pi1 {row.pi1} "
+    _report(2, ok, f"{key}: id {row.group_id} b2 {row.b2} pi1 {row.pi1} "
                    f"(expected {b2}, {pi1})")
     assert row.group_id == gid
     # For the M10 quotient b2 = 4, not the 5 of its largest simply connected
@@ -147,13 +156,13 @@ def test_criterion_2_1944_consistency():
     row = records[0]
     checks = [
         row.group_id == GroupId(1944, 3559),
-        row.rank_resolution.rank == 20,
+        row.rank == 20,
         row.n3_subgroups == 1,
         row.b2 == 23 - 20 + row.n2 + row.n31 + 2 * row.n32,
         not row.pi1_trivial,  # absent from the simply connected fixture list
     ]
     _report(2, all(checks), f"G1944 full row: n2={row.n2} N3={row.n3_subgroups} "
-                            f"b2={row.b2_str()} pi1={row.pi1}")
+                            f"b2={row.b2} pi1={row.pi1}")
     assert all(checks)
 
 
@@ -197,18 +206,19 @@ def test_criterion_3_fermat_generators_are_balanced_diagonals(built):
     assert ok
 
 
-# -- criterion 4: exact invariant dimensions on the Fermat cubic -----------------
+# -- criterion 4: exact coinvariant ranks on the Fermat cubic --------------------
 
 
 def test_criterion_4_fermat_ranks(built):
     fermat = built("C3_4_A6")
+    cubic = load_group("C3_4_A6").cubic
 
     def sub(mats):
         return fermat.subgroup(gens=[fermat.index_of(ProjElem(m)) for m in mats])
 
-    dims = {}
-    dims["trivial"] = fermat_invariant_dim(fermat.subgroup(gens=[]))
-    dims["c3"] = fermat_invariant_dim(sub([_exps((0, 0, 0, 1, 1, 1))]))
+    ranks = {}
+    ranks["trivial"] = coinvariant_rank(fermat.subgroup(gens=[]), cubic)
+    ranks["c3"] = coinvariant_rank(sub([_exps((0, 0, 0, 1, 1, 1))]), cubic)
     g1 = sub([
         _exps((0, 0, 0, 1, 1, 1)),
         _exps((0, 0, 0, 0, 1, 2)) * perm_mat([1, 2, 0, 3, 4, 5]),
@@ -226,14 +236,14 @@ def test_criterion_4_fermat_ranks(built):
     ])
     assert g1.order == 108 and g2.order == 108
     assert fingerprint(g1.view).tier1 == fingerprint(g2.view).tier1
-    dims["g1"] = fermat_invariant_dim(g1)
-    dims["g2"] = fermat_invariant_dim(g2)
-    ok = dims == {"trivial": 20, "c3": 2, "g1": 1, "g2": 0}
-    _report(4, ok, f"invariant dimensions {dims}")
-    assert dims["trivial"] == 20
-    assert dims["c3"] == 2
-    assert dims["g1"] == 1
-    assert dims["g2"] == 0
+    ranks["g1"] = coinvariant_rank(g1, cubic)
+    ranks["g2"] = coinvariant_rank(g2, cubic)
+    ok = ranks == {"trivial": 0, "c3": 18, "g1": 19, "g2": 20}
+    _report(4, ok, f"coinvariant ranks {ranks}")
+    assert ranks["trivial"] == 0
+    assert ranks["c3"] == 18
+    assert ranks["g1"] == 19
+    assert ranks["g2"] == 20
 
 
 def test_criterion_4_targeted_c3_row(capsys):
@@ -253,6 +263,7 @@ def test_criterion_4_targeted_c3_row(capsys):
 
 def test_criterion_5_rank_bound_sweep(built):
     fermat = built("C3_4_A6")
+    cubic = load_group("C3_4_A6").cubic
     l3 = detect_l3(fermat)
     view = fermat.view
     rng = random.Random(20260809)
@@ -265,7 +276,7 @@ def test_criterion_5_rank_bound_sweep(built):
     checked = 0
     for h in handles:
         n3 = sum(1 for fs in l3.subgroups if fs <= h.members)
-        rank = fermat_coinvariant_rank(h)
+        rank = coinvariant_rank(h, cubic)
         if n3 >= 1:
             assert rank >= 18, (h.order, n3, rank)
         if n3 >= 2:
@@ -419,15 +430,22 @@ def test_criterion_9_budget_guard(built, key):
 
 @pytest.mark.stretch
 def test_stretch_full_sweep_1944(built):
-    records = classification_table("G1944", mode="full-sweep", budget=2000)
-    simply = [r for r in records if r.pi1_trivial and isinstance(r.group_id, GroupId)]
-    got = {(str(r.group_id), r.b2_str()) for r in simply}
-    want_all = {
-        (str(f.group_id), str(f.b2)) for f in load_fixtures() if f.ambient_order == 1944
-    }
-    # every identified simply connected row must be a fixture row
-    covered = {g for g in got if g in want_all}
-    assert covered <= want_all
+    records = classification_table("G1944", mode="full-sweep", budget=2000, all_subgroups=True)
+    assert len(records) == 237
+    assert all(isinstance(r.b2, int) for r in records)
+    simply = [r for r in records if r.pi1_trivial and not r.terminal]
+    want = {(f.group_id, f.b2) for f in load_fixtures() if f.ambient_order == 1944}
+    # every identified, simply connected, non-terminal row is a fixture row
+    identified = {(r.group_id, r.b2) for r in simply if isinstance(r.group_id, GroupId)}
+    assert identified <= want, identified - want
+    # every fixture row is computed: same order and b2, with its id or an
+    # unidentified one (ids the identification catalog cannot name)
+    for gid, b2 in want:
+        assert any(
+            r.order == gid.order and r.b2 == b2
+            and (r.group_id == gid or isinstance(r.group_id, UnidentifiedGroup))
+            for r in simply
+        ), (gid, b2)
 
 
 @pytest.mark.stretch
@@ -448,7 +466,7 @@ def test_stretch_full_sweep_fermat(built):
 
     records = classification_table("C3_4_A6", mode="full-sweep", budget=30000)
     simply = [r for r in records if r.pi1_trivial and isinstance(r.group_id, GroupId)]
-    got = {(str(r.group_id), r.b2_str()) for r in simply}
+    got = {(str(r.group_id), str(r.b2)) for r in simply}
     catalog_ids = {gid for rows in _load_id_catalog().values() for _, _, gid in rows}
     want = {
         (str(f.group_id), str(f.b2))

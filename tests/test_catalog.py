@@ -1,14 +1,15 @@
 import pytest
 
+from fanoterm import catalog
 from fanoterm.catalog import (
     CatalogValidationError,
     build_group,
     group_keys,
     load_fixtures,
     load_group,
-    load_overlay,
     load_rank_rows,
 )
+from fanoterm.cli import EXIT_VALIDATION, main as cli_main
 from fanoterm.cyclo import parse_cyclo
 from fanoterm.groups import GroupId, identify
 from fanoterm.linalg import identity
@@ -84,10 +85,57 @@ def test_rank_rows_cover_all_labels():
     assert all(0 <= rank <= 23 for _, _, rank in rows)
 
 
-def test_overlay_rows():
-    rules = {(r.ambient_key, r.group_id): r.rank for r in load_overlay()}
-    assert rules[("G1944", GroupId(3, 1))] == 18
-    assert rules[("G1944", GroupId(9, 2))] == 18
+@pytest.fixture
+def corrupted(monkeypatch):
+    """Serve Q8_S3's definition file with one text substitution applied."""
+
+    def apply(old, new):
+        text = catalog._read("groups/Q8_S3.txt")
+        assert old in text
+        bad = text.replace(old, new, 1)
+        real_read = catalog._read
+        monkeypatch.setattr(catalog, "_read",
+                            lambda name: bad if name == "groups/Q8_S3.txt" else real_read(name))
+        monkeypatch.setattr(catalog, "_BUILD_MEMO", {})
+        load_group.cache_clear()
+
+    yield apply
+    load_group.cache_clear()
+
+
+@pytest.mark.parametrize("old,new,message", [
+    # the coefficient of x1*x4*x5, the first ", 2, " of the file, from 2 to 3
+    pytest.param(", 2, ", ", 3, ", "does not preserve the cubic", id="cubic-coefficient"),
+    pytest.param("cubic: 1,", "cubic: 1, 0,", "needs 56 coefficients", id="cubic-length"),
+    pytest.param("cubic: 1,", "cubic: foo,", "bad entry", id="cubic-entry"),
+    pytest.param("E(8)^5", "E(8)^+", "bad entry", id="generator-entry"),
+    # one sign flipped in generator 3
+    pytest.param("generator 3:\n1,", "generator 3:\n-1,", "generator 3 has determinant -1",
+                 id="generator-determinant"),
+    # two signs flipped in generator 1: determinant still 1, but x0 -> -x0
+    pytest.param("generator 1:\n1, 0, 0, 0, 0, 0\n0, 0, 1,",
+                 "generator 1:\n-1, 0, 0, 0, 0, 0\n0, 0, -1,",
+                 "generator 1 does not preserve the cubic", id="generator-cubic"),
+])
+def test_corrupted_definition_fails_build(corrupted, capsys, old, new, message):
+    corrupted(old, new)
+    with pytest.raises(CatalogValidationError, match=message):
+        build_group("Q8_S3")
+    assert cli_main(["validate-catalog", "--group", "Q8_S3"]) == EXIT_VALIDATION
+    out = capsys.readouterr().out
+    assert out.startswith("FAIL Q8_S3: ") and message in out and out.count("Q8_S3") == 1
+
+
+def test_shipped_generators_have_determinant_one_and_preserve_the_cubic():
+    from fanoterm.cyclo import ONE
+    from fanoterm.linalg import cubic_compose
+
+    for key in group_keys():
+        definition = load_group(key)
+        assert any(not c.is_zero for c in definition.cubic)
+        for m in definition.generators:
+            assert m.det() == ONE
+            assert cubic_compose(definition.cubic, m) == definition.cubic
 
 
 def test_fixture_list_shape():

@@ -116,15 +116,57 @@ def test_targeted_matrix_outside_group(capsys):
     assert code == EXIT_VALIDATION
 
 
-@pytest.mark.parametrize("entry", ["E(1000)", "foo", "1/0"])
-def test_targeted_bad_matrix_entry(capsys, entry):
-    rows = [",".join(entry if i == j == 0 else "1" if i == j else "0" for j in range(6))
-            for i in range(6)]
+def _identity_with(entry):
+    """A 6x6 identity spec whose top-left entry is replaced."""
+    return "mat:" + ";".join(
+        ",".join(entry if i == j == 0 else "1" if i == j else "0" for j in range(6))
+        for i in range(6)
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param(_identity_with(e), id=e) for e in ("E(1000)", "foo", "1/0")),
+    # zero matrices parse but have no projective class
+    pytest.param("mat:0,0;0,0", id="zero-2x2"),
+    pytest.param("mat:" + ";".join([",".join(["0"] * 6)] * 6), id="zero-6x6"),
+])
+def test_targeted_bad_matrix_entry(capsys, spec):
     code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted",
-                           "--subgroup", "mat:" + ";".join(rows))
+                           "--subgroup", spec)
     assert code == EXIT_VALIDATION
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+
+
+def test_rank_table_disagreement_is_a_validation_error(capsys, monkeypatch):
+    # the computed rank of GL(2,3) is 19; a table listing only 20 for it
+    # means the shipped data disagree
+    from fanoterm import ranks
+    from fanoterm.groups import GroupId
+
+    monkeypatch.setattr(ranks, "_rank_by_id", lambda: {GroupId(48, 29): frozenset({20})})
+    code, out, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "full-group-only")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error:") and "not among table candidates [20]" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
+def test_no_rank_resolution_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--group", "Q8_S3", "--no-rank-resolution"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-rank-resolution" in capsys.readouterr().err
+
+
+def test_structured_rows_carry_one_exact_rank(capsys):
+    code, out, _ = run_cli(capsys, "table", "--group", "Q8_S3", "--all-subgroups",
+                           "--format", "structured")
+    assert code == EXIT_OK
+    for row in json.loads(out)["rows"]:
+        assert list(row) == ["class_index", "order", "group_id", "rank", "n2", "N3", "n3",
+                             "n31", "n32", "b2", "pi1", "pi1_trivial"]
+        assert isinstance(row["rank"], int) and isinstance(row["b2"], int)
 
 
 def test_targeted_requires_subgroup(capsys):

@@ -18,6 +18,7 @@ from fanoterm.invariants import (
     singular_invariants,
 )
 from fanoterm.linalg import diag, mat_from_strings, perm_mat
+from fanoterm.ranks import rank_candidates
 
 W = root_of_unity(3, 1)
 W2 = W * W
@@ -57,7 +58,7 @@ def test_l3_counts(built, key):
 
 
 def test_l3_fermat_generators_are_exactly_the_balanced_diagonals(fermat, fermat_l3):
-    from fanoterm.ranks import monomial_parts
+    from oracles import monomial_parts
 
     got = set()
     for fs in fermat_l3.subgroups:
@@ -190,11 +191,11 @@ def test_record_invariants_properties(sweeps):
         for r in records:
             assert r.n3 == r.n31 + r.n32
             assert r.n3 <= r.n3_subgroups
-            rr = r.rank_resolution
-            if rr.resolved:
-                assert r.b2 >= 23 - rr.rank
-                if rr.candidates:
-                    assert rr.rank in rr.candidates
+            assert 0 <= r.rank <= 20
+            assert r.b2 >= 23 - r.rank
+            candidates = rank_candidates(r.group_id)
+            if candidates:
+                assert r.rank in candidates
 
 
 def test_full_group_n2_matches_conjugacy_classes(built):
@@ -210,15 +211,18 @@ def test_full_group_n2_matches_conjugacy_classes(built):
 
 def test_classification_table_trivial_ambient():
     # an ambient with no involutions and no codimension-2 elements yields
-    # an empty non-terminal table
-    g = FinGroup.generate([_exps((0, 1, 1, 0, 2, 2))])
-    from fanoterm.invariants import L3Set, records_for_classes
+    # an empty non-terminal table; it preserves the Fermat cubic, on which
+    # its generator fixes 8 of the 20 squarefree monomials (rank 12)
+    from fanoterm.catalog import load_group
+    from fanoterm.invariants import records_for_classes
 
+    g = FinGroup.generate([_exps((0, 1, 1, 0, 2, 2))])
     l3 = detect_l3(g)
     classes = g.subgroup_conjugacy_classes(budget=10)
-    recs = records_for_classes("adhoc", g, l3, [(c.index, c.rep) for c in classes],
-                               resolve_ranks=False)
+    recs = records_for_classes(g, l3, load_group("C3_4_A6").cubic,
+                               [(c.index, c.rep) for c in classes])
     assert all(r.terminal for r in recs)
+    assert [(r.order, r.rank) for r in recs] == [(1, 0), (3, 12)]
 
 
 def test_targeted_requires_subgroup():
@@ -237,6 +241,6 @@ def test_merged_rows_fold_identical_strings(sweeps):
 def test_table_runs_deterministic(built):
     a = classification_table("Q8_S3", mode="full-sweep", budget=1000)
     b = classification_table("Q8_S3", mode="full-sweep", budget=1000)
-    assert [(r.class_index, str(r.group_id), r.rank_str(), r.b2_str(), str(r.pi1)) for r in a] == [
-        (r.class_index, str(r.group_id), r.rank_str(), r.b2_str(), str(r.pi1)) for r in b
+    assert [(r.class_index, str(r.group_id), r.rank, r.b2, str(r.pi1)) for r in a] == [
+        (r.class_index, str(r.group_id), r.rank, r.b2, str(r.pi1)) for r in b
     ]

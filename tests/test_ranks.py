@@ -2,21 +2,17 @@ import random
 
 import pytest
 
-from fanoterm.catalog import build_group
+from fanoterm.catalog import CatalogValidationError, build_group, load_group
 from fanoterm.cyclo import ONE, root_of_unity
-from fanoterm.groups import GroupId, ProjElem
+from fanoterm.groups import GroupId, ProjElem, identify
 from fanoterm.invariants import detect_l3, singular_invariants
-from fanoterm.linalg import diag, perm_mat
-from fanoterm.ranks import (
-    fermat_coinvariant_rank,
-    fermat_invariant_dim,
-    monomial_parts,
-    rank_candidates,
-    resolve_rank,
-)
+from fanoterm.linalg import MatC, diag, perm_mat
+from fanoterm.ranks import class_traces, coinvariant_rank, rank_candidates, resolve_rank
+from oracles import monomial_coinvariant_rank, monomial_invariant_dim, monomial_parts
 
 W = root_of_unity(3, 1)
 W2 = W * W
+FERMAT_CUBIC = load_group("C3_4_A6").cubic
 
 
 def _exps(es):
@@ -32,6 +28,10 @@ def _sub(fermat, mats):
     return fermat.subgroup(gens=[fermat.index_of(ProjElem(m)) for m in mats])
 
 
+def _rank(h):
+    return coinvariant_rank(h, FERMAT_CUBIC)
+
+
 def test_rank_candidates_examples():
     assert rank_candidates(GroupId(660, 13)) == {20}
     assert rank_candidates(GroupId(3, 1)) == {12, 18}
@@ -45,44 +45,32 @@ def test_monomial_parts():
     assert parts is not None
     pi, scal = parts
     assert pi == (1, 2, 0, 3, 4, 5)
-    from fanoterm.linalg import MatC
-    from fanoterm.cyclo import rational
-
     dense = MatC([[ONE] * 6 for _ in range(6)])
     assert monomial_parts(dense) is None
 
 
 def test_fermat_dim_trivial(fermat):
-    from fanoterm.ranks import fermat_invariant_rank
-
     h = fermat.subgroup(gens=[])
-    assert fermat_invariant_dim(h) == 20
-    assert fermat_invariant_rank(h) == 23
-    assert fermat_coinvariant_rank(h) == 0
+    assert _rank(h) == 0
+    assert monomial_invariant_dim(h) == 20
 
 
 def test_fermat_dim_codim2_c3(fermat):
-    from fanoterm.ranks import fermat_invariant_rank
-
     h = _sub(fermat, [_exps((0, 0, 0, 1, 1, 1))])
-    assert fermat_invariant_dim(h) == 2
-    assert fermat_invariant_rank(h) == 5
-    assert fermat_coinvariant_rank(h) == 18
+    assert _rank(h) == 18
+    assert monomial_invariant_dim(h) == 2
 
 
 def test_fermat_rank_c3_cubed_with_four_l3(fermat):
     # a diagonal C3^3 containing four codimension-2 subgroups is pinned to
     # coinvariant rank 20 by the bound, and the trace agrees exactly
-    from fanoterm.groups import GroupId, identify
-    from fanoterm.invariants import detect_l3
-
     h = _sub(fermat, [_exps((0, 0, 0, 0, 2, 1)), _exps((0, 0, 0, 2, 0, 1)),
                       _exps((0, 0, 2, 0, 0, 1))])
     assert h.order == 27
     assert identify(h.view) == GroupId(27, 5)
     l3 = detect_l3(fermat)
     assert sum(1 for fs in l3.subgroups if fs <= h.members) == 4
-    assert fermat_coinvariant_rank(h) == 20
+    assert _rank(h) == 20
 
 
 def test_1944_full_group_has_even_normalizer_witness():
@@ -103,8 +91,8 @@ def test_fermat_dim_g1_g2(fermat):
     c = perm_mat([3, 4, 5, 0, 2, 1])
     g1 = _sub(fermat, [g, a, b, c])
     assert g1.order == 108
-    assert fermat_invariant_dim(g1) == 1
-    assert fermat_coinvariant_rank(g1) == 19
+    assert _rank(g1) == 19
+    assert monomial_invariant_dim(g1) == 1
     # rank-20 companion: three diagonals and a block-swapping 4-cycle
     d1 = _exps((0, 0, 0, 0, 2, 1))
     d2 = _exps((0, 0, 0, 2, 0, 1))
@@ -112,8 +100,8 @@ def test_fermat_dim_g1_g2(fermat):
     s = perm_mat([1, 0, 4, 5, 3, 2])
     g2 = _sub(fermat, [d1, d2, d3, s])
     assert g2.order == 108
-    assert fermat_invariant_dim(g2) == 0
-    assert fermat_coinvariant_rank(g2) == 20
+    assert _rank(g2) == 20
+    assert monomial_invariant_dim(g2) == 0
     from fanoterm.groups import fingerprint
 
     assert fingerprint(g1.view).tier1 == fingerprint(g2.view).tier1
@@ -129,10 +117,8 @@ def test_burnside_integrality_random_subgroups(fermat):
         if members is None:
             continue
         h = fermat.subgroup(members=members)
-        dim = fermat_invariant_dim(h)  # raises unless an exact integer in range
-        assert 0 <= dim <= 20
+        rank = _rank(h)  # raises unless an exact integer in [0, 20]
         n3 = sum(1 for fs in l3.subgroups if fs <= h.members)
-        rank = 20 - dim
         if n3 >= 1:
             assert rank >= 18
         if n3 >= 2:
@@ -149,32 +135,68 @@ def test_fermat_rank_monotonicity(fermat):
         outer = view.bounded_closure([x, y], 3000)
         if inner is None or outer is None:
             continue
-        r_in = fermat_coinvariant_rank(fermat.subgroup(members=inner))
-        r_out = fermat_coinvariant_rank(fermat.subgroup(members=outer))
-        assert r_in <= r_out
+        assert _rank(fermat.subgroup(members=inner)) <= _rank(fermat.subgroup(members=outer))
 
 
-def test_resolve_rank_overlay_and_singleton(fermat):
-    # C2 anywhere resolves through the unique table row
-    group = build_group("L2_11")
+def test_rank_matches_monomial_oracle_on_random_subgroups(fermat):
+    rng = random.Random(31)
+    compared = set()
+    while len(compared) < 30:
+        gens = [rng.randrange(1, fermat.n) for _ in range(rng.choice([1, 2]))]
+        members = fermat.view.bounded_closure(gens, 600)
+        if members is None or members in compared:
+            continue
+        h = fermat.subgroup(members=members)
+        assert _rank(h) == monomial_coinvariant_rank(h), sorted(gens)
+        compared.add(members)
+    assert len({len(m) for m in compared}) > 5  # not one order over and over
+
+
+def test_class_traces_memoized_on_the_group(fermat):
+    traces = class_traces(fermat, FERMAT_CUBIC)
+    classes, class_of = fermat.class_map()
+    assert len(traces) == len(classes) and class_of[0] == 0
+    assert traces[0] == 23  # the identity acts trivially on H^2, of rank 23
+    assert class_traces(fermat, FERMAT_CUBIC) is traces
+    assert fermat.class_map() is fermat.class_map()
+
+
+def test_resolve_rank_g1944_codim2_c3_and_c3_squared():
+    group = build_group("G1944")
+    cubic = load_group("G1944").cubic
+    # C2 resolves to the single rank the table lists for it
     inv = next(i for i in range(1, group.n) if group.element_order(i) == 2)
-    h = group.subgroup(gens=[inv])
-    rr = resolve_rank(h, "L2_11", GroupId(2, 1), 0, use_fermat=False)
-    assert rr.rank == 8 and rr.method == "table"
-    # the 1944 ambient's codimension-2 C3 resolves through the overlay
-    g1944 = build_group("G1944")
-    l3 = detect_l3(g1944)
+    assert resolve_rank(group.subgroup(gens=[inv]), cubic, GroupId(2, 1), 0) == 8
+    # the codimension-2 C3 (table candidates {12, 18}) and each of the 40
+    # C3 x C3 through it (candidates {16, 18, 20}) have rank exactly 18
+    l3 = detect_l3(group)
     assert l3.count == 1
-    h3 = g1944.subgroup(members=l3.subgroups[0])
-    rr = resolve_rank(h3, "G1944", GroupId(3, 1), 1, use_fermat=False)
-    assert rr.rank == 18 and rr.method == "overlay"
-    # unresolved candidates propagate as a set
-    rr = resolve_rank(h3, "L2_11", GroupId(3, 1), 0, use_fermat=False)
-    assert rr.rank is None and rr.candidates == (12, 18)
+    c3 = l3.subgroups[0]
+    assert resolve_rank(group.subgroup(members=c3), cubic, GroupId(3, 1), 1) == 18
+    x = l3.generators[0]
+    squares = set()
+    for y in range(1, group.n):
+        if y in c3 or group.element_order(y) != 3 or group.mult(x, y) != group.mult(y, x):
+            continue
+        members = group.view.closure([x, y])
+        if members in squares:
+            continue
+        squares.add(members)
+        h = group.subgroup(members=members)
+        assert identify(h.view) == GroupId(9, 2)
+        assert resolve_rank(h, cubic, GroupId(9, 2), 1) == 18
+    assert len(squares) == 40
 
 
 def test_fermat_resolution_checks_table_membership(fermat):
     l3 = detect_l3(fermat)
     h = fermat.subgroup(members=l3.subgroups[0])
-    rr = resolve_rank(h, "C3_4_A6", GroupId(3, 1), 1, use_fermat=True)
-    assert rr.rank == 18 and rr.method == "monomial-trace"
+    assert resolve_rank(h, FERMAT_CUBIC, GroupId(3, 1), 1) == 18
+    # the table lists only rank 8 for C2: a rank-18 row under that id means
+    # the shipped data disagree
+    with pytest.raises(CatalogValidationError, match="not among table candidates"):
+        resolve_rank(h, FERMAT_CUBIC, GroupId(2, 1), 1)
+    with pytest.raises(CatalogValidationError, match="rank bound violated"):
+        resolve_rank(h, FERMAT_CUBIC, GroupId(3, 1), 2)
+    with pytest.raises(CatalogValidationError, match="rank bound violated"):
+        resolve_rank(fermat.subgroup(gens=[]), FERMAT_CUBIC, GroupId(1, 1), 1)
