@@ -16,7 +16,7 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from fanoterm.cyclo import ONE, root_of_unity
-from fanoterm.groups import FinGroup, fingerprint, small_subgroup_counts
+from fanoterm.groups import FinGroup, fingerprint
 from fanoterm.linalg import MatC, diag, perm_mat
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "fanoterm" / "data" / "idcatalog.data"
@@ -411,45 +411,26 @@ def g108_37_model():
 recipe(108, 37, g108_37_model)
 
 
-def main():
-    entries = []
-    by_order = {}
+def catalog_text():
+    """The catalog file text, one line per recipe; exits naming both ids
+    when two recipes share a tier-1 fingerprint."""
+    lines = ["# order id | tier1 fingerprint"]
+    seen = {}
     for (order, gid), builder in sorted(RECIPES.items()):
         group = builder()
         if group.n != order:
             raise SystemExit(f"recipe ({order},{gid}) built a group of order {group.n}")
-        fp = fingerprint(group.view)
-        entries.append((order, gid, fp.tier1, group))
-        by_order.setdefault(order, []).append((gid, fp.tier1))
-        print(f"({order},{gid}) ok")
-    # tier2 only where tier1 collides within an order
-    need_tier2 = set()
-    for order, rows in by_order.items():
-        for i, (gid_i, t1_i) in enumerate(rows):
-            for gid_j, t1_j in rows[i + 1:]:
-                if t1_i == t1_j:
-                    need_tier2.add((order, gid_i))
-                    need_tier2.add((order, gid_j))
-    lines = ["# order id | tier1 fingerprint | tier2 (small-subgroup counts) or -"]
-    tier2_seen = {}
-    for order, gid, t1, group in entries:
-        if (order, gid) in need_tier2:
-            t2 = small_subgroup_counts(group.view)
-            tier2_seen[(order, gid)] = (t1, t2)
-            lines.append(f"{order} {gid} | {t1!r} | {t2!r}")
-        else:
-            lines.append(f"{order} {gid} | {t1!r} | -")
-    # verify the catalog is collision-free
-    seen = {}
-    for order, gid, t1, group in entries:
-        key = (t1, tier2_seen.get((order, gid), (None, None))[1])
-        if key in seen:
-            raise SystemExit(
-                f"fingerprint collision between ({order},{gid}) and {seen[key]}"
-            )
-        seen[key] = (order, gid)
-    OUT.write_text("\n".join(lines) + "\n")
-    print(f"wrote {OUT} with {len(entries)} entries; tier2 for {len(need_tier2)}")
+        t1 = fingerprint(group.view).tier1
+        if t1 in seen:
+            raise SystemExit(f"fingerprint collision between ({order},{gid}) and {seen[t1]}")
+        seen[t1] = (order, gid)
+        lines.append(f"{order} {gid} | {t1!r}")
+    return "\n".join(lines) + "\n"
+
+
+def main():
+    OUT.write_text(catalog_text())
+    print(f"wrote {OUT} with {len(RECIPES)} entries")
 
 
 if __name__ == "__main__":

@@ -79,8 +79,13 @@ def load_group(key: str) -> GroupDefinition:
             header[k.strip()] = v.strip()
         else:
             current.append([e.strip() for e in line.split(",")])
-    order_s, id_s = header["id"].split(",")
+    for name in ("id", "name", "order", "cubic"):
+        if name not in header:
+            raise CatalogValidationError(f"{key}: missing header {name!r}")
     try:
+        order_s, id_s = header["id"].split(",")
+        group_id = GroupId(int(order_s), int(id_s))
+        order = int(header["order"])
         cubic = tuple(parse_cyclo(c) for c in header["cubic"].split(","))
         mats = tuple(mat_from_strings(g) for g in gens)
     except (ValueError, ZeroDivisionError) as exc:
@@ -92,8 +97,8 @@ def load_group(key: str) -> GroupDefinition:
     return GroupDefinition(
         key=key,
         name=header["name"],
-        order=int(header["order"]),
-        group_id=GroupId(int(order_s), int(id_s)),
+        order=order,
+        group_id=group_id,
         variant=header.get("variant", ""),
         cubic=cubic,
         generators=mats,

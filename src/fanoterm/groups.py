@@ -11,6 +11,7 @@ two runs produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclo import ONE, CycloNum
@@ -29,7 +30,6 @@ __all__ = [
     "OrderCapExceeded",
     "BudgetExceeded",
     "fingerprint",
-    "small_subgroup_counts",
     "identify",
     "quotient_group",
 ]
@@ -103,11 +103,12 @@ def _normalize(mat: MatC) -> MatC:
 class GroupView:
     """Uniform element-index access used by the generic group algorithms.
 
-    ``elements`` are ids valid for ``mult``/``inv``; the identity id is 0
-    and is always the first element.
+    ``elements`` are ids valid for ``mult``/``inv``, in increasing order,
+    so the identity id 0 is always the first element.  A view memoizes its
+    element orders and its class map; nothing else about it changes.
     """
 
-    __slots__ = ("elements", "mult", "inv", "gens", "_order_cache")
+    __slots__ = ("elements", "mult", "inv", "gens", "_order_cache", "_class_map")
 
     def __init__(self, elements: Sequence[int], mult: Callable[[int, int], int],
                  inv: Callable[[int], int], gens: Sequence[int]):
@@ -116,6 +117,7 @@ class GroupView:
         self.inv = inv
         self.gens = tuple(gens)
         self._order_cache: dict[int, int] = {}
+        self._class_map: Optional[tuple[tuple[tuple[int, ...], ...], dict[int, int]]] = None
 
     @property
     def order(self) -> int:
@@ -148,53 +150,29 @@ class GroupView:
                     queue.append(y)
         return frozenset(seen)
 
-    def bounded_closure(self, gens: Iterable[int], bound: int) -> Optional[frozenset[int]]:
-        gen_list = sorted({g for g in gens if g != 0})
-        seen = {0}
-        queue = [0]
-        mult = self.mult
-        for x in queue:
-            for s in gen_list:
-                y = mult(x, s)
-                if y not in seen:
-                    if len(seen) >= bound:
-                        return None
-                    seen.add(y)
-                    queue.append(y)
-        return frozenset(seen)
-
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        """Orbits of the conjugation action, canonically sorted."""
-        seen: set[int] = set()
-        classes = []
-        for x in self.elements:
-            if x in seen:
-                continue
-            orbit = {x}
-            queue = [x]
-            for y in queue:
-                for g in self.gens:
-                    z = self.conj(y, g)
-                    if z not in orbit:
-                        orbit.add(z)
-                        queue.append(z)
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-        classes.sort(key=lambda c: (c[0],))
-        return tuple(classes)
-
-    def centralizer_members(self, x: int) -> frozenset[int]:
-        mult = self.mult
-        return frozenset(h for h in self.elements if mult(h, x) == mult(x, h))
-
-    def normalizer_of_cyclic(self, x: int) -> frozenset[int]:
-        powers = set()
-        y = x
-        while y != 0:
-            powers.add(y)
-            y = self.mult(y, x)
-        powers.add(0)
-        return frozenset(h for h in self.elements if self.conj(x, h) in powers)
+    def class_map(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+        """The orbits of the conjugation action and the class index of every
+        element, memoized on the view.  Each orbit is found from its least
+        member, so the classes come out sorted by it."""
+        if self._class_map is None:
+            classes = []
+            class_of: dict[int, int] = {}
+            for x in self.elements:
+                if x in class_of:
+                    continue
+                orbit = {x}
+                queue = [x]
+                for y in queue:
+                    for g in self.gens:
+                        z = self.conj(y, g)
+                        if z not in orbit:
+                            orbit.add(z)
+                            queue.append(z)
+                for z in orbit:
+                    class_of[z] = len(classes)
+                classes.append(tuple(sorted(orbit)))
+            self._class_map = (tuple(classes), class_of)
+        return self._class_map
 
     def normal_closure(self, seeds: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
         """Smallest normal subgroup (of this view's group) containing seeds."""
@@ -235,8 +213,9 @@ class FinGroup:
 
     ``elements[0]`` is the identity; the remaining elements are sorted by
     the serialized normal form of their representative matrices, so the
-    indexing is reproducible across runs.  The structure is immutable
-    after construction and safe to share between threads.
+    indexing is reproducible across runs.  Nothing about the group changes
+    after construction; only its view memoizes element orders and the
+    class map.
     """
 
     def __init__(self, elements, gen_elem_idx, perms, parent, letter, dim):
@@ -259,9 +238,6 @@ class FinGroup:
             inv[i] = self.mult(inv[parent[i]], invgen[letter[i]])
         self._inv = inv
         self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx)
-        self.l3_memo = None  # set by fanoterm.invariants.detect_l3
-        self.class_memo = None  # set by class_map
-        self.trace_memo = None  # set by fanoterm.ranks.class_traces
 
     # -- construction -----------------------------------------------------
 
@@ -345,21 +321,6 @@ class FinGroup:
     def element_order(self, i: int) -> int:
         return self.view.order_of(i)
 
-    def conjugacy_classes(self):
-        return self.view.conjugacy_classes()
-
-    def class_map(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """The conjugacy classes and the class index of every element,
-        memoized on the group."""
-        if self.class_memo is None:
-            classes = self.conjugacy_classes()
-            class_of = [0] * self.n
-            for c, members in enumerate(classes):
-                for x in members:
-                    class_of[x] = c
-            self.class_memo = (classes, tuple(class_of))
-        return self.class_memo
-
     def subgroup(self, gens: Iterable[int] = (), members: Optional[frozenset[int]] = None) -> "SubgroupHandle":
         if members is None:
             gens_t = tuple(sorted({g for g in gens if g}))
@@ -368,12 +329,6 @@ class FinGroup:
 
     def whole(self) -> "SubgroupHandle":
         return SubgroupHandle(self, frozenset(range(self.n)), self.gen_idx)
-
-    def centralizer(self, i: int) -> "SubgroupHandle":
-        return self.subgroup(members=self.view.centralizer_members(i))
-
-    def normalizer_of_cyclic(self, i: int) -> "SubgroupHandle":
-        return self.subgroup(members=self.view.normalizer_of_cyclic(i))
 
     # -- subgroup conjugacy sweep -------------------------------------------
 
@@ -489,10 +444,15 @@ class SubgroupHandle:
 
     @property
     def view(self) -> GroupView:
+        """The subgroup's view; a handle for the whole group shares the
+        group's own view, and so its class map and order cache."""
         if self._view is None:
-            self._view = GroupView(
-                sorted(self.members), self.group.mult, self.group.inv, self.gens
-            )
+            if len(self.members) == self.group.n:
+                self._view = self.group.view
+            else:
+                self._view = GroupView(
+                    sorted(self.members), self.group.mult, self.group.inv, self.gens
+                )
         return self._view
 
     def __contains__(self, i: int) -> bool:
@@ -502,7 +462,9 @@ class SubgroupHandle:
         return self.members <= other.members
 
     def involutions(self) -> list[int]:
-        return [x for x in sorted(self.members) if x != 0 and self.view.order_of(x) == 2]
+        view = self.view
+        classes, _ = view.class_map()
+        return sorted(x for c in classes if view.order_of(c[0]) == 2 for x in c)
 
     def __repr__(self):
         return f"SubgroupHandle(order={self.order})"
@@ -578,8 +540,7 @@ def quotient_group(h: SubgroupHandle, n: SubgroupHandle) -> TableGroup:
         for s in n.gens:
             if view.conj(s, g) not in n.members:
                 raise ValueError("divisor is not normal in the subgroup")
-    hv = GroupView(sorted(h.members), h.group.mult, h.group.inv, h.gens)
-    return quotient_view(hv, n.members)
+    return quotient_view(view, n.members)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +649,7 @@ def fingerprint(view: GroupView) -> Fingerprint:
     for x in view.elements:
         o = view.order_of(x)
         hist[o] = hist.get(o, 0) + 1
-    classes = len(view.conjugacy_classes())
+    classes = len(view.class_map()[0])
     # abelianization
     dmem, _ = _derived_data(view)
     q = quotient_view(view, dmem)
@@ -721,72 +682,29 @@ def fingerprint(view: GroupView) -> Fingerprint:
     )
 
 
-def small_subgroup_counts(view: GroupView, max_order: int = 8) -> tuple[int, ...]:
-    """Number of subgroups of each order 2..max_order (extension fixpoint)."""
-    small = [x for x in view.elements if x and view.order_of(x) <= max_order]
-    cyclics: dict[frozenset[int], int] = {}
-    for x in small:
-        powers = {0}
-        y = x
-        while y != 0:
-            powers.add(y)
-            y = view.mult(y, x)
-        if len(powers) <= max_order:
-            fs = frozenset(powers)
-            cyclics.setdefault(fs, x)
-    gens_of: dict[frozenset[int], tuple[int, ...]] = {frozenset((0,)): ()}
-    for fs, g in cyclics.items():
-        gens_of.setdefault(fs, (g,))
-    worklist = sorted(gens_of, key=lambda s: (len(s), sorted(s)))
-    for h in worklist:
-        if len(h) == max_order:
-            continue
-        for fs, g in cyclics.items():
-            if fs <= h:
-                continue
-            k = view.bounded_closure(gens_of[h] + (g,), max_order + 1)
-            if k is not None and len(k) <= max_order and k not in gens_of:
-                gens_of[k] = gens_of[h] + (g,)
-                worklist.append(k)
-    counts = [0] * (max_order - 1)
-    for s in gens_of:
-        if 2 <= len(s) <= max_order:
-            counts[len(s) - 2] += 1
-    return tuple(counts)
-
-
 # identification catalog ------------------------------------------------------
-
-_ID_CATALOG: Optional[dict[int, list[tuple[tuple, Optional[tuple], GroupId]]]] = None
 
 IDENTIFY_ORDER_FLOOR = 2520  # orders at or above this report (order, 0)
 
 
-def _load_id_catalog() -> dict:
-    global _ID_CATALOG
-    if _ID_CATALOG is None:
-        import ast
-        import importlib.resources as res
+@lru_cache(maxsize=None)
+def _load_id_catalog() -> dict[tuple, list[GroupId]]:
+    """Tier-1 fingerprint -> the catalog ids that carry it."""
+    import ast
+    import importlib.resources as res
 
-        from . import data as _data
+    from . import data as _data
 
-        table: dict[int, list] = {}
-        try:
-            text = (res.files(_data) / "idcatalog.data").read_text()
-        except FileNotFoundError:
-            text = ""
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            ids, t1, t2 = line.split("|")
-            order_s, gid_s = ids.split()
-            tier1 = ast.literal_eval(t1.strip())
-            tier2 = None if t2.strip() == "-" else ast.literal_eval(t2.strip())
-            gid = GroupId(int(order_s), int(gid_s))
-            table.setdefault(gid.order, []).append((tier1, tier2, gid))
-        _ID_CATALOG = table
-    return _ID_CATALOG
+    table: dict[tuple, list[GroupId]] = {}
+    for line in (res.files(_data) / "idcatalog.data").read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        ids, t1 = line.split("|")
+        order_s, gid_s = ids.split()
+        gid = GroupId(int(order_s), int(gid_s))
+        table.setdefault(ast.literal_eval(t1.strip()), []).append(gid)
+    return table
 
 
 def identify(view: GroupView):
@@ -794,23 +712,15 @@ def identify(view: GroupView):
 
     Returns a GroupId, with the (order, 0) convention at or above the
     floor where ids are not tracked; an UnidentifiedGroup sentinel carries
-    the fingerprint when no catalog entry matches.
+    the fingerprint when no single catalog entry matches.
     """
     n = view.order
     if n == 1:
         return GroupId(1, 1)
     if n >= IDENTIFY_ORDER_FLOOR:
         return GroupId(n, 0)
-    rows = _load_id_catalog().get(n, [])
-    if not rows:
-        return UnidentifiedGroup(n, fingerprint(view).tier1)
     fp = fingerprint(view)
-    hits = [r for r in rows if r[0] == fp.tier1]
+    hits = _load_id_catalog().get(fp.tier1, [])
     if len(hits) == 1:
-        return hits[0][2]
-    if len(hits) > 1:
-        t2 = small_subgroup_counts(view)
-        refined = [r for r in hits if r[1] == t2]
-        if len(refined) == 1:
-            return refined[0][2]
+        return hits[0]
     return UnidentifiedGroup(n, fp.tier1)

@@ -23,14 +23,13 @@ from .groups import (
     quotient_group,
 )
 from .linalg import MatC, PolyC
-from .ranks import resolve_rank
+from .ranks import class_traces, resolve_rank
 
 __all__ = [
     "L3Set",
     "SubgroupRecord",
     "detect_l3",
     "is_l3_matrix",
-    "l3_trace_prefilter",
     "singular_invariants",
     "pi1_quotient",
     "pi1_id",
@@ -55,20 +54,6 @@ class L3Set:
         return len(self.subgroups)
 
 
-def l3_trace_prefilter(mat: MatC) -> bool:
-    """Fast eigenvalue-multiset test: tr(M) != 0 and tr(M)^2 + 3 tr(M^2) = 0.
-
-    For a finite-order matrix with M^3 scalar this holds exactly for the
-    eigenvalue pattern {r,r,r, rw,rw,rw}; the one other multiset solving
-    the quadratic relation, {r,r,rw,rw,rw^2,rw^2}, has trace zero.
-    """
-    t1 = mat.trace()
-    if t1.is_zero:
-        return False
-    t2 = (mat * mat).trace()
-    return (t1 * t1 + rational(3) * t2).is_zero
-
-
 def is_l3_matrix(mat: MatC) -> bool:
     """Exact normal-form test on any lift: the characteristic polynomial is
     (t^2 + a*t + a^2)^3 for a nonzero scalar a, i.e. the eigenvalues are
@@ -87,86 +72,55 @@ def is_l3_matrix(mat: MatC) -> bool:
 def detect_l3(group: FinGroup) -> L3Set:
     """All order-3 subgroups acting with the codimension-2 normal form.
 
-    One subgroup per {g, g^2} pair; cheap trace prefilter first, then the
-    exact characteristic-polynomial confirmation.  The result is memoized
-    on the group, so it lives exactly as long as the group does.
+    The test is a class function, so it runs once per conjugacy class of
+    order-3 elements; one subgroup per {g, g^2} pair, whose members are
+    both in the set since squaring keeps the normal form.
     """
-    if group.l3_memo is not None:
-        return group.l3_memo
-    seen: set[frozenset[int]] = set()
-    subs: list[tuple[frozenset[int], int]] = []
-    for x in range(1, group.n):
-        if group.element_order(x) != 3:
-            continue
-        x2 = group.mult(x, x)
-        fs = frozenset((0, x, x2))
-        if fs in seen:
-            continue
-        seen.add(fs)
-        mat = group.elements[x].mat
-        if not l3_trace_prefilter(mat):
-            continue
-        if not is_l3_matrix(mat):
-            continue
-        subs.append((fs, min(x, x2)))
-    subs.sort(key=lambda p: p[1])
-    members = frozenset(m for fs, _ in subs for m in fs if m != 0)
-    out = L3Set(
-        group=group,
-        subgroups=tuple(fs for fs, _ in subs),
-        generators=tuple(g for _, g in subs),
-        members=members,
+    view = group.view
+    classes, _ = view.class_map()
+    l3_elements = sorted(
+        x
+        for c in classes
+        if view.order_of(c[0]) == 3 and is_l3_matrix(group.elements[c[0]].mat)
+        for x in c
     )
-    group.l3_memo = out
-    return out
+    subgroups, generators = [], []
+    for x in l3_elements:
+        x2 = group.mult(x, x)
+        if x < x2:
+            subgroups.append(frozenset((0, x, x2)))
+            generators.append(x)
+    return L3Set(
+        group=group,
+        subgroups=tuple(subgroups),
+        generators=tuple(generators),
+        members=frozenset(l3_elements),
+    )
 
 
 def singular_invariants(h: SubgroupHandle, l3: L3Set) -> tuple[int, int, int, int, int]:
-    """(n2, N3, n3, n31, n32) for one subgroup.
+    """(n2, N3, n3, n31, n32) for one subgroup, read off its class map.
 
     n2 counts H-conjugacy classes of involutions; N3 the codimension-2
-    order-3 subgroups inside H; n3 their H-conjugacy classes, split by
-    whether the normalizer minus the centralizer contains an even-order
-    element (n31) or not (n32).
+    order-3 subgroups inside H; n3 their H-conjugacy classes, one per pair
+    {class of g, class of g^2}, split by whether an even-order element of
+    H normalizes <g> without commuting with g (n31) or not (n32).  That
+    witness is a class invariant, so it is checked on the first subgroup of
+    each class.
     """
     if h.group is not l3.group:
         raise ValueError("subgroup does not belong to the ambient of the L3 set")
     view = h.view
-    group = h.group
-    # involution classes
-    invs = h.involutions()
-    seen: set[int] = set()
-    n2 = 0
-    for x in invs:
-        if x in seen:
-            continue
-        orbit = {x}
-        queue = [x]
-        for y in queue:
-            for g in h.gens:
-                z = view.conj(y, g)
-                if z not in orbit:
-                    orbit.add(z)
-                    queue.append(z)
-        seen |= orbit
-        n2 += 1
-    # codimension-2 order-3 subgroups inside H, up to H-conjugacy
+    classes, class_of = view.class_map()
+    n2 = sum(1 for c in classes if view.order_of(c[0]) == 2)
     inside = [fs for fs in l3.subgroups if fs <= h.members]
-    n3_count = len(inside)
-    seen_sets: set[frozenset[int]] = set()
+    seen: set[frozenset[int]] = set()
     n31 = n32 = 0
     for fs in inside:
-        if fs in seen_sets:
+        key = frozenset(class_of[m] for m in fs if m)
+        if key in seen:
             continue
-        orbit_sets = {fs}
-        queue = [fs]
-        for s in queue:
-            for g in h.gens:
-                t = frozenset(view.conj(m, g) for m in s)
-                if t not in orbit_sets:
-                    orbit_sets.add(t)
-                    queue.append(t)
-        seen_sets |= orbit_sets
+        seen.add(key)
         gen = min(m for m in fs if m)
         witness = False
         for x in sorted(h.members):
@@ -181,7 +135,7 @@ def singular_invariants(h: SubgroupHandle, l3: L3Set) -> tuple[int, int, int, in
             n31 += 1
         else:
             n32 += 1
-    return n2, n3_count, n31 + n32, n31, n32
+    return n2, len(inside), n31 + n32, n31, n32
 
 
 def pi1_quotient(h: SubgroupHandle, l3: L3Set) -> TableGroup:
@@ -241,10 +195,12 @@ class SubgroupRecord:
         return isinstance(self.pi1, GroupId) and self.pi1 == GroupId(1, 1)
 
 
-def records_for_classes(group: FinGroup, l3: L3Set, cubic: Sequence[CycloNum],
+def records_for_classes(l3: L3Set, cubic: Sequence[CycloNum],
                         classes: Sequence[tuple[int, SubgroupHandle]]) -> list[SubgroupRecord]:
     """Build one record per (index, subgroup) pair; ``cubic`` is the form
-    the group preserves, from which the ranks are computed."""
+    the ambient preserves, from which its class traces and so the ranks
+    are computed."""
+    traces = class_traces(l3.group, cubic)
     records = []
     for idx, h in classes:
         n2, n3s, n3, n31, n32 = singular_invariants(h, l3)
@@ -260,7 +216,7 @@ def records_for_classes(group: FinGroup, l3: L3Set, cubic: Sequence[CycloNum],
                 n3=n3,
                 n31=n31,
                 n32=n32,
-                rank=resolve_rank(h, cubic, gid, n3s),
+                rank=resolve_rank(h, traces, gid, n3s),
                 pi1=pid,
             )
         )
@@ -284,7 +240,7 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
     if mode == "full-sweep":
         classes = group.subgroup_conjugacy_classes(budget=budget)
         pairs = [(c.index, c.rep) for c in classes]
-        records = records_for_classes(group, l3, cubic, pairs)
+        records = records_for_classes(l3, cubic, pairs)
         if not all_subgroups:
             records = [r for r in records if not r.terminal]
         return records
@@ -296,7 +252,7 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
         pairs = [(0, h) for h in targeted]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    records = records_for_classes(group, l3, cubic, pairs)
+    records = records_for_classes(l3, cubic, pairs)
     if not all_subgroups and mode == "targeted":
         records = [r for r in records if not r.terminal]
     return records

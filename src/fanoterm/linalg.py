@@ -119,9 +119,6 @@ class MatC:
                 base = base * base
         return out
 
-    def transpose(self) -> "MatC":
-        return MatC(list(zip(*self.rows)))
-
     def inv(self) -> "MatC":
         """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
         d = self.dim

@@ -49,22 +49,19 @@ def rank_candidates(gid) -> frozenset[int]:
 
 
 def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
-    """tr(g | H^2(F(X))) for each conjugacy class of the group, memoized on it.
+    """tr(g | H^2(F(X))) for each class of the group's class map.
 
     The group must preserve the cubic up to scalars.  lambda(M) is read off
     at a point where F does not vanish; some e_i + e_j + e_k is one, since
     the values at these points determine a cubic.  tr(M^-1) comes from the
     stored inverse class, a scalar multiple s*M^-1 with s = (M*(s*M^-1))_00.
     """
-    memo = group.trace_memo
-    if memo is not None and memo[0] == tuple(cubic):
-        return memo[1]
     for mono in CUBIC_MONOMIALS:
         point = [rational(mono.count(a)) for a in range(6)]
         value = cubic_eval(cubic, point)
         if not value.is_zero:
             break
-    classes, _ = group.class_map()
+    classes, _ = group.view.class_map()
     d = group.dim
     traces = []
     for members in classes:
@@ -85,18 +82,17 @@ def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
                 f"the trace of element {x} on H^2 is {trace.to_string()}, not an integer"
             )
         traces.append(int(q))
-    group.trace_memo = (tuple(cubic), tuple(traces))
-    return group.trace_memo[1]
+    return tuple(traces)
 
 
-def coinvariant_rank(h: SubgroupHandle, cubic: Sequence[CycloNum]) -> int:
-    """23 minus the average over H of the trace on H^2(F(X)).
+def coinvariant_rank(h: SubgroupHandle, traces: Sequence[int]) -> int:
+    """23 minus the average over H of the trace on H^2(F(X)), from the
+    ambient's class_traces.
 
     The result must be an integer in [0, 20]; anything else means the
     shipped cubic or generators are wrong, a CatalogValidationError.
     """
-    traces = class_traces(h.group, cubic)
-    _, class_of = h.group.class_map()
+    _, class_of = h.group.view.class_map()
     rank = Fraction(23 * h.order - sum(traces[class_of[x]] for x in h.members), h.order)
     if rank.denominator != 1 or not 0 <= rank <= 20:
         raise CatalogValidationError(
@@ -106,12 +102,12 @@ def coinvariant_rank(h: SubgroupHandle, cubic: Sequence[CycloNum]) -> int:
     return int(rank)
 
 
-def resolve_rank(h: SubgroupHandle, cubic: Sequence[CycloNum], gid, n3: int) -> int:
+def resolve_rank(h: SubgroupHandle, traces: Sequence[int], gid, n3: int) -> int:
     """The coinvariant rank, checked against the rank table's candidates for
     the id and against the codimension-2 bounds: N3 >= 1 forces rank >= 18
     and N3 >= 2 forces rank 20.  A failed check raises CatalogValidationError.
     """
-    rank = coinvariant_rank(h, cubic)
+    rank = coinvariant_rank(h, traces)
     candidates = rank_candidates(gid)
     if candidates and rank not in candidates:
         raise CatalogValidationError(

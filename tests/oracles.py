@@ -1,9 +1,10 @@
 """Independent brute-force oracles used by the test suite.
 
 Everything here is deliberately naive: Fraction-coefficient polynomial
-arithmetic with textbook long division, and a direct trace over monomials
-for ranks on the Fermat cubic, so results never depend on the code paths
-under test.
+arithmetic with textbook long division, a direct trace over monomials
+for ranks on the Fermat cubic, and element-by-element scans of the group
+table for the L3 set and the singular invariants, so results never depend
+on the code paths under test.
 """
 
 from __future__ import annotations
@@ -151,3 +152,93 @@ def monomial_invariant_dim(h) -> int:
 
 def monomial_coinvariant_rank(h) -> int:
     return 20 - monomial_invariant_dim(h)
+
+
+# -- group-table oracles ------------------------------------------------------------
+
+
+def bounded_closure(view, gens, bound):
+    """The subgroup generated by gens, or None once it passes bound elements."""
+    gen_list = sorted({g for g in gens if g != 0})
+    seen = {0}
+    queue = [0]
+    for x in queue:
+        for s in gen_list:
+            y = view.mult(x, s)
+            if y not in seen:
+                if len(seen) >= bound:
+                    return None
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
+def l3_trace_prefilter(mat) -> bool:
+    """Eigenvalue-multiset test: tr(M) != 0 and tr(M)^2 + 3 tr(M^2) = 0.
+
+    For a finite-order matrix with M^3 scalar this holds exactly for the
+    eigenvalue pattern {r,r,r, rw,rw,rw}; the one other multiset solving
+    the quadratic relation, {r,r,rw,rw,rw^2,rw^2}, has trace zero.
+    """
+    from fanoterm.cyclo import rational
+
+    t1 = mat.trace()
+    if t1.is_zero:
+        return False
+    t2 = (mat * mat).trace()
+    return (t1 * t1 + rational(3) * t2).is_zero
+
+
+def scan_l3(group) -> tuple[int, ...]:
+    """The least generator of every codimension-2 order-3 subgroup, by
+    testing each order-3 element: the trace prefilter, then the
+    characteristic polynomial."""
+    from fanoterm.invariants import is_l3_matrix
+
+    seen = set()
+    gens = []
+    for x in range(1, group.n):
+        if group.element_order(x) != 3:
+            continue
+        x2 = group.mult(x, x)
+        fs = frozenset((0, x, x2))
+        if fs in seen:
+            continue
+        seen.add(fs)
+        mat = group.elements[x].mat
+        if l3_trace_prefilter(mat) and is_l3_matrix(mat):
+            gens.append(min(x, x2))
+    return tuple(sorted(gens))
+
+
+def brute_singular_invariants(h, l3) -> tuple[int, int, int, int, int]:
+    """(n2, N3, n3, n31, n32) with every orbit taken under conjugation by
+    every element of H, not only by its generators."""
+    group = h.group
+    members = sorted(h.members)
+    orders = {}
+
+    def order(x):
+        if x not in orders:
+            k, y = 1, x
+            while y != 0:
+                y = group.mult(y, x)
+                k += 1
+            orders[x] = k
+        return orders[x]
+
+    def conj(x, y):
+        return group.mult(group.mult(group.inv(y), x), y)
+
+    involutions = [x for x in members if order(x) == 2]
+    n2 = len({frozenset(conj(x, y) for y in members) for x in involutions})
+    inside = [fs for fs in l3.subgroups if fs <= h.members]
+    orbits = {frozenset(frozenset(conj(m, y) for m in fs) for y in members) for fs in inside}
+    n31 = 0
+    for orbit in orbits:
+        fs = next(iter(orbit))
+        gen = min(m for m in fs if m)
+        if any(conj(gen, y) in fs and conj(gen, y) != gen and order(y) % 2 == 0
+               for y in members):
+            n31 += 1
+    return n2, len(inside), len(orbits), n31, len(orbits) - n31

@@ -109,6 +109,9 @@ def corrupted(monkeypatch):
     pytest.param("cubic: 1,", "cubic: 1, 0,", "needs 56 coefficients", id="cubic-length"),
     pytest.param("cubic: 1,", "cubic: foo,", "bad entry", id="cubic-entry"),
     pytest.param("E(8)^5", "E(8)^+", "bad entry", id="generator-entry"),
+    pytest.param("cubic:", "# cubic:", "missing header 'cubic'", id="missing-cubic"),
+    pytest.param("id:", "# id:", "missing header 'id'", id="missing-id"),
+    pytest.param("id: 48,29", "id: 48", "bad entry", id="id-entry"),
     # one sign flipped in generator 3
     pytest.param("generator 3:\n1,", "generator 3:\n-1,", "generator 3 has determinant -1",
                  id="generator-determinant"),
@@ -136,6 +139,20 @@ def test_shipped_generators_have_determinant_one_and_preserve_the_cubic():
         for m in definition.generators:
             assert m.det() == ONE
             assert cubic_compose(definition.cubic, m) == definition.cubic
+
+
+def test_id_catalog_regenerates_byte_for_byte():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "build_id_catalog.py"
+    spec = importlib.util.spec_from_file_location("build_id_catalog", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    text = script.catalog_text()
+    assert text == catalog._read("idcatalog.data")
+    tier1_keys = [line.split("|")[1] for line in text.splitlines() if not line.startswith("#")]
+    assert len(tier1_keys) == len(set(tier1_keys)) == 90
 
 
 def test_fixture_list_shape():

@@ -15,6 +15,7 @@ from fanoterm.groups import (
     quotient_group,
 )
 from fanoterm.linalg import MatC, diag, identity, perm_mat
+from oracles import bounded_closure
 
 W = root_of_unity(3, 1)
 
@@ -63,29 +64,14 @@ def test_projective_order_of_scalar_power():
 
 def test_conjugacy_classes_trivial_and_abelian():
     t = FinGroup.generate([identity(2)])
-    assert len(t.conjugacy_classes()) == 1
+    assert len(t.view.class_map()[0]) == 1
     c6 = C6()
-    assert len(c6.conjugacy_classes()) == 6
+    assert len(c6.view.class_map()[0]) == 6
 
 
 def test_conjugacy_classes_a7(built):
     a7 = built("A7_perm")
-    assert len(a7.conjugacy_classes()) == 9
-
-
-def test_centralizer_and_normalizer():
-    g = S3()
-    ident_centralizer = g.centralizer(0)
-    assert ident_centralizer.order == g.n
-    # in a cyclic group, normalizer = centralizer = whole group
-    c6 = C6()
-    x = next(i for i in range(1, c6.n) if c6.element_order(i) == 6)
-    assert c6.centralizer(x).order == 6
-    assert c6.normalizer_of_cyclic(x).order == 6
-    # C_G(g) is contained in N_G(<g>)
-    for grp in (S3(), A4()):
-        for i in range(grp.n):
-            assert grp.centralizer(i).members <= grp.normalizer_of_cyclic(i).members
+    assert len(a7.view.class_map()[0]) == 9
 
 
 def test_subgroup_closure():
@@ -184,7 +170,7 @@ def _two_generated(group, members):
         if x == 0:
             continue
         for y in ms[i:]:
-            if len(view.bounded_closure([x, y], target + 1) or ()) == target:
+            if len(bounded_closure(view, [x, y], target + 1) or ()) == target:
                 return True
     return target == 1
 

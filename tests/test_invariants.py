@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 
 import pytest
@@ -11,7 +12,6 @@ from fanoterm.invariants import (
     classification_table,
     detect_l3,
     is_l3_matrix,
-    l3_trace_prefilter,
     merged_rows,
     pi1_id,
     pi1_quotient,
@@ -19,6 +19,7 @@ from fanoterm.invariants import (
 )
 from fanoterm.linalg import diag, mat_from_strings, perm_mat
 from fanoterm.ranks import rank_candidates
+from oracles import bounded_closure, brute_singular_invariants, l3_trace_prefilter, scan_l3
 
 W = root_of_unity(3, 1)
 W2 = W * W
@@ -54,7 +55,10 @@ L3_COUNTS = {
 @pytest.mark.parametrize("key", sorted(L3_COUNTS))
 def test_l3_counts(built, key):
     group = built(key)
-    assert detect_l3(group).count == L3_COUNTS[key]
+    l3 = detect_l3(group)
+    assert l3.count == L3_COUNTS[key]
+    # one test per class gives what the element-by-element scan gives
+    assert l3.generators == scan_l3(group)
 
 
 def test_l3_fermat_generators_are_exactly_the_balanced_diagonals(fermat, fermat_l3):
@@ -110,11 +114,49 @@ def test_l3_detection_conjugation_invariant(built):
 def test_detect_l3_does_not_keep_the_group_alive():
     g = FinGroup.generate([_exps((0, 0, 0, 1, 1, 1))])
     l3 = detect_l3(g)
-    assert l3.count == 1 and detect_l3(g) is l3
+    assert l3.count == 1 and detect_l3(g) == l3
     ref = weakref.ref(g)
     del g, l3
     gc.collect()
     assert ref() is None
+
+
+def _brute_force_sample(group, l3, key):
+    """Every sweep class of the small ambients; the codimension-2 C3 of
+    G1944 and the 40 C3 x C3 through it; 30 seeded random subgroups of the
+    Fermat group through a codimension-2 generator."""
+    if key == "G1944":
+        x = l3.generators[0]
+        squares = {group.view.closure([x, y]) for y in range(1, group.n)
+                   if group.element_order(y) == 3 and group.mult(x, y) == group.mult(y, x)}
+        squares.discard(l3.subgroups[0])
+        assert len(squares) == 40
+        return [group.subgroup(members=m) for m in [l3.subgroups[0]] + sorted(squares, key=sorted)]
+    if key == "C3_4_A6":
+        rng = random.Random(5)
+        sample: dict[frozenset, object] = {}
+        while len(sample) < 30:
+            gens = [rng.choice(l3.generators), rng.randrange(1, group.n)]
+            members = bounded_closure(group.view, gens, 600)
+            if members is not None and members not in sample:
+                sample[members] = group.subgroup(members=members)
+        return list(sample.values())
+    return [c.rep for c in group.subgroup_conjugacy_classes(budget=1000)]
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "G1944", "C3_4_A6"])
+def test_singular_invariants_match_brute_force(built, key):
+    # the class-map invariants agree with orbits under every element of H
+    group = built(key)
+    l3 = detect_l3(group)
+    rows = []
+    for h in _brute_force_sample(group, l3, key):
+        row = singular_invariants(h, l3)
+        assert row == brute_singular_invariants(h, l3), (h.order, sorted(h.gens))
+        rows.append(row)
+    if key == "C3_4_A6":
+        # both sides of the even-order normalizer split occur
+        assert any(r[3] > 0 for r in rows) and any(r[4] > 0 for r in rows)
 
 
 def test_singular_invariants_trivial(fermat, fermat_l3):
@@ -203,10 +245,7 @@ def test_full_group_n2_matches_conjugacy_classes(built):
         group = built(key)
         l3 = detect_l3(group)
         n2, *_ = singular_invariants(group.whole(), l3)
-        invol_classes = sum(
-            1 for cls in group.conjugacy_classes() if group.element_order(cls[0]) == 2
-        )
-        assert n2 == invol_classes
+        assert n2 == brute_singular_invariants(group.whole(), l3)[0]
 
 
 def test_classification_table_trivial_ambient():
@@ -219,7 +258,7 @@ def test_classification_table_trivial_ambient():
     g = FinGroup.generate([_exps((0, 1, 1, 0, 2, 2))])
     l3 = detect_l3(g)
     classes = g.subgroup_conjugacy_classes(budget=10)
-    recs = records_for_classes(g, l3, load_group("C3_4_A6").cubic,
+    recs = records_for_classes(l3, load_group("C3_4_A6").cubic,
                                [(c.index, c.rep) for c in classes])
     assert all(r.terminal for r in recs)
     assert [(r.order, r.rank) for r in recs] == [(1, 0), (3, 12)]

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -8,7 +9,12 @@ from fanoterm.groups import GroupId, ProjElem, identify
 from fanoterm.invariants import detect_l3, singular_invariants
 from fanoterm.linalg import MatC, diag, perm_mat
 from fanoterm.ranks import class_traces, coinvariant_rank, rank_candidates, resolve_rank
-from oracles import monomial_coinvariant_rank, monomial_invariant_dim, monomial_parts
+from oracles import (
+    bounded_closure,
+    monomial_coinvariant_rank,
+    monomial_invariant_dim,
+    monomial_parts,
+)
 
 W = root_of_unity(3, 1)
 W2 = W * W
@@ -28,8 +34,13 @@ def _sub(fermat, mats):
     return fermat.subgroup(gens=[fermat.index_of(ProjElem(m)) for m in mats])
 
 
+@lru_cache(maxsize=None)
+def _fermat_traces():
+    return class_traces(build_group("C3_4_A6"), FERMAT_CUBIC)
+
+
 def _rank(h):
-    return coinvariant_rank(h, FERMAT_CUBIC)
+    return coinvariant_rank(h, _fermat_traces())
 
 
 def test_rank_candidates_examples():
@@ -113,7 +124,7 @@ def test_burnside_integrality_random_subgroups(fermat):
     l3 = detect_l3(fermat)
     for _ in range(25):
         gens = [rng.randrange(1, fermat.n) for _ in range(2)]
-        members = fermat.view.bounded_closure(gens, 3000)
+        members = bounded_closure(fermat.view, gens, 3000)
         if members is None:
             continue
         h = fermat.subgroup(members=members)
@@ -131,8 +142,8 @@ def test_fermat_rank_monotonicity(fermat):
     for _ in range(15):
         x = rng.randrange(1, fermat.n)
         y = rng.randrange(1, fermat.n)
-        inner = view.bounded_closure([x], 3000)
-        outer = view.bounded_closure([x, y], 3000)
+        inner = bounded_closure(view, [x], 3000)
+        outer = bounded_closure(view, [x, y], 3000)
         if inner is None or outer is None:
             continue
         assert _rank(fermat.subgroup(members=inner)) <= _rank(fermat.subgroup(members=outer))
@@ -143,7 +154,7 @@ def test_rank_matches_monomial_oracle_on_random_subgroups(fermat):
     compared = set()
     while len(compared) < 30:
         gens = [rng.randrange(1, fermat.n) for _ in range(rng.choice([1, 2]))]
-        members = fermat.view.bounded_closure(gens, 600)
+        members = bounded_closure(fermat.view, gens, 600)
         if members is None or members in compared:
             continue
         h = fermat.subgroup(members=members)
@@ -152,27 +163,31 @@ def test_rank_matches_monomial_oracle_on_random_subgroups(fermat):
     assert len({len(m) for m in compared}) > 5  # not one order over and over
 
 
-def test_class_traces_memoized_on_the_group(fermat):
-    traces = class_traces(fermat, FERMAT_CUBIC)
-    classes, class_of = fermat.class_map()
+def test_class_traces_follow_the_class_map(fermat):
+    traces = _fermat_traces()
+    classes, class_of = fermat.view.class_map()
     assert len(traces) == len(classes) and class_of[0] == 0
     assert traces[0] == 23  # the identity acts trivially on H^2, of rank 23
-    assert class_traces(fermat, FERMAT_CUBIC) is traces
-    assert fermat.class_map() is fermat.class_map()
+    # the class map is memoized on the view, which every handle for the
+    # whole group shares, however it was made
+    assert fermat.view.class_map() is fermat.view.class_map()
+    assert fermat.whole().view is fermat.view
+    assert fermat.subgroup(gens=fermat.gen_idx[::-1]).view is fermat.view
+    assert fermat.subgroup(gens=fermat.gen_idx[:1]).view is not fermat.view
 
 
 def test_resolve_rank_g1944_codim2_c3_and_c3_squared():
     group = build_group("G1944")
-    cubic = load_group("G1944").cubic
+    traces = class_traces(group, load_group("G1944").cubic)
     # C2 resolves to the single rank the table lists for it
     inv = next(i for i in range(1, group.n) if group.element_order(i) == 2)
-    assert resolve_rank(group.subgroup(gens=[inv]), cubic, GroupId(2, 1), 0) == 8
+    assert resolve_rank(group.subgroup(gens=[inv]), traces, GroupId(2, 1), 0) == 8
     # the codimension-2 C3 (table candidates {12, 18}) and each of the 40
     # C3 x C3 through it (candidates {16, 18, 20}) have rank exactly 18
     l3 = detect_l3(group)
     assert l3.count == 1
     c3 = l3.subgroups[0]
-    assert resolve_rank(group.subgroup(members=c3), cubic, GroupId(3, 1), 1) == 18
+    assert resolve_rank(group.subgroup(members=c3), traces, GroupId(3, 1), 1) == 18
     x = l3.generators[0]
     squares = set()
     for y in range(1, group.n):
@@ -184,19 +199,19 @@ def test_resolve_rank_g1944_codim2_c3_and_c3_squared():
         squares.add(members)
         h = group.subgroup(members=members)
         assert identify(h.view) == GroupId(9, 2)
-        assert resolve_rank(h, cubic, GroupId(9, 2), 1) == 18
+        assert resolve_rank(h, traces, GroupId(9, 2), 1) == 18
     assert len(squares) == 40
 
 
 def test_fermat_resolution_checks_table_membership(fermat):
     l3 = detect_l3(fermat)
     h = fermat.subgroup(members=l3.subgroups[0])
-    assert resolve_rank(h, FERMAT_CUBIC, GroupId(3, 1), 1) == 18
+    assert resolve_rank(h, _fermat_traces(), GroupId(3, 1), 1) == 18
     # the table lists only rank 8 for C2: a rank-18 row under that id means
     # the shipped data disagree
     with pytest.raises(CatalogValidationError, match="not among table candidates"):
-        resolve_rank(h, FERMAT_CUBIC, GroupId(2, 1), 1)
+        resolve_rank(h, _fermat_traces(), GroupId(2, 1), 1)
     with pytest.raises(CatalogValidationError, match="rank bound violated"):
-        resolve_rank(h, FERMAT_CUBIC, GroupId(3, 1), 2)
+        resolve_rank(h, _fermat_traces(), GroupId(3, 1), 2)
     with pytest.raises(CatalogValidationError, match="rank bound violated"):
-        resolve_rank(fermat.subgroup(gens=[]), FERMAT_CUBIC, GroupId(1, 1), 1)
+        resolve_rank(fermat.subgroup(gens=[]), _fermat_traces(), GroupId(1, 1), 1)
