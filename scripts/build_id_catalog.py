@@ -26,9 +26,6 @@ I4 = root_of_unity(4, 1)
 Z8 = root_of_unity(8, 1)
 Z5 = root_of_unity(5, 1)
 Z9 = root_of_unity(9, 1)
-Z7 = root_of_unity(7, 1)
-Z11 = root_of_unity(11, 1)
-Z16 = None  # not needed
 
 
 def cycles_to_images(cycles, degree):
@@ -108,18 +105,6 @@ def f3_linear_perm(mat2):
     return perm_mat(images)
 
 
-def f3_affine_perms(mats2):
-    """AGL-style action on the 9 points of F3^2: translations plus linear parts."""
-    pts = [(a, b) for a in range(3) for b in range(3)]
-    idx = {v: i for i, v in enumerate(pts)}
-    out = []
-    for t in [(1, 0), (0, 1)]:
-        out.append(perm_mat([idx[((v[0] + t[0]) % 3, (v[1] + t[1]) % 3)] for v in pts]))
-    for (a, b), (c, d) in mats2:
-        out.append(perm_mat([idx[((a * v[0] + b * v[1]) % 3, (c * v[0] + d * v[1]) % 3)] for v in pts]))
-    return [FinGroup]
-
-
 def agl_group(mats2):
     pts = [(a, b) for a in range(3) for b in range(3)]
     idx = {v: i for i, v in enumerate(pts)}
@@ -138,9 +123,6 @@ def psl2_prime(q):
     """PSL(2, q) for prime q, on the q+1 projective points."""
     pts = list(range(q)) + ["inf"]
     idx = {p: i for i, p in enumerate(pts)}
-
-    def apply(f, p):
-        return f(p)
 
     def shift(p):
         return "inf" if p == "inf" else (p + 1) % q

@@ -194,5 +194,7 @@ def load_fixtures(path: Optional[str] = None) -> tuple[FixtureRow, ...]:
         if not line or line.startswith("#"):
             continue
         order, gid, b2, ambient = (int(x) for x in line.split())
+        if order <= 0 or ambient <= 0:
+            raise ValueError(f"fixture row {line!r}: orders must be positive")
         rows.append(FixtureRow(GroupId(order, gid), b2, ambient))
     return tuple(rows)

@@ -25,7 +25,7 @@ from .catalog import (
     load_group,
 )
 from .deform import ObstructionEntry, obstruction_report
-from .groups import BudgetExceeded, GroupId, SubgroupHandle, fingerprint, identify
+from .groups import BudgetExceeded, GroupId, GroupView, fingerprint, identify
 from .invariants import classification_table, detect_l3
 from .linalg import MatC, mat_from_strings
 
@@ -114,7 +114,7 @@ def parse_subgroup_spec(spec: str, gens: Sequence[MatC]) -> list[MatC]:
     return [_parse_word(part, gens) for part in spec.split(",") if part.strip()]
 
 
-def _resolve_subgroups(group, definition, specs: Sequence[str]) -> list[SubgroupHandle]:
+def _resolve_subgroups(group, definition, specs: Sequence[str]) -> list[GroupView]:
     from .groups import ProjElem
 
     out = []
@@ -202,6 +202,8 @@ def cmd_table(args) -> int:
         targeted = _resolve_subgroups(group, definition, args.subgroup or [])
         if not targeted:
             raise CliError("targeted mode requires at least one --subgroup")
+    elif args.subgroup:
+        raise CliError("--subgroup requires --mode targeted")
     else:
         targeted = None
     records = classification_table(

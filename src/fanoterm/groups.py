@@ -20,9 +20,6 @@ from .linalg import MatC, identity
 __all__ = [
     "ProjElem",
     "FinGroup",
-    "TableGroup",
-    "SubgroupHandle",
-    "SubgroupClass",
     "GroupView",
     "GroupId",
     "UnidentifiedGroup",
@@ -101,21 +98,28 @@ def _normalize(mat: MatC) -> MatC:
 
 
 class GroupView:
-    """Uniform element-index access used by the generic group algorithms.
+    """A finite group on element indices: an enumerated group, a subgroup of
+    it or a quotient.
 
-    ``elements`` are ids valid for ``mult``/``inv``, in increasing order,
-    so the identity id 0 is always the first element.  A view memoizes its
-    element orders and its class map; nothing else about it changes.
+    ``members`` is the frozenset of element ids valid for ``mult``/``inv``
+    and ``elements`` the same ids in increasing order, so the identity id 0
+    is always the first element.  ``ambient`` is the FinGroup whose indices
+    a subgroup uses, or None for a quotient.  A view memoizes its element
+    orders and its class map; nothing else about it changes.
     """
 
-    __slots__ = ("elements", "mult", "inv", "gens", "_order_cache", "_class_map")
+    __slots__ = ("elements", "members", "mult", "inv", "gens", "ambient",
+                 "_order_cache", "_class_map")
 
-    def __init__(self, elements: Sequence[int], mult: Callable[[int, int], int],
-                 inv: Callable[[int], int], gens: Sequence[int]):
-        self.elements = tuple(elements)
+    def __init__(self, members: Iterable[int], mult: Callable[[int, int], int],
+                 inv: Callable[[int], int], gens: Sequence[int],
+                 ambient: Optional["FinGroup"]):
+        self.members = frozenset(members)
+        self.elements = tuple(sorted(self.members))
         self.mult = mult
         self.inv = inv
         self.gens = tuple(gens)
+        self.ambient = ambient
         self._order_cache: dict[int, int] = {}
         self._class_map: Optional[tuple[tuple[tuple[int, ...], ...], dict[int, int]]] = None
 
@@ -174,6 +178,10 @@ class GroupView:
             self._class_map = (tuple(classes), class_of)
         return self._class_map
 
+    def involutions(self) -> list[int]:
+        classes, _ = self.class_map()
+        return sorted(x for c in classes if self.order_of(c[0]) == 2 for x in c)
+
     def normal_closure(self, seeds: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
         """Smallest normal subgroup (of this view's group) containing seeds."""
         gen_list = sorted({s for s in seeds if s != 0})
@@ -218,32 +226,37 @@ class FinGroup:
     class map.
     """
 
-    def __init__(self, elements, gen_elem_idx, perms, parent, letter, dim):
+    def __init__(self, elements, gen_elem_idx, perms, words, dim):
         self.elements: list[ProjElem] = elements
         self.dim = dim
         self.gen_idx: tuple[int, ...] = tuple(gen_elem_idx)
         self._perms: list[list[int]] = perms
-        self._parent: list[int] = parent
-        self._letter: list[int] = letter
+        self._rword: list[tuple[int, ...]] = words
         self._index: dict[ProjElem, int] = {e: i for i, e in enumerate(elements)}
         n = len(elements)
-        rword: list[tuple[int, ...]] = [()] * n
-        order = sorted(range(1, n), key=lambda i: _depth_chain(parent, i))
-        for i in order:
-            rword[i] = rword[parent[i]] + (letter[i],)
-        self._rword = rword
-        inv = [0] * n
-        invgen = [p.index(0) for p in perms]
-        for i in order:
-            inv[i] = self.mult(inv[parent[i]], invgen[letter[i]])
+        # the inverse of g_ak...g_a1 applies the inverse generators in reverse
+        inv_perms = [[0] * n for _ in perms]
+        for p, q in zip(perms, inv_perms):
+            for x, y in enumerate(p):
+                q[y] = x
+        inv = []
+        for word in words:
+            r = 0
+            for a in reversed(word):
+                r = inv_perms[a][r]
+            inv.append(r)
         self._inv = inv
-        self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx)
+        self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx, self)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def generate(cls, gens: Sequence[MatC], cap: int = 250000) -> "FinGroup":
-        """Breadth-first closure of the projective classes of the generators."""
+        """Breadth-first closure of the projective classes of the generators.
+
+        Element y = g_a * x is found from x, so its word is x's word plus a,
+        and ``mult`` replays the word through the translation tables.
+        """
         if not gens:
             raise ValueError("at least one generator is required")
         dim = gens[0].dim
@@ -255,11 +268,9 @@ class FinGroup:
                 gens_p.append(p)
         elems: list[ProjElem] = [ident]
         index: dict[ProjElem, int] = {ident: 0}
-        parent, letter = [-1], [-1]
+        words: list[tuple[int, ...]] = [()]
         perms: list[list[int]] = [[] for _ in gens_p]
-        queue = [0]
-        for x in queue:
-            ex = elems[x]
+        for x, ex in enumerate(elems):
             for a, g in enumerate(gens_p):
                 y = g * ex
                 yi = index.get(y)
@@ -271,27 +282,18 @@ class FinGroup:
                         )
                     elems.append(y)
                     index[y] = yi
-                    parent.append(x)
-                    letter.append(a)
-                    queue.append(yi)
-                while len(perms[a]) <= x:
-                    perms[a].append(-1)
-                perms[a][x] = yi
+                    words.append(words[x] + (a,))
+                perms[a].append(yi)
         n = len(elems)
         # canonical order: identity first, the rest by serialized normal form
         order = [0] + sorted(range(1, n), key=lambda i: elems[i].key)
         relabel = [0] * n
         for new, old in enumerate(order):
             relabel[old] = new
-        new_elems = [elems[i] for i in order]
         new_perms = [[relabel[p[old]] for old in order] for p in perms]
-        new_parent = [0] * n
-        new_letter = [0] * n
-        for old in range(1, n):
-            new_parent[relabel[old]] = relabel[parent[old]]
-            new_letter[relabel[old]] = letter[old]
         gen_elem_idx = [relabel[index[g]] for g in gens_p]
-        return cls(new_elems, gen_elem_idx, new_perms, new_parent, new_letter, dim)
+        return cls([elems[i] for i in order], gen_elem_idx, new_perms,
+                   [words[i] for i in order], dim)
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -315,20 +317,21 @@ class FinGroup:
         except KeyError:
             raise KeyError("element does not belong to this group") from None
 
-    def contains(self, e: ProjElem) -> bool:
-        return e in self._index
-
-    def element_order(self, i: int) -> int:
-        return self.view.order_of(i)
-
-    def subgroup(self, gens: Iterable[int] = (), members: Optional[frozenset[int]] = None) -> "SubgroupHandle":
+    def subgroup(self, gens: Iterable[int] = (), members: Optional[frozenset[int]] = None) -> GroupView:
+        """The subgroup generated by ``gens``, or the one with the given
+        ``members``; for the whole group this is the group's own view."""
         if members is None:
-            gens_t = tuple(sorted({g for g in gens if g}))
-            return SubgroupHandle(self, self.view.closure(gens_t), gens_t)
-        return SubgroupHandle(self, frozenset(members), self.view.greedy_gens(frozenset(members)))
+            gens = tuple(sorted({g for g in gens if g}))
+            members = self.view.closure(gens)
+        else:
+            members = frozenset(members)
+            gens = self.view.greedy_gens(members)
+        return self._subview(members, gens)
 
-    def whole(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, frozenset(range(self.n)), self.gen_idx)
+    def _subview(self, members: frozenset[int], gens: tuple[int, ...]) -> GroupView:
+        if len(members) == self.n:
+            return self.view
+        return GroupView(members, self.mult, self.inv, gens, self)
 
     # -- subgroup conjugacy sweep -------------------------------------------
 
@@ -345,8 +348,9 @@ class FinGroup:
                     queue.append(t)
         return queue
 
-    def subgroup_conjugacy_classes(self, budget: int = 1000) -> list["SubgroupClass"]:
-        """One representative per conjugacy class of subgroups.
+    def subgroup_conjugacy_classes(self, budget: int = 1000) -> list[GroupView]:
+        """One representative view per conjugacy class of subgroups, sorted
+        by order and then by sorted members; class k is at position k - 1.
 
         Seeds with the cyclic subgroups, then repeatedly joins class
         representatives with (all conjugates of) cyclic subgroups until a
@@ -372,7 +376,7 @@ class FinGroup:
         cyclic_list = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
         class_of: dict[frozenset[int], int] = {}
-        classes: list[tuple[frozenset[int], tuple[int, ...], list[frozenset[int]]]] = []
+        classes: list[tuple[frozenset[int], tuple[int, ...]]] = []
 
         def register(members: frozenset[int], gens: tuple[int, ...]) -> int:
             known = class_of.get(members)
@@ -384,7 +388,7 @@ class FinGroup:
             for s in orbit:
                 class_of[s] = cid
             rep_gens = gens if rep == members else view.greedy_gens(rep)
-            classes.append((rep, rep_gens, orbit))
+            classes.append((rep, rep_gens))
             return cid
 
         register(frozenset((0,)), ())
@@ -393,7 +397,7 @@ class FinGroup:
         join_memo: dict[frozenset[int], int] = {}
         i = 0
         while i < len(classes):
-            rep, rep_gens, _ = classes[i]
+            rep, rep_gens = classes[i]
             i += 1
             if len(rep) == self.n:
                 continue
@@ -406,107 +410,16 @@ class FinGroup:
                     continue
                 members = view.closure(rep_gens + (gen,))
                 join_memo[union] = register(members, rep_gens + (gen,))
-        order_key = sorted(range(len(classes)), key=lambda c: (len(classes[c][0]), sorted(classes[c][0])))
-        out = []
-        for idx, cid in enumerate(order_key):
-            rep, gens, orbit = classes[cid]
-            handle = SubgroupHandle(self, rep, gens)
-            out.append(SubgroupClass(index=idx + 1, rep=handle, orbit=tuple(sorted(orbit, key=sorted))))
-        return out
-
-
-def _depth_chain(parent: list[int], i: int) -> int:
-    d = 0
-    while i > 0:
-        i = parent[i]
-        d += 1
-    return d
+        classes.sort(key=lambda c: (len(c[0]), sorted(c[0])))
+        return [self._subview(rep, gens) for rep, gens in classes]
 
 
 # ---------------------------------------------------------------------------
-# subgroups
+# quotients
 
 
-class SubgroupHandle:
-    """A subgroup of an enumerated group, held as a member-index set."""
-
-    __slots__ = ("group", "members", "gens", "_view")
-
-    def __init__(self, group: FinGroup, members: frozenset[int], gens: tuple[int, ...]):
-        self.group = group
-        self.members = members
-        self.gens = tuple(gens)
-        self._view: Optional[GroupView] = None
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
-
-    @property
-    def view(self) -> GroupView:
-        """The subgroup's view; a handle for the whole group shares the
-        group's own view, and so its class map and order cache."""
-        if self._view is None:
-            if len(self.members) == self.group.n:
-                self._view = self.group.view
-            else:
-                self._view = GroupView(
-                    sorted(self.members), self.group.mult, self.group.inv, self.gens
-                )
-        return self._view
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __le__(self, other: "SubgroupHandle") -> bool:
-        return self.members <= other.members
-
-    def involutions(self) -> list[int]:
-        view = self.view
-        classes, _ = view.class_map()
-        return sorted(x for c in classes if view.order_of(c[0]) == 2 for x in c)
-
-    def __repr__(self):
-        return f"SubgroupHandle(order={self.order})"
-
-
-@dataclass(frozen=True)
-class SubgroupClass:
-    index: int
-    rep: SubgroupHandle
-    orbit: tuple[frozenset[int], ...]
-
-
-# ---------------------------------------------------------------------------
-# abstract (table-backed) groups, used for quotients
-
-
-class TableGroup:
-    """A finite group given by its multiplication table; identity is 0."""
-
-    def __init__(self, table: Sequence[Sequence[int]], gens: Sequence[int]):
-        self.table = tuple(tuple(r) for r in table)
-        n = len(self.table)
-        inv = [0] * n
-        for i, row in enumerate(self.table):
-            inv[i] = row.index(0)
-        self._inv = inv
-        self.gen_idx = tuple(gens) if gens else tuple(range(1, n))
-        self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx)
-
-    @property
-    def n(self) -> int:
-        return len(self.table)
-
-    def mult(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self._inv[i]
-
-
-def quotient_view(view: GroupView, normal_members: frozenset[int]) -> TableGroup:
-    """Quotient of a view's group by a normal subgroup, as a table group.
+def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
+    """Quotient of a view's group by a normal subgroup, over its coset table.
 
     Cosets are represented by their minimal member; normality of the
     divisor is the caller's responsibility (checked in quotient_group).
@@ -528,19 +441,19 @@ def quotient_view(view: GroupView, normal_members: frozenset[int]) -> TableGroup
         q = coset_of[g]
         if q and q not in gens:
             gens.append(q)
-    return TableGroup(table, gens)
+    inv = [row.index(0) for row in table]
+    return GroupView(range(m), lambda a, b: table[a][b], inv.__getitem__, gens, None)
 
 
-def quotient_group(h: SubgroupHandle, n: SubgroupHandle) -> TableGroup:
+def quotient_group(h: GroupView, n: GroupView) -> GroupView:
     """H/N on minimal coset representatives; verifies N is normal in H."""
     if not n.members <= h.members:
         raise ValueError("divisor is not contained in the subgroup")
-    view = h.view
     for g in h.gens:
         for s in n.gens:
-            if view.conj(s, g) not in n.members:
+            if h.conj(s, g) not in n.members:
                 raise ValueError("divisor is not normal in the subgroup")
-    return quotient_view(view, n.members)
+    return quotient_view(h, n.members)
 
 
 # ---------------------------------------------------------------------------
@@ -588,11 +501,10 @@ class Fingerprint:
         )
 
 
-def _abelian_invariants(q: TableGroup) -> tuple[int, ...]:
-    n = q.n
-    if n == 1:
+def _abelian_invariants(q: GroupView) -> tuple[int, ...]:
+    if q.order == 1:
         return ()
-    orders = [q.view.order_of(x) for x in range(n)]
+    orders = [q.order_of(x) for x in q.elements]
     primes = set()
     for o in orders:
         m = o
@@ -650,28 +562,18 @@ def fingerprint(view: GroupView) -> Fingerprint:
         o = view.order_of(x)
         hist[o] = hist.get(o, 0) + 1
     classes = len(view.class_map()[0])
-    # abelianization
-    dmem, _ = _derived_data(view)
-    q = quotient_view(view, dmem)
-    ab = _abelian_invariants(q)
+    # abelianization, then the derived series down to its perfect end
+    dm, dg = _derived_data(view)
+    ab = _abelian_invariants(quotient_view(view, dm))
     center = sum(
         1
         for x in view.elements
         if all(view.mult(x, g) == view.mult(g, x) for g in view.gens)
     )
-    sizes = [n]
-    cur_members = frozenset(view.elements)
-    cur_gens = view.gens
-    while True:
-        sub = GroupView(sorted(cur_members), view.mult, view.inv, cur_gens)
-        dm, dg = _derived_data(sub)
-        if len(dm) == len(cur_members):
-            sizes.append(len(dm))
-            break
+    sizes = [n, len(dm)]
+    while 1 < sizes[-1] < sizes[-2]:
+        dm, dg = _derived_data(GroupView(dm, view.mult, view.inv, dg, view.ambient))
         sizes.append(len(dm))
-        if len(dm) == 1:
-            break
-        cur_members, cur_gens = dm, dg
     return Fingerprint(
         order=n,
         order_histogram=tuple(sorted(hist.items())),

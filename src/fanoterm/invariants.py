@@ -16,8 +16,7 @@ from .cyclo import CycloNum, rational
 from .groups import (
     FinGroup,
     GroupId,
-    SubgroupHandle,
-    TableGroup,
+    GroupView,
     UnidentifiedGroup,
     identify,
     quotient_group,
@@ -98,7 +97,7 @@ def detect_l3(group: FinGroup) -> L3Set:
     )
 
 
-def singular_invariants(h: SubgroupHandle, l3: L3Set) -> tuple[int, int, int, int, int]:
+def singular_invariants(h: GroupView, l3: L3Set) -> tuple[int, int, int, int, int]:
     """(n2, N3, n3, n31, n32) for one subgroup, read off its class map.
 
     n2 counts H-conjugacy classes of involutions; N3 the codimension-2
@@ -108,11 +107,10 @@ def singular_invariants(h: SubgroupHandle, l3: L3Set) -> tuple[int, int, int, in
     witness is a class invariant, so it is checked on the first subgroup of
     each class.
     """
-    if h.group is not l3.group:
+    if h.ambient is not l3.group:
         raise ValueError("subgroup does not belong to the ambient of the L3 set")
-    view = h.view
-    classes, class_of = view.class_map()
-    n2 = sum(1 for c in classes if view.order_of(c[0]) == 2)
+    classes, class_of = h.class_map()
+    n2 = sum(1 for c in classes if h.order_of(c[0]) == 2)
     inside = [fs for fs in l3.subgroups if fs <= h.members]
     seen: set[frozenset[int]] = set()
     n31 = n32 = 0
@@ -123,12 +121,12 @@ def singular_invariants(h: SubgroupHandle, l3: L3Set) -> tuple[int, int, int, in
         seen.add(key)
         gen = min(m for m in fs if m)
         witness = False
-        for x in sorted(h.members):
-            c = view.conj(gen, x)
+        for x in h.elements:
+            c = h.conj(gen, x)
             if c == gen:
                 continue  # centralizing
             if c in fs:  # normalizing but not centralizing
-                if view.order_of(x) % 2 == 0:
+                if h.order_of(x) % 2 == 0:
                     witness = True
                     break
         if witness:
@@ -138,7 +136,7 @@ def singular_invariants(h: SubgroupHandle, l3: L3Set) -> tuple[int, int, int, in
     return n2, len(inside), n31 + n32, n31, n32
 
 
-def pi1_quotient(h: SubgroupHandle, l3: L3Set) -> TableGroup:
+def pi1_quotient(h: GroupView, l3: L3Set) -> GroupView:
     """H modulo the subgroup generated by everything fixing codimension 2.
 
     The generating set (all involutions plus the members of the contained
@@ -147,19 +145,17 @@ def pi1_quotient(h: SubgroupHandle, l3: L3Set) -> TableGroup:
     """
     seeds = set(h.involutions())
     seeds.update(m for m in (l3.members & h.members))
-    view = h.view
     members = frozenset((0,))
     gens: list[int] = []
     for s in sorted(seeds):
         if s not in members:
             gens.append(s)
-            members = view.closure(gens)
-    n_handle = SubgroupHandle(h.group, members, tuple(gens))
-    return quotient_group(h, n_handle)
+            members = h.closure(gens)
+    return quotient_group(h, GroupView(members, h.mult, h.inv, gens, h.ambient))
 
 
-def pi1_id(h: SubgroupHandle, l3: L3Set):
-    return identify(pi1_quotient(h, l3).view)
+def pi1_id(h: GroupView, l3: L3Set):
+    return identify(pi1_quotient(h, l3))
 
 
 def b2_of_terminalization(rank_coinvariant: int, n2: int, n31: int, n32: int) -> int:
@@ -196,7 +192,7 @@ class SubgroupRecord:
 
 
 def records_for_classes(l3: L3Set, cubic: Sequence[CycloNum],
-                        classes: Sequence[tuple[int, SubgroupHandle]]) -> list[SubgroupRecord]:
+                        classes: Sequence[tuple[int, GroupView]]) -> list[SubgroupRecord]:
     """Build one record per (index, subgroup) pair; ``cubic`` is the form
     the ambient preserves, from which its class traces and so the ranks
     are computed."""
@@ -204,7 +200,7 @@ def records_for_classes(l3: L3Set, cubic: Sequence[CycloNum],
     records = []
     for idx, h in classes:
         n2, n3s, n3, n31, n32 = singular_invariants(h, l3)
-        gid = identify(h.view)
+        gid = identify(h)
         pid = pi1_id(h, l3)
         records.append(
             SubgroupRecord(
@@ -224,7 +220,7 @@ def records_for_classes(l3: L3Set, cubic: Sequence[CycloNum],
 
 
 def classification_table(ambient_key: str, *, mode: str = "full-sweep",
-                         targeted: Optional[Sequence[SubgroupHandle]] = None,
+                         targeted: Optional[Sequence[GroupView]] = None,
                          budget: int = 1000, all_subgroups: bool = False) -> list[SubgroupRecord]:
     """One record per subgroup conjugacy class with n2 + n3 > 0.
 
@@ -239,13 +235,12 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
     l3 = detect_l3(group)
     if mode == "full-sweep":
         classes = group.subgroup_conjugacy_classes(budget=budget)
-        pairs = [(c.index, c.rep) for c in classes]
-        records = records_for_classes(l3, cubic, pairs)
+        records = records_for_classes(l3, cubic, list(enumerate(classes, start=1)))
         if not all_subgroups:
             records = [r for r in records if not r.terminal]
         return records
     if mode == "full-group-only":
-        pairs = [(0, group.whole())]
+        pairs = [(0, group.view)]
     elif mode == "targeted":
         if not targeted:
             raise ValueError("targeted mode requires at least one subgroup")

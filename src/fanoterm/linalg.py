@@ -30,7 +30,7 @@ __all__ = [
 class MatC:
     """A dim x dim matrix of canonical cyclotomic entries."""
 
-    __slots__ = ("rows", "dim", "_hash", "_nnz", "_key")
+    __slots__ = ("rows", "dim", "_hash", "_nnz")
 
     def __init__(self, rows: Sequence[Sequence[CycloNum]]):
         rows = tuple(tuple(r) for r in rows)
@@ -41,7 +41,6 @@ class MatC:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_hash", hash(rows))
         object.__setattr__(self, "_nnz", None)
-        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatC is immutable")
@@ -69,11 +68,7 @@ class MatC:
 
     @property
     def key(self) -> tuple:
-        k = self._key
-        if k is None:
-            k = tuple(e.key for row in self.rows for e in row)
-            object.__setattr__(self, "_key", k)
-        return k
+        return tuple(e.key for row in self.rows for e in row)
 
     # -- arithmetic -------------------------------------------------------
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .catalog import CatalogValidationError, load_rank_rows
 from .cyclo import ZERO, CycloNum, rational
-from .groups import FinGroup, GroupId, SubgroupHandle
+from .groups import FinGroup, GroupId, GroupView
 from .linalg import CUBIC_MONOMIALS, cubic_eval
 
 __all__ = [
@@ -85,14 +85,14 @@ def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
     return tuple(traces)
 
 
-def coinvariant_rank(h: SubgroupHandle, traces: Sequence[int]) -> int:
+def coinvariant_rank(h: GroupView, traces: Sequence[int]) -> int:
     """23 minus the average over H of the trace on H^2(F(X)), from the
     ambient's class_traces.
 
     The result must be an integer in [0, 20]; anything else means the
     shipped cubic or generators are wrong, a CatalogValidationError.
     """
-    _, class_of = h.group.view.class_map()
+    _, class_of = h.ambient.view.class_map()
     rank = Fraction(23 * h.order - sum(traces[class_of[x]] for x in h.members), h.order)
     if rank.denominator != 1 or not 0 <= rank <= 20:
         raise CatalogValidationError(
@@ -102,7 +102,7 @@ def coinvariant_rank(h: SubgroupHandle, traces: Sequence[int]) -> int:
     return int(rank)
 
 
-def resolve_rank(h: SubgroupHandle, traces: Sequence[int], gid, n3: int) -> int:
+def resolve_rank(h: GroupView, traces: Sequence[int], gid, n3: int) -> int:
     """The coinvariant rank, checked against the rank table's candidates for
     the id and against the codimension-2 bounds: N3 >= 1 forces rank >= 18
     and N3 >= 2 forces rank 20.  A failed check raises CatalogValidationError.

@@ -144,7 +144,7 @@ def monomial_invariant_dim(h) -> int:
 
     total = ZERO
     for idx in h.members:
-        total = total + _w_trace(h.group.elements[idx].mat)
+        total = total + _w_trace(h.ambient.elements[idx].mat)
     value = (total * rational(Fraction(1, h.order))).to_rational()
     assert value is not None and value.denominator == 1 and 0 <= value <= 20, value
     return int(value)
@@ -198,7 +198,7 @@ def scan_l3(group) -> tuple[int, ...]:
     seen = set()
     gens = []
     for x in range(1, group.n):
-        if group.element_order(x) != 3:
+        if group.view.order_of(x) != 3:
             continue
         x2 = group.mult(x, x)
         fs = frozenset((0, x, x2))
@@ -214,7 +214,7 @@ def scan_l3(group) -> tuple[int, ...]:
 def brute_singular_invariants(h, l3) -> tuple[int, int, int, int, int]:
     """(n2, N3, n3, n31, n32) with every orbit taken under conjugation by
     every element of H, not only by its generators."""
-    group = h.group
+    group = h.ambient
     members = sorted(h.members)
     orders = {}
 

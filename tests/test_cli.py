@@ -174,6 +174,15 @@ def test_targeted_requires_subgroup(capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("mode", ["full-sweep", "full-group-only"])
+def test_subgroup_requires_targeted_mode(capsys, mode):
+    code, out, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", mode,
+                             "--subgroup", "g1", "--format", "csv")
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err == "error: --subgroup requires --mode targeted\n"
+
+
 def test_targeted_bad_word(capsys):
     code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted",
                            "--subgroup", "g9")
@@ -206,6 +215,16 @@ def test_check_deformation_structured(capsys):
 def test_check_deformation_missing_file(capsys):
     code, _, err = run_cli(capsys, "check-deformation", "--fixtures", "/nonexistent/f.list")
     assert code == EXIT_VALIDATION
+
+
+def test_check_deformation_nonpositive_order(capsys, tmp_path):
+    path = tmp_path / "fixtures.list"
+    path.write_text("0 1 4 48\n")
+    code, out, err = run_cli(capsys, "check-deformation", "--fixtures", str(path))
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error:") and "'0 1 4 48'" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
 def test_fingerprint_command(capsys):

@@ -50,8 +50,8 @@ def test_generate_cap():
 
 def test_element_order():
     g = S3()
-    assert g.element_order(0) == 1
-    orders = sorted(g.element_order(i) for i in range(g.n))
+    assert g.view.order_of(0) == 1
+    orders = sorted(g.view.order_of(i) for i in range(g.n))
     assert orders == [1, 2, 2, 2, 3, 3]
 
 
@@ -59,7 +59,7 @@ def test_projective_order_of_scalar_power():
     # diag(w,w,w,1,1,1) has projective order 3 even though lifts differ by scalars
     g = FinGroup.generate([diag([W, W, W, ONE, ONE, ONE]), diag([ONE, W, W * W, ONE, ONE, ONE])])
     p1 = g.index_of(ProjElem(diag([W, W, W, ONE, ONE, ONE])))
-    assert g.element_order(p1) == 3
+    assert g.view.order_of(p1) == 3
 
 
 def test_conjugacy_classes_trivial_and_abelian():
@@ -78,58 +78,58 @@ def test_subgroup_closure():
     g = S3()
     triv = g.subgroup(gens=[])
     assert triv.order == 1
-    x3 = next(i for i in range(1, g.n) if g.element_order(i) == 3)
+    x3 = next(i for i in range(1, g.n) if g.view.order_of(i) == 3)
     assert g.subgroup(gens=[x3]).order == 3
-    invs = [i for i in range(1, g.n) if g.element_order(i) == 2]
+    invs = [i for i in range(1, g.n) if g.view.order_of(i) == 2]
     assert g.subgroup(gens=invs).order == 6
 
 
 def test_involution_closure_of_simple_group(built):
     l2 = built("L2_11")
-    invs = [i for i in range(1, l2.n) if l2.element_order(i) == 2]
+    invs = [i for i in range(1, l2.n) if l2.view.order_of(i) == 2]
     assert l2.subgroup(gens=invs[:2]).order in (4, 6, 10, 12, 60, 660)
     assert l2.subgroup(gens=invs).order == 660
 
 
 def test_quotients():
     c6 = C6()
-    whole = c6.whole()
-    assert quotient_group(whole, whole).n == 1
-    c3 = c6.subgroup(gens=[next(i for i in range(1, 6) if c6.element_order(i) == 3)])
+    whole = c6.view
+    assert quotient_group(whole, whole).order == 1
+    c3 = c6.subgroup(gens=[next(i for i in range(1, 6) if c6.view.order_of(i) == 3)])
     q = quotient_group(whole, c3)
-    assert q.n == 2
+    assert q.order == 2
     s3 = S3()
-    a3 = s3.subgroup(gens=[next(i for i in range(1, 6) if s3.element_order(i) == 3)])
-    assert quotient_group(s3.whole(), a3).n == 2
+    a3 = s3.subgroup(gens=[next(i for i in range(1, 6) if s3.view.order_of(i) == 3)])
+    assert quotient_group(s3.view, a3).order == 2
 
 
 def test_quotient_rejects_non_normal():
     s3 = S3()
-    c2 = s3.subgroup(gens=[next(i for i in range(1, 6) if s3.element_order(i) == 2)])
+    c2 = s3.subgroup(gens=[next(i for i in range(1, 6) if s3.view.order_of(i) == 2)])
     with pytest.raises(ValueError):
-        quotient_group(s3.whole(), c2)
+        quotient_group(s3.view, c2)
 
 
 def test_quotient_identify_battery():
     c6 = C6()
-    c3 = c6.subgroup(gens=[next(i for i in range(1, 6) if c6.element_order(i) == 3)])
-    assert identify(quotient_group(c6.whole(), c3).view) == GroupId(2, 1)
-    c2 = c6.subgroup(gens=[next(i for i in range(1, 6) if c6.element_order(i) == 2)])
-    assert identify(quotient_group(c6.whole(), c2).view) == GroupId(3, 1)
+    c3 = c6.subgroup(gens=[next(i for i in range(1, 6) if c6.view.order_of(i) == 3)])
+    assert identify(quotient_group(c6.view, c3)) == GroupId(2, 1)
+    c2 = c6.subgroup(gens=[next(i for i in range(1, 6) if c6.view.order_of(i) == 2)])
+    assert identify(quotient_group(c6.view, c2)) == GroupId(3, 1)
     a4 = A4()
-    v4 = a4.subgroup(gens=[i for i in range(1, 12) if a4.element_order(i) == 2])
+    v4 = a4.subgroup(gens=[i for i in range(1, 12) if a4.view.order_of(i) == 2])
     assert v4.order == 4
-    assert identify(quotient_group(a4.whole(), v4).view) == GroupId(3, 1)
+    assert identify(quotient_group(a4.view, v4)) == GroupId(3, 1)
 
 
 def test_subgroup_classes_s3():
     classes = S3().subgroup_conjugacy_classes()
-    assert [c.rep.order for c in classes] == [1, 2, 3, 6]
+    assert [c.order for c in classes] == [1, 2, 3, 6]
 
 
 def test_subgroup_classes_a4_contains_klein():
     classes = A4().subgroup_conjugacy_classes()
-    assert [c.rep.order for c in classes] == [1, 2, 3, 4, 12]
+    assert [c.order for c in classes] == [1, 2, 3, 4, 12]
 
 
 def test_subgroup_classes_budget():
@@ -182,7 +182,7 @@ def test_subgroup_classes_match_oracle(built, key):
     # three generators (so the oracle could not reach it by construction)
     group = built(key)
     classes = group.subgroup_conjugacy_classes(budget=1000)
-    got = {c.rep.members for c in classes}
+    got = {c.members for c in classes}
     oracle = _oracle_subgroup_classes(group)
     assert oracle <= got
     for extra in got - oracle:
@@ -193,22 +193,24 @@ def test_subgroup_classes_lagrange_and_nonconjugacy(built):
     group = built("A3_5")
     classes = group.subgroup_conjugacy_classes(budget=1000)
     for c in classes:
-        assert group.n % c.rep.order == 0
+        assert group.n % c.order == 0
     # representatives are pairwise non-conjugate: orbits are disjoint
-    all_sets = [s for c in classes for s in c.orbit]
+    orbits = [group.subgroup_orbit(c.members) for c in classes]
+    all_sets = [s for orbit in orbits for s in orbit]
     assert len(all_sets) == len(set(all_sets))
     for i, ci in enumerate(classes):
-        for cj in classes[i + 1:]:
-            assert ci.rep.members not in cj.orbit
+        for orbit in orbits[i + 1:]:
+            assert ci.members not in orbit
 
 
 def test_subgroup_classes_deterministic(built):
     group = built("Q8_S3")
     a = group.subgroup_conjugacy_classes(budget=1000)
     b = group.subgroup_conjugacy_classes(budget=1000)
-    assert [(c.index, sorted(c.rep.members)) for c in a] == [
-        (c.index, sorted(c.rep.members)) for c in b
-    ]
+    assert [sorted(c.members) for c in a] == [sorted(c.members) for c in b]
+    # the top class is the whole group, held as the group's own view
+    assert a[-1] is group.view and b[-1] is group.view
+    assert all(c.ambient is group for c in a)
 
 
 def test_generate_canonical_order_reproducible():

@@ -78,7 +78,7 @@ def test_fermat_rank_c3_cubed_with_four_l3(fermat):
     h = _sub(fermat, [_exps((0, 0, 0, 0, 2, 1)), _exps((0, 0, 0, 2, 0, 1)),
                       _exps((0, 0, 2, 0, 0, 1))])
     assert h.order == 27
-    assert identify(h.view) == GroupId(27, 5)
+    assert identify(h) == GroupId(27, 5)
     l3 = detect_l3(fermat)
     assert sum(1 for fs in l3.subgroups if fs <= h.members) == 4
     assert _rank(h) == 20
@@ -90,7 +90,7 @@ def test_1944_full_group_has_even_normalizer_witness():
     # whole group
     group = build_group("G1944")
     l3 = detect_l3(group)
-    _, n3s, n3, n31, n32 = singular_invariants(group.whole(), l3)
+    _, n3s, n3, n31, n32 = singular_invariants(group.view, l3)
     assert (n3s, n3, n31, n32) == (1, 1, 1, 0)
 
 
@@ -115,7 +115,7 @@ def test_fermat_dim_g1_g2(fermat):
     assert monomial_invariant_dim(g2) == 0
     from fanoterm.groups import fingerprint
 
-    assert fingerprint(g1.view).tier1 == fingerprint(g2.view).tier1
+    assert fingerprint(g1).tier1 == fingerprint(g2).tier1
     assert g1.members != g2.members
 
 
@@ -168,19 +168,18 @@ def test_class_traces_follow_the_class_map(fermat):
     classes, class_of = fermat.view.class_map()
     assert len(traces) == len(classes) and class_of[0] == 0
     assert traces[0] == 23  # the identity acts trivially on H^2, of rank 23
-    # the class map is memoized on the view, which every handle for the
-    # whole group shares, however it was made
+    # the class map is memoized on the view; the whole group is one view
+    # however it was made, so every row for it shares that map
     assert fermat.view.class_map() is fermat.view.class_map()
-    assert fermat.whole().view is fermat.view
-    assert fermat.subgroup(gens=fermat.gen_idx[::-1]).view is fermat.view
-    assert fermat.subgroup(gens=fermat.gen_idx[:1]).view is not fermat.view
+    assert fermat.subgroup(gens=fermat.gen_idx[::-1]) is fermat.view
+    assert fermat.subgroup(gens=fermat.gen_idx[:1]) is not fermat.view
 
 
 def test_resolve_rank_g1944_codim2_c3_and_c3_squared():
     group = build_group("G1944")
     traces = class_traces(group, load_group("G1944").cubic)
     # C2 resolves to the single rank the table lists for it
-    inv = next(i for i in range(1, group.n) if group.element_order(i) == 2)
+    inv = next(i for i in range(1, group.n) if group.view.order_of(i) == 2)
     assert resolve_rank(group.subgroup(gens=[inv]), traces, GroupId(2, 1), 0) == 8
     # the codimension-2 C3 (table candidates {12, 18}) and each of the 40
     # C3 x C3 through it (candidates {16, 18, 20}) have rank exactly 18
@@ -191,14 +190,14 @@ def test_resolve_rank_g1944_codim2_c3_and_c3_squared():
     x = l3.generators[0]
     squares = set()
     for y in range(1, group.n):
-        if y in c3 or group.element_order(y) != 3 or group.mult(x, y) != group.mult(y, x):
+        if y in c3 or group.view.order_of(y) != 3 or group.mult(x, y) != group.mult(y, x):
             continue
         members = group.view.closure([x, y])
         if members in squares:
             continue
         squares.add(members)
         h = group.subgroup(members=members)
-        assert identify(h.view) == GroupId(9, 2)
+        assert identify(h) == GroupId(9, 2)
         assert resolve_rank(h, traces, GroupId(9, 2), 1) == 18
     assert len(squares) == 40
 
