@@ -335,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "g1..gN, or mat:row;row;... (repeatable)")
     p.add_argument("--format", default="table", choices=["table", "csv", "structured"])
     p.add_argument("--budget", type=int, default=1000,
-                   help="maximum ambient order for a full sweep")
+                   help="maximum ambient order for a full sweep, which holds a "
+                        "multiplication table of 2*n^2 bytes for order n")
     p.add_argument("--all-subgroups", action="store_true",
                    help="emit every class, not only the non-terminal ones")
     p.set_defaults(func=cmd_table)

@@ -2,14 +2,17 @@
 
 A group is enumerated once by breadth-first closure of the projective
 classes of its generators.  After enumeration every element is an index;
-multiplication walks the element's generator word through per-generator
-translation tables, so no matrix arithmetic happens in the hot loops.
-All derived data (orderings, class lists, subgroup lattices) is canonical:
-two runs produce identical output.
+``FinGroup.mult`` walks the element's generator word through per-generator
+translation tables, so no matrix arithmetic happens in the hot loops.  The
+subgroup sweep, which multiplies millions of times, builds the full
+multiplication table once (2 n^2 bytes, bounded by its budget) and
+multiplies by lookup.  All derived data (orderings, class lists, subgroup
+lattices) is canonical: two runs produce identical output.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
@@ -326,92 +329,116 @@ class FinGroup:
         else:
             members = frozenset(members)
             gens = self.view.greedy_gens(members)
-        return self._subview(members, gens)
-
-    def _subview(self, members: frozenset[int], gens: tuple[int, ...]) -> GroupView:
         if len(members) == self.n:
             return self.view
         return GroupView(members, self.mult, self.inv, gens, self)
 
-    # -- subgroup conjugacy sweep -------------------------------------------
+    def multiplication_table(self) -> list[array]:
+        """``table[i][j] == mult(i, j)``: one ``array('H')`` row per element,
+        2 n^2 bytes in all.
 
-    def subgroup_orbit(self, members: frozenset[int]) -> list[frozenset[int]]:
-        """Full conjugation orbit of a subgroup's member set."""
-        seen = {members}
-        queue = [members]
-        for s in queue:
-            for g in self.gen_idx:
-                ig = self._inv[g]
-                t = frozenset(self.mult(self.mult(ig, x), g) for x in s)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        return queue
+        Element y = g_a * x has x's word plus the letter a, so row y is row x
+        sent through generator a's translation table: n row passes instead
+        of n^2 word walks.
+        """
+        words = self._rword
+        index = {word: i for i, word in enumerate(words)}
+        table: list = [None] * self.n
+        table[0] = array("H", range(self.n))
+        for y in sorted(range(1, self.n), key=lambda i: len(words[i])):
+            word = words[y]
+            table[y] = array("H", map(self._perms[word[-1]].__getitem__,
+                                      table[index[word[:-1]]]))
+        return table
+
+    # -- subgroup conjugacy sweep -------------------------------------------
 
     def subgroup_conjugacy_classes(self, budget: int = 1000) -> list[GroupView]:
         """One representative view per conjugacy class of subgroups, sorted
         by order and then by sorted members; class k is at position k - 1.
 
         Seeds with the cyclic subgroups, then repeatedly joins class
-        representatives with (all conjugates of) cyclic subgroups until a
-        fixed point; any subgroup arises this way because a maximal chain
-        climbs one extra generator at a time.
-        """
-        if self.n > budget:
-            raise BudgetExceeded(
-                f"full sweep of a group of order {self.n} exceeds the budget {budget}"
-            )
-        view = self.view
-        cyclics: dict[frozenset[int], int] = {}
-        for x in range(1, self.n):
-            powers = set()
-            y = x
-            while y != 0:
-                powers.add(y)
-                y = self.mult(y, x)
-            powers.add(0)
-            fs = frozenset(powers)
-            if fs not in cyclics:
-                cyclics[fs] = x
-        cyclic_list = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        representatives K with cyclic subgroups until a fixed point; any
+        subgroup arises this way because a maximal chain climbs one extra
+        generator at a time.  K is joined with one cyclic subgroup per
+        N_G(K)-orbit (Neubueser's cyclic extension): for h in N_G(K),
+        <K, C^h> = <K, C>^h, so the rest of the orbit gives conjugate joins.
+        Each representative is the least member list of its orbit.
 
-        class_of: dict[frozenset[int], int] = {}
+        Every product goes through the multiplication table, built once here
+        (2 n^2 bytes, which the budget bounds); the returned views multiply
+        through it too, except the whole group, which is the group's view.
+        """
+        n = self.n
+        if n > budget:
+            raise BudgetExceeded(
+                f"full sweep of a group of order {n} exceeds the budget {budget}"
+            )
+        table = self.multiplication_table()
+        inv = self._inv
+        view = GroupView(range(n), lambda a, b: table[a][b], inv.__getitem__,
+                         self.gen_idx, self)
+        # x -> g^-1 x g for each generator g of the group
+        conjugations = [array("H", [table[y][g] for y in table[inv[g]]]) for g in self.gen_idx]
+
+        cyclic_of: list[frozenset[int]] = []  # <x> for x = 1, ..., n - 1
+        cyclics: dict[frozenset[int], int] = {}  # each with its least generator
+        for x in range(1, n):
+            row = table[x]
+            powers = [0]
+            y = x
+            while y:
+                powers.append(y)
+                y = row[y]
+            fs = frozenset(powers)
+            cyclics.setdefault(fs, x)
+            cyclic_of.append(fs)
+        cyclic_list = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+        position = {fs: c for c, (fs, _) in enumerate(cyclic_list)}
+        cyclic_id = [0] + [position[fs] for fs in cyclic_of]  # by element; 0 is unused
+
+        registered: set[frozenset[int]] = set()  # every member of every class found
         classes: list[tuple[frozenset[int], tuple[int, ...]]] = []
 
-        def register(members: frozenset[int], gens: tuple[int, ...]) -> int:
-            known = class_of.get(members)
-            if known is not None:
-                return known
-            orbit = self.subgroup_orbit(members)
-            rep = min(orbit, key=lambda s: sorted(s))
-            cid = len(classes)
+        def register(members: frozenset[int], gens: tuple[int, ...]) -> None:
+            if members in registered:
+                return
+            orbit = [members]
+            registered.add(members)
             for s in orbit:
-                class_of[s] = cid
-            rep_gens = gens if rep == members else view.greedy_gens(rep)
-            classes.append((rep, rep_gens))
-            return cid
+                for perm in conjugations:
+                    t = frozenset(map(perm.__getitem__, s))
+                    if t not in registered:
+                        registered.add(t)
+                        orbit.append(t)
+            rep = min(orbit, key=sorted)
+            classes.append((rep, gens if rep == members else view.greedy_gens(rep)))
 
         register(frozenset((0,)), ())
         for fs, gen in cyclic_list:
             register(fs, (gen,))
-        join_memo: dict[frozenset[int], int] = {}
-        i = 0
-        while i < len(classes):
-            rep, rep_gens = classes[i]
-            i += 1
-            if len(rep) == self.n:
+        unions: set[frozenset[int]] = set()  # K | C of every join made
+        for rep, rep_gens in classes:  # classes grows as joins find new ones
+            if len(rep) == n:
                 continue
-            for fs, gen in cyclic_list:
-                if fs <= rep:
+            normalizer: Sequence[int] = range(n)
+            for x in rep_gens:
+                row = table[x]
+                normalizer = [h for h in normalizer if table[inv[h]][row[h]] in rep]
+            covered: set[int] = set()  # cyclic subgroups in the orbits joined so far
+            for c, (fs, gen) in enumerate(cyclic_list):
+                if c in covered or gen in rep:
                     continue
+                row = table[gen]
+                covered.update(cyclic_id[table[inv[h]][row[h]]] for h in normalizer)
                 union = rep | fs
-                known = join_memo.get(union)
-                if known is not None:
+                if union in unions:
                     continue
-                members = view.closure(rep_gens + (gen,))
-                join_memo[union] = register(members, rep_gens + (gen,))
+                unions.add(union)
+                register(view.closure(rep_gens + (gen,)), rep_gens + (gen,))
         classes.sort(key=lambda c: (len(c[0]), sorted(c[0])))
-        return [self._subview(rep, gens) for rep, gens in classes]
+        return [self.view if len(rep) == n else GroupView(rep, view.mult, view.inv, gens, self)
+                for rep, gens in classes]
 
 
 # ---------------------------------------------------------------------------

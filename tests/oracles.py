@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: Fraction-coefficient polynomial
 arithmetic with textbook long division, a direct trace over monomials
-for ranks on the Fermat cubic, and element-by-element scans of the group
-table for the L3 set and the singular invariants, so results never depend
-on the code paths under test.
+for ranks on the Fermat cubic, element-by-element scans of the group
+table for the L3 set and the singular invariants, and a subgroup-class
+sweep that joins every class with every cyclic subgroup by word-walk
+products, so results never depend on the code paths under test.
 """
 
 from __future__ import annotations
@@ -242,3 +243,57 @@ def brute_singular_invariants(h, l3) -> tuple[int, int, int, int, int]:
                for y in members):
             n31 += 1
     return n2, len(inside), len(orbits), n31, len(orbits) - n31
+
+
+def subgroup_orbit(group, members):
+    """The conjugation orbit of a subgroup's member set, every product a
+    word walk of ``group.mult``."""
+    seen = {members}
+    queue = [members]
+    for s in queue:
+        for g in group.gen_idx:
+            ig = group.inv(g)
+            t = frozenset(group.mult(group.mult(ig, x), g) for x in s)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return queue
+
+
+def all_joins_subgroup_classes(group) -> list[list[int]]:
+    """Sorted member lists of one representative per subgroup conjugacy
+    class, in the sweep's order: cyclic subgroups joined with every class
+    representative, every cyclic subgroup at every step, every product a
+    word walk of ``group.mult``."""
+    view = group.view
+    cyclics = {}
+    for x in range(1, group.n):
+        cyclics.setdefault(view.closure([x]), x)
+    cyclic_list = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    class_of = {}
+    classes = []
+
+    def register(members, gens):
+        if members in class_of:
+            return
+        orbit = subgroup_orbit(group, members)
+        rep = min(orbit, key=sorted)
+        for s in orbit:
+            class_of[s] = len(classes)
+        classes.append((rep, gens if rep == members else view.greedy_gens(rep)))
+
+    register(frozenset((0,)), ())
+    for fs, gen in cyclic_list:
+        register(fs, (gen,))
+    joined = set()
+    i = 0
+    while i < len(classes):
+        rep, rep_gens = classes[i]
+        i += 1
+        for fs, gen in cyclic_list:
+            union = rep | fs
+            if fs <= rep or union in joined:
+                continue
+            joined.add(union)
+            register(view.closure(rep_gens + (gen,)), rep_gens + (gen,))
+    return sorted((sorted(rep) for rep, _ in classes), key=lambda m: (len(m), m))

@@ -428,7 +428,6 @@ def test_criterion_9_budget_guard(built, key):
     _report(9, True, f"{key}: full sweep refused at the default budget")
 
 
-@pytest.mark.stretch
 def test_stretch_full_sweep_1944(built):
     records = classification_table("G1944", mode="full-sweep", budget=2000, all_subgroups=True)
     assert len(records) == 237
@@ -448,7 +447,6 @@ def test_stretch_full_sweep_1944(built):
         ), (gid, b2)
 
 
-@pytest.mark.stretch
 def test_stretch_full_sweep_a7(built):
     records = classification_table("A7_perm", mode="full-sweep", budget=3000)
     simply = [r for r in records if r.pi1_trivial]

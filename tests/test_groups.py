@@ -15,7 +15,7 @@ from fanoterm.groups import (
     quotient_group,
 )
 from fanoterm.linalg import MatC, diag, identity, perm_mat
-from oracles import bounded_closure
+from oracles import all_joins_subgroup_classes, bounded_closure, subgroup_orbit
 
 W = root_of_unity(3, 1)
 
@@ -156,7 +156,7 @@ def _oracle_subgroup_classes(group):
     for fs in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
         if fs in seen:
             continue
-        orbit = group.subgroup_orbit(fs)
+        orbit = subgroup_orbit(group, fs)
         seen.update(orbit)
         reps.add(min(orbit, key=sorted))
     return reps
@@ -189,13 +189,52 @@ def test_subgroup_classes_match_oracle(built, key):
         assert not _two_generated(group, extra)
 
 
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11"])
+def test_subgroup_classes_match_all_joins(built, key):
+    # joining over normalizer orbits only, through the multiplication
+    # table, finds exactly the classes of the join with every cyclic subgroup
+    group = built(key)
+    classes = group.subgroup_conjugacy_classes(budget=1000)
+    assert [sorted(c.members) for c in classes] == all_joins_subgroup_classes(group)
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5"])
+def test_multiplication_table_every_pair(built, key):
+    group = built(key)
+    table = group.multiplication_table()
+    assert [list(row) for row in table] == [
+        [group.mult(i, j) for j in range(group.n)] for i in range(group.n)
+    ]
+
+
+@pytest.mark.parametrize("key", ["M10_first", "G1944"])
+def test_multiplication_table_random_pairs(built, key):
+    group = built(key)
+    table = group.multiplication_table()
+    rng = random.Random(7)
+    for _ in range(20000):
+        i, j = rng.randrange(group.n), rng.randrange(group.n)
+        assert table[i][j] == group.mult(i, j)
+
+
+def test_full_group_only_builds_no_table(monkeypatch):
+    from fanoterm.invariants import classification_table
+
+    def refuse(self):
+        raise AssertionError("multiplication table built outside a sweep")
+
+    monkeypatch.setattr(FinGroup, "multiplication_table", refuse)
+    (row,) = classification_table("M10_second", mode="full-group-only")
+    assert row.order == 720
+
+
 def test_subgroup_classes_lagrange_and_nonconjugacy(built):
     group = built("A3_5")
     classes = group.subgroup_conjugacy_classes(budget=1000)
     for c in classes:
         assert group.n % c.order == 0
     # representatives are pairwise non-conjugate: orbits are disjoint
-    orbits = [group.subgroup_orbit(c.members) for c in classes]
+    orbits = [subgroup_orbit(group, c.members) for c in classes]
     all_sets = [s for orbit in orbits for s in orbit]
     assert len(all_sets) == len(set(all_sets))
     for i, ci in enumerate(classes):
