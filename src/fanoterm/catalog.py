@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import data as _data
 from .cyclo import ONE, CycloNum, parse_cyclo
-from .groups import FinGroup, GroupId
+from .groups import FinGroup, GroupId, OrderCapExceeded
 from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose, mat_from_strings
 
 __all__ = [
@@ -42,7 +42,6 @@ class GroupDefinition:
     name: str
     order: int
     group_id: GroupId
-    variant: str
     cubic: tuple[CycloNum, ...]  # coefficients on CUBIC_MONOMIALS
     generators: tuple[MatC, ...]
 
@@ -59,7 +58,10 @@ def group_keys() -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def load_group(key: str) -> GroupDefinition:
-    """Parse one group definition file; raises KeyError on unknown keys."""
+    """Parse one group definition file; raises KeyError on unknown keys.
+
+    The ``key`` and ``variant`` headers document the file and are not read.
+    """
     if key not in group_keys():
         raise KeyError(f"unknown catalog group {key!r}; known: {', '.join(group_keys())}")
     text = _read(f"groups/{key}.txt")
@@ -99,7 +101,6 @@ def load_group(key: str) -> GroupDefinition:
         name=header["name"],
         order=order,
         group_id=group_id,
-        variant=header.get("variant", ""),
         cubic=cubic,
         generators=mats,
     )
@@ -113,8 +114,9 @@ def build_group(key: str) -> FinGroup:
 
     Every generator must have determinant 1 and preserve the cubic,
     F(Mx) = F(x), so the action is symplectic (lambda^2 = det); and the
-    enumerated order must match the definition.  A failure is a validation
-    error, not a silent fallback.
+    enumerated order must match the definition, so enumeration stops as
+    soon as it passes the declared order.  A failure is a validation error,
+    not a silent fallback.
     """
     group = _BUILD_MEMO.get(key)
     if group is not None:
@@ -128,7 +130,12 @@ def build_group(key: str) -> FinGroup:
             )
         if cubic_compose(definition.cubic, m) != definition.cubic:
             raise CatalogValidationError(f"{key}: generator {i} does not preserve the cubic")
-    group = FinGroup.generate(definition.generators)
+    try:
+        group = FinGroup.generate(definition.generators, cap=definition.order)
+    except OrderCapExceeded:
+        raise CatalogValidationError(
+            f"{key}: enumeration exceeds the declared order {definition.order}"
+        ) from None
     if group.n != definition.order:
         raise CatalogValidationError(
             f"{key}: enumerated order {group.n} != declared order {definition.order}"

@@ -115,13 +115,11 @@ def parse_subgroup_spec(spec: str, gens: Sequence[MatC]) -> list[MatC]:
 
 
 def _resolve_subgroups(group, definition, specs: Sequence[str]) -> list[GroupView]:
-    from .groups import ProjElem
-
     out = []
     for spec in specs:
         mats = parse_subgroup_spec(spec, definition.generators)
         try:
-            idxs = [group.index_of(ProjElem(m)) for m in mats]
+            idxs = [group.index_of(m) for m in mats]
         except KeyError:
             raise CliError(f"subgroup specification {spec!r} leaves the ambient group")
         except ZeroDivisionError as exc:
@@ -223,7 +221,7 @@ def cmd_detect_l3(args) -> int:
     out = [f"group {args.group}: {l3.count} codimension-2 order-3 subgroup(s)"]
     for k, gen in enumerate(l3.generators, start=1):
         out.append(f"subgroup {k}: generator element {gen}")
-        for row in group.elements[gen].mat.to_strings():
+        for row in group.elements[gen].to_strings():
             out.append("  " + ", ".join(row))
     sys.stdout.write("\n".join(out) + "\n")
     return EXIT_OK

@@ -3,7 +3,9 @@
 Values are stored in canonical form: integer coordinates over the power
 basis {zeta_n^0, ..., zeta_n^(phi(n)-1)} reduced modulo the n-th cyclotomic
 polynomial, a positive common denominator, and a minimal conductor.
-Canonical values are hash-consed, so equal values are the same object.
+Canonical values are hash-consed, so equal values are the same object:
+a value compares and hashes by identity, and every value stays in the
+intern table for the life of the process.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ def _descent(n: int, p: int) -> Optional[tuple]:
 class CycloNum:
     """A canonical element of a cyclotomic field; immutable and hash-consed."""
 
-    __slots__ = ("n", "num", "den", "_hash", "_key")
+    __slots__ = ("n", "num", "den", "_key")
 
     n: int
     num: tuple[int, ...]
@@ -249,7 +251,6 @@ class CycloNum:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash((n, num, den)))
         object.__setattr__(self, "_key", None)
         return self
 
@@ -274,10 +275,6 @@ class CycloNum:
     def is_one(self) -> bool:
         return self.n == 1 and self.num[0] == 1 and self.den == 1
 
-    @property
-    def is_rational(self) -> bool:
-        return self.n == 1
-
     def to_rational(self) -> Optional[Fraction]:
         """The rational value, or None when the conductor exceeds 1."""
         if self.n == 1:
@@ -286,7 +283,11 @@ class CycloNum:
 
     @property
     def key(self) -> tuple:
-        """Total-order sort key; canonical across runs."""
+        """Total-order sort key; canonical across runs.
+
+        Memoized, so the keys of all the matrices in a sort share one tuple
+        per distinct entry instead of holding a fresh tuple per entry.
+        """
         k = self._key
         if k is None:
             k = (self.n, self.den, self.num)
@@ -295,8 +296,7 @@ class CycloNum:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = object.__hash__  # hash-consed: identity is value equality
 
     def __eq__(self, other) -> bool:
         if other is self:
@@ -306,10 +306,6 @@ class CycloNum:
         if isinstance(other, (int, Fraction)):
             return self.n == 1 and Fraction(self.num[0], self.den) == other
         return NotImplemented
-
-    def __ne__(self, other) -> bool:
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
 
     def __add__(self, other) -> "CycloNum":
         other = _coerce(other)
@@ -472,17 +468,17 @@ def _coerce(x) -> "CycloNum":
 # canonicalization
 
 
-_INTERN: dict[tuple, CycloNum] = {}
+# the one intern table: (n, num, den), canonical or raw -> the canonical value
 _CANON_CACHE: dict[tuple, CycloNum] = {}
 _INV_CACHE: dict[CycloNum, CycloNum] = {}
 
 
 def _intern(n: int, num: tuple[int, ...], den: int) -> CycloNum:
     key = (n, num, den)
-    obj = _INTERN.get(key)
+    obj = _CANON_CACHE.get(key)
     if obj is None:
         obj = CycloNum._raw(n, num, den)
-        _INTERN[key] = obj
+        _CANON_CACHE[key] = obj
     return obj
 
 

@@ -1,9 +1,13 @@
 """Finite subgroups of PGL_d built from cyclotomic generator matrices.
 
 A group is enumerated once by breadth-first closure of the projective
-classes of its generators.  After enumeration every element is an index;
-``FinGroup.mult`` walks the element's generator word through per-generator
-translation tables, so no matrix arithmetic happens in the hot loops.  The
+classes of its generators.  A group element is its normalized matrix (the
+lift whose first nonzero entry is one); its entries are hash-consed
+cyclotomic values, so matrices compare and hash by the identity of their
+entries.  After enumeration the group theory runs on element indices:
+``FinGroup.mult`` walks the element's generator word through
+per-generator translation tables.  Matrices are multiplied again only per
+conjugacy class, by the L3 test and the class traces of the rank.  The
 subgroup sweep, which multiplies millions of times, builds the full
 multiplication table once (2 n^2 bytes, bounded by its budget) and
 multiplies by lookup.  All derived data (orderings, class lists, subgroup
@@ -17,11 +21,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclo import ONE, CycloNum
+from .cyclo import ONE
 from .linalg import MatC, identity
 
 __all__ = [
-    "ProjElem",
     "FinGroup",
     "GroupView",
     "GroupId",
@@ -47,46 +50,10 @@ class BudgetExceeded(RuntimeError):
 # projective elements
 
 
-class ProjElem:
-    """An invertible matrix normalized modulo scalars.
-
-    The canonical representative scales so the first nonzero entry in
-    row-major order equals one; two matrices differing by a scalar
-    normalize to the same value.
-    """
-
-    __slots__ = ("mat", "_hash")
-
-    def __init__(self, mat: MatC, _normalized: bool = False):
-        if not _normalized:
-            mat = _normalize(mat)
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "_hash", hash(mat))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjElem is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, ProjElem) and self.mat == other.mat
-
-    def __mul__(self, other: "ProjElem") -> "ProjElem":
-        return ProjElem(self.mat * other.mat)
-
-    def inv(self) -> "ProjElem":
-        return ProjElem(self.mat.inv())
-
-    @property
-    def key(self) -> tuple:
-        return self.mat.key
-
-    def __repr__(self):
-        return f"ProjElem({self.mat!r})"
-
-
 def _normalize(mat: MatC) -> MatC:
+    """The normal form of a matrix modulo scalars: scaled so the first
+    nonzero entry in row-major order is one.  A group element is its
+    normal form."""
     for row in mat.rows:
         for e in row:
             if not e.is_zero:
@@ -230,12 +197,12 @@ class FinGroup:
     """
 
     def __init__(self, elements, gen_elem_idx, perms, words, dim):
-        self.elements: list[ProjElem] = elements
+        self.elements: list[MatC] = elements
         self.dim = dim
         self.gen_idx: tuple[int, ...] = tuple(gen_elem_idx)
         self._perms: list[list[int]] = perms
         self._rword: list[tuple[int, ...]] = words
-        self._index: dict[ProjElem, int] = {e: i for i, e in enumerate(elements)}
+        self._index: dict[MatC, int] = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         # the inverse of g_ak...g_a1 applies the inverse generators in reverse
         inv_perms = [[0] * n for _ in perms]
@@ -263,19 +230,19 @@ class FinGroup:
         if not gens:
             raise ValueError("at least one generator is required")
         dim = gens[0].dim
-        ident = ProjElem(identity(dim), _normalized=True)
+        ident = identity(dim)
         gens_p = []
         for m in gens:
-            p = ProjElem(m)
+            p = _normalize(m)
             if p != ident and p not in gens_p:
                 gens_p.append(p)
-        elems: list[ProjElem] = [ident]
-        index: dict[ProjElem, int] = {ident: 0}
+        elems: list[MatC] = [ident]
+        index: dict[MatC, int] = {ident: 0}
         words: list[tuple[int, ...]] = [()]
         perms: list[list[int]] = [[] for _ in gens_p]
         for x, ex in enumerate(elems):
             for a, g in enumerate(gens_p):
-                y = g * ex
+                y = _normalize(g * ex)
                 yi = index.get(y)
                 if yi is None:
                     yi = len(elems)
@@ -314,9 +281,10 @@ class FinGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
-    def index_of(self, e: ProjElem) -> int:
+    def index_of(self, mat: MatC) -> int:
+        """The index of the element with lift ``mat``, any scalar multiple."""
         try:
-            return self._index[e]
+            return self._index[_normalize(mat)]
         except KeyError:
             raise KeyError("element does not belong to this group") from None
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .cyclo import CycloNum, rational
+from .cyclo import ONE, CycloNum, rational
 from .groups import (
     FinGroup,
     GroupId,
@@ -21,7 +21,7 @@ from .groups import (
     identify,
     quotient_group,
 )
-from .linalg import MatC, PolyC
+from .linalg import MatC
 from .ranks import class_traces, resolve_rank
 
 __all__ = [
@@ -56,16 +56,17 @@ class L3Set:
 def is_l3_matrix(mat: MatC) -> bool:
     """Exact normal-form test on any lift: the characteristic polynomial is
     (t^2 + a*t + a^2)^3 for a nonzero scalar a, i.e. the eigenvalues are
-    {r,r,r, rw,rw,rw} up to the lift's scalar."""
+    {r,r,r, rw,rw,rw} up to the lift's scalar.  The coefficients of that
+    cube are a^6, 3a^5, 6a^4, 7a^3, 6a^2, 3a, 1, so a is a third of c5."""
     if mat.is_scalar() is not None:
         return False
     cp = mat.char_poly()
-    c5 = cp.coeffs[5]
-    alpha = c5 * rational(1, 3)
-    if alpha.is_zero:
+    a = cp[5] * rational(1, 3)
+    if a.is_zero:
         return False
-    quad = PolyC([alpha * alpha, alpha, rational(1)])
-    return cp == quad * quad * quad
+    a2 = a * a
+    a3 = a2 * a
+    return cp == (a3 * a3, 3 * a3 * a2, 6 * a3 * a, 7 * a3, 6 * a2, 3 * a, ONE)
 
 
 def detect_l3(group: FinGroup) -> L3Set:
@@ -80,7 +81,7 @@ def detect_l3(group: FinGroup) -> L3Set:
     l3_elements = sorted(
         x
         for c in classes
-        if view.order_of(c[0]) == 3 and is_l3_matrix(group.elements[c[0]].mat)
+        if view.order_of(c[0]) == 3 and is_l3_matrix(group.elements[c[0]])
         for x in c
     )
     subgroups, generators = [], []

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cyclo import ONE, ZERO, CycloNum, parse_cyclo, rational
 
 __all__ = [
     "MatC",
-    "PolyC",
     "identity",
     "diag",
     "perm_mat",
@@ -30,7 +29,7 @@ __all__ = [
 class MatC:
     """A dim x dim matrix of canonical cyclotomic entries."""
 
-    __slots__ = ("rows", "dim", "_hash", "_nnz")
+    __slots__ = ("rows", "dim", "_nnz")
 
     def __init__(self, rows: Sequence[Sequence[CycloNum]]):
         rows = tuple(tuple(r) for r in rows)
@@ -39,14 +38,13 @@ class MatC:
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_hash", hash(rows))
         object.__setattr__(self, "_nnz", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatC is immutable")
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MatC) and self.rows == other.rows
@@ -141,8 +139,9 @@ class MatC:
             t = t + self.rows[i][i]
         return t
 
-    def char_poly(self) -> "PolyC":
-        """Monic characteristic polynomial det(tI - A), ascending coefficients.
+    def char_poly(self) -> tuple[CycloNum, ...]:
+        """Monic characteristic polynomial det(tI - A) as its tuple of
+        coefficients, ascending degree.
 
         Faddeev-LeVerrier recursion: only divisions by 1..dim occur.
         """
@@ -156,10 +155,10 @@ class MatC:
             if k < d:
                 m = am.add(scalar_mat(self.dim, c))
         # coeffs = [c_d, c_{d-1}, ..., c_0] for t^d + c_{d-1}... ; reverse
-        return PolyC(tuple(reversed(coeffs)))
+        return tuple(reversed(coeffs))
 
     def det(self) -> CycloNum:
-        c0 = self.char_poly().coeffs[0]
+        c0 = self.char_poly()[0]
         return c0 if self.dim % 2 == 0 else -c0
 
     def is_scalar(self) -> Optional[CycloNum]:
@@ -181,60 +180,6 @@ class MatC:
     def __repr__(self) -> str:
         body = "; ".join(",".join(e.to_string() for e in row) for row in self.rows)
         return f"MatC[{body}]"
-
-
-class PolyC:
-    """Polynomial with cyclotomic coefficients, ascending degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[CycloNum]):
-        cs = list(coeffs)
-        while len(cs) > 1 and cs[-1].is_zero:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyC is immutable")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyC) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __mul__(self, other: "PolyC") -> "PolyC":
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return PolyC(out)
-
-    def eval_matrix(self, m: MatC) -> MatC:
-        """Horner evaluation of the polynomial at a matrix argument."""
-        acc = scalar_mat(m.dim, self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * m
-            acc = acc.add(scalar_mat(m.dim, c))
-        return acc
-
-    def __repr__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            if k == 0:
-                terms.append(c.to_string())
-            else:
-                mono = "t" if k == 1 else f"t^{k}"
-                cs = c.to_string()
-                terms.append(mono if cs == "1" else f"-{mono}" if cs == "-1" else f"({cs})*{mono}")
-        return " + ".join(reversed(terms)) if terms else "0"
 
 
 def identity(d: int) -> MatC:

@@ -66,8 +66,8 @@ def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
     traces = []
     for members in classes:
         x = members[0]
-        m = group.elements[x].mat
-        m_inv = group.elements[group.inv(x)].mat
+        m = group.elements[x]
+        m_inv = group.elements[group.inv(x)]
         s = sum((m[0, j] * m_inv[j, 0] for j in range(d)), ZERO)
         m2 = m * m
         p1, p2 = m.trace(), m2.trace()

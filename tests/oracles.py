@@ -23,6 +23,31 @@ def poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def cyclo_poly_product(*factors: tuple) -> tuple:
+    """The product of polynomials with cyclotomic coefficients, each an
+    ascending coefficient tuple like ``MatC.char_poly()``."""
+    from fanoterm.cyclo import ONE, ZERO
+
+    out = (ONE,)
+    for f in factors:
+        prod = [ZERO] * (len(out) + len(f) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f):
+                prod[i + j] = prod[i + j] + x * y
+        out = tuple(prod)
+    return out
+
+
+def poly_at_matrix(coeffs: tuple, m):
+    """Horner evaluation of an ascending coefficient tuple at a matrix."""
+    from fanoterm.linalg import scalar_mat
+
+    acc = scalar_mat(m.dim, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = (acc * m).add(scalar_mat(m.dim, c))
+    return acc
+
+
 def poly_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
     a = list(a)
     dm = len(m) - 1
@@ -145,7 +170,7 @@ def monomial_invariant_dim(h) -> int:
 
     total = ZERO
     for idx in h.members:
-        total = total + _w_trace(h.ambient.elements[idx].mat)
+        total = total + _w_trace(h.ambient.elements[idx])
     value = (total * rational(Fraction(1, h.order))).to_rational()
     assert value is not None and value.denominator == 1 and 0 <= value <= 20, value
     return int(value)
@@ -206,7 +231,7 @@ def scan_l3(group) -> tuple[int, ...]:
         if fs in seen:
             continue
         seen.add(fs)
-        mat = group.elements[x].mat
+        mat = group.elements[x]
         if l3_trace_prefilter(mat) and is_l3_matrix(mat):
             gens.append(min(x, x2))
     return tuple(sorted(gens))

@@ -112,6 +112,11 @@ def corrupted(monkeypatch):
     pytest.param("cubic:", "# cubic:", "missing header 'cubic'", id="missing-cubic"),
     pytest.param("id:", "# id:", "missing header 'id'", id="missing-id"),
     pytest.param("id: 48,29", "id: 48", "bad entry", id="id-entry"),
+    # enumeration stops once it passes the declared order
+    pytest.param("order: 48", "order: 24", "enumeration exceeds the declared order 24",
+                 id="order-too-small"),
+    pytest.param("order: 48", "order: 96", "enumerated order 48 != declared order 96",
+                 id="order-too-large"),
     # one sign flipped in generator 3
     pytest.param("generator 3:\n1,", "generator 3:\n-1,", "generator 3 has determinant -1",
                  id="generator-determinant"),

@@ -256,3 +256,22 @@ def test_run_writes_nothing_to_disk(tmp_path):
                               env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # cyclotomic values hash by identity, so only fresh processes with
+    # different hash seeds can show output that follows hash order
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(pathlib.Path(fanoterm.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        runs = []
+        for args in (["table", "--group", "Q8_S3", "--all-subgroups", "--format", "structured"],
+                     ["detect-l3", "--group", "A3_5"]):
+            proc = subprocess.run([sys.executable, "-m", "fanoterm.cli", *args],
+                                  env=env, capture_output=True, text=True)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            runs.append(proc.stdout)
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]

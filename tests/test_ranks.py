@@ -5,7 +5,7 @@ import pytest
 
 from fanoterm.catalog import CatalogValidationError, build_group, load_group
 from fanoterm.cyclo import ONE, root_of_unity
-from fanoterm.groups import GroupId, ProjElem, identify
+from fanoterm.groups import GroupId, identify
 from fanoterm.invariants import detect_l3, singular_invariants
 from fanoterm.linalg import MatC, diag, perm_mat
 from fanoterm.ranks import class_traces, coinvariant_rank, rank_candidates, resolve_rank
@@ -31,7 +31,7 @@ def fermat():
 
 
 def _sub(fermat, mats):
-    return fermat.subgroup(gens=[fermat.index_of(ProjElem(m)) for m in mats])
+    return fermat.subgroup(gens=[fermat.index_of(m) for m in mats])
 
 
 @lru_cache(maxsize=None)
