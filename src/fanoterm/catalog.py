@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import data as _data
 from .cyclo import ONE, CycloNum, parse_cyclo
-from .groups import FinGroup, GroupId, OrderCapExceeded
+from .groups import EnumerationUnproved, FinGroup, GroupId, OrderCapExceeded
 from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose, mat_from_strings
 
 __all__ = [
@@ -115,7 +115,8 @@ def build_group(key: str) -> FinGroup:
     Every generator must have determinant 1 and preserve the cubic,
     F(Mx) = F(x), so the action is symplectic (lambda^2 = det); and the
     enumerated order must match the definition, so enumeration stops as
-    soon as it passes the declared order.  A failure is a validation error,
+    soon as it passes the declared order; every edge of the enumeration is
+    proved exact (``FinGroup.generate``).  A failure is a validation error,
     not a silent fallback.
     """
     group = _BUILD_MEMO.get(key)
@@ -136,6 +137,8 @@ def build_group(key: str) -> FinGroup:
         raise CatalogValidationError(
             f"{key}: enumeration exceeds the declared order {definition.order}"
         ) from None
+    except EnumerationUnproved as exc:
+        raise CatalogValidationError(f"{key}: enumeration is not exact: {exc}") from None
     if group.n != definition.order:
         raise CatalogValidationError(
             f"{key}: enumerated order {group.n} != declared order {definition.order}"

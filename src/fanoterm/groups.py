@@ -4,7 +4,22 @@ A group is enumerated once by breadth-first closure of the projective
 classes of its generators.  A group element is its normalized matrix (the
 lift whose first nonzero entry is one); its entries are hash-consed
 cyclotomic values, so matrices compare and hash by the identity of their
-entries.  After enumeration the group theory runs on element indices:
+entries.
+
+The closure runs on residues: with N the lcm of the entries' conductors
+and p = 1 (mod N) an odd prime, zeta_N -> omega reduces every matrix mod
+(p, zeta_N - omega), and the BFS compares residues, one ``bytes`` per
+element when p < 256.  Exact normal forms are computed only along a
+spanning tree of the residue Cayley graph, one product per element.  Every
+other edge x -a-> y is then proved exact: with A = g_a e_x and (i0, j0) the
+first nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic integer
+whose conjugates are at most B in size, B from the L1 norms of the
+entries; it lies in the prime above p, so p divides its norm, which is at
+most B^phi(N), and p > B^phi(N) makes it zero.  When p is too small for
+that, every edge is rechecked mod a second prime P > B^phi(N).  A failed
+proof is an error, so generators of an infinite group never yield a group.
+
+After enumeration the group theory runs on element indices:
 ``FinGroup.mult`` walks the element's generator word through
 per-generator translation tables.  Matrices are multiplied again only per
 conjugacy class, by the L3 test and the class traces of the rank.  The
@@ -16,12 +31,15 @@ lattices) is canonical: two runs produce identical output.
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclo import ONE
+from .cyclo import ONE, ZERO, CycloNum, cyclotomic_poly, rational, root_of_unity
 from .linalg import MatC, identity
 
 __all__ = [
@@ -32,6 +50,7 @@ __all__ = [
     "Fingerprint",
     "OrderCapExceeded",
     "BudgetExceeded",
+    "EnumerationUnproved",
     "fingerprint",
     "identify",
     "quotient_group",
@@ -44,6 +63,12 @@ class OrderCapExceeded(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     """A full subgroup sweep was requested above the enumeration budget."""
+
+
+class EnumerationUnproved(RuntimeError):
+    """An edge of the residue Cayley graph does not hold exactly, or the
+    residue prime is unusable: the generators do not give the finite group
+    their residues show."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +86,318 @@ def _normalize(mat: MatC) -> MatC:
                     return mat
                 return mat.scale(e.inv())
     raise ZeroDivisionError("zero matrix has no projective class")
+
+
+# ---------------------------------------------------------------------------
+# residues modulo a split prime
+#
+# zeta_N -> omega, a root of the N-th cyclotomic polynomial mod m, is a ring
+# map from Z[1/D][zeta_N] onto Z/m when m is coprime to D.  A matrix is
+# reduced to the flat row-major tuple of its entries' residues.
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin on the first twelve primes: exact below 3.1e23 and a
+    probable prime above, which the proof does not rely on (it checks
+    that omega is a root of the cyclotomic polynomial instead)."""
+    if m < 2:
+        return False
+    for q in _MR_BASES:
+        if m % q == 0:
+            return m == q
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MR_BASES:
+        x = pow(q, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _cyclotomic_root(m: int, n_cond: int) -> Optional[int]:
+    """A root mod m of the n_cond-th cyclotomic polynomial, from the least
+    base g >= 2 of the form g^((m - 1)/n_cond); None if none is found.  For
+    a prime m = 1 mod N any primitive root is such a base, and one lies far
+    below the bound on g."""
+    poly = cyclotomic_poly(n_cond)
+    for g in range(2, min(m, 1 << 16)):
+        w = pow(g, (m - 1) // n_cond, m)
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * w + c) % m
+        if acc == 0:
+            return w
+    return None
+
+
+def _reducer(m: int, n_cond: int, w: int) -> Callable[[CycloNum], Optional[int]]:
+    """The residue of a value under zeta_N -> w mod m, None when m divides
+    its denominator; memoized per (hash-consed) value."""
+    memo: dict[CycloNum, Optional[int]] = {}
+    powers: dict[int, list[int]] = {}
+
+    def reduce(e: CycloNum) -> Optional[int]:
+        if e in memo:
+            return memo[e]
+        r = None
+        if math.gcd(e.den, m) == 1:
+            ws = powers.get(e.n)
+            if ws is None:
+                wn = pow(w, n_cond // e.n, m)
+                ws = powers[e.n] = [pow(wn, k, m) for k in range(len(e.num))]
+            r = sum(c * x for c, x in zip(e.num, ws)) * pow(e.den, -1, m) % m
+        memo[e] = r
+        return r
+
+    return reduce
+
+
+def _nonsingular_mod(flat: Sequence[int], d: int, m: int) -> bool:
+    """Gaussian elimination mod a prime m on a flat d x d residue matrix."""
+    rows = [list(flat[i * d:(i + 1) * d]) for i in range(d)]
+    for col in range(d):
+        piv = next((r for r in range(col, d) if rows[r][col] % m), None)
+        if piv is None:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = pow(rows[col][col], -1, m)
+        for r in range(col + 1, d):
+            f = rows[r][col] * inv % m
+            if f:
+                rows[r] = [(x - f * y) % m for x, y in zip(rows[r], rows[col])]
+    return True
+
+
+def _prime_data(p: int, n_cond: int, gens: Sequence[MatC]):
+    """(reduce, generator residues) when p is a usable residue prime: odd,
+    1 mod N, dividing no entry denominator and leaving every generator
+    nonsingular mod p; else None."""
+    if p % 2 == 0 or (p - 1) % n_cond:
+        return None
+    w = _cyclotomic_root(p, n_cond)
+    if w is None:
+        return None
+    reduce = _reducer(p, n_cond, w)
+    residues = []
+    for g in gens:
+        flat = [reduce(e) for row in g.rows for e in row]
+        if None in flat or not _nonsingular_mod(flat, g.dim, p):
+            return None
+        residues.append(flat)
+    return reduce, residues
+
+
+def _residue_prime(gens: Sequence[MatC], n_cond: int) -> int:
+    """The largest usable residue prime below 256, so that a residue is
+    one ``bytes``; above 256 the least one, when N leaves none below."""
+    below = range(1 + n_cond * (254 // n_cond), 2, -n_cond)
+    above = itertools.count(1 + n_cond * (254 // n_cond + 1), n_cond)
+    for p in itertools.chain(below, above):
+        if _is_prime(p) and _prime_data(p, n_cond, gens) is not None:
+            return p
+
+
+def _residue_mults(gen_residues: Sequence[Sequence[int]], d: int, p: int) -> list[Callable]:
+    """Per generator g, x -> the normal form mod p of g x.
+
+    Residues are ``bytes`` when p < 256: a row of g x is a sum of rows of x,
+    each scaled by ``bytes.translate`` through a table of multiples.  A
+    monomial g takes one translate per row, with the scale that normalizes
+    the product folded in.  Above 256 residues are tuples.
+    """
+    if p < 256:
+        tables = [bytes(c * v % p for v in range(256)) for c in range(p)]
+        inv = [0] + [pow(c, -1, p) for c in range(1, p)]
+        mod = bytes(s % p for s in range(d * (p - 1) + 1)).__getitem__
+
+    def make(flat):
+        rows = [[(k, flat[i * d + k]) for k in range(d) if flat[i * d + k]] for i in range(d)]
+        if p >= 256:
+            def mult(x):
+                out = [sum(c * x[k * d + j] for k, c in row) % p for row in rows for j in range(d)]
+                scale = pow(next(v for v in out if v), -1, p)
+                return tuple(v * scale % p for v in out)
+        elif all(len(row) == 1 for row in rows):
+            (k0, c0), = rows[0]
+            s0, e0 = k0 * d, (k0 + 1) * d
+            # by_scale[t]: (row slice, table of c t) per row of g
+            by_scale = [[(k * d, (k + 1) * d, tables[c * t % p]) for ((k, c),) in rows]
+                        for t in range(p)]
+
+            def mult(x: bytes) -> bytes:
+                spec = by_scale[inv[c0 * x[s0:e0].lstrip(b"\0")[0] % p]]
+                return b"".join([x[s:e].translate(t) for s, e, t in spec])
+        else:
+            spec = [[(k * d, (k + 1) * d, tables[c]) for k, c in row] for row in rows]
+
+            def mult(x: bytes) -> bytes:
+                out = b"".join([bytes(map(mod, map(sum, zip(*[x[s:e].translate(t)
+                                                               for s, e, t in row]))))
+                                for row in spec])
+                lead = out.lstrip(b"\0")[0]
+                return out if lead == 1 else out.translate(tables[inv[lead]])
+        return mult
+
+    return [make(flat) for flat in gen_residues]
+
+
+def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int):
+    """Breadth-first closure of the generators' classes in PGL_d(Z/p):
+    (residues, words, perms) with perms[a][x] the vertex g_a x.  The
+    residue index is local, so it is freed on return."""
+    mults = _residue_mults(gen_residues, d, p)
+    r0 = (bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))
+    residues = [r0]
+    index = {r0: 0}
+    words: list[tuple[int, ...]] = [()]
+    perms: list[list[int]] = [[] for _ in mults]
+    for x, rx in enumerate(residues):
+        for a, mult in enumerate(mults):
+            ry = mult(rx)
+            y = index.get(ry)
+            if y is None:
+                y = len(residues)
+                if y >= cap:
+                    raise OrderCapExceeded(f"group closure exceeded the cap of {cap} elements")
+                residues.append(ry)
+                index[ry] = y
+                words.append(words[x] + (a,))
+            perms[a].append(y)
+    return residues, words, perms
+
+
+def _exact_tree(gens: Sequence[MatC], perms: Sequence[Sequence[int]], ident: MatC):
+    """The exact normal form of every vertex, one exact product per vertex
+    along a spanning tree of the residue graph, and each vertex's tree
+    edge (a, x).  The tree takes an edge of the sparsest generator
+    whenever one reaches a new vertex (every known vertex joins each
+    generator's queue), so a dense generator is used about once per orbit
+    of the sparse ones."""
+    n = len(perms[0]) if perms else 1
+    elems: list[Optional[MatC]] = [None] * n
+    elems[0] = ident
+    parent: list[Optional[tuple[int, int]]] = [None] * n
+    order = [0]  # vertices in the order they became known
+    cost = sorted(range(len(gens)), key=lambda a: sum(map(len, gens[a].nnz)))
+    done = [0] * len(gens)  # generator a has been tried on order[:done[a]]
+    while len(order) < n:
+        for a in cost:
+            if done[a] < len(order):
+                break
+        x = order[done[a]]
+        done[a] += 1
+        y = perms[a][x]
+        if elems[y] is None:
+            elems[y] = _normalize(gens[a] * elems[x])
+            parent[y] = (a, x)
+            order.append(y)
+    return elems, parent
+
+
+def _entries(m: MatC) -> Iterable[CycloNum]:
+    return itertools.chain.from_iterable(m.rows)
+
+
+def _l1_bound(e: CycloNum, scale: int) -> int:
+    """An integer bound on every conjugate of scale * e: the L1 norm of its
+    coordinates, each power of zeta having absolute value one."""
+    return sum(map(abs, e.num)) * (scale // e.den)
+
+
+def _conj_bound(e: CycloNum, scale: int) -> int:
+    """A tighter such bound: |sigma(e)|^2 is sigma(e * conj(e)), at most the
+    L1 norm of that value's coordinates."""
+    if e.is_zero:
+        return 0
+    conj = ZERO
+    for k, c in enumerate(e.num):
+        if c:
+            conj = conj + rational(c, e.den) * root_of_unity(e.n, -k)
+    sq = e * conj
+    num, den = scale * scale * sum(map(abs, sq.num)), sq.den
+    b = math.isqrt(num // den)
+    while b * b * den < num:
+        b += 1
+    return b
+
+
+def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], parent: Sequence,
+                 residues: Sequence, perms: Sequence[Sequence[int]], n_cond: int,
+                 p: int, reduce: Callable[[CycloNum], Optional[int]]) -> None:
+    """Prove every edge x -a-> y of the residue graph exact:
+    ``_normalize(g_a * e_x) == e_y``; tree edges hold by construction.
+
+    With A = g_a e_x and (i0, j0) the first nonzero entry of e_y, the edge
+    holds iff every A_ij - A_i0j0 y_ij is zero.  D clears the denominators,
+    so D (A_ij - A_i0j0 y_ij) is an algebraic integer, and B, built from
+    bounds on the entries, bounds each of its conjugates.  When the
+    residues of e_x and e_y are the BFS's, it lies in (p, zeta_N - omega),
+    so p divides its norm, which is at most B^phi(N) in size: for
+    p > B^phi(N) it is zero.  Otherwise every non-tree edge is rechecked
+    mod a second prime P > B^phi(N) by the same argument.  B >= 2, so the
+    tighter entry bound is computed only when p > 2^phi(N) leaves the
+    first way open.
+    """
+    phi = len(cyclotomic_poly(n_cond)) - 1
+    entry_bound = _conj_bound if p > 2 ** phi else _l1_bound
+    seen: set[CycloNum] = set()
+    for m in elems:
+        seen.update(*m.rows)
+    delta = math.lcm(*(e.den for e in seen))  # Delta e_x is integral for every x
+    c_max = max(entry_bound(e, delta) for e in seen)
+    r_max = 1  # the largest row sum of the conjugate bounds of delta_g g_a
+    for g in gens:
+        dg = math.lcm(*(e.den for e in _entries(g)))
+        for row in g.rows:
+            r_max = max(r_max, sum(entry_bound(e, dg) for e in row))
+    # |conj(D (A_ij - A_i0j0 y_ij))| <= Delta R C + R C C, D = delta_g Delta^2
+    bound = (r_max * c_max * (delta + c_max)) ** phi
+    if p > bound:
+        values = {e: reduce(e) for e in seen}
+        if None not in values.values():
+            pack = bytes if p < 256 else tuple
+            get = values.__getitem__
+            if all(pack(map(get, _entries(m))) == r for m, r in zip(elems, residues)):
+                return
+    seen.update(*(_entries(g) for g in gens))
+    # a prime above every denominator divides none of them
+    big = 1 + n_cond * (max(bound, max(e.den for e in seen)) // n_cond + 1)
+    while not _is_prime(big):
+        big += n_cond
+    w = _cyclotomic_root(big, n_cond)
+    if w is None:
+        raise EnumerationUnproved(f"no root of the {n_cond}-th cyclotomic polynomial mod {big}")
+    reduce_big = _reducer(big, n_cond, w)
+    values = {e: reduce_big(e) for e in seen}
+    if None in values.values():
+        raise EnumerationUnproved(f"a denominator is not invertible mod {big}")
+    get = values.__getitem__
+    flats = [list(map(get, _entries(m))) for m in elems]
+    d = elems[0].dim
+    columns = [[f[j::d] for j in range(d)] for f in flats]
+    leads = [list(_entries(m)).index(ONE) for m in elems]
+    for a, g in enumerate(gens):
+        grows = [list(map(get, row)) for row in g.rows]
+        for x, y in enumerate(perms[a]):
+            if parent[y] == (a, x):
+                continue
+            prod = [sum(map(operator.mul, gi, cj)) for gi in grows for cj in columns[x]]
+            lead = prod[leads[y]]
+            if any((u - lead * v) % big for u, v in zip(prod, flats[y])):
+                raise EnumerationUnproved(
+                    f"generator {a} times element {x} is not element {y} (checked mod {big})"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +449,11 @@ class GroupView:
         return self.mult(self.mult(self.inv(g), x), g)
 
     def closure(self, gens: Iterable[int]) -> frozenset[int]:
+        """The subgroup generated by gens.  When they are all members, it is
+        a subgroup of this view's group, so past half its order it is the
+        whole group (Lagrange) and the closure stops there."""
         gen_list = sorted({g for g in gens if g != 0})
+        half = self.order // 2 if self.members.issuperset(gen_list) else math.inf
         seen = {0}
         queue = [0]
         mult = self.mult
@@ -122,6 +463,8 @@ class GroupView:
                 if y not in seen:
                     seen.add(y)
                     queue.append(y)
+            if len(seen) > half:
+                return self.members
         return frozenset(seen)
 
     def class_map(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
@@ -222,10 +565,20 @@ class FinGroup:
 
     @classmethod
     def generate(cls, gens: Sequence[MatC], cap: int = 250000) -> "FinGroup":
-        """Breadth-first closure of the projective classes of the generators.
+        """Breadth-first closure of the projective classes of the generators,
+        run on residues and proved exact.
 
-        Element y = g_a * x is found from x, so its word is x's word plus a,
-        and ``mult`` replays the word through the translation tables.
+        The BFS runs in PGL_d(Z/p) for a prime p = 1 mod N
+        (``_residue_prime``), N the lcm of the entries' conductors, under
+        zeta_N -> omega: reduction mod an odd split prime is injective on a
+        finite matrix group (Minkowski), so the residue Cayley graph is the
+        group's.  Exact normal forms are then computed only along a spanning
+        tree of that graph, n - 1 products (``_exact_tree``), and every other
+        edge is proved exact by a norm bound (``_prove_edges``); a failed
+        proof raises EnumerationUnproved, so generators of an infinite group
+        never yield a group.  Element y = g_a * x is found from x, so its
+        word is x's word plus a, and ``mult`` replays the word through the
+        translation tables.
         """
         if not gens:
             raise ValueError("at least one generator is required")
@@ -233,37 +586,35 @@ class FinGroup:
         ident = identity(dim)
         gens_p = []
         for m in gens:
-            p = _normalize(m)
-            if p != ident and p not in gens_p:
-                gens_p.append(p)
-        elems: list[MatC] = [ident]
-        index: dict[MatC, int] = {ident: 0}
-        words: list[tuple[int, ...]] = [()]
-        perms: list[list[int]] = [[] for _ in gens_p]
-        for x, ex in enumerate(elems):
-            for a, g in enumerate(gens_p):
-                y = _normalize(g * ex)
-                yi = index.get(y)
-                if yi is None:
-                    yi = len(elems)
-                    if yi >= cap:
-                        raise OrderCapExceeded(
-                            f"group closure exceeded the cap of {cap} elements"
-                        )
-                    elems.append(y)
-                    index[y] = yi
-                    words.append(words[x] + (a,))
-                perms[a].append(yi)
+            g = _normalize(m)
+            if g != ident and g not in gens_p:
+                gens_p.append(g)
+        # every product of the generators has its entries in Q(zeta_N)
+        n_cond = math.lcm(*(e.n for g in gens_p for e in _entries(g)))
+        p = _residue_prime(gens_p, n_cond)
+        data = _prime_data(p, n_cond, gens_p)
+        if data is None:
+            raise EnumerationUnproved(
+                f"{p} is not a usable residue prime for conductor {n_cond}"
+            )
+        reduce, gen_residues = data
+        residues, words, perms = _residue_bfs(gen_residues, dim, p, cap)
+        elems, parent = _exact_tree(gens_p, perms, ident)
+        _prove_edges(gens_p, elems, parent, residues, perms, n_cond, p, reduce)
+        del residues, parent
         n = len(elems)
         # canonical order: identity first, the rest by serialized normal form
         order = [0] + sorted(range(1, n), key=lambda i: elems[i].key)
         relabel = [0] * n
         for new, old in enumerate(order):
             relabel[old] = new
-        new_perms = [[relabel[p[old]] for old in order] for p in perms]
-        gen_elem_idx = [relabel[index[g]] for g in gens_p]
-        return cls([elems[i] for i in order], gen_elem_idx, new_perms,
-                   [words[i] for i in order], dim)
+        new_perms = [[relabel[perm[old]] for old in order] for perm in perms]
+        gen_elem_idx = [relabel[perm[0]] for perm in perms]
+        group = cls([elems[i] for i in order], gen_elem_idx, new_perms,
+                    [words[i] for i in order], dim)
+        if len(group._index) != n:  # implied by the proof; checked as it is free
+            raise EnumerationUnproved("two vertices of the residue graph are one element")
+        return group
 
     # -- index arithmetic ---------------------------------------------------
 

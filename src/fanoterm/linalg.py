@@ -55,11 +55,12 @@ class MatC:
 
     @property
     def nnz(self) -> tuple[tuple[int, ...], ...]:
-        """Column indices of the nonzero entries, per row."""
+        """Column indices of the nonzero entries, per row (zero is hash-consed,
+        so it is the one value ``ZERO``)."""
         cached = self._nnz
         if cached is None:
             cached = tuple(
-                tuple(j for j, e in enumerate(row) if not e.is_zero) for row in self.rows
+                tuple(j for j, e in enumerate(row) if e is not ZERO) for row in self.rows
             )
             object.__setattr__(self, "_nnz", cached)
         return cached
@@ -77,17 +78,19 @@ class MatC:
             raise ValueError("dimension mismatch")
         d = self.dim
         arows = self.rows
+        annz = self.nnz
         brows = other.rows
         bnnz = other.nnz
         out = []
         for i in range(d):
             arow = arows[i]
             acc = [ZERO] * d
-            for k in self.nnz[i]:
+            for k in annz[i]:
                 aik = arow[k]
                 brow = brows[k]
                 for j in bnnz[k]:
-                    acc[j] = acc[j] + aik * brow[j]
+                    a = acc[j]
+                    acc[j] = aik * brow[j] if a is ZERO else a + aik * brow[j]
             out.append(acc)
         return MatC(out)
 

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: Fraction-coefficient polynomial
 arithmetic with textbook long division, a direct trace over monomials
 for ranks on the Fermat cubic, element-by-element scans of the group
-table for the L3 set and the singular invariants, and a subgroup-class
+table for the L3 set and the singular invariants, a subgroup-class
 sweep that joins every class with every cyclic subgroup by word-walk
-products, so results never depend on the code paths under test.
+products, and an enumeration by one exact product per Cayley-graph
+edge, so results never depend on the code paths under test.
 """
 
 from __future__ import annotations
@@ -322,3 +323,46 @@ def all_joins_subgroup_classes(group) -> list[list[int]]:
             joined.add(union)
             register(view.closure(rep_gens + (gen,)), rep_gens + (gen,))
     return sorted((sorted(rep) for rep, _ in classes), key=lambda m: (len(m), m))
+
+
+def exact_bfs_group(gens, cap: int = 250000):
+    """FinGroup.generate by one exact product per Cayley-graph edge: the
+    breadth-first closure of the generators' projective classes, each
+    product normalized and looked up exactly."""
+    from fanoterm.groups import FinGroup, OrderCapExceeded, _normalize
+    from fanoterm.linalg import identity
+
+    if not gens:
+        raise ValueError("at least one generator is required")
+    dim = gens[0].dim
+    ident = identity(dim)
+    gens_p = []
+    for m in gens:
+        g = _normalize(m)
+        if g != ident and g not in gens_p:
+            gens_p.append(g)
+    elems = [ident]
+    index = {ident: 0}
+    words = [()]
+    perms = [[] for _ in gens_p]
+    for x, ex in enumerate(elems):
+        for a, g in enumerate(gens_p):
+            y = _normalize(g * ex)
+            yi = index.get(y)
+            if yi is None:
+                yi = len(elems)
+                if yi >= cap:
+                    raise OrderCapExceeded(f"group closure exceeded the cap of {cap} elements")
+                elems.append(y)
+                index[y] = yi
+                words.append(words[x] + (a,))
+            perms[a].append(yi)
+    n = len(elems)
+    order = [0] + sorted(range(1, n), key=lambda i: elems[i].key)
+    relabel = [0] * n
+    for new, old in enumerate(order):
+        relabel[old] = new
+    new_perms = [[relabel[p[old]] for old in order] for p in perms]
+    gen_elem_idx = [relabel[index[g]] for g in gens_p]
+    return FinGroup([elems[i] for i in order], gen_elem_idx, new_perms,
+                    [words[i] for i in order], dim)

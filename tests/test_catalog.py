@@ -87,15 +87,16 @@ def test_rank_rows_cover_all_labels():
 
 @pytest.fixture
 def corrupted(monkeypatch):
-    """Serve Q8_S3's definition file with one text substitution applied."""
+    """Serve a group's definition file with one text substitution applied."""
 
-    def apply(old, new):
-        text = catalog._read("groups/Q8_S3.txt")
+    def apply(key, old, new):
+        path = f"groups/{key}.txt"
+        text = catalog._read(path)
         assert old in text
         bad = text.replace(old, new, 1)
         real_read = catalog._read
         monkeypatch.setattr(catalog, "_read",
-                            lambda name: bad if name == "groups/Q8_S3.txt" else real_read(name))
+                            lambda name: bad if name == path else real_read(name))
         monkeypatch.setattr(catalog, "_BUILD_MEMO", {})
         load_group.cache_clear()
 
@@ -103,35 +104,40 @@ def corrupted(monkeypatch):
     load_group.cache_clear()
 
 
-@pytest.mark.parametrize("old,new,message", [
+@pytest.mark.parametrize("key,old,new,message", [
     # the coefficient of x1*x4*x5, the first ", 2, " of the file, from 2 to 3
-    pytest.param(", 2, ", ", 3, ", "does not preserve the cubic", id="cubic-coefficient"),
-    pytest.param("cubic: 1,", "cubic: 1, 0,", "needs 56 coefficients", id="cubic-length"),
-    pytest.param("cubic: 1,", "cubic: foo,", "bad entry", id="cubic-entry"),
-    pytest.param("E(8)^5", "E(8)^+", "bad entry", id="generator-entry"),
-    pytest.param("cubic:", "# cubic:", "missing header 'cubic'", id="missing-cubic"),
-    pytest.param("id:", "# id:", "missing header 'id'", id="missing-id"),
-    pytest.param("id: 48,29", "id: 48", "bad entry", id="id-entry"),
+    pytest.param("Q8_S3", ", 2, ", ", 3, ", "does not preserve the cubic", id="cubic-coefficient"),
+    pytest.param("Q8_S3", "cubic: 1,", "cubic: 1, 0,", "needs 56 coefficients", id="cubic-length"),
+    pytest.param("Q8_S3", "cubic: 1,", "cubic: foo,", "bad entry", id="cubic-entry"),
+    pytest.param("Q8_S3", "E(8)^5", "E(8)^+", "bad entry", id="generator-entry"),
+    pytest.param("Q8_S3", "cubic:", "# cubic:", "missing header 'cubic'", id="missing-cubic"),
+    pytest.param("Q8_S3", "id:", "# id:", "missing header 'id'", id="missing-id"),
+    pytest.param("Q8_S3", "id: 48,29", "id: 48", "bad entry", id="id-entry"),
     # enumeration stops once it passes the declared order
-    pytest.param("order: 48", "order: 24", "enumeration exceeds the declared order 24",
+    pytest.param("Q8_S3", "order: 48", "order: 24", "enumeration exceeds the declared order 24",
                  id="order-too-small"),
-    pytest.param("order: 48", "order: 96", "enumerated order 48 != declared order 96",
+    pytest.param("Q8_S3", "order: 48", "order: 96", "enumerated order 48 != declared order 96",
                  id="order-too-large"),
     # one sign flipped in generator 3
-    pytest.param("generator 3:\n1,", "generator 3:\n-1,", "generator 3 has determinant -1",
+    pytest.param("Q8_S3", "generator 3:\n1,", "generator 3:\n-1,", "generator 3 has determinant -1",
                  id="generator-determinant"),
     # two signs flipped in generator 1: determinant still 1, but x0 -> -x0
-    pytest.param("generator 1:\n1, 0, 0, 0, 0, 0\n0, 0, 1,",
+    pytest.param("Q8_S3", "generator 1:\n1, 0, 0, 0, 0, 0\n0, 0, 1,",
                  "generator 1:\n-1, 0, 0, 0, 0, 0\n0, 0, -1,",
                  "generator 1 does not preserve the cubic", id="generator-cubic"),
+    # L2_11's h1 with the sign of its fifth row's final entry dropped, the
+    # matrix of infinite order that its variant note describes
+    pytest.param("L2_11", ", 1, -(E(11)+E(11)^3+E(11)^4+E(11)^5+E(11)^9)",
+                 ", 1, E(11)+E(11)^3+E(11)^4+E(11)^5+E(11)^9",
+                 "generator 1 does not preserve the cubic", id="L2_11-h1-sign"),
 ])
-def test_corrupted_definition_fails_build(corrupted, capsys, old, new, message):
-    corrupted(old, new)
+def test_corrupted_definition_fails_build(corrupted, capsys, key, old, new, message):
+    corrupted(key, old, new)
     with pytest.raises(CatalogValidationError, match=message):
-        build_group("Q8_S3")
-    assert cli_main(["validate-catalog", "--group", "Q8_S3"]) == EXIT_VALIDATION
+        build_group(key)
+    assert cli_main(["validate-catalog", "--group", key]) == EXIT_VALIDATION
     out = capsys.readouterr().out
-    assert out.startswith("FAIL Q8_S3: ") and message in out and out.count("Q8_S3") == 1
+    assert out.startswith(f"FAIL {key}: ") and message in out and out.count(key) == 1
 
 
 def test_shipped_generators_have_determinant_one_and_preserve_the_cubic():

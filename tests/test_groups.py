@@ -2,11 +2,16 @@ import random
 
 import pytest
 
-from fanoterm.cyclo import ONE, root_of_unity
+from fanoterm.cyclo import ONE, ZERO, root_of_unity
+from fanoterm import catalog, groups
+from fanoterm.catalog import load_group
+from fanoterm.cli import EXIT_VALIDATION, main as cli_main
 from fanoterm.groups import (
     BudgetExceeded,
+    EnumerationUnproved,
     FinGroup,
     GroupId,
+    GroupView,
     OrderCapExceeded,
     UnidentifiedGroup,
     _normalize,
@@ -15,7 +20,7 @@ from fanoterm.groups import (
     quotient_group,
 )
 from fanoterm.linalg import MatC, diag, identity, perm_mat
-from oracles import all_joins_subgroup_classes, bounded_closure, subgroup_orbit
+from oracles import all_joins_subgroup_classes, bounded_closure, exact_bfs_group, subgroup_orbit
 
 W = root_of_unity(3, 1)
 
@@ -46,6 +51,67 @@ def test_generate_identity_only():
 def test_generate_cap():
     with pytest.raises(OrderCapExceeded):
         perm_group_cap = FinGroup.generate([perm_mat([1, 2, 3, 4, 5, 6, 0], 7)], cap=5)
+
+
+def _assert_same_enumeration(got, want):
+    assert got.elements == want.elements
+    assert got.gen_idx == want.gen_idx
+    assert got._perms == want._perms
+    assert got._rword == want._rword
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "M10_second", "G1944",
+                                 "A7_perm"])
+def test_generate_matches_exact_bfs_on_catalog_groups(built, key):
+    # residue BFS, exact spanning tree and edge proofs give exactly the
+    # enumeration of one exact product per Cayley-graph edge
+    _assert_same_enumeration(built(key), exact_bfs_group(load_group(key).generators))
+
+
+@pytest.mark.parametrize("gens", [
+    pytest.param(lambda: [identity(3)], id="identity-only"),
+    pytest.param(lambda: [identity(2), identity(2).scale(W)], id="2x2-scalars-only"),
+    pytest.param(lambda: [perm_mat([1, 0, 2], 3), perm_mat([1, 2, 0], 3)], id="3x3-S3"),
+    pytest.param(lambda: [perm_mat([1, 2, 0, 3], 4), perm_mat([1, 0, 3, 2], 4)], id="4x4-A4"),
+    pytest.param(lambda: [diag([W, W, W, ONE, ONE, ONE]), diag([ONE, W, W * W, ONE, ONE, ONE])],
+                 id="6x6-diagonal"),
+    pytest.param(lambda: [perm_mat([1, 0, 2, 3, 4, 5, 6], 7), perm_mat([1, 2, 3, 4, 5, 6, 0], 7)],
+                 id="7x7-S7"),
+    pytest.param(lambda: [perm_mat(list(range(1, 17)) + [0], 17)], id="17x17-C17"),
+    # no prime below 256 is 1 mod 132, so residues are tuples mod 397
+    pytest.param(lambda: [diag([root_of_unity(132, 1), ONE]), perm_mat([1, 0], 2)],
+                 id="2x2-conductor-132"),
+])
+def test_generate_matches_exact_bfs_on_small_groups(gens):
+    _assert_same_enumeration(FinGroup.generate(gens()), exact_bfs_group(gens()))
+
+
+def test_generate_refuses_infinite_group_with_finite_residues():
+    # [[1, 1], [0, 1]] has infinite order, but mod the residue prime it has
+    # finite order: the residue BFS closes, and the edge that closes the
+    # residue cycle is not exact
+    unipotent = MatC([[ONE, ONE], [ZERO, ONE]])
+    with pytest.raises(EnumerationUnproved, match="is not element 0"):
+        FinGroup.generate([unipotent], cap=1000)
+
+
+def test_generate_never_returns_the_sign_dropped_l2_11():
+    # the variant note of L2_11: h1 without the sign of its fifth row's
+    # final entry has infinite order
+    h1, h2 = load_group("L2_11").generators
+    rows = [list(row) for row in h1.rows]
+    rows[4][5] = -rows[4][5]
+    with pytest.raises((OrderCapExceeded, EnumerationUnproved)):
+        FinGroup.generate([MatC(rows), h2], cap=660)
+
+
+def test_generate_refuses_an_even_residue_prime(monkeypatch, capsys):
+    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 2)
+    with pytest.raises(EnumerationUnproved, match="2 is not a usable residue prime"):
+        FinGroup.generate(load_group("A7_perm").generators, cap=2520)
+    monkeypatch.setattr(catalog, "_BUILD_MEMO", {})
+    assert cli_main(["validate-catalog", "--group", "A7_perm"]) == EXIT_VALIDATION
+    assert capsys.readouterr().out.startswith("FAIL A7_perm: enumeration is not exact: ")
 
 
 def test_element_order():
@@ -82,6 +148,25 @@ def test_subgroup_closure():
     assert g.subgroup(gens=[x3]).order == 3
     invs = [i for i in range(1, g.n) if g.view.order_of(i) == 2]
     assert g.subgroup(gens=invs).order == 6
+
+
+def test_closure_stops_past_half_the_order(built):
+    # a subgroup larger than half the group is the group (Lagrange), so the
+    # closure of the whole group's generators stops with far fewer than the
+    # n k products of a full closure
+    l2 = built("L2_11")
+    products = []
+
+    def mult(a, b):
+        products.append((a, b))
+        return l2.mult(a, b)
+
+    view = GroupView(range(l2.n), mult, l2.inv, l2.gen_idx, l2)
+    assert view.closure(l2.gen_idx) is view.members
+    assert len(products) < l2.n * len(l2.gen_idx) * 3 // 4
+    # generators outside the view never stop the closure early
+    inner = GroupView((0,), l2.mult, l2.inv, (), l2)
+    assert inner.closure(l2.gen_idx) == frozenset(range(l2.n))
 
 
 def test_involution_closure_of_simple_group(built):
