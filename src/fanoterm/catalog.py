@@ -15,6 +15,7 @@ from typing import Optional
 
 from . import data as _data
 from .cyclo import ONE, CycloNum, parse_cyclo
+from .deform import KnownClassCatalog, ObstructionEntry
 from .groups import EnumerationUnproved, FinGroup, GroupId, OrderCapExceeded
 from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose, mat_from_strings
 
@@ -27,7 +28,6 @@ __all__ = [
     "load_rank_rows",
     "load_deformation_catalog",
     "load_fixtures",
-    "FixtureRow",
 ]
 
 
@@ -175,8 +175,6 @@ def _load_b2_table(name: str) -> dict[int, tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def load_deformation_catalog():
-    from .deform import KnownClassCatalog
-
     return KnownClassCatalog(
         fujiki=_load_b2_table("vfuj.table"),
         hilbert_square=_load_b2_table("vk3.table"),
@@ -184,15 +182,8 @@ def load_deformation_catalog():
     )
 
 
-@dataclass(frozen=True)
-class FixtureRow:
-    group_id: GroupId
-    b2: int
-    ambient_order: int
-
-
 @lru_cache(maxsize=None)
-def load_fixtures(path: Optional[str] = None) -> tuple[FixtureRow, ...]:
+def load_fixtures(path: Optional[str] = None) -> tuple[ObstructionEntry, ...]:
     if path is None:
         text = _read("fixtures.list")
     else:
@@ -206,5 +197,5 @@ def load_fixtures(path: Optional[str] = None) -> tuple[FixtureRow, ...]:
         order, gid, b2, ambient = (int(x) for x in line.split())
         if order <= 0 or ambient <= 0:
             raise ValueError(f"fixture row {line!r}: orders must be positive")
-        rows.append(FixtureRow(GroupId(order, gid), b2, ambient))
+        rows.append(ObstructionEntry(GroupId(order, gid), b2, ambient))
     return tuple(rows)

@@ -24,7 +24,8 @@ from .catalog import (
     load_fixtures,
     load_group,
 )
-from .deform import ObstructionEntry, obstruction_report
+from .cyclo import MAX_NESTING
+from .deform import obstruction_report
 from .groups import BudgetExceeded, GroupId, GroupView, fingerprint, identify
 from .invariants import classification_table, detect_l3
 from .linalg import MatC, mat_from_strings
@@ -58,7 +59,7 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
             break
         toks.append(m.group(1))
         pos = m.end()
-    state = {"i": 0}
+    state = {"i": 0, "depth": 0}
 
     def peek():
         return toks[state["i"]] if state["i"] < len(toks) else None
@@ -68,14 +69,24 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
         state["i"] += 1
         return t
 
+    def number(t: str) -> int:
+        try:
+            return int(t)
+        except ValueError:  # past the interpreter's limit on digits
+            raise CliError("number in generator word has too many digits") from None
+
     def atom() -> MatC:
         t = take()
         if t == "(":
+            state["depth"] += 1
+            if state["depth"] > MAX_NESTING:
+                raise CliError(f"word nested deeper than {MAX_NESTING} parentheses")
             out = product()
             if take() != ")":
                 raise CliError(f"unbalanced parentheses in word {expr!r}")
+            state["depth"] -= 1
         elif t and t.startswith("g"):
-            k = int(t[1:])
+            k = number(t[1:])
             if not 1 <= k <= len(gens):
                 raise CliError(f"generator {t} out of range; group has {len(gens)} generators")
             out = gens[k - 1]
@@ -86,7 +97,7 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
             e = take()
             if e is None or not re.fullmatch(r"-?\d+", e):
                 raise CliError(f"bad exponent in word {expr!r}")
-            out = out.pow(int(e))
+            out = out.pow(number(e))
         return out
 
     def product() -> MatC:
@@ -232,8 +243,7 @@ def cmd_check_deformation(args) -> int:
         fixtures = load_fixtures(args.fixtures)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot read fixtures: {exc}")
-    entries = [ObstructionEntry(f.group_id, f.b2, f.ambient_order) for f in fixtures]
-    report = obstruction_report(entries, load_deformation_catalog())
+    report = obstruction_report(fixtures, load_deformation_catalog())
     if args.format == "structured":
         def enc(es):
             return [

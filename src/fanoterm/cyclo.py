@@ -5,7 +5,9 @@ basis {zeta_n^0, ..., zeta_n^(phi(n)-1)} reduced modulo the n-th cyclotomic
 polynomial, a positive common denominator, and a minimal conductor.
 Canonical values are hash-consed, so equal values are the same object:
 a value compares and hashes by identity, and every value stays in the
-intern table for the life of the process.
+intern table for the life of the process.  The one Galois action,
+``galois``, gives every conjugate, and the inverse is the product of the
+other conjugates over the rational norm.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 __all__ = [
     "CycloNum",
     "ConductorLimitError",
     "ZERO",
     "ONE",
+    "galois",
     "rational",
     "root_of_unity",
     "sqrt_rational",
@@ -98,47 +101,35 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _redrows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Sparse reduction rows: zeta_n^k over the power basis for phi <= k <= 2*phi-2."""
-    phi = _phi(n)
+def _powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """Dense coordinates of zeta_n^k over the power basis, k = 0, ..., n-1."""
     poly = cyclotomic_poly(n)
     # t^phi = -(poly[0] + poly[1] t + ... + poly[phi-1] t^(phi-1))
-    cur = [-poly[i] for i in range(phi)]
-    rows = [tuple(cur)]
-    for _ in range(phi - 2):
-        top = cur[-1]
-        nxt = [0] + cur[:-1]
-        if top:
-            base = rows[0]
-            nxt = [nxt[i] + top * base[i] for i in range(phi)]
-        cur = nxt
-        rows.append(tuple(cur))
-    sparse = []
-    for row in rows:
-        sparse.append(tuple((i, c) for i, c in enumerate(row) if c))
-    return tuple(sparse)
-
-
-@lru_cache(maxsize=None)
-def _power_vec(n: int, k: int) -> tuple[int, ...]:
-    """Dense coordinates of zeta_n^k over the power basis (k arbitrary)."""
-    phi = _phi(n)
-    k %= n
-    if k < phi:
-        vec = [0] * phi
-        vec[k] = 1
-        return tuple(vec)
-    top_row = _redrows(n)[0]
-    cur = [0] * phi
-    for i, c in top_row:
-        cur[i] = c
-    for _ in range(phi + 1, k + 1):
+    top_row = [(i, -c) for i, c in enumerate(poly[:-1]) if c]
+    cur = (len(poly) - 1) * [0]
+    cur[0] = 1
+    out = []
+    for _ in range(n):
+        out.append(tuple(cur))
         top = cur[-1]
         cur = [0] + cur[:-1]
         if top:
             for i, c in top_row:
                 cur[i] += top * c
-    return tuple(cur)
+    return tuple(out)
+
+
+def _power_vec(n: int, k: int) -> tuple[int, ...]:
+    """Dense coordinates of zeta_n^k over the power basis (k arbitrary)."""
+    return _powers(n)[k % n]
+
+
+@lru_cache(maxsize=None)
+def _redrows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse reduction rows: zeta_n^k over the power basis for phi <= k <= 2*phi-2."""
+    phi = _phi(n)
+    return tuple(tuple((i, c) for i, c in enumerate(_power_vec(n, k)) if c)
+                 for k in range(phi, 2 * phi - 1))
 
 
 def _fold(vec: list[int], n: int) -> list[int]:
@@ -159,72 +150,55 @@ def _fold(vec: list[int], n: int) -> list[int]:
     return vec[:phi]
 
 
-@lru_cache(maxsize=None)
-def _lift_cols(small: int, big: int) -> tuple[tuple[int, ...], ...]:
-    """Power-basis vectors of zeta_small^j inside Q(zeta_big), j < phi(small)."""
-    assert big % small == 0
-    step = big // small
-    return tuple(_power_vec(big, j * step) for j in range(_phi(small)))
-
-
-def _mat_inv_fraction(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Inverse of an integer matrix as (integer matrix, positive denominator)."""
-    k = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    den = 1
-    for i in range(k):
-        for j in range(k):
-            den = den * aug[i][k + j].denominator // math.gcd(den, aug[i][k + j].denominator)
-    out = [[int(aug[i][k + j] * den) for j in range(k)] for i in range(k)]
-    return out, den
+def _mul_vec(va: Sequence[int], vb: Sequence[int], n: int) -> list[int]:
+    """The product of two coordinate vectors of Q(zeta_n)."""
+    conv = [0] * (len(va) + len(vb) - 1)
+    for i, x in enumerate(va):
+        if x:
+            for j, y in enumerate(vb):
+                if y:
+                    conv[i + j] += x * y
+    return _fold(conv, n)
 
 
 @lru_cache(maxsize=None)
-def _descent(n: int, p: int) -> Optional[tuple]:
-    """Solver for rewriting a conductor-n value in Q(zeta_(n/p)), if possible.
+def _image_cols(m: int, n: int, step: int) -> tuple[tuple[int, ...], ...]:
+    """Power-basis vectors in Q(zeta_n) of zeta_n^(j*step), j < phi(m): the
+    images of the basis of Q(zeta_m) under zeta_m -> zeta_n^step."""
+    return tuple(_power_vec(n, j * step) for j in range(_phi(m)))
+
+
+@lru_cache(maxsize=None)
+def _descent(n: int, p: int) -> tuple:
+    """Solver for rewriting a conductor-n value in Q(zeta_(n/p)), p | n.
 
     Returns (m, rowsel, Binv, Bden, cols) where cols[j] is the conductor-n
     coordinate vector of zeta_m^j.  A value vector v lies in Q(zeta_m) iff
     x = Binv . v[rowsel] / Bden satisfies cols . x == v, in which case x is
     its conductor-m coordinate vector.
     """
-    if n % p != 0:
-        return None
     m = n // p
-    cols = _lift_cols(m, n)
+    cols = _image_cols(m, n, p)
     pm, pn = _phi(m), _phi(n)
-    # greedy pivot-row selection by Gaussian elimination over Q
-    work = [[Fraction(cols[j][i]) for j in range(pm)] for i in range(pn)]
+    # Gauss-Jordan on [B | I], B the pn x pm matrix with columns cols, each
+    # pivot the first row not yet used.  Pivot row rowsel[j] ends as e_j on
+    # the left and, on the right, as row j of a left inverse of B that is
+    # zero outside the columns rowsel: row j of B[rowsel]^-1.
+    work = [[Fraction(cols[j][i]) for j in range(pm)] + [Fraction(int(i == r)) for r in range(pn)]
+            for i in range(pn)]
     rowsel: list[int] = []
-    used: set[int] = set()
     for col in range(pm):
-        piv = None
-        for r in range(pn):
-            if r not in used and work[r][col] != 0:
-                piv = r
-                break
-        assert piv is not None
+        piv = next(r for r in range(pn) if r not in rowsel and work[r][col])
         rowsel.append(piv)
-        used.add(piv)
         inv = 1 / work[piv][col]
         work[piv] = [x * inv for x in work[piv]]
         for r in range(pn):
             if r != piv and work[r][col]:
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[piv])]
-    sel = tuple(rowsel)
-    bmat = [[cols[j][i] for j in range(pm)] for i in sel]
-    binv, bden = _mat_inv_fraction(bmat)
-    return (m, sel, tuple(tuple(r) for r in binv), bden, cols)
+    binv = [[work[r][pm + s] for s in rowsel] for r in rowsel]
+    bden = math.lcm(*(q.denominator for row in binv for q in row))
+    return (m, tuple(rowsel), tuple(tuple(int(q * bden) for q in row) for row in binv), bden, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +208,7 @@ def _descent(n: int, p: int) -> Optional[tuple]:
 class CycloNum:
     """A canonical element of a cyclotomic field; immutable and hash-consed."""
 
-    __slots__ = ("n", "num", "den", "_key")
+    __slots__ = ("n", "num", "den")
 
     n: int
     num: tuple[int, ...]
@@ -251,7 +225,6 @@ class CycloNum:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_key", None)
         return self
 
     def __setattr__(self, name, value):
@@ -280,19 +253,6 @@ class CycloNum:
         if self.n == 1:
             return Fraction(self.num[0], self.den)
         return None
-
-    @property
-    def key(self) -> tuple:
-        """Total-order sort key; canonical across runs.
-
-        Memoized, so the keys of all the matrices in a sort share one tuple
-        per distinct entry instead of holding a fresh tuple per entry.
-        """
-        k = self._key
-        if k is None:
-            k = (self.n, self.den, self.num)
-            object.__setattr__(self, "_key", k)
-        return k
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -365,31 +325,24 @@ class CycloNum:
             n, va, vb = a.n, a.num, b.num
         if n == 1:
             return _canonical(1, [va[0] * vb[0]], a.den * b.den)
-        conv = [0] * (len(va) + len(vb) - 1)
-        for i, x in enumerate(va):
-            if x:
-                for j, y in enumerate(vb):
-                    if y:
-                        conv[i + j] += x * y
-        vec = _fold(conv, n)
-        return _canonical(n, vec, a.den * b.den)
+        return _canonical(n, _mul_vec(va, vb, n), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloNum":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
+        """Multiplicative inverse: the product of the other Galois conjugates
+        divided by the rational norm; raises ZeroDivisionError on zero."""
         if self.is_zero:
             raise ZeroDivisionError("inversion of zero cyclotomic number")
-        cached = _INV_CACHE.get(self)
-        if cached is not None:
-            return cached
-        if self.n == 1:
-            out = rational(Fraction(self.den, self.num[0]))
-        else:
-            out = _invert_general(self)
-        _INV_CACHE[self] = out
-        _INV_CACHE[out] = self
-        return out
+        # on coordinate vectors v = den * self: 1/self = den * rest / N(v)
+        n = self.n
+        rest = _power_vec(n, 0)
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                rest = _mul_vec(rest, _map_vec(self, n, k), n)
+        norm = _mul_vec(self.num, rest, n)[0]
+        sign = 1 if norm > 0 else -1
+        return _canonical(n, [sign * self.den * c for c in rest], abs(norm))
 
     def __truediv__(self, other) -> "CycloNum":
         other = _coerce(other)
@@ -470,7 +423,6 @@ def _coerce(x) -> "CycloNum":
 
 # the one intern table: (n, num, den), canonical or raw -> the canonical value
 _CANON_CACHE: dict[tuple, CycloNum] = {}
-_INV_CACHE: dict[CycloNum, CycloNum] = {}
 
 
 def _intern(n: int, num: tuple[int, ...], den: int) -> CycloNum:
@@ -495,8 +447,7 @@ def _canonical(n: int, vec: list[int], den: int) -> CycloNum:
             cn, cvec = 1, [cvec[0]]
             break
         for p in _prime_factors(cn):
-            desc = _descent(cn, p)
-            m, sel, binv, bden, cols = desc
+            m, sel, binv, bden, cols = _descent(cn, p)
             csel = [cvec[i] for i in sel]
             x = [sum(br[j] * csel[j] for j in range(len(csel))) for br in binv]
             ok = True
@@ -540,64 +491,28 @@ def _common_conductor(a: int, b: int) -> int:
     return n
 
 
-def _lift_vec(x: CycloNum, n: int) -> list[int]:
-    if x.n == n:
-        return list(x.num)
-    cols = _lift_cols(x.n, n)
-    phi = _phi(n)
-    out = [0] * phi
-    for j, c in enumerate(x.num):
+def _map_vec(x: CycloNum, n: int, step: int) -> list[int]:
+    """Coordinates in Q(zeta_n) of the image of x under zeta_(x.n) -> zeta_n^step."""
+    out = [0] * _phi(n)
+    for c, col in zip(x.num, _image_cols(x.n, n, step)):
         if c:
-            col = cols[j]
-            for i in range(phi):
-                if col[i]:
-                    out[i] += c * col[i]
+            for i, v in enumerate(col):
+                if v:
+                    out[i] += c * v
     return out
 
 
-def _invert_general(x: CycloNum) -> CycloNum:
-    """Extended Euclid of the value against Phi_n over Q."""
-    n = x.n
-    phi = [Fraction(c) for c in cyclotomic_poly(n)]
-    a = [Fraction(c, x.den) for c in x.num]
+def _lift_vec(x: CycloNum, n: int) -> list[int]:
+    return list(x.num) if x.n == n else _map_vec(x, n, n // x.n)
 
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
 
-    # invariant: r0 = s0*a mod Phi, r1 = s1*a mod Phi
-    r0, r1 = phi, list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while True:
-        d1 = deg(r1)
-        if d1 <= 0:
-            break
-        d0 = deg(r0)
-        if d0 < d1:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        f = r0[d0] / r1[d1]
-        shift = d0 - d1
-        for i in range(d1 + 1):
-            r0[i + shift] -= f * r1[i]
-        if len(s0) < len(s1) + shift:
-            s0 = s0 + [Fraction(0)] * (len(s1) + shift - len(s0))
-        for i in range(len(s1)):
-            s0[i + shift] -= f * s1[i]
-        if deg(r0) < deg(r1):
-            r0, r1, s0, s1 = r1, r0, s1, s0
-    c = r1[0]
-    if c == 0:
-        raise ZeroDivisionError("value is not invertible modulo Phi_n")
-    inv_poly = [s / c for s in s1]
-    den = 1
-    for q in inv_poly:
-        den = den * q.denominator // math.gcd(den, q.denominator)
-    vec = [int(q * den) for q in inv_poly]
-    vec = _fold(vec, n)
-    return _canonical(n, vec, den)
+def galois(x: CycloNum, k: int) -> CycloNum:
+    """The Galois conjugate of x under zeta_n -> zeta_n^k, n the conductor of
+    x (the restriction of that automorphism of any larger cyclotomic field);
+    k must be prime to n."""
+    if math.gcd(k, x.n) != 1:
+        raise ValueError(f"{k} is not prime to the conductor {x.n}")
+    return _canonical(x.n, _map_vec(x, x.n, k % x.n), x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -663,27 +578,19 @@ def sqrt_rational(r: RationalLike) -> CycloNum:
         return root_of_unity(4, 1) * sqrt_rational(-q)
     if q == 0:
         return ZERO
-    num, den = q.numerator, q.denominator
     # sqrt(num/den) = sqrt(num*den)/den
-    m = num * den
-    square = 1
-    free = 1
-    d = 2
-    mm = m
-    while d * d <= mm:
+    m = q.numerator * q.denominator
+    square, free = 1, []
+    for p in _prime_factors(m):
         e = 0
-        while mm % d == 0:
-            mm //= d
+        while m % p == 0:
+            m //= p
             e += 1
-        if e:
-            square *= d ** (e // 2)
-            if e % 2:
-                free *= d
-        d += 1 if d == 2 else 2
-    if mm > 1:
-        free *= mm
-    out = rational(Fraction(square, den))
-    for p in _prime_factors(free):
+        square *= p ** (e // 2)
+        if e % 2:
+            free.append(p)
+    out = rational(Fraction(square, q.denominator))
+    for p in free:
         out = out * _sqrt_prime(p)
     return out
 
@@ -693,6 +600,10 @@ def sqrt_rational(r: RationalLike) -> CycloNum:
 
 
 _TOKEN_RE = re.compile(r"\s*(ER|E|\d+|[()+\-*/^])")
+
+# the deepest parenthesis nesting the text parsers accept: each level costs a
+# few stack frames, and this keeps them well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 def _tokens(text: str) -> Iterator[str]:
@@ -711,6 +622,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = list(_tokens(text))
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Optional[str]:
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -765,8 +677,12 @@ class _Parser:
     def atom(self) -> CycloNum:
         tok = self.take()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError(f"cyclotomic literal nested deeper than {MAX_NESTING} parentheses")
             out = self.expr()
             self.take(")")
+            self.depth -= 1
             return out
         if tok == "E":
             self.take("(")

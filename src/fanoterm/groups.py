@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclo import ONE, ZERO, CycloNum, cyclotomic_poly, rational, root_of_unity
+from .cyclo import ONE, CycloNum, _prime_factors, cyclotomic_poly, galois
 from .linalg import MatC, identity
 
 __all__ = [
@@ -320,11 +320,7 @@ def _conj_bound(e: CycloNum, scale: int) -> int:
     L1 norm of that value's coordinates."""
     if e.is_zero:
         return 0
-    conj = ZERO
-    for k, c in enumerate(e.num):
-        if c:
-            conj = conj + rational(c, e.den) * root_of_unity(e.n, -k)
-    sq = e * conj
+    sq = e * galois(e, -1)
     num, den = scale * scale * sum(map(abs, sq.num)), sq.den
     b = math.isqrt(num // den)
     while b * b * den < num:
@@ -332,11 +328,12 @@ def _conj_bound(e: CycloNum, scale: int) -> int:
     return b
 
 
-def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], parent: Sequence,
-                 residues: Sequence, perms: Sequence[Sequence[int]], n_cond: int,
-                 p: int, reduce: Callable[[CycloNum], Optional[int]]) -> None:
+def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], entries: set[CycloNum],
+                 parent: Sequence, residues: Sequence, perms: Sequence[Sequence[int]],
+                 n_cond: int, p: int, reduce: Callable[[CycloNum], Optional[int]]) -> None:
     """Prove every edge x -a-> y of the residue graph exact:
     ``_normalize(g_a * e_x) == e_y``; tree edges hold by construction.
+    ``entries`` is the set of the elements' distinct entries.
 
     With A = g_a e_x and (i0, j0) the first nonzero entry of e_y, the edge
     holds iff every A_ij - A_i0j0 y_ij is zero.  D clears the denominators,
@@ -351,11 +348,8 @@ def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], parent: Sequence,
     """
     phi = len(cyclotomic_poly(n_cond)) - 1
     entry_bound = _conj_bound if p > 2 ** phi else _l1_bound
-    seen: set[CycloNum] = set()
-    for m in elems:
-        seen.update(*m.rows)
-    delta = math.lcm(*(e.den for e in seen))  # Delta e_x is integral for every x
-    c_max = max(entry_bound(e, delta) for e in seen)
+    delta = math.lcm(*(e.den for e in entries))  # Delta e_x is integral for every x
+    c_max = max(entry_bound(e, delta) for e in entries)
     r_max = 1  # the largest row sum of the conjugate bounds of delta_g g_a
     for g in gens:
         dg = math.lcm(*(e.den for e in _entries(g)))
@@ -364,22 +358,22 @@ def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], parent: Sequence,
     # |conj(D (A_ij - A_i0j0 y_ij))| <= Delta R C + R C C, D = delta_g Delta^2
     bound = (r_max * c_max * (delta + c_max)) ** phi
     if p > bound:
-        values = {e: reduce(e) for e in seen}
+        values = {e: reduce(e) for e in entries}
         if None not in values.values():
             pack = bytes if p < 256 else tuple
             get = values.__getitem__
             if all(pack(map(get, _entries(m))) == r for m, r in zip(elems, residues)):
                 return
-    seen.update(*(_entries(g) for g in gens))
+    entries = entries.union(*(_entries(g) for g in gens))
     # a prime above every denominator divides none of them
-    big = 1 + n_cond * (max(bound, max(e.den for e in seen)) // n_cond + 1)
+    big = 1 + n_cond * (max(bound, max(e.den for e in entries)) // n_cond + 1)
     while not _is_prime(big):
         big += n_cond
     w = _cyclotomic_root(big, n_cond)
     if w is None:
         raise EnumerationUnproved(f"no root of the {n_cond}-th cyclotomic polynomial mod {big}")
     reduce_big = _reducer(big, n_cond, w)
-    values = {e: reduce_big(e) for e in seen}
+    values = {e: reduce_big(e) for e in entries}
     if None in values.values():
         raise EnumerationUnproved(f"a denominator is not invertible mod {big}")
     get = values.__getitem__
@@ -533,8 +527,8 @@ class FinGroup:
     """A fully enumerated finite subgroup of PGL_d.
 
     ``elements[0]`` is the identity; the remaining elements are sorted by
-    the serialized normal form of their representative matrices, so the
-    indexing is reproducible across runs.  Nothing about the group changes
+    the entries of their normal forms (see ``generate``), so the indexing
+    is reproducible across runs.  Nothing about the group changes
     after construction; only its view memoizes element orders and the
     class map.
     """
@@ -600,11 +594,18 @@ class FinGroup:
         reduce, gen_residues = data
         residues, words, perms = _residue_bfs(gen_residues, dim, p, cap)
         elems, parent = _exact_tree(gens_p, perms, ident)
-        _prove_edges(gens_p, elems, parent, residues, perms, n_cond, p, reduce)
+        entries: set[CycloNum] = set()
+        for m in elems:
+            entries.update(*m.rows)
+        _prove_edges(gens_p, elems, entries, parent, residues, perms, n_cond, p, reduce)
         del residues, parent
         n = len(elems)
-        # canonical order: identity first, the rest by serialized normal form
-        order = [0] + sorted(range(1, n), key=lambda i: elems[i].key)
+        # canonical order: identity first, the rest by their entries in
+        # row-major order, each entry ranked by (conductor, denominator,
+        # coordinates)
+        rank = {e: r for r, e in enumerate(sorted(entries, key=lambda e: (e.n, e.den, e.num)))}
+        order = [0] + sorted(range(1, n),
+                             key=lambda i: tuple(map(rank.__getitem__, _entries(elems[i]))))
         relabel = [0] * n
         for new, old in enumerate(order):
             relabel[old] = new
@@ -736,7 +737,6 @@ class FinGroup:
         register(frozenset((0,)), ())
         for fs, gen in cyclic_list:
             register(fs, (gen,))
-        unions: set[frozenset[int]] = set()  # K | C of every join made
         for rep, rep_gens in classes:  # classes grows as joins find new ones
             if len(rep) == n:
                 continue
@@ -745,15 +745,11 @@ class FinGroup:
                 row = table[x]
                 normalizer = [h for h in normalizer if table[inv[h]][row[h]] in rep]
             covered: set[int] = set()  # cyclic subgroups in the orbits joined so far
-            for c, (fs, gen) in enumerate(cyclic_list):
+            for c, (_, gen) in enumerate(cyclic_list):
                 if c in covered or gen in rep:
                     continue
                 row = table[gen]
                 covered.update(cyclic_id[table[inv[h]][row[h]]] for h in normalizer)
-                union = rep | fs
-                if union in unions:
-                    continue
-                unions.add(union)
                 register(view.closure(rep_gens + (gen,)), rep_gens + (gen,))
         classes.sort(key=lambda c: (len(c[0]), sorted(c[0])))
         return [self.view if len(rep) == n else GroupView(rep, view.mult, view.inv, gens, self)
@@ -851,20 +847,8 @@ def _abelian_invariants(q: GroupView) -> tuple[int, ...]:
     if q.order == 1:
         return ()
     orders = [q.order_of(x) for x in q.elements]
-    primes = set()
-    for o in orders:
-        m = o
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                primes.add(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            primes.add(m)
     out = []
-    for p in sorted(primes):
+    for p in _prime_factors(q.order):  # by Cauchy, the primes of the element orders
         # c_k = number of elements of order dividing p^k determines the
         # partition of the p-part
         k = 1

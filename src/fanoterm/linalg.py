@@ -65,10 +65,6 @@ class MatC:
             object.__setattr__(self, "_nnz", cached)
         return cached
 
-    @property
-    def key(self) -> tuple:
-        return tuple(e.key for row in self.rows for e in row)
-
     # -- arithmetic -------------------------------------------------------
 
     def __mul__(self, other: "MatC") -> "MatC":

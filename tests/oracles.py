@@ -358,7 +358,8 @@ def exact_bfs_group(gens, cap: int = 250000):
                 words.append(words[x] + (a,))
             perms[a].append(yi)
     n = len(elems)
-    order = [0] + sorted(range(1, n), key=lambda i: elems[i].key)
+    order = [0] + sorted(range(1, n), key=lambda i: [(e.n, e.den, e.num)
+                                                     for row in elems[i].rows for e in row])
     relabel = [0] * n
     for new, old in enumerate(order):
         relabel[old] = new

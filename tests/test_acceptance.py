@@ -289,8 +289,7 @@ def test_criterion_5_rank_bound_sweep(built):
 
 def test_criterion_6_deformation():
     catalog = load_deformation_catalog()
-    entries = [ObstructionEntry(f.group_id, f.b2, f.ambient_order) for f in load_fixtures()]
-    report = obstruction_report(entries, catalog)
+    report = obstruction_report(load_fixtures(), catalog)
     new = [(e.group_id, e.b2) for e in report.new_candidates]
     ok = new == [(GroupId(660, 13), 4), (GroupId(2520, 0), 4)]
     assert ok

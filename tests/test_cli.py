@@ -129,6 +129,11 @@ def _identity_with(entry):
     # zero matrices parse but have no projective class
     pytest.param("mat:0,0;0,0", id="zero-2x2"),
     pytest.param("mat:" + ";".join([",".join(["0"] * 6)] * 6), id="zero-6x6"),
+    # too deep for the parsers' recursion, or past the interpreter's limit
+    # on the digits of an int
+    pytest.param(_identity_with("(" * 3000 + "1" + ")" * 3000), id="entry-nested-3000"),
+    pytest.param("(" * 3000 + "g1" + ")" * 3000, id="word-nested-3000"),
+    pytest.param("g1^" + "7" * 5000, id="word-exponent-5000-digits"),
 ])
 def test_targeted_bad_matrix_entry(capsys, spec):
     code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted",

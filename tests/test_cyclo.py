@@ -9,6 +9,7 @@ from fanoterm.cyclo import (
     ZERO,
     ConductorLimitError,
     CycloNum,
+    galois,
     parse_cyclo,
     rational,
     root_of_unity,
@@ -148,8 +149,11 @@ def test_conductor_limit_enforced():
         root_of_unity(11, 1) * root_of_unity(5, 1) * root_of_unity(24, 1)
 
 
-def _random_value(rng: random.Random) -> CycloNum:
-    n = rng.choice([1, 3, 4, 5, 8, 12, 24])
+# 11 and 60 are conductors of the catalog's inverses and descents
+CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 11, 12, 15, 20, 24, 60]
+
+
+def _random_value(rng: random.Random, n: int) -> CycloNum:
     out = rational(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
     for _ in range(rng.randint(0, 2)):
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -160,7 +164,8 @@ def _random_value(rng: random.Random) -> CycloNum:
 def test_field_axioms_randomized():
     rng = random.Random(20240601)
     for _ in range(1500):
-        a, b, c = (_random_value(rng) for _ in range(3))
+        n = rng.choice(CONDUCTORS)
+        a, b, c = (_random_value(rng, n) for _ in range(3))
         assert (a + b) + c is a + (b + c)
         assert a + b is b + a
         assert (a * b) * c is a * (b * c)
@@ -174,8 +179,9 @@ def test_field_axioms_randomized():
 def test_hash_consing_and_canonical_idempotence():
     rng = random.Random(7)
     for _ in range(500):
-        a = _random_value(rng)
-        b = _random_value(rng)
+        n = rng.choice(CONDUCTORS)
+        a = _random_value(rng, n)
+        b = _random_value(rng, n)
         s = a * b
         # recomputing the same value always returns the identical object
         assert a * b is s
@@ -189,12 +195,13 @@ def test_hash_consing_and_canonical_idempotence():
 def test_against_oracle_randomized():
     rng = random.Random(99)
     for _ in range(150):
-        a = _random_value(rng)
-        b = _random_value(rng)
-        n = 120  # common multiple of every conductor _random_value draws
+        drawn = rng.choice(CONDUCTORS)
+        a = _random_value(rng, drawn)
+        b = _random_value(rng, drawn)
+        n = math.lcm(a.conductor, b.conductor)
         pa = cyclo_as_power_poly(a, n)
         pb = cyclo_as_power_poly(b, n)
-        # oracle product in the power basis of zeta_24
+        # oracle product in the power basis of zeta_n
         acc: dict[int, Fraction] = {}
         for i, x in enumerate(pa):
             if x:
@@ -206,10 +213,26 @@ def test_against_oracle_randomized():
         assert reduce_power_poly(acc2, n) == cyclo_as_power_poly(a + b, n)
 
 
+def test_galois_against_oracle_randomized():
+    rng = random.Random(5)
+    for _ in range(150):
+        x = _random_value(rng, rng.choice(CONDUCTORS))
+        n = x.conductor
+        k = rng.choice([k for k in range(-n, 2 * n) if math.gcd(k, n) == 1])
+        # substitute zeta_n -> zeta_n^k in the power basis, then reduce mod Phi_n
+        sub: dict[int, Fraction] = {}
+        for j, c in enumerate(cyclo_as_power_poly(x, n)):
+            if c:
+                sub[j * k % n] = sub.get(j * k % n, Fraction(0)) + c
+        assert reduce_power_poly(sub, n) == cyclo_as_power_poly(galois(x, k), n)
+    with pytest.raises(ValueError):
+        galois(root_of_unity(12, 1), 3)
+
+
 def test_string_round_trip():
     rng = random.Random(13)
     values = [ZERO, ONE, rational(Fraction(-7, 3)), sqrt_rational(Fraction(5, 3))]
-    values += [_random_value(rng) for _ in range(200)]
+    values += [_random_value(rng, rng.choice(CONDUCTORS)) for _ in range(200)]
     for v in values:
         assert parse_cyclo(v.to_string()) is v
 

@@ -35,12 +35,8 @@ def test_reciprocal_property():
         assert is_square_rational(q) == is_square_rational(1 / q)
 
 
-def _entries():
-    return [ObstructionEntry(f.group_id, f.b2, f.ambient_order) for f in load_fixtures()]
-
-
 def test_new_candidates_exactly_two():
-    report = obstruction_report(_entries(), load_deformation_catalog())
+    report = obstruction_report(load_fixtures(), load_deformation_catalog())
     got = [(e.group_id, e.b2) for e in report.new_candidates]
     assert got == [(GroupId(660, 13), 4), (GroupId(2520, 0), 4)]
 
@@ -84,7 +80,7 @@ def test_absent_b2_goes_unmatched():
 
 def test_matching_monotone_in_catalog_growth():
     base = load_deformation_catalog()
-    entries = _entries()
+    entries = load_fixtures()
     before = obstruction_report(entries, base)
     grown = KnownClassCatalog(
         fujiki={**base.fujiki, 4: tuple(base.fujiki.get(4, ())) + (660,)},

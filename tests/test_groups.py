@@ -340,7 +340,7 @@ def test_subgroup_classes_deterministic(built):
 def test_generate_canonical_order_reproducible():
     g1 = S3()
     g2 = S3()
-    assert [e.key for e in g1.elements] == [e.key for e in g2.elements]
+    assert [e.rows for e in g1.elements] == [e.rows for e in g2.elements]
     assert g1._perms == g2._perms
 
 
