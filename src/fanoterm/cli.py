@@ -47,6 +47,12 @@ class CliError(Exception):
 _WORD_TOKEN = re.compile(r"\s*(g\d+|\^|\*|\(|\)|-?\d+)")
 
 
+def _clip(text: str) -> str:
+    """User input as an error line echoes it: at most 60 characters, then an
+    ellipsis."""
+    return text if len(text) <= 60 else text[:60] + "…"
+
+
 def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
     """A product expression over the catalog generators: g1*g2^2, parens."""
     toks = []
@@ -55,7 +61,7 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
         m = _WORD_TOKEN.match(expr, pos)
         if not m:
             if expr[pos:].strip():
-                raise CliError(f"bad token in generator word: {expr[pos:]!r}")
+                raise CliError(f"bad token in generator word: {_clip(expr[pos:])!r}")
             break
         toks.append(m.group(1))
         pos = m.end()
@@ -83,20 +89,22 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
                 raise CliError(f"word nested deeper than {MAX_NESTING} parentheses")
             out = product()
             if take() != ")":
-                raise CliError(f"unbalanced parentheses in word {expr!r}")
+                raise CliError(f"unbalanced parentheses in word {_clip(expr)!r}")
             state["depth"] -= 1
         elif t and t.startswith("g"):
             k = number(t[1:])
             if not 1 <= k <= len(gens):
-                raise CliError(f"generator {t} out of range; group has {len(gens)} generators")
+                raise CliError(
+                    f"generator {_clip(t)} out of range; group has {len(gens)} generators"
+                )
             out = gens[k - 1]
         else:
-            raise CliError(f"unexpected token {t!r} in word {expr!r}")
+            raise CliError(f"unexpected token {_clip(repr(t))} in word {_clip(expr)!r}")
         if peek() == "^":
             take()
             e = take()
             if e is None or not re.fullmatch(r"-?\d+", e):
-                raise CliError(f"bad exponent in word {expr!r}")
+                raise CliError(f"bad exponent in word {_clip(expr)!r}")
             out = out.pow(number(e))
         return out
 
@@ -109,7 +117,7 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
 
     result = product()
     if peek() is not None:
-        raise CliError(f"trailing tokens in word {expr!r}")
+        raise CliError(f"trailing tokens in word {_clip(expr)!r}")
     return result
 
 
@@ -121,7 +129,9 @@ def parse_subgroup_spec(spec: str, gens: Sequence[MatC]) -> list[MatC]:
         try:
             return [mat_from_strings(rows)]
         except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad matrix in subgroup specification {spec!r}: {exc}")
+            raise CliError(
+                f"bad matrix in subgroup specification {_clip(spec)!r}: {_clip(str(exc))}"
+            )
     return [_parse_word(part, gens) for part in spec.split(",") if part.strip()]
 
 
@@ -132,9 +142,11 @@ def _resolve_subgroups(group, definition, specs: Sequence[str]) -> list[GroupVie
         try:
             idxs = [group.index_of(m) for m in mats]
         except KeyError:
-            raise CliError(f"subgroup specification {spec!r} leaves the ambient group")
+            raise CliError(f"subgroup specification {_clip(spec)!r} leaves the ambient group")
         except ZeroDivisionError as exc:
-            raise CliError(f"bad matrix in subgroup specification {spec!r}: {exc}")
+            raise CliError(
+                f"bad matrix in subgroup specification {_clip(spec)!r}: {_clip(str(exc))}"
+            )
         out.append(group.subgroup(gens=idxs))
     return out
 

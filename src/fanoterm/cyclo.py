@@ -23,6 +23,7 @@ __all__ = [
     "ConductorLimitError",
     "ZERO",
     "ONE",
+    "dot",
     "galois",
     "rational",
     "root_of_unity",
@@ -150,14 +151,21 @@ def _fold(vec: list[int], n: int) -> list[int]:
     return vec[:phi]
 
 
+def _conv_into(acc: list[int], va: Sequence[int], vb: Sequence[int], scale: int) -> None:
+    """Add scale times the raw (unreduced) product of two coordinate vectors
+    to acc."""
+    for i, x in enumerate(va):
+        if x:
+            x *= scale
+            for j, y in enumerate(vb):
+                if y:
+                    acc[i + j] += x * y
+
+
 def _mul_vec(va: Sequence[int], vb: Sequence[int], n: int) -> list[int]:
     """The product of two coordinate vectors of Q(zeta_n)."""
     conv = [0] * (len(va) + len(vb) - 1)
-    for i, x in enumerate(va):
-        if x:
-            for j, y in enumerate(vb):
-                if y:
-                    conv[i + j] += x * y
+    _conv_into(conv, va, vb, 1)
     return _fold(conv, n)
 
 
@@ -482,8 +490,8 @@ def _canonical(n: int, vec: list[int], den: int) -> CycloNum:
     return obj
 
 
-def _common_conductor(a: int, b: int) -> int:
-    n = a * b // math.gcd(a, b)
+def _common_conductor(*ns: int) -> int:
+    n = math.lcm(*ns)
     if n > _CONDUCTOR_LIMIT:
         raise ConductorLimitError(
             f"conductor {n} exceeds the limit {_CONDUCTOR_LIMIT}"
@@ -502,8 +510,24 @@ def _map_vec(x: CycloNum, n: int, step: int) -> list[int]:
     return out
 
 
-def _lift_vec(x: CycloNum, n: int) -> list[int]:
-    return list(x.num) if x.n == n else _map_vec(x, n, n // x.n)
+def _lift_vec(x: CycloNum, n: int) -> Sequence[int]:
+    return x.num if x.n == n else _map_vec(x, n, n // x.n)
+
+
+def dot(pairs: Sequence[tuple[CycloNum, CycloNum]]) -> CycloNum:
+    """The sum of a * b over the pairs (a, b), canonicalized once: the raw
+    products of the terms, lifted to their common conductor and scaled to
+    one common denominator, are summed, folded once and canonicalized once.
+    Raises ConductorLimitError when that conductor passes the limit."""
+    if len(pairs) < 2:
+        return pairs[0][0] * pairs[0][1] if pairs else ZERO
+    n = _common_conductor(*{x.n for term in pairs for x in term})
+    dens = [a.den * b.den for a, b in pairs]
+    den = math.lcm(*dens)
+    acc = [0] * (2 * _phi(n) - 1)
+    for (a, b), dab in zip(pairs, dens):
+        _conv_into(acc, _lift_vec(a, n), _lift_vec(b, n), den // dab)
+    return _canonical(n, _fold(acc, n), den)
 
 
 def galois(x: CycloNum, k: int) -> CycloNum:

@@ -1,6 +1,7 @@
 """Exact dense linear algebra over cyclotomic numbers.
 
-Matrices are immutable values; products exploit row sparsity, and the
+Matrices are immutable values; products exploit row sparsity and compute
+each entry as one fused dot product (``cyclo.dot``), and the
 characteristic polynomial uses Faddeev-LeVerrier so only divisions by
 small integers occur.
 """
@@ -11,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .cyclo import ONE, ZERO, CycloNum, parse_cyclo, rational
+from .cyclo import ONE, ZERO, CycloNum, dot, parse_cyclo, rational
 
 __all__ = [
     "MatC",
@@ -32,7 +33,7 @@ class MatC:
     __slots__ = ("rows", "dim", "_nnz")
 
     def __init__(self, rows: Sequence[Sequence[CycloNum]]):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("matrix must be square")
@@ -80,14 +81,13 @@ class MatC:
         out = []
         for i in range(d):
             arow = arows[i]
-            acc = [ZERO] * d
+            terms: list[list] = [[] for _ in range(d)]
             for k in annz[i]:
                 aik = arow[k]
                 brow = brows[k]
                 for j in bnnz[k]:
-                    a = acc[j]
-                    acc[j] = aik * brow[j] if a is ZERO else a + aik * brow[j]
-            out.append(acc)
+                    terms[j].append((aik, brow[j]))
+            out.append([dot(t) for t in terms])
         return MatC(out)
 
     def scale(self, c: CycloNum) -> "MatC":

@@ -141,6 +141,7 @@ def test_targeted_bad_matrix_entry(capsys, spec):
     assert code == EXIT_VALIDATION
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
+    assert len(err) < 200  # the specification's echo is cut short
 
 
 def test_rank_table_disagreement_is_a_validation_error(capsys, monkeypatch):

@@ -68,6 +68,36 @@ def test_generate_matches_exact_bfs_on_catalog_groups(built, key):
     _assert_same_enumeration(built(key), exact_bfs_group(load_group(key).generators))
 
 
+def test_read_off_elements_of_c3_4_a6_are_exact(built):
+    # every C3_4_A6 element is read off its residues with no exact product;
+    # one exact product per element checks the edges of one diagonal and one
+    # permutation generator
+    group = built("C3_4_A6")
+    gens = [group.elements[i] for i in group.gen_idx]
+    diagonal = next(a for a, g in enumerate(gens)
+                    if g.nnz == tuple((i,) for i in range(group.dim)))
+    permutation = next(a for a, g in enumerate(gens)
+                       if all(e is ZERO or e is ONE for row in g.rows for e in row))
+    for a in (diagonal, permutation):
+        g, perm = gens[a], group._perms[a]
+        assert all(_normalize(g * e) == group.elements[perm[x]]
+                   for x, e in enumerate(group.elements))
+
+
+@pytest.mark.parametrize("key, read_off", [
+    ("A3_5", True), ("A7_perm", True), ("M10_first", True), ("G1944", True),
+    # the first proof fails there, so the read-off elements are recomputed
+    ("Q8_S3", False), ("L2_11", False),
+])
+def test_generate_exact_product_count(monkeypatch, key, read_off):
+    products = []
+    mul = MatC.__mul__
+    monkeypatch.setattr(MatC, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    definition = load_group(key)
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    assert len(products) == (0 if read_off else group.n - 1)
+
+
 @pytest.mark.parametrize("gens", [
     pytest.param(lambda: [identity(3)], id="identity-only"),
     pytest.param(lambda: [identity(2), identity(2).scale(W)], id="2x2-scalars-only"),
@@ -93,6 +123,56 @@ def test_generate_refuses_infinite_group_with_finite_residues():
     unipotent = MatC([[ONE, ONE], [ZERO, ONE]])
     with pytest.raises(EnumerationUnproved, match="is not element 0"):
         FinGroup.generate([unipotent], cap=1000)
+
+
+def test_generate_recomputes_wrong_read_offs(monkeypatch, built):
+    # mod 61, most elements of A7_second read off their residues are wrong;
+    # the first proof fails there, and the wrong values are dropped and
+    # computed exactly, so the enumeration is the one mod the usual prime
+    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 61)
+    read = []
+    read_off = groups._read_off
+
+    def spy(*args):
+        elems = read_off(*args)
+        read.extend(elems)
+        return elems
+
+    monkeypatch.setattr(groups, "_read_off", spy)
+    definition = load_group("A7_second")
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    _assert_same_enumeration(group, built("A7_second"))
+    assert any(e is not None and e not in group._index for e in read)
+
+
+def test_generate_recomputes_a_tampered_read_off(monkeypatch, built):
+    # a read-off element replaced by another element of the group lacks its
+    # vertex's residues: the first proof fails, and the element is computed
+    # exactly
+    exact_tree = groups._exact_tree
+
+    def tampered(gens, perms, elems):
+        elems[-1] = _normalize(gens[0] * elems[-1])
+        return exact_tree(gens, perms, elems)
+
+    monkeypatch.setattr(groups, "_exact_tree", tampered)
+    definition = load_group("A3_5")
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    _assert_same_enumeration(group, built("A3_5"))
+
+
+def test_generate_refuses_a_tampered_element(monkeypatch):
+    # once every tree edge is an exact product, one element is replaced by
+    # another: the other edges into it are rechecked mod the second prime
+    recompute = groups._recompute_read_off
+
+    def tampered(gens, perms, elems, parent):
+        recompute(gens, perms, elems, parent)
+        elems[-1] = _normalize(gens[0] * elems[-1])
+
+    monkeypatch.setattr(groups, "_recompute_read_off", tampered)
+    with pytest.raises(EnumerationUnproved, match="is not element"):
+        FinGroup.generate(load_group("Q8_S3").generators, cap=48)
 
 
 def test_generate_never_returns_the_sign_dropped_l2_11():

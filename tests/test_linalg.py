@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fanoterm.cyclo import ONE, ZERO, rational, root_of_unity
+from fanoterm.cyclo import ONE, ZERO, ConductorLimitError, rational, root_of_unity
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
 from oracles import cyclo_poly_product, poly_at_matrix
 
@@ -28,6 +28,51 @@ def test_identity_product():
     a = _random_matrix(rng, 4)
     assert identity(4) * a == a
     assert a * identity(4) == a
+
+
+# conductors mixed within one matrix; the lcm of each family stays within
+# the conductor limit (120 and 264)
+CONDUCTOR_FAMILIES = [(1, 3, 8, 24, 60), (1, 3, 8, 11, 24)]
+
+
+def _random_entry(rng, conductors):
+    """Zero, or a sum of rational multiples of roots of unity, one
+    conductor from the family per entry."""
+    if rng.random() < 0.25:
+        return ZERO
+    n = rng.choice(conductors)
+    out = rational(Fraction(rng.randint(-4, 4), rng.randint(1, 6)))
+    for _ in range(rng.randint(0, 2)):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+        out = out + rational(c) * root_of_unity(n, rng.randrange(n))
+    return out
+
+
+@pytest.mark.parametrize("conductors", CONDUCTOR_FAMILIES)
+def test_product_matches_term_by_term_sum(conductors):
+    # each entry of a product is one fused dot product, canonicalized once;
+    # the oracle canonicalizes every product and partial sum
+    rng = random.Random(sum(conductors))
+    for trial in range(25):
+        d = rng.choice([2, 4, 6])
+        a = [[_random_entry(rng, conductors) for _ in range(d)] for _ in range(d)]
+        b = [[_random_entry(rng, conductors) for _ in range(d)] for _ in range(d)]
+        a[rng.randrange(d)] = [ZERO] * d  # a zero row of a
+        zero_col = rng.randrange(d)
+        for row in b:
+            row[zero_col] = ZERO  # and a zero column of b
+        want = [[sum((a[i][k] * b[k][j] for k in range(d)), ZERO) for j in range(d)]
+                for i in range(d)]
+        assert (MatC(a) * MatC(b)).rows == tuple(map(tuple, want))
+
+
+def test_product_past_the_conductor_limit_raises():
+    # E(11) * 1 + 1 * E(60): each term is within the limit, their sum needs
+    # conductor 660
+    a = MatC([[root_of_unity(11), ONE], [ZERO, ONE]])
+    b = MatC([[ONE, ZERO], [root_of_unity(60), ONE]])
+    with pytest.raises(ConductorLimitError):
+        a * b
 
 
 def test_three_cycle_cubed():
