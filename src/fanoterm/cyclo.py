@@ -490,8 +490,8 @@ def _canonical(n: int, vec: list[int], den: int) -> CycloNum:
     return obj
 
 
-def _common_conductor(*ns: int) -> int:
-    n = math.lcm(*ns)
+def _common_conductor(a: int, b: int) -> int:
+    n = a * b // math.gcd(a, b)
     if n > _CONDUCTOR_LIMIT:
         raise ConductorLimitError(
             f"conductor {n} exceeds the limit {_CONDUCTOR_LIMIT}"
@@ -518,10 +518,14 @@ def dot(pairs: Sequence[tuple[CycloNum, CycloNum]]) -> CycloNum:
     """The sum of a * b over the pairs (a, b), canonicalized once: the raw
     products of the terms, lifted to their common conductor and scaled to
     one common denominator, are summed, folded once and canonicalized once.
-    Raises ConductorLimitError when that conductor passes the limit."""
+    When that conductor passes the limit, each product and partial sum is
+    canonicalized instead, so a product in a smaller field descends to it
+    first; ConductorLimitError is raised only where that fails too."""
     if len(pairs) < 2:
         return pairs[0][0] * pairs[0][1] if pairs else ZERO
-    n = _common_conductor(*{x.n for term in pairs for x in term})
+    n = math.lcm(*{x.n for term in pairs for x in term})
+    if n > _CONDUCTOR_LIMIT:
+        return sum((a * b for a, b in pairs), ZERO)
     dens = [a.den * b.den for a, b in pairs]
     den = math.lcm(*dens)
     acc = [0] * (2 * _phi(n) - 1)

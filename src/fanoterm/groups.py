@@ -9,20 +9,19 @@ entries.
 The closure runs on residues: with N the lcm of the entries' conductors
 and p = 1 (mod N) an odd prime, zeta_N -> omega reduces every matrix mod
 (p, zeta_N - omega), and the BFS compares residues, one ``bytes`` per
-element when p < 256.  An element whose residues each have one preimage
-among the entries of the identity and the generators is read off its
-residues, with no product; every other element is one exact product along
-a spanning tree of the residue Cayley graph grown from the read-off ones.
-Every edge x -a-> y is then proved exact: with A = g_a e_x and (i0, j0) the
-first nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic integer
+element when p < 256.  When every residue of every element has one
+preimage among the entries of the identity and the generators, the
+elements are read off their residues, with no product.  Every edge
+x -a-> y is then proved exact: with A = g_a e_x and (i0, j0) the first
+nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic integer
 whose conjugates are at most B in size, B from the L1 norms of the
 entries; it lies in the prime above p, so p divides its norm, which is at
-most B^phi(N), and p > B^phi(N) makes it zero.  That proves the read-off
-elements too.  When p is too small for that, the read-off elements are
-recomputed by exact products, so every tree edge holds by construction,
-and every other edge is rechecked mod a second prime P > B^phi(N).  A
-failed proof is an error, so generators of an infinite group never yield
-a group.
+most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the read-off is
+dropped, exact normal forms are computed along a spanning tree of the
+residue Cayley graph, one product per element, and every other edge is
+proved by the same bound, or, when p is too small for it, rechecked mod a
+second prime P > B^phi(N).  A failed proof is an error, so generators of
+an infinite group never yield a group.
 
 After enumeration the group theory runs on element indices:
 ``FinGroup.mult`` walks the element's generator word through
@@ -283,13 +282,13 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
 
 
 def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
-              gens: Sequence[MatC], ident: MatC) -> list[Optional[MatC]]:
-    """Every vertex whose residues each have one preimage among the entries
-    of the identity and the generators, as the matrix of those preimages;
-    None for the other vertices.  A residue with two preimages is dropped.
-    A vertex's first nonzero residue is 1, whose one preimage is then ONE,
-    so a read-off matrix is in normal form.  It is the vertex's element
-    only where ``_prove_edges`` proves it.  Equal rows are one tuple."""
+              gens: Sequence[MatC], ident: MatC) -> Optional[list[MatC]]:
+    """Every vertex as the matrix of its residues' preimages among the
+    entries of the identity and the generators, or None when some residue
+    has no preimage or two.  A vertex's first nonzero residue is 1, whose
+    one preimage is then ONE, so a read-off matrix is in normal form.  It
+    is the vertex's element only where ``_prove_edges`` proves it.  Equal
+    rows are one tuple."""
     preimage: dict[int, CycloNum] = {}
     shared = set()
     for e in set(_entries(ident)).union(*map(_entries, gens)):
@@ -304,93 +303,49 @@ def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
     row_of = {}
     for key in {res[i:i + d] for res in residues for i in cuts}:
         row = tuple(map(preimage.get, key))
-        if None not in row:
-            row_of[key] = row
-    elems: list[Optional[MatC]] = []
-    for res in residues:
-        rows = [row_of.get(res[i:i + d]) for i in cuts]
-        elems.append(None if None in rows else MatC(rows))
-    elems[0] = ident
-    return elems
+        if None in row:
+            return None
+        row_of[key] = row
+    return [MatC([row_of[res[i:i + d]] for i in cuts]) for res in residues]
 
 
-def _sparse_first(gens: Sequence[MatC], perms: Sequence[Sequence[int]], order: list[int]):
-    """The edges (a, x, y = g_a x) of a walk from the known vertices
-    ``order``, to which the caller appends each vertex the walk makes
-    known.  Every known vertex joins each generator's queue, and the
-    sparsest generator with a vertex left in its queue goes next, so a
-    dense generator is used about once per orbit of the sparse ones."""
+def _exact_tree(gens: Sequence[MatC], perms: Sequence[Sequence[int]], ident: MatC):
+    """The exact normal form of every vertex, one exact product per vertex
+    along a spanning tree of the residue graph, and each vertex's tree
+    edge (a, x).  The tree takes an edge of the sparsest generator
+    whenever one reaches a new vertex (every known vertex joins each
+    generator's queue), so a dense generator is used about once per orbit
+    of the sparse ones."""
     n = len(perms[0]) if perms else 1
+    elems: list[Optional[MatC]] = [None] * n
+    elems[0] = ident
+    parent: list[Optional[tuple[int, int]]] = [None] * n
+    order = [0]  # vertices in the order they became known
     cost = sorted(range(len(gens)), key=lambda a: sum(map(len, gens[a].nnz)))
     done = [0] * len(gens)  # generator a has been tried on order[:done[a]]
     while len(order) < n:
-        a = next(a for a in cost if done[a] < len(order))
+        for a in cost:
+            if done[a] < len(order):
+                break
         x = order[done[a]]
         done[a] += 1
-        yield a, x, perms[a][x]
-
-
-def _exact_tree(gens: Sequence[MatC], perms: Sequence[Sequence[int]],
-                elems: list[Optional[MatC]]) -> list[Optional[tuple[int, int]]]:
-    """Fill in each unknown vertex (None) of ``elems`` by one exact product
-    along the walk from the known ones, and return each vertex's tree edge:
-    parent[y] = (a, x) when e_y was computed as the normal form of
-    g_a e_x, else None."""
-    parent: list[Optional[tuple[int, int]]] = [None] * len(elems)
-    order = [v for v, e in enumerate(elems) if e is not None]
-    for a, x, y in _sparse_first(gens, perms, order):
+        y = perms[a][x]
         if elems[y] is None:
             elems[y] = _normalize(gens[a] * elems[x])
             parent[y] = (a, x)
             order.append(y)
-    return parent
-
-
-def _recompute_read_off(gens: Sequence[MatC], perms: Sequence[Sequence[int]],
-                        elems: list[Optional[MatC]], parent: list) -> None:
-    """Give every vertex a tree edge that is an exact product, growing the
-    known vertices from the identity: what a read-off value needs when the
-    residues alone do not prove it.
-
-    The tree of ``_exact_tree`` hangs a subtree off each read-off vertex
-    r, its values the exact images of e_r.  The walk reaches each such
-    subtree first at some vertex y by an edge (a, x) from a known x, and
-    computes the normal form of g_a e_x.  When that is e_y, the whole
-    subtree is exact and becomes known, (a, x) replacing y's tree edge.
-    Otherwise e_r was wrong: the subtree's values are dropped and its
-    vertices are computed one product each as the walk reaches them.  With
-    every read-off value right, this takes one product per read-off
-    vertex, n - 1 with those of ``_exact_tree``."""
-    n = len(elems)
-    top = []  # the read-off vertex each vertex hangs from
-    subtrees: dict[int, list[int]] = {}
-    for v in range(n):
-        r = v
-        while parent[r] is not None:
-            r = parent[r][1]
-        top.append(r)
-        subtrees.setdefault(r, []).append(v)
-    order = subtrees.pop(0)
-    known = bytearray(n)
-    for v in order:
-        known[v] = 1
-    for a, x, y in _sparse_first(gens, perms, order):
-        if known[y]:
-            continue
-        exact = _normalize(gens[a] * elems[x])
-        subtree = subtrees.pop(top[y], None)  # None once dropped
-        if subtree is None or exact != elems[y]:
-            for v in subtree or ():
-                elems[v] = None
-            elems[y], subtree = exact, [y]
-        parent[y] = (a, x)
-        for v in subtree:
-            known[v] = 1
-        order.extend(subtree)
+    return elems, parent
 
 
 def _entries(m: MatC) -> Iterable[CycloNum]:
     return itertools.chain.from_iterable(m.rows)
+
+
+def _entry_set(elems: Iterable[MatC]) -> set[CycloNum]:
+    entries: set[CycloNum] = set()
+    for m in elems:
+        entries.update(*m.rows)
+    return entries
 
 
 def _l1_bound(e: CycloNum, scale: int) -> int:
@@ -412,14 +367,28 @@ def _conj_bound(e: CycloNum, scale: int) -> int:
     return b
 
 
-def _distinct_entries(elems: Sequence[MatC]) -> set[CycloNum]:
-    """The distinct entries of the matrices, read once per distinct row."""
-    return set(itertools.chain.from_iterable({row for m in elems for row in m.rows}))
+def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], entries: set[CycloNum],
+                 parent: Optional[Sequence], residues: Sequence, perms: Sequence[Sequence[int]],
+                 n_cond: int, p: int, reduce: Callable[[CycloNum], Optional[int]]) -> bool:
+    """Prove every edge x -a-> y of the residue graph exact:
+    ``_normalize(g_a * e_x) == e_y``; tree edges hold by construction.
+    ``entries`` is the set of the elements' distinct entries.  With no
+    tree (``parent`` None, the elements read off their residues) only the
+    first way below is tried, and False says that it failed.
 
-
-def _edge_bound(gens: Sequence[MatC], entries: set[CycloNum], phi: int,
-                entry_bound: Callable[[CycloNum, int], int]) -> int:
-    """B^phi(N) for the elements' distinct entries (``_prove_edges``)."""
+    With A = g_a e_x and (i0, j0) the first nonzero entry of e_y, the edge
+    holds iff every A_ij - A_i0j0 y_ij is zero.  D clears the denominators,
+    so D (A_ij - A_i0j0 y_ij) is an algebraic integer, and B, built from
+    bounds on the entries, bounds each of its conjugates.  When the
+    residues of e_x and e_y are the BFS's, it lies in (p, zeta_N - omega),
+    so p divides its norm, which is at most B^phi(N) in size: for
+    p > B^phi(N) it is zero.  Otherwise every non-tree edge is rechecked
+    mod a second prime P > B^phi(N) by the same argument.  B >= 2, so the
+    tighter entry bound is computed only when p > 2^phi(N) leaves the
+    first way open.
+    """
+    phi = len(cyclotomic_poly(n_cond)) - 1
+    entry_bound = _conj_bound if p > 2 ** phi else _l1_bound
     delta = math.lcm(*(e.den for e in entries))  # Delta e_x is integral for every x
     c_max = max(entry_bound(e, delta) for e in entries)
     r_max = 1  # the largest row sum of the conjugate bounds of delta_g g_a
@@ -428,55 +397,26 @@ def _edge_bound(gens: Sequence[MatC], entries: set[CycloNum], phi: int,
         for row in g.rows:
             r_max = max(r_max, sum(entry_bound(e, dg) for e in row))
     # |conj(D (A_ij - A_i0j0 y_ij))| <= Delta R C + R C C, D = delta_g Delta^2
-    return (r_max * c_max * (delta + c_max)) ** phi
-
-
-def _prove_edges(gens: Sequence[MatC], elems: list[MatC], parent: list,
-                 residues: Sequence, perms: Sequence[Sequence[int]],
-                 n_cond: int, p: int, reduce: Callable[[CycloNum], Optional[int]]) -> set[CycloNum]:
-    """Prove every edge x -a-> y of the residue graph exact,
-    ``_normalize(g_a * e_x) == e_y``, and return the set of the elements'
-    distinct entries.  ``elems`` and ``parent`` come from ``_read_off``
-    and ``_exact_tree``; recomputing read-off elements updates both.
-
-    With A = g_a e_x and (i0, j0) the first nonzero entry of e_y, the edge
-    holds iff every A_ij - A_i0j0 y_ij is zero.  D clears the denominators,
-    so D (A_ij - A_i0j0 y_ij) is an algebraic integer, and B, built from
-    bounds on all the elements' entries, bounds each of its conjugates.
-    When the residues of e_x and e_y are the BFS's, it lies in
-    (p, zeta_N - omega), so p divides its norm, which is at most B^phi(N)
-    in size: for p > B^phi(N) it is zero.  That proves every edge from
-    residues alone, tree edges and read-off elements included.  Otherwise
-    the read-off elements are recomputed exactly (``_recompute_read_off``),
-    so every tree edge holds by construction, and every other edge is
-    rechecked mod a second prime P > B^phi(N) by the same argument.
-    B >= 2, so the tighter entry bound is computed only when p > 2^phi(N)
-    leaves the first way open.
-    """
-    phi = len(cyclotomic_poly(n_cond)) - 1
-    entry_bound = _conj_bound if p > 2 ** phi else _l1_bound
-    entries = _distinct_entries(elems)
-    bound = _edge_bound(gens, entries, phi, entry_bound)
+    bound = (r_max * c_max * (delta + c_max)) ** phi
     if p > bound:
         values = {e: reduce(e) for e in entries}
         if None not in values.values():
             pack = bytes if p < 256 else tuple
             get = values.__getitem__
             if all(pack(map(get, _entries(m))) == r for m, r in zip(elems, residues)):
-                return entries
-    _recompute_read_off(gens, perms, elems, parent)
-    entries = _distinct_entries(elems)
-    bound = _edge_bound(gens, entries, phi, entry_bound)
-    checked = entries.union(*(_entries(g) for g in gens))
+                return True
+    if parent is None:
+        return False
+    entries = entries.union(*(_entries(g) for g in gens))
     # a prime above every denominator divides none of them
-    big = 1 + n_cond * (max(bound, max(e.den for e in checked)) // n_cond + 1)
+    big = 1 + n_cond * (max(bound, max(e.den for e in entries)) // n_cond + 1)
     while not _is_prime(big):
         big += n_cond
     w = _cyclotomic_root(big, n_cond)
     if w is None:
         raise EnumerationUnproved(f"no root of the {n_cond}-th cyclotomic polynomial mod {big}")
     reduce_big = _reducer(big, n_cond, w)
-    values = {e: reduce_big(e) for e in checked}
+    values = {e: reduce_big(e) for e in entries}
     if None in values.values():
         raise EnumerationUnproved(f"a denominator is not invertible mod {big}")
     get = values.__getitem__
@@ -495,7 +435,7 @@ def _prove_edges(gens: Sequence[MatC], elems: list[MatC], parent: list,
                 raise EnumerationUnproved(
                     f"generator {a} times element {x} is not element {y} (checked mod {big})"
                 )
-    return entries
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -670,14 +610,13 @@ class FinGroup:
         (``_residue_prime``), N the lcm of the entries' conductors, under
         zeta_N -> omega: reduction mod an odd split prime is injective on a
         finite matrix group (Minkowski), so the residue Cayley graph is the
-        group's.  An element whose residues all have one preimage among the
-        entries of the identity and the generators is read off them
-        (``_read_off``); the others are exact products along a spanning tree
-        of that graph grown from the read-off elements (``_exact_tree``).
-        Every edge is then proved exact by a norm bound (``_prove_edges``).
-        The read-off elements are kept only when the residues alone prove
-        them; otherwise they are recomputed by exact products
-        (``_recompute_read_off``).  A failed
+        group's.  When every residue has one preimage among the entries of
+        the identity and the generators, the elements are read off their
+        residues (``_read_off``), and they are kept when a norm bound proves
+        every edge from the residues alone (``_prove_edges``).  Otherwise
+        exact normal forms are computed along a spanning tree of that graph,
+        n - 1 products (``_exact_tree``), and every other edge is proved
+        exact by the norm bound or a recheck mod a second prime; a failed
         proof raises EnumerationUnproved, so generators of an infinite group
         never yield a group.  Element y = g_a * x is found from x, so its
         word is x's word plus a, and ``mult`` replays the word through the
@@ -703,18 +642,21 @@ class FinGroup:
         reduce, gen_residues = data
         residues, words, perms = _residue_bfs(gen_residues, dim, p, cap)
         elems = _read_off(residues, reduce, gens_p, ident)
-        parent = _exact_tree(gens_p, perms, elems)
-        entries = _prove_edges(gens_p, elems, parent, residues, perms, n_cond, p, reduce)
-        del residues, parent
+        entries = _entry_set(elems or ())
+        if elems is None or not _prove_edges(gens_p, elems, entries, None, residues, perms,
+                                             n_cond, p, reduce):
+            elems, parent = _exact_tree(gens_p, perms, ident)
+            entries = _entry_set(elems)
+            _prove_edges(gens_p, elems, entries, parent, residues, perms, n_cond, p, reduce)
+            del parent
+        del residues
         n = len(elems)
         # canonical order: identity first, the rest by their entries in
         # row-major order, each entry ranked by (conductor, denominator,
-        # coordinates); the ranks are read per distinct row
+        # coordinates)
         rank = {e: r for r, e in enumerate(sorted(entries, key=lambda e: (e.n, e.den, e.num)))}
-        row_ranks = {row: tuple(map(rank.__getitem__, row))
-                     for row in {row for m in elems for row in m.rows}}
         order = [0] + sorted(range(1, n),
-                             key=lambda i: tuple(map(row_ranks.__getitem__, elems[i].rows)))
+                             key=lambda i: tuple(map(rank.__getitem__, _entries(elems[i]))))
         relabel = [0] * n
         for new, old in enumerate(order):
             relabel[old] = new

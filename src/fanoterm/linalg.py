@@ -33,7 +33,7 @@ class MatC:
     __slots__ = ("rows", "dim", "_nnz")
 
     def __init__(self, rows: Sequence[Sequence[CycloNum]]):
-        rows = tuple(map(tuple, rows))
+        rows = tuple(tuple(r) for r in rows)
         dim = len(rows)
         if any(len(r) != dim for r in rows):
             raise ValueError("matrix must be square")

@@ -86,7 +86,8 @@ def test_read_off_elements_of_c3_4_a6_are_exact(built):
 
 @pytest.mark.parametrize("key, read_off", [
     ("A3_5", True), ("A7_perm", True), ("M10_first", True), ("G1944", True),
-    # the first proof fails there, so the read-off elements are recomputed
+    # some residues there have no preimage or two, so every element but
+    # the identity is an exact product along the tree
     ("Q8_S3", False), ("L2_11", False),
 ])
 def test_generate_exact_product_count(monkeypatch, key, read_off):
@@ -125,52 +126,48 @@ def test_generate_refuses_infinite_group_with_finite_residues():
         FinGroup.generate([unipotent], cap=1000)
 
 
-def test_generate_recomputes_wrong_read_offs(monkeypatch, built):
-    # mod 61, most elements of A7_second read off their residues are wrong;
-    # the first proof fails there, and the wrong values are dropped and
-    # computed exactly, so the enumeration is the one mod the usual prime
-    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 61)
+def test_generate_refuses_an_infinite_group_read_off_its_residues(monkeypatch):
+    # mod 3 every power of [[1, 1], [0, 1]] reads off the entries 0, 1, -1
+    # of it and its inverse, giving a group of order 3; 3 is below the norm
+    # bound, so the read-off is dropped and the exact tree's recheck fails
+    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 3)
     read = []
     read_off = groups._read_off
+    monkeypatch.setattr(groups, "_read_off", lambda *args: read.append(read_off(*args)) or read[-1])
+    unipotent = MatC([[ONE, ONE], [ZERO, ONE]])
+    with pytest.raises(EnumerationUnproved, match="is not element"):
+        FinGroup.generate([unipotent, MatC([[ONE, -ONE], [ZERO, ONE]])], cap=1000)
+    assert read and len(read[0]) == 3
 
-    def spy(*args):
-        elems = read_off(*args)
-        read.extend(elems)
+
+def test_generate_drops_a_tampered_read_off(monkeypatch, built):
+    # a read-off element replaced by another element of the group lacks its
+    # vertex's residues: the first proof fails, the read-off is dropped, and
+    # every element is computed exactly
+    read_off = groups._read_off
+
+    def tampered(residues, reduce, gens, ident):
+        elems = read_off(residues, reduce, gens, ident)
+        elems[-1] = _normalize(gens[0] * elems[-1])
         return elems
 
-    monkeypatch.setattr(groups, "_read_off", spy)
-    definition = load_group("A7_second")
-    group = FinGroup.generate(definition.generators, cap=definition.order)
-    _assert_same_enumeration(group, built("A7_second"))
-    assert any(e is not None and e not in group._index for e in read)
-
-
-def test_generate_recomputes_a_tampered_read_off(monkeypatch, built):
-    # a read-off element replaced by another element of the group lacks its
-    # vertex's residues: the first proof fails, and the element is computed
-    # exactly
-    exact_tree = groups._exact_tree
-
-    def tampered(gens, perms, elems):
-        elems[-1] = _normalize(gens[0] * elems[-1])
-        return exact_tree(gens, perms, elems)
-
-    monkeypatch.setattr(groups, "_exact_tree", tampered)
+    monkeypatch.setattr(groups, "_read_off", tampered)
     definition = load_group("A3_5")
     group = FinGroup.generate(definition.generators, cap=definition.order)
     _assert_same_enumeration(group, built("A3_5"))
 
 
 def test_generate_refuses_a_tampered_element(monkeypatch):
-    # once every tree edge is an exact product, one element is replaced by
-    # another: the other edges into it are rechecked mod the second prime
-    recompute = groups._recompute_read_off
+    # one element of the exact tree is replaced by another: the other edges
+    # into it are rechecked mod the second prime
+    exact_tree = groups._exact_tree
 
-    def tampered(gens, perms, elems, parent):
-        recompute(gens, perms, elems, parent)
+    def tampered(gens, perms, ident):
+        elems, parent = exact_tree(gens, perms, ident)
         elems[-1] = _normalize(gens[0] * elems[-1])
+        return elems, parent
 
-    monkeypatch.setattr(groups, "_recompute_read_off", tampered)
+    monkeypatch.setattr(groups, "_exact_tree", tampered)
     with pytest.raises(EnumerationUnproved, match="is not element"):
         FinGroup.generate(load_group("Q8_S3").generators, cap=48)
 

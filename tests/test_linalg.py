@@ -66,6 +66,14 @@ def test_product_matches_term_by_term_sum(conductors):
         assert (MatC(a) * MatC(b)).rows == tuple(map(tuple, want))
 
 
+def test_product_descends_below_the_conductor_limit():
+    # E(11) * E(11)^10 + E(60) * 1: the terms' common conductor 660 passes
+    # the limit, but the first product is 1, so the entry is 1 + E(60)
+    a = MatC([[root_of_unity(11), root_of_unity(60)], [ZERO, ONE]])
+    b = MatC([[root_of_unity(11, 10), ZERO], [ONE, ONE]])
+    assert (a * b).rows[0] == (ONE + root_of_unity(60), root_of_unity(60))
+
+
 def test_product_past_the_conductor_limit_raises():
     # E(11) * 1 + 1 * E(60): each term is within the limit, their sum needs
     # conductor 660
