@@ -5,9 +5,10 @@ basis {zeta_n^0, ..., zeta_n^(phi(n)-1)} reduced modulo the n-th cyclotomic
 polynomial, a positive common denominator, and a minimal conductor.
 Canonical values are hash-consed, so equal values are the same object:
 a value compares and hashes by identity, and every value stays in the
-intern table for the life of the process.  The one Galois action,
-``galois``, gives every conjugate, and the inverse is the product of the
-other conjugates over the rational norm.
+intern table for the life of the process, as does every term tuple that
+``dot`` has memoized.  The one Galois action, ``galois``, gives every
+conjugate, and the inverse is the product of the other conjugates over
+the rational norm.
 """
 
 from __future__ import annotations
@@ -514,13 +515,29 @@ def _lift_vec(x: CycloNum, n: int) -> Sequence[int]:
     return x.num if x.n == n else _map_vec(x, n, n // x.n)
 
 
+# the memo of ``dot``: the tuple of its (a, b) terms -> their sum of products
+_DOT_CACHE: dict[tuple, CycloNum] = {}
+
+
 def dot(pairs: Sequence[tuple[CycloNum, CycloNum]]) -> CycloNum:
     """The sum of a * b over the pairs (a, b), canonicalized once: the raw
     products of the terms, lifted to their common conductor and scaled to
     one common denominator, are summed, folded once and canonicalized once.
     When that conductor passes the limit, each product and partial sum is
     canonicalized instead, so a product in a smaller field descends to it
-    first; ConductorLimitError is raised only where that fails too."""
+    first; ConductorLimitError is raised only where that fails too.
+
+    The result is memoized on the tuple of the terms, in their order and
+    with their repeats; values are hash-consed, so the key holds the values
+    themselves and the terms are lifted once per distinct tuple."""
+    key = tuple(pairs)
+    out = _DOT_CACHE.get(key)
+    if out is None:
+        out = _DOT_CACHE[key] = _dot(key)
+    return out
+
+
+def _dot(pairs: tuple[tuple[CycloNum, CycloNum], ...]) -> CycloNum:
     if len(pairs) < 2:
         return pairs[0][0] * pairs[0][1] if pairs else ZERO
     n = math.lcm(*{x.n for term in pairs for x in term})

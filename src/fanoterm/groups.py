@@ -25,12 +25,15 @@ an infinite group never yield a group.
 
 After enumeration the group theory runs on element indices:
 ``FinGroup.mult`` walks the element's generator word through
-per-generator translation tables.  Matrices are multiplied again only per
-conjugacy class, by the L3 test and the class traces of the rank.  The
-subgroup sweep, which multiplies millions of times, builds the full
-multiplication table once (2 n^2 bytes, bounded by its budget) and
-multiplies by lookup.  All derived data (orderings, class lists, subgroup
-lattices) is canonical: two runs produce identical output.
+per-generator translation tables.  Conjugation by each generator is one
+array, built with the group from the inverses and those tables, so the
+whole group's class map and the sweep's subgroup orbits are lookups.
+Matrices are multiplied again only per conjugacy class, by the L3 test
+and the class traces of the rank.  The subgroup sweep, which multiplies
+millions of times, builds the full multiplication table once (2 n^2
+bytes, bounded by its budget) and multiplies by lookup.  All derived data
+(orderings, class lists, subgroup lattices) is canonical: two runs
+produce identical output.
 """
 
 from __future__ import annotations
@@ -449,22 +452,26 @@ class GroupView:
     ``members`` is the frozenset of element ids valid for ``mult``/``inv``
     and ``elements`` the same ids in increasing order, so the identity id 0
     is always the first element.  ``ambient`` is the FinGroup whose indices
-    a subgroup uses, or None for a quotient.  A view memoizes its element
-    orders and its class map; nothing else about it changes.
+    a subgroup uses, or None for a quotient.  ``conjugations``, when given,
+    holds per generator g the array x -> g^-1 x g, which the class map and
+    the normal closure read instead of multiplying.  A view memoizes its
+    element orders and its class map; nothing else about it changes.
     """
 
-    __slots__ = ("elements", "members", "mult", "inv", "gens", "ambient",
+    __slots__ = ("elements", "members", "mult", "inv", "gens", "ambient", "conjugations",
                  "_order_cache", "_class_map")
 
     def __init__(self, members: Iterable[int], mult: Callable[[int, int], int],
                  inv: Callable[[int], int], gens: Sequence[int],
-                 ambient: Optional["FinGroup"]):
+                 ambient: Optional["FinGroup"],
+                 conjugations: Optional[Sequence[Sequence[int]]] = None):
         self.members = frozenset(members)
         self.elements = tuple(sorted(self.members))
         self.mult = mult
         self.inv = inv
         self.gens = tuple(gens)
         self.ambient = ambient
+        self.conjugations = conjugations
         self._order_cache: dict[int, int] = {}
         self._class_map: Optional[tuple[tuple[tuple[int, ...], ...], dict[int, int]]] = None
 
@@ -485,6 +492,13 @@ class GroupView:
 
     def conj(self, x: int, g: int) -> int:
         return self.mult(self.mult(self.inv(g), x), g)
+
+    def _conjugators(self) -> list[Callable[[int], int]]:
+        """Per generator g, x -> g^-1 x g: an array lookup when the view has
+        the arrays, else two products."""
+        if self.conjugations is not None:
+            return [c.__getitem__ for c in self.conjugations]
+        return [lambda x, g=g: self.conj(x, g) for g in self.gens]
 
     def closure(self, gens: Iterable[int]) -> frozenset[int]:
         """The subgroup generated by gens.  When they are all members, it is
@@ -510,6 +524,7 @@ class GroupView:
         element, memoized on the view.  Each orbit is found from its least
         member, so the classes come out sorted by it."""
         if self._class_map is None:
+            conjugators = self._conjugators()
             classes = []
             class_of: dict[int, int] = {}
             for x in self.elements:
@@ -518,8 +533,8 @@ class GroupView:
                 orbit = {x}
                 queue = [x]
                 for y in queue:
-                    for g in self.gens:
-                        z = self.conj(y, g)
+                    for conj in conjugators:
+                        z = conj(y)
                         if z not in orbit:
                             orbit.add(z)
                             queue.append(z)
@@ -537,11 +552,12 @@ class GroupView:
         """Smallest normal subgroup (of this view's group) containing seeds."""
         gen_list = sorted({s for s in seeds if s != 0})
         members = self.closure(gen_list)
+        conjugators = self._conjugators()
         while True:
             new = []
             for s in gen_list:
-                for g in self.gens:
-                    c = self.conj(s, g)
+                for conj in conjugators:
+                    c = conj(s)
                     if c not in members:
                         new.append(c)
             if not new:
@@ -572,9 +588,10 @@ class FinGroup:
 
     ``elements[0]`` is the identity; the remaining elements are sorted by
     the entries of their normal forms (see ``generate``), so the indexing
-    is reproducible across runs.  Nothing about the group changes
-    after construction; only its view memoizes element orders and the
-    class map.
+    is reproducible across runs.  Nothing about the group changes after
+    construction.  Its view holds one ``array('I')`` per generator g,
+    x -> g^-1 x g, built here once the enumeration's residues are freed,
+    and memoizes element orders and the class map.
     """
 
     def __init__(self, elements, gen_elem_idx, perms, words, dim):
@@ -597,7 +614,12 @@ class FinGroup:
                 r = inv_perms[a][r]
             inv.append(r)
         self._inv = inv
-        self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx, self)
+        # g^-1 x g = g^-1 (g^-1 x^-1)^-1: per generator, two passes of the
+        # inverse and two of left multiplication by g^-1
+        conjugations = [array("I", map(q.__getitem__, map(inv.__getitem__,
+                                                           map(q.__getitem__, inv))))
+                        for q in inv_perms]
+        self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx, self, conjugations)
 
     # -- construction -----------------------------------------------------
 
@@ -621,6 +643,10 @@ class FinGroup:
         never yield a group.  Element y = g_a * x is found from x, so its
         word is x's word plus a, and ``mult`` replays the word through the
         translation tables.
+
+        The canonical order sorts the elements by the ranks of their
+        entries; elements read off residues mod p < 256 are sorted by their
+        residues translated to those ranks, one ``bytes`` per element.
         """
         if not gens:
             raise ValueError("at least one generator is required")
@@ -643,25 +669,37 @@ class FinGroup:
         residues, words, perms = _residue_bfs(gen_residues, dim, p, cap)
         elems = _read_off(residues, reduce, gens_p, ident)
         entries = _entry_set(elems or ())
-        if elems is None or not _prove_edges(gens_p, elems, entries, None, residues, perms,
-                                             n_cond, p, reduce):
+        read_off = elems is not None and _prove_edges(gens_p, elems, entries, None, residues,
+                                                      perms, n_cond, p, reduce)
+        if not read_off:
             elems, parent = _exact_tree(gens_p, perms, ident)
             entries = _entry_set(elems)
             _prove_edges(gens_p, elems, entries, parent, residues, perms, n_cond, p, reduce)
             del parent
-        del residues
         n = len(elems)
         # canonical order: identity first, the rest by their entries in
         # row-major order, each entry ranked by (conductor, denominator,
         # coordinates)
-        rank = {e: r for r, e in enumerate(sorted(entries, key=lambda e: (e.n, e.den, e.num)))}
-        order = [0] + sorted(range(1, n),
-                             key=lambda i: tuple(map(rank.__getitem__, _entries(elems[i]))))
+        ranked = sorted(entries, key=lambda e: (e.n, e.den, e.num))
+        if read_off and p < 256:
+            # a read-off residue byte has one preimage, so there are fewer
+            # than 256 entries and a residue translated to its entries'
+            # ranks is the same key as the tuple of those ranks
+            rank_table = bytearray(256)
+            for r, e in enumerate(ranked):
+                rank_table[reduce(e)] = r
+            key = lambda i: residues[i].translate(rank_table)
+        else:
+            rank = {e: r for r, e in enumerate(ranked)}
+            key = lambda i: tuple(map(rank.__getitem__, _entries(elems[i])))
+        order = [0] + sorted(range(1, n), key=key)
+        del residues, key
         relabel = [0] * n
         for new, old in enumerate(order):
             relabel[old] = new
         new_perms = [[relabel[perm[old]] for old in order] for perm in perms]
         gen_elem_idx = [relabel[perm[0]] for perm in perms]
+        del perms
         group = cls([elems[i] for i in order], gen_elem_idx, new_perms,
                     [words[i] for i in order], dim)
         if len(group._index) != n:  # implied by the proof; checked as it is free
@@ -749,8 +787,7 @@ class FinGroup:
         inv = self._inv
         view = GroupView(range(n), lambda a, b: table[a][b], inv.__getitem__,
                          self.gen_idx, self)
-        # x -> g^-1 x g for each generator g of the group
-        conjugations = [array("H", [table[y][g] for y in table[inv[g]]]) for g in self.gen_idx]
+        conjugations = self.view.conjugations  # x -> g^-1 x g per generator g
 
         cyclic_of: list[frozenset[int]] = []  # <x> for x = 1, ..., n - 1
         cyclics: dict[frozenset[int], int] = {}  # each with its least generator

@@ -9,6 +9,7 @@ from fanoterm.cyclo import (
     ZERO,
     ConductorLimitError,
     CycloNum,
+    dot,
     galois,
     parse_cyclo,
     rational,
@@ -16,6 +17,7 @@ from fanoterm.cyclo import (
     sqrt_rational,
 )
 
+from fanoterm import cyclo
 from oracles import cyclo_as_power_poly, reduce_power_poly
 
 
@@ -252,3 +254,28 @@ def test_parse_grammar_forms():
         parse_cyclo("E(3) +")
     with pytest.raises(ValueError):
         parse_cyclo("Q(3)")
+
+
+def test_dot_memo_keeps_repeated_terms(monkeypatch):
+    monkeypatch.setattr(cyclo, "_DOT_CACHE", {})
+    a, b = root_of_unity(7, 3), rational(5, 11) * root_of_unity(9)
+    assert dot([(a, b)]) is a * b
+    # a repeated term counts twice: the memo keys on the whole term list
+    assert dot([(a, b), (a, b)]) is 2 * a * b
+    assert dot([(b, a), (a, b)]) is 2 * a * b
+    assert dot([(a, b), (ONE, ONE)]) is a * b + 1
+    assert dot([(ONE, ONE), (a, b)]) is a * b + 1
+
+
+def test_dot_memo_lifts_each_term_list_once(monkeypatch):
+    monkeypatch.setattr(cyclo, "_DOT_CACHE", {})
+    lifts = []
+    lift = cyclo._lift_vec
+    monkeypatch.setattr(cyclo, "_lift_vec", lambda x, n: lifts.append(n) or lift(x, n))
+    terms = [(root_of_unity(7, 3), root_of_unity(9)), (rational(1, 2), root_of_unity(7))]
+    first = dot(terms)
+    assert len(lifts) == 4  # the four values, lifted to conductor 63
+    assert dot(list(terms)) is first
+    assert dot(tuple(terms)) is first
+    assert len(lifts) == 4
+    assert first is root_of_unity(7, 3) * root_of_unity(9) + rational(1, 2) * root_of_unity(7)

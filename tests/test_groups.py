@@ -84,6 +84,19 @@ def test_read_off_elements_of_c3_4_a6_are_exact(built):
                    for x, e in enumerate(group.elements))
 
 
+def test_canonical_order_of_c3_4_a6(built):
+    # C3_4_A6 is sorted by its residues translated to entry ranks; the
+    # elements after the identity strictly increase under the tuple of
+    # their entries' ranks, each entry ranked by (conductor, denominator,
+    # coordinates)
+    group = built("C3_4_A6")
+    entries = sorted(groups._entry_set(group.elements), key=lambda e: (e.n, e.den, e.num))
+    rank = {e: r for r, e in enumerate(entries)}
+    keys = [tuple(rank[e] for row in m.rows for e in row) for m in group.elements[1:]]
+    assert group.elements[0] == identity(group.dim)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 @pytest.mark.parametrize("key, read_off", [
     ("A3_5", True), ("A7_perm", True), ("M10_first", True), ("G1944", True),
     # some residues there have no preimage or two, so every element but
@@ -210,6 +223,22 @@ def test_conjugacy_classes_trivial_and_abelian():
     assert len(t.view.class_map()[0]) == 1
     c6 = C6()
     assert len(c6.view.class_map()[0]) == 6
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "M10_second", "G1944",
+                                 "A7_perm", "A7_second"])
+def test_conjugation_arrays_match_word_walks(built, key):
+    # the arrays built from the inverses against two word-walk products
+    # per element, and the class map read from them against the class map
+    # of a view without them
+    group = built(key)
+    view = group.view
+    assert len(view.conjugations) == len(view.gens)
+    for g, conjugation in zip(view.gens, view.conjugations):
+        assert list(conjugation) == [view.conj(x, g) for x in range(group.n)]
+    reference = GroupView(range(group.n), group.mult, group.inv, group.gen_idx, group)
+    assert reference.conjugations is None
+    assert view.class_map() == reference.class_map()
 
 
 def test_conjugacy_classes_a7(built):

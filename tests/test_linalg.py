@@ -72,6 +72,8 @@ def test_product_descends_below_the_conductor_limit():
     a = MatC([[root_of_unity(11), root_of_unity(60)], [ZERO, ONE]])
     b = MatC([[root_of_unity(11, 10), ZERO], [ONE, ONE]])
     assert (a * b).rows[0] == (ONE + root_of_unity(60), root_of_unity(60))
+    # the second product reads the memoized entries, which descended too
+    assert (a * b).rows[0] == (ONE + root_of_unity(60), root_of_unity(60))
 
 
 def test_product_past_the_conductor_limit_raises():
