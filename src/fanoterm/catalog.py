@@ -92,6 +92,11 @@ def load_group(key: str) -> GroupDefinition:
         mats = tuple(mat_from_strings(g) for g in gens)
     except (ValueError, ZeroDivisionError) as exc:
         raise CatalogValidationError(f"{key}: bad entry: {exc}") from None
+    if not mats:
+        raise CatalogValidationError(f"{key}: no generator block")
+    for i, m in enumerate(mats, start=1):
+        if m.dim != 6:
+            raise CatalogValidationError(f"{key}: generator {i} is {m.dim}x{m.dim}, not 6x6")
     if len(cubic) != len(CUBIC_MONOMIALS) or all(c.is_zero for c in cubic):
         raise CatalogValidationError(
             f"{key}: the cubic needs {len(CUBIC_MONOMIALS)} coefficients, not all zero"

@@ -8,7 +8,11 @@ a value compares and hashes by identity, and every value stays in the
 intern table for the life of the process, as does every term tuple that
 ``dot`` has memoized.  The one Galois action, ``galois``, gives every
 conjugate, and the inverse is the product of the other conjugates over
-the rational norm.
+the rational norm.  Values of different conductors are combined only in
+``dot``, which lifts them to their common conductor and is the one place
+that enforces the conductor limit on sums and products; ``+`` and ``*``
+handle zero, one and equal conductors themselves and send every other
+case there.
 """
 
 from __future__ import annotations
@@ -285,17 +289,13 @@ class CycloNum:
         if other.is_zero:
             return self
         a, b = self, other
-        if a.n == b.n:
-            if a.den == b.den:
-                vec = [x + y for x, y in zip(a.num, b.num)]
-                return _canonical(a.n, vec, a.den)
-            vec = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
-            return _canonical(a.n, vec, a.den * b.den)
-        n = _common_conductor(a.n, b.n)
-        va = _lift_vec(a, n)
-        vb = _lift_vec(b, n)
-        vec = [x * b.den + y * a.den for x, y in zip(va, vb)]
-        return _canonical(n, vec, a.den * b.den)
+        if a.n != b.n:
+            return _dot(((a, ONE), (b, ONE)))
+        if a.den == b.den:
+            vec = [x + y for x, y in zip(a.num, b.num)]
+            return _canonical(a.n, vec, a.den)
+        vec = [x * b.den + y * a.den for x, y in zip(a.num, b.num)]
+        return _canonical(a.n, vec, a.den * b.den)
 
     __radd__ = __add__
 
@@ -325,16 +325,11 @@ class CycloNum:
             return b
         if b.is_one:
             return a
-        if a.n == 1 and b.n == 1:
-            return _canonical(1, [a.num[0] * b.num[0]], a.den * b.den)
         if a.n != b.n:
-            n = _common_conductor(a.n, b.n)
-            va, vb = _lift_vec(a, n), _lift_vec(b, n)
-        else:
-            n, va, vb = a.n, a.num, b.num
-        if n == 1:
-            return _canonical(1, [va[0] * vb[0]], a.den * b.den)
-        return _canonical(n, _mul_vec(va, vb, n), a.den * b.den)
+            return _dot(((a, b),))
+        if a.n == 1:
+            return _canonical(1, [a.num[0] * b.num[0]], a.den * b.den)
+        return _canonical(a.n, _mul_vec(a.num, b.num, a.n), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -491,15 +486,6 @@ def _canonical(n: int, vec: list[int], den: int) -> CycloNum:
     return obj
 
 
-def _common_conductor(a: int, b: int) -> int:
-    n = a * b // math.gcd(a, b)
-    if n > _CONDUCTOR_LIMIT:
-        raise ConductorLimitError(
-            f"conductor {n} exceeds the limit {_CONDUCTOR_LIMIT}"
-        )
-    return n
-
-
 def _map_vec(x: CycloNum, n: int, step: int) -> list[int]:
     """Coordinates in Q(zeta_n) of the image of x under zeta_(x.n) -> zeta_n^step."""
     out = [0] * _phi(n)
@@ -525,7 +511,8 @@ def dot(pairs: Sequence[tuple[CycloNum, CycloNum]]) -> CycloNum:
     one common denominator, are summed, folded once and canonicalized once.
     When that conductor passes the limit, each product and partial sum is
     canonicalized instead, so a product in a smaller field descends to it
-    first; ConductorLimitError is raised only where that fails too.
+    first; ConductorLimitError is raised where that fails too, and at once
+    when no product can descend (one pair, or every b is ONE).
 
     The result is memoized on the tuple of the terms, in their order and
     with their repeats; values are hash-consed, so the key holds the values
@@ -538,10 +525,12 @@ def dot(pairs: Sequence[tuple[CycloNum, CycloNum]]) -> CycloNum:
 
 
 def _dot(pairs: tuple[tuple[CycloNum, CycloNum], ...]) -> CycloNum:
-    if len(pairs) < 2:
-        return pairs[0][0] * pairs[0][1] if pairs else ZERO
+    if not pairs:
+        return ZERO
     n = math.lcm(*{x.n for term in pairs for x in term})
     if n > _CONDUCTOR_LIMIT:
+        if len(pairs) == 1 or all(b is ONE for _, b in pairs):
+            raise ConductorLimitError(f"conductor {n} exceeds the limit {_CONDUCTOR_LIMIT}")
         return sum((a * b for a, b in pairs), ZERO)
     dens = [a.den * b.den for a, b in pairs]
     den = math.lcm(*dens)
@@ -650,6 +639,11 @@ _TOKEN_RE = re.compile(r"\s*(ER|E|\d+|[()+\-*/^])")
 # few stack frames, and this keeps them well inside Python's recursion limit
 MAX_NESTING = 100
 
+# the largest exponent after ^ that the text parser accepts: a rational's
+# power is exact, so its cost grows with the exponent (the catalog's largest
+# exponent is 22)
+MAX_EXPONENT = 1000
+
 
 def _tokens(text: str) -> Iterator[str]:
     pos = 0
@@ -716,6 +710,8 @@ class _Parser:
                 self.take()
                 neg = True
             k = int(self.take())
+            if k > MAX_EXPONENT:
+                raise ValueError(f"exponent in cyclotomic literal exceeds {MAX_EXPONENT}")
             out = out ** (-k if neg else k)
         return out if sign == 1 else -out
 

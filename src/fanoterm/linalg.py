@@ -133,10 +133,7 @@ class MatC:
         return MatC([row[d:] for row in work])
 
     def trace(self) -> CycloNum:
-        t = ZERO
-        for i in range(self.dim):
-            t = t + self.rows[i][i]
-        return t
+        return dot([(row[i], ONE) for i, row in enumerate(self.rows)])
 
     def char_poly(self) -> tuple[CycloNum, ...]:
         """Monic characteristic polynomial det(tI - A) as its tuple of
@@ -218,11 +215,8 @@ _MONOMIAL_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
 
 def cubic_eval(coeffs: Sequence[CycloNum], point: Sequence[CycloNum]) -> CycloNum:
     """The value F(p) of a cubic form at a point."""
-    total = ZERO
-    for c, (i, j, k) in zip(coeffs, CUBIC_MONOMIALS):
-        if not c.is_zero:
-            total = total + c * point[i] * point[j] * point[k]
-    return total
+    return dot([(c, point[i] * point[j] * point[k])
+                for c, (i, j, k) in zip(coeffs, CUBIC_MONOMIALS) if not c.is_zero])
 
 
 def cubic_compose(coeffs: Sequence[CycloNum], mat: MatC) -> tuple[CycloNum, ...]:
@@ -232,27 +226,25 @@ def cubic_compose(coeffs: Sequence[CycloNum], mat: MatC) -> tuple[CycloNum, ...]
     x_j..x_5, so each product (Mx)_i*(Mx)_j is expanded once.
     """
     forms = [[(j, e) for j, e in enumerate(row) if not e.is_zero] for row in mat.rows]
-    out = [ZERO] * len(CUBIC_MONOMIALS)
+    out: list[list] = [[] for _ in CUBIC_MONOMIALS]  # the terms of each coefficient
     for i in range(6):
         for j in range(i, 6):
-            tail = [ZERO] * 6  # the image of sum_k c_ijk x_k, as a linear form
+            tail: list[list] = [[] for _ in range(6)]  # the image of sum_k c_ijk x_k
             for k in range(j, 6):
                 c = coeffs[_MONOMIAL_INDEX[(i, j, k)]]
                 if not c.is_zero:
                     for b, e in forms[k]:
-                        tail[b] = tail[b] + c * e
-            tail_terms = [(c, e) for c, e in enumerate(tail) if not e.is_zero]
+                        tail[b].append((c, e))
+            tail_terms = [(c, e) for c, e in enumerate(map(dot, tail)) if not e.is_zero]
             if not tail_terms:
                 continue
-            quad: dict[tuple[int, int], CycloNum] = {}
+            quad: dict[tuple[int, int], list] = {}
             for a, ea in forms[i]:
                 for b, eb in forms[j]:
-                    key = (a, b) if a <= b else (b, a)
-                    quad[key] = quad.get(key, ZERO) + ea * eb
-            for (a, b), q in quad.items():
-                if q.is_zero:
-                    continue
-                for c, e in tail_terms:
-                    idx = _MONOMIAL_INDEX[tuple(sorted((a, b, c)))]
-                    out[idx] = out[idx] + q * e
-    return tuple(out)
+                    quad.setdefault((a, b) if a <= b else (b, a), []).append((ea, eb))
+            for (a, b), terms in quad.items():
+                q = dot(terms)
+                if not q.is_zero:
+                    for c, e in tail_terms:
+                        out[_MONOMIAL_INDEX[tuple(sorted((a, b, c)))]].append((q, e))
+    return tuple(map(dot, out))

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .catalog import CatalogValidationError, load_rank_rows
-from .cyclo import ZERO, CycloNum, rational
+from .cyclo import CycloNum, dot, rational
 from .groups import FinGroup, GroupId, GroupView
 from .linalg import CUBIC_MONOMIALS, cubic_eval
 
@@ -68,12 +68,12 @@ def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
         x = members[0]
         m = group.elements[x]
         m_inv = group.elements[group.inv(x)]
-        s = sum((m[0, j] * m_inv[j, 0] for j in range(d)), ZERO)
+        s = dot([(m[0, j], m_inv[j, 0]) for j in range(d)])
         m2 = m * m
         p1, p2 = m.trace(), m2.trace()
-        p3 = sum((m2[i, j] * m[j, i] for i in range(d) for j in range(d)), ZERO)
+        p3 = dot([(m2[i, j], m[j, i]) for i in range(d) for j in range(d)])
         h3 = (p1 * p1 * p1 + 3 * p1 * p2 + 2 * p3) / 6
-        image = [sum((m[i, j] * point[j] for j in range(d)), ZERO) for i in range(d)]
+        image = [dot([(m[i, j], point[j]) for j in range(d)]) for i in range(d)]
         lam = cubic_eval(cubic, image) / value
         trace = 3 + h3 / lam - p1 * m_inv.trace() / s
         q = trace.to_rational()

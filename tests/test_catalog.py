@@ -104,6 +104,12 @@ def corrupted(monkeypatch):
     load_group.cache_clear()
 
 
+def _q8_s3_from(marker):
+    """Q8_S3's definition text from marker to its end."""
+    text = catalog._read("groups/Q8_S3.txt")
+    return text[text.index(marker):]
+
+
 @pytest.mark.parametrize("key,old,new,message", [
     # the coefficient of x1*x4*x5, the first ", 2, " of the file, from 2 to 3
     pytest.param("Q8_S3", ", 2, ", ", 3, ", "does not preserve the cubic", id="cubic-coefficient"),
@@ -125,6 +131,13 @@ def corrupted(monkeypatch):
     pytest.param("Q8_S3", "generator 1:\n1, 0, 0, 0, 0, 0\n0, 0, 1,",
                  "generator 1:\n-1, 0, 0, 0, 0, 0\n0, 0, -1,",
                  "generator 1 does not preserve the cubic", id="generator-cubic"),
+    pytest.param("Q8_S3", _q8_s3_from("generator 1:"), "", "no generator block",
+                 id="no-generators"),
+    # the last generator replaced by the 5x5 identity
+    pytest.param("Q8_S3", _q8_s3_from("generator 4:"),
+                 "generator 4:\n" + "\n".join(", ".join("1" if i == j else "0" for j in range(5))
+                                               for i in range(5)),
+                 "generator 4 is 5x5, not 6x6", id="generator-5x5"),
     # L2_11's h1 with the sign of its fifth row's final entry dropped, the
     # matrix of infinite order that its variant note describes
     pytest.param("L2_11", ", 1, -(E(11)+E(11)^3+E(11)^4+E(11)^5+E(11)^9)",

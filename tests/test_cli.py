@@ -134,6 +134,8 @@ def _identity_with(entry):
     pytest.param(_identity_with("(" * 3000 + "1" + ")" * 3000), id="entry-nested-3000"),
     pytest.param("(" * 3000 + "g1" + ")" * 3000, id="word-nested-3000"),
     pytest.param("g1^" + "7" * 5000, id="word-exponent-5000-digits"),
+    # an exponent past cyclo.MAX_EXPONENT, whose exact power would need GBs
+    pytest.param(_identity_with("2^10000000000"), id="entry-exponent-10^10"),
 ])
 def test_targeted_bad_matrix_entry(capsys, spec):
     code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted",

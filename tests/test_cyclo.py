@@ -151,6 +151,18 @@ def test_conductor_limit_enforced():
         root_of_unity(11, 1) * root_of_unity(5, 1) * root_of_unity(24, 1)
 
 
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda a, b: a + b, id="add"),
+    pytest.param(lambda a, b: a - b, id="sub"),
+    pytest.param(lambda a, b: a * b, id="mul"),
+    pytest.param(lambda a, b: dot([(a, b)]), id="dot"),
+])
+def test_conductor_limit_enforced_by_every_operation(op):
+    # E(11) and E(60) meet in conductor lcm(11, 60) = 660, past the limit 264
+    with pytest.raises(ConductorLimitError):
+        op(root_of_unity(11), root_of_unity(60))
+
+
 # 11 and 60 are conductors of the catalog's inverses and descents
 CONDUCTORS = [1, 3, 4, 5, 7, 8, 9, 11, 12, 15, 20, 24, 60]
 

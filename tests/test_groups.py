@@ -61,7 +61,7 @@ def _assert_same_enumeration(got, want):
 
 
 @pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "M10_second", "G1944",
-                                 "A7_perm"])
+                                 "A7_perm", "A7_second"])
 def test_generate_matches_exact_bfs_on_catalog_groups(built, key):
     # residue BFS, exact spanning tree and edge proofs give exactly the
     # enumeration of one exact product per Cayley-graph edge
