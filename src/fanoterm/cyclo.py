@@ -2,7 +2,10 @@
 
 Values are stored in canonical form: integer coordinates over the power
 basis {zeta_n^0, ..., zeta_n^(phi(n)-1)} reduced modulo the n-th cyclotomic
-polynomial, a positive common denominator, and a minimal conductor.
+polynomial, a positive common denominator, and a minimal conductor.  The
+conductor is read off the coordinates: ``_descend`` moves a value from
+Q(zeta_n) down to Q(zeta_(n/p)) by direct tests on its coordinates, so no
+linear system is solved.
 Canonical values are hash-consed, so equal values are the same object:
 a value compares and hashes by identity, and every value stays in the
 intern table for the life of the process, as does every term tuple that
@@ -181,37 +184,37 @@ def _image_cols(m: int, n: int, step: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_power_vec(n, j * step) for j in range(_phi(m)))
 
 
-@lru_cache(maxsize=None)
-def _descent(n: int, p: int) -> tuple:
-    """Solver for rewriting a conductor-n value in Q(zeta_(n/p)), p | n.
+def _descend(n: int, vec: list[int]) -> Optional[tuple[int, list[int]]]:
+    """The first subfield Q(zeta_m), m = n/p for a prime p | n, that holds
+    the value with conductor-n coordinates vec, as (m, its coordinates
+    there), zeta_m being zeta_n^p; None when no such subfield holds it.
 
-    Returns (m, rowsel, Binv, Bden, cols) where cols[j] is the conductor-n
-    coordinate vector of zeta_m^j.  A value vector v lies in Q(zeta_m) iff
-    x = Binv . v[rowsel] / Bden satisfies cols . x == v, in which case x is
-    its conductor-m coordinate vector.
+    For p | m, Phi_n(t) = Phi_m(t^p): the value lies in Q(zeta_m) exactly
+    when its coordinates off the multiples of p vanish.  For p prime to m,
+    zeta_n = zeta_m^a zeta_p^b (a = p^-1 mod m, b = m^-1 mod p) splits the
+    value as the sum of A_r zeta_p^r, A_r in Q(zeta_m); as 1, zeta_p, ...,
+    zeta_p^(p-2) is a basis over Q(zeta_m), it lies there exactly when
+    A_1 = ... = A_(p-1), and then it is A_0 - A_(p-1).
     """
-    m = n // p
-    cols = _image_cols(m, n, p)
-    pm, pn = _phi(m), _phi(n)
-    # Gauss-Jordan on [B | I], B the pn x pm matrix with columns cols, each
-    # pivot the first row not yet used.  Pivot row rowsel[j] ends as e_j on
-    # the left and, on the right, as row j of a left inverse of B that is
-    # zero outside the columns rowsel: row j of B[rowsel]^-1.
-    work = [[Fraction(cols[j][i]) for j in range(pm)] + [Fraction(int(i == r)) for r in range(pn)]
-            for i in range(pn)]
-    rowsel: list[int] = []
-    for col in range(pm):
-        piv = next(r for r in range(pn) if r not in rowsel and work[r][col])
-        rowsel.append(piv)
-        inv = 1 / work[piv][col]
-        work[piv] = [x * inv for x in work[piv]]
-        for r in range(pn):
-            if r != piv and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[piv])]
-    binv = [[work[r][pm + s] for s in rowsel] for r in rowsel]
-    bden = math.lcm(*(q.denominator for row in binv for q in row))
-    return (m, tuple(rowsel), tuple(tuple(int(q * bden) for q in row) for row in binv), bden, cols)
+    for p in _prime_factors(n):
+        m = n // p
+        if m % p == 0:
+            if not any(c for i, c in enumerate(vec) if i % p):
+                return m, vec[::p]
+            continue
+        a, b = pow(p, -1, m), pow(m, -1, p)
+        powers = _powers(m)
+        parts = [[0] * _phi(m) for _ in range(p)]  # A_0, ..., A_(p-1)
+        for i, c in enumerate(vec):
+            if c:
+                part = parts[b * i % p]
+                for j, x in enumerate(powers[a * i % m]):
+                    if x:
+                        part[j] += c * x
+        last = parts[-1]
+        if all(part == last for part in parts[1:-1]):
+            return m, [x - y for x, y in zip(parts[0], last)]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -447,29 +450,13 @@ def _canonical(n: int, vec: list[int], den: int) -> CycloNum:
         return obj
     cn, cvec, cden = n, list(vec), den
     while cn > 1:
-        if all(c == 0 for c in cvec[1:]):
+        if not any(cvec[1:]):
             cn, cvec = 1, [cvec[0]]
             break
-        for p in _prime_factors(cn):
-            m, sel, binv, bden, cols = _descent(cn, p)
-            csel = [cvec[i] for i in sel]
-            x = [sum(br[j] * csel[j] for j in range(len(csel))) for br in binv]
-            ok = True
-            pm = len(x)
-            for i in range(len(cvec)):
-                s = 0
-                for j in range(pm):
-                    xj = x[j]
-                    if xj:
-                        s += cols[j][i] * xj
-                if s != bden * cvec[i]:
-                    ok = False
-                    break
-            if ok:
-                cn, cvec, cden = m, x, cden * bden
-                break
-        else:
+        down = _descend(cn, cvec)
+        if down is None:
             break
+        cn, cvec = down
     g = cden
     for c in cvec:
         if c:
@@ -605,25 +592,36 @@ def sqrt_rational(r: RationalLike) -> CycloNum:
     """A cyclotomic number whose square is exactly r.
 
     Positive real root for r whose squarefree part is 1 mod 4 (and for
-    squares); negative r gives i times the root of -r.
+    squares); negative r gives i times the root of -r.  Raises
+    ConductorLimitError, before any table is built, when the root of a
+    prime in the squarefree part has a conductor above the limit.
     """
     q = Fraction(r)
     if q < 0:
         return root_of_unity(4, 1) * sqrt_rational(-q)
     if q == 0:
         return ZERO
-    # sqrt(num/den) = sqrt(num*den)/den
+    # sqrt(num/den) = sqrt(num*den)/den; trial division by 2, ..., the limit
+    # leaves a cofactor whose primes all pass the limit, so it must be a square
     m = q.numerator * q.denominator
     square, free = 1, []
-    for p in _prime_factors(m):
+    for p in range(2, _CONDUCTOR_LIMIT + 1):
+        if m == 1:
+            break
         e = 0
         while m % p == 0:
             m //= p
             e += 1
         square *= p ** (e // 2)
         if e % 2:
+            conductor = 8 if p == 2 else p if p % 4 == 1 else 4 * p  # of sqrt(p)
+            if conductor > _CONDUCTOR_LIMIT:
+                raise ConductorLimitError(f"conductor {conductor} exceeds the limit {_CONDUCTOR_LIMIT}")
             free.append(p)
-    out = rational(Fraction(square, q.denominator))
+    root = math.isqrt(m)
+    if root * root != m:
+        raise ConductorLimitError(f"square root has a conductor above the limit {_CONDUCTOR_LIMIT}")
+    out = rational(Fraction(square * root, q.denominator))
     for p in free:
         out = out * _sqrt_prime(p)
     return out
@@ -641,7 +639,10 @@ MAX_NESTING = 100
 
 # the largest exponent after ^ that the text parser accepts: a rational's
 # power is exact, so its cost grows with the exponent (the catalog's largest
-# exponent is 22)
+# exponent is 22).  Exponents multiply through parentheses, so a power is
+# also refused when its size bound, the exponent times the bit length of
+# the base's coordinate sum or denominator, passes MAX_EXPONENT squared: a
+# MAX_EXPONENT-bit base to the MAX_EXPONENT-th power.
 MAX_EXPONENT = 1000
 
 
@@ -712,6 +713,8 @@ class _Parser:
             k = int(self.take())
             if k > MAX_EXPONENT:
                 raise ValueError(f"exponent in cyclotomic literal exceeds {MAX_EXPONENT}")
+            if k * max(sum(map(abs, out.num)).bit_length(), out.den.bit_length()) > MAX_EXPONENT ** 2:
+                raise ValueError(f"power in cyclotomic literal exceeds {MAX_EXPONENT ** 2} bits")
             out = out ** (-k if neg else k)
         return out if sign == 1 else -out
 

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over cyclotomic numbers.
 
 Matrices are immutable values; products exploit row sparsity and compute
-each entry as one fused dot product (``cyclo.dot``), and the
-characteristic polynomial uses Faddeev-LeVerrier so only divisions by
-small integers occur.
+each entry as one fused dot product (``cyclo.dot``).  One Faddeev-LeVerrier
+recursion gives the characteristic polynomial, the determinant and, by
+Cayley-Hamilton, the inverse, so no elimination runs: only divisions by
+1..dim occur, and one cyclotomic inverse for a matrix inverse.
 """
 
 from __future__ import annotations
@@ -112,46 +113,37 @@ class MatC:
         return out
 
     def inv(self) -> "MatC":
-        """Exact inverse by Gauss-Jordan elimination; raises on singular input."""
-        d = self.dim
-        work = [list(row) + [ONE if i == j else ZERO for j in range(d)] for i, row in enumerate(self.rows)]
-        for col in range(d):
-            piv = None
-            for r in range(col, d):
-                if not work[r][col].is_zero:
-                    piv = r
-                    break
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            pinv = work[col][col].inv()
-            work[col] = [x * pinv for x in work[col]]
-            for r in range(d):
-                if r != col and not work[r][col].is_zero:
-                    f = work[r][col]
-                    work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-        return MatC([row[d:] for row in work])
+        """Exact inverse by Cayley-Hamilton: A M_d = -c_0 I in the
+        recursion of ``char_poly``, so A^-1 = -M_d / c_0; raises
+        ZeroDivisionError on singular input (c_0 = 0)."""
+        coeffs, m = self._faddeev_leverrier()
+        if coeffs[0].is_zero:
+            raise ZeroDivisionError("matrix is singular")
+        return m.scale(-coeffs[0].inv())
 
     def trace(self) -> CycloNum:
         return dot([(row[i], ONE) for i, row in enumerate(self.rows)])
 
     def char_poly(self) -> tuple[CycloNum, ...]:
         """Monic characteristic polynomial det(tI - A) as its tuple of
-        coefficients, ascending degree.
+        coefficients, ascending degree."""
+        return self._faddeev_leverrier()[0]
 
-        Faddeev-LeVerrier recursion: only divisions by 1..dim occur.
-        """
+    def _faddeev_leverrier(self) -> tuple[tuple[CycloNum, ...], "MatC"]:
+        """The one recursion behind ``char_poly``, ``det`` and ``inv``:
+        M_1 = I, c_(d-k) = -tr(A M_k) / k, M_(k+1) = A M_k + c_(d-k) I, so
+        only divisions by 1..dim occur.  Returns the coefficients c_0, ...,
+        c_d (ascending degree, c_d = 1) and M_d."""
         d = self.dim
-        coeffs = [ONE]  # c_d = 1, descending as we append
+        coeffs = [ONE]  # c_d, c_(d-1), ..., c_0 as they are computed
         m = identity(d)
         for k in range(1, d + 1):
             am = self * m
             c = am.trace() * rational(Fraction(-1, k))
             coeffs.append(c)
             if k < d:
-                m = am.add(scalar_mat(self.dim, c))
-        # coeffs = [c_d, c_{d-1}, ..., c_0] for t^d + c_{d-1}... ; reverse
-        return tuple(reversed(coeffs))
+                m = am.add(scalar_mat(d, c))
+        return tuple(reversed(coeffs)), m
 
     def det(self) -> CycloNum:
         c0 = self.char_poly()[0]

@@ -136,6 +136,10 @@ def _identity_with(entry):
     pytest.param("g1^" + "7" * 5000, id="word-exponent-5000-digits"),
     # an exponent past cyclo.MAX_EXPONENT, whose exact power would need GBs
     pytest.param(_identity_with("2^10000000000"), id="entry-exponent-10^10"),
+    # a square root past the conductor limit, and nested powers past the
+    # size bound of cyclo.MAX_EXPONENT squared bits
+    pytest.param("mat:ER(269),0;0,1", id="entry-ER(269)"),
+    pytest.param(_identity_with("((2^100)^100)^100"), id="entry-nested-power"),
 ])
 def test_targeted_bad_matrix_entry(capsys, spec):
     code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted",
@@ -144,6 +148,25 @@ def test_targeted_bad_matrix_entry(capsys, spec):
     assert err.startswith("error:") and "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert len(err) < 200  # the specification's echo is cut short
+
+
+@pytest.mark.parametrize("key", ["L2_11", "M10_second"])
+def test_targeted_negative_exponent(capsys, key):
+    # g1^-1 goes through the exact matrix inverse; the row must be the one
+    # of the subgroup generated by the product of the element indices
+    from fanoterm.catalog import build_group, load_group
+    from fanoterm.cli import render_records
+    from fanoterm.invariants import classification_table
+
+    code, out, _ = run_cli(capsys, "table", "--group", key, "--mode", "targeted",
+                           "--subgroup", "g1^-1*g2", "--all-subgroups", "--format", "structured")
+    assert code == EXIT_OK
+    group = build_group(key)
+    a, b = (group.index_of(g) for g in load_group(key).generators[:2])
+    sub = group.subgroup(gens=[group.mult(group.inv(a), b)])
+    records = classification_table(key, mode="targeted", targeted=[sub], all_subgroups=True)
+    assert out == render_records(records, "structured", key, "targeted")
+    assert [row["order"] for row in json.loads(out)["rows"]] == [sub.order]
 
 
 def test_rank_table_disagreement_is_a_validation_error(capsys, monkeypatch):

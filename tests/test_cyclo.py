@@ -109,6 +109,20 @@ def test_sqrt_rational_squares_exactly(r):
     assert (s * s).to_rational() == Fraction(r)
 
 
+@pytest.mark.parametrize("r", [269, 1000003, 67])
+def test_sqrt_past_the_conductor_limit_rejected(r):
+    # sqrt(269) has conductor 269, sqrt(67) conductor 268; 1000003 is a
+    # prime past the limit, rejected by its cofactor before any table is built
+    with pytest.raises(ConductorLimitError):
+        parse_cyclo(f"ER({r})")
+
+
+def test_sqrt_with_a_square_cofactor_past_the_limit():
+    # 1009 is a prime above the limit; its square leaves the root rational
+    assert sqrt_rational(5 * 1009 ** 2) is 1009 * sqrt_rational(5)
+    assert sqrt_rational(Fraction(1, 1009 ** 2)) is rational(Fraction(1, 1009))
+
+
 def test_sqrt_negative_is_imaginary():
     s = sqrt_rational(-3)
     assert (s * s).to_rational() == -3
@@ -161,6 +175,27 @@ def test_conductor_limit_enforced_by_every_operation(op):
     # E(11) and E(60) meet in conductor lcm(11, 60) = 660, past the limit 264
     with pytest.raises(ConductorLimitError):
         op(root_of_unity(11), root_of_unity(60))
+
+
+@pytest.mark.parametrize("n", [12, 60, 84, 105, 120, 231, 264])
+def test_descent_from_coordinates(n):
+    # every subfield value, lifted to Q(zeta_n) by the oracle, descends to
+    # itself: through p | n/p, p prime to n/p, and p = 2 with n/p odd
+    rng = random.Random(n)
+    fields = [m for m in range(1, n + 1) if n % m == 0 and m % 4 != 2]
+    for _ in range(12):
+        m = rng.choice(fields)
+        coords = [rng.randint(-5, 5) for _ in range(cyclo._phi(m))]
+        x = cyclo._canonical(m, coords, rng.randint(1, 6))
+        lifted = cyclo_as_power_poly(x, n)
+        den = math.lcm(*(c.denominator for c in lifted))
+        assert cyclo._canonical(n, [int(c * den) for c in lifted], den) is x
+        # adding zeta_n spans Q(zeta_n): the conductor stays n
+        y = x + root_of_unity(n)
+        assert y.conductor == n
+        lifted = cyclo_as_power_poly(y, n)
+        den = math.lcm(*(c.denominator for c in lifted))
+        assert cyclo._canonical(n, [int(c * den) for c in lifted], den) is y
 
 
 # 11 and 60 are conductors of the catalog's inverses and descents
@@ -266,6 +301,15 @@ def test_parse_grammar_forms():
         parse_cyclo("E(3) +")
     with pytest.raises(ValueError):
         parse_cyclo("Q(3)")
+
+
+def test_nested_powers_bounded():
+    # exponents multiply through parentheses: 2^(10^6) passes the bound
+    # of MAX_EXPONENT squared bits, a MAX_EXPONENT-bit base to that power
+    assert parse_cyclo("(2^100)^100") == 2 ** 10000
+    assert parse_cyclo("((E(7)^1000)^1000)^1000") is root_of_unity(7, 6)
+    with pytest.raises(ValueError, match="power in cyclotomic literal"):
+        parse_cyclo("((2^100)^100)^100")
 
 
 def test_dot_memo_keeps_repeated_terms(monkeypatch):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fanoterm.catalog import group_keys, load_group
 from fanoterm.cyclo import ONE, ZERO, ConductorLimitError, rational, root_of_unity
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
 from oracles import cyclo_poly_product, poly_at_matrix
@@ -100,6 +101,15 @@ def test_inverse_property_randomized():
     for _ in range(60):
         m = _random_invertible(rng)
         assert m * m.inv() == identity(3)
+
+
+@pytest.mark.parametrize("key", group_keys())
+def test_inverse_of_catalog_generators(key):
+    # the catalog's entries mix conductors up to 60 and carry square roots
+    for g in load_group(key).generators:
+        inv = g.inv()
+        assert g * inv == identity(6)
+        assert g.pow(-1) == inv
 
 
 def test_singular_rejected():
