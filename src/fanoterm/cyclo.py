@@ -567,43 +567,38 @@ def root_of_unity(n: int, k: int = 1) -> CycloNum:
     return _canonical(n, vec, 1)
 
 
-def _sqrt_prime(p: int) -> CycloNum:
-    """Square root of a prime via Gauss sums; squared value is exactly p."""
+def _sqrt_prime_star(p: int) -> CycloNum:
+    """sqrt(2), or for an odd prime p the quadratic Gauss sum, the sum of
+    legendre(k) * zeta_p^k, whose square is p* = (-1)^((p-1)/2) p: sqrt(p)
+    for p = 1 mod 4 and i sqrt(p) for p = 3 mod 4, of conductor p."""
     if p == 2:
         return root_of_unity(8, 1) - root_of_unity(8, 3)
-    # quadratic Gauss sum: sum of legendre(k) * zeta_p^k
-    phi = _phi(p)
-    vec = [0] * phi
+    vec = [0] * _phi(p)
     for k in range(1, p):
-        ls = pow(k, (p - 1) // 2, p)
-        sign = 1 if ls == 1 else -1
-        pv = _power_vec(p, k)
-        for i in range(phi):
-            if pv[i]:
-                vec[i] += sign * pv[i]
-    g = _canonical(p, vec, 1)
-    if p % 4 == 1:
-        return g
-    # g*g == -p here; multiply by -i so the square is +p
-    return g * root_of_unity(4, 3)
+        sign = 1 if pow(k, (p - 1) // 2, p) == 1 else -1
+        for i, c in enumerate(_power_vec(p, k)):
+            if c:
+                vec[i] += sign * c
+    return _canonical(p, vec, 1)
 
 
 def sqrt_rational(r: RationalLike) -> CycloNum:
-    """A cyclotomic number whose square is exactly r.
+    """A cyclotomic number whose square is exactly r: the positive real
+    root for r > 0, and i times the positive root of -r for r < 0.
 
-    Positive real root for r whose squarefree part is 1 mod 4 (and for
-    squares); negative r gives i times the root of -r.  Raises
-    ConductorLimitError, before any table is built, when the root of a
-    prime in the squarefree part has a conductor above the limit.
+    With m the signed squarefree part of r, the root is a rational times
+    the roots ``_sqrt_prime_star`` of the primes of m, times one power of
+    i.  It lies in Q(sqrt(m)), whose conductor is its discriminant, |m| for
+    m = 1 mod 4 and 4|m| otherwise, and no partial product has a larger
+    one.  ConductorLimitError is raised, before any table is built, when
+    that discriminant passes the limit.
     """
     q = Fraction(r)
-    if q < 0:
-        return root_of_unity(4, 1) * sqrt_rational(-q)
     if q == 0:
         return ZERO
     # sqrt(num/den) = sqrt(num*den)/den; trial division by 2, ..., the limit
     # leaves a cofactor whose primes all pass the limit, so it must be a square
-    m = q.numerator * q.denominator
+    m = abs(q.numerator) * q.denominator
     square, free = 1, []
     for p in range(2, _CONDUCTOR_LIMIT + 1):
         if m == 1:
@@ -614,17 +609,20 @@ def sqrt_rational(r: RationalLike) -> CycloNum:
             e += 1
         square *= p ** (e // 2)
         if e % 2:
-            conductor = 8 if p == 2 else p if p % 4 == 1 else 4 * p  # of sqrt(p)
-            if conductor > _CONDUCTOR_LIMIT:
-                raise ConductorLimitError(f"conductor {conductor} exceeds the limit {_CONDUCTOR_LIMIT}")
             free.append(p)
     root = math.isqrt(m)
     if root * root != m:
         raise ConductorLimitError(f"square root has a conductor above the limit {_CONDUCTOR_LIMIT}")
+    free_part = math.prod(free) * (-1 if q < 0 else 1)
+    conductor = abs(free_part) * (1 if free_part % 4 == 1 else 4)
+    if conductor > _CONDUCTOR_LIMIT:
+        raise ConductorLimitError(f"conductor {conductor} exceeds the limit {_CONDUCTOR_LIMIT}")
     out = rational(Fraction(square * root, q.denominator))
     for p in free:
-        out = out * _sqrt_prime(p)
-    return out
+        out = out * _sqrt_prime_star(p)
+    # the product is i^t sqrt(|m|), t the number of primes 3 mod 4, and
+    # the root of r is i^s sqrt(|m|), s = 1 for r < 0
+    return out * root_of_unity(4, (q < 0) - sum(p % 4 == 3 for p in free))
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +640,16 @@ MAX_NESTING = 100
 # exponent is 22).  Exponents multiply through parentheses, so a power is
 # also refused when its size bound, the exponent times the bit length of
 # the base's coordinate sum or denominator, passes MAX_EXPONENT squared: a
-# MAX_EXPONENT-bit base to the MAX_EXPONENT-th power.
+# MAX_EXPONENT-bit base to the MAX_EXPONENT-th power.  A product or quotient
+# is refused by the same bound on the sum of its operands' sizes, so a chain
+# of allowed powers cannot grow with the text.
 MAX_EXPONENT = 1000
+
+
+def _bits(x: CycloNum) -> int:
+    """The size bound of the text parser: the bit length of x's coordinate
+    sum or of its denominator, whichever is larger."""
+    return max(sum(map(abs, x.num)).bit_length(), x.den.bit_length())
 
 
 def _tokens(text: str) -> Iterator[str]:
@@ -695,6 +701,8 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
+            if _bits(out) + _bits(rhs) > MAX_EXPONENT ** 2:
+                raise ValueError(f"product in cyclotomic literal exceeds {MAX_EXPONENT ** 2} bits")
             out = out * rhs if op == "*" else out / rhs
         return out
 
@@ -713,7 +721,7 @@ class _Parser:
             k = int(self.take())
             if k > MAX_EXPONENT:
                 raise ValueError(f"exponent in cyclotomic literal exceeds {MAX_EXPONENT}")
-            if k * max(sum(map(abs, out.num)).bit_length(), out.den.bit_length()) > MAX_EXPONENT ** 2:
+            if k * _bits(out) > MAX_EXPONENT ** 2:
                 raise ValueError(f"power in cyclotomic literal exceeds {MAX_EXPONENT ** 2} bits")
             out = out ** (-k if neg else k)
         return out if sign == 1 else -out

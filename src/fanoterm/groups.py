@@ -8,20 +8,23 @@ entries.
 
 The closure runs on residues: with N the lcm of the entries' conductors
 and p = 1 (mod N) an odd prime, zeta_N -> omega reduces every matrix mod
-(p, zeta_N - omega), and the BFS compares residues, one ``bytes`` per
-element when p < 256.  When every residue of every element has one
-preimage among the entries of the identity and the generators, the
-elements are read off their residues, with no product.  Every edge
-x -a-> y is then proved exact: with A = g_a e_x and (i0, j0) the first
-nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic integer
-whose conjugates are at most B in size, B from the L1 norms of the
-entries; it lies in the prime above p, so p divides its norm, which is at
-most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the read-off is
-dropped, exact normal forms are computed along a spanning tree of the
-residue Cayley graph, one product per element, and every other edge is
-proved by the same bound, or, when p is too small for it, rechecked mod a
-second prime P > B^phi(N).  A failed proof is an error, so generators of
-an infinite group never yield a group.
+(p, zeta_N - omega).  The BFS keys each element by its images of the
+projective frame {[e_1], ..., [e_d], [e_1 + ... + e_d]}, which determine
+an element of PGL_d(Z/p): a generator moves a key by one table lookup per
+frame point, and an element's residue, one ``bytes`` when p < 256, is
+computed once, along the BFS's spanning tree.  When every residue of
+every element has one preimage among the entries of the identity and the
+generators, the elements are read off their residues, with no product.
+Every edge x -a-> y is then proved exact: with A = g_a e_x and (i0, j0)
+the first nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic
+integer whose conjugates are at most B in size, B from the L1 norms of
+the entries; it lies in the prime above p, so p divides its norm, which
+is at most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the
+read-off is dropped, exact normal forms are computed along a spanning
+tree of the residue Cayley graph, one product per element, and every
+other edge is proved by the same bound, or, when p is too small for it,
+rechecked mod a second prime P > B^phi(N).  A failed proof is an error,
+so generators of an infinite group never yield a group.
 
 After enumeration the group theory runs on element indices:
 ``FinGroup.mult`` walks the element's generator word through
@@ -259,26 +262,76 @@ def _residue_mults(gen_residues: Sequence[Sequence[int]], d: int, p: int) -> lis
     return [make(flat) for flat in gen_residues]
 
 
+def _frame_orbit(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int):
+    """The orbit Omega of the projective frame F = {[e_1], ..., [e_d],
+    [e_1 + ... + e_d]} of P^(d-1)(Z/p) under the generators: (the indices
+    in Omega of F's points, and per generator the index of its image of
+    each point of Omega).  Omega is found one orbit at a time, each
+    numbered consecutively.  A group of at most cap elements moves a point
+    to at most cap points, so an orbit passing cap points raises
+    OrderCapExceeded."""
+    frame = [tuple(int(i == j) for i in range(d)) for j in range(d)] + [(1,) * d]
+    gen_rows = [[[(k, c) for k, c in enumerate(flat[i * d:(i + 1) * d]) if c] for i in range(d)]
+                for flat in gen_residues]
+    index: dict[tuple[int, ...], int] = {}
+    images: list[list[int]] = [[] for _ in gen_rows]
+    for v0 in frame:
+        if v0 in index:
+            continue
+        index[v0] = len(index)
+        orbit = [v0]
+        for v in orbit:
+            for rows, image in zip(gen_rows, images):
+                w = [sum(c * v[k] for k, c in row) % p for row in rows]
+                scale = pow(next(filter(None, w)), -1, p)
+                w = tuple(x * scale % p for x in w)
+                i = index.get(w)
+                if i is None:
+                    if len(orbit) >= cap:
+                        raise OrderCapExceeded(f"an orbit of the projective frame passed {cap} points")
+                    i = index[w] = len(index)
+                    orbit.append(w)
+                image.append(i)
+    return [index[v] for v in frame], images
+
+
 def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int):
     """Breadth-first closure of the generators' classes in PGL_d(Z/p):
-    (residues, words, perms) with perms[a][x] the vertex g_a x.  The
-    residue index is local, so it is freed on return."""
+    (residues, words, perms) with perms[a][x] the vertex g_a x.
+
+    A vertex is keyed by its images of the projective frame F
+    (``_frame_orbit``): an element of PGL_d(Z/p) that fixes every point of
+    F is the identity, so two residues with the same frame images are
+    equal.  The key of g_a x is x's key sent through generator a's point
+    images, one ``bytes.translate`` when the frame's orbit has at most 256
+    points and a tuple otherwise.  A residue is computed only for a new
+    vertex, on its tree edge: n - 1 products.  Every other edge x -a-> y
+    has g_a r_x = r_y because their keys agree.  The keys are local, so
+    they are freed on return."""
+    frame, images = _frame_orbit(gen_residues, d, p, cap)
+    if all(len(image) <= 256 for image in images):
+        key0, step = bytes(frame), bytes.translate
+        tables = [bytes(image).ljust(256, b"\0") for image in images]
+    else:
+        key0, step = tuple(frame), lambda key, lookup: tuple(map(lookup, key))
+        tables = [image.__getitem__ for image in images]
     mults = _residue_mults(gen_residues, d, p)
-    r0 = (bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))
-    residues = [r0]
-    index = {r0: 0}
+    residues = [(bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))]
+    keys = [key0]
+    index = {key0: 0}
     words: list[tuple[int, ...]] = [()]
     perms: list[list[int]] = [[] for _ in mults]
-    for x, rx in enumerate(residues):
-        for a, mult in enumerate(mults):
-            ry = mult(rx)
-            y = index.get(ry)
+    for x, kx in enumerate(keys):
+        for a, table in enumerate(tables):
+            ky = step(kx, table)
+            y = index.get(ky)
             if y is None:
-                y = len(residues)
+                y = len(keys)
                 if y >= cap:
                     raise OrderCapExceeded(f"group closure exceeded the cap of {cap} elements")
-                residues.append(ry)
-                index[ry] = y
+                keys.append(ky)
+                index[ky] = y
+                residues.append(mults[a](residues[x]))
                 words.append(words[x] + (a,))
             perms[a].append(y)
     return residues, words, perms
@@ -632,8 +685,11 @@ class FinGroup:
         (``_residue_prime``), N the lcm of the entries' conductors, under
         zeta_N -> omega: reduction mod an odd split prime is injective on a
         finite matrix group (Minkowski), so the residue Cayley graph is the
-        group's.  When every residue has one preimage among the entries of
-        the identity and the generators, the elements are read off their
+        group's.  It tells elements apart by their images of a projective
+        frame, which fix an element of PGL_d(Z/p), and computes each
+        element's residue once, along its spanning tree (``_residue_bfs``).
+        When every residue has one preimage among the entries of the
+        identity and the generators, the elements are read off their
         residues (``_read_off``), and they are kept when a norm bound proves
         every edge from the residues alone (``_prove_edges``).  Otherwise
         exact normal forms are computed along a spanning tree of that graph,

@@ -367,3 +367,29 @@ def exact_bfs_group(gens, cap: int = 250000):
     gen_elem_idx = [relabel[index[g]] for g in gens_p]
     return FinGroup([elems[i] for i in order], gen_elem_idx, new_perms,
                     [words[i] for i in order], dim)
+
+
+def residue_bfs(gen_residues, d: int, p: int, cap: int):
+    """groups._residue_bfs keyed by the residues themselves: every vertex's
+    residue is compared, one residue product per Cayley-graph edge."""
+    from fanoterm.groups import OrderCapExceeded, _residue_mults
+
+    mults = _residue_mults(gen_residues, d, p)
+    r0 = (bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))
+    residues = [r0]
+    index = {r0: 0}
+    words = [()]
+    perms = [[] for _ in mults]
+    for x, rx in enumerate(residues):
+        for a, mult in enumerate(mults):
+            ry = mult(rx)
+            y = index.get(ry)
+            if y is None:
+                y = len(residues)
+                if y >= cap:
+                    raise OrderCapExceeded(f"group closure exceeded the cap of {cap} elements")
+                residues.append(ry)
+                index[ry] = y
+                words.append(words[x] + (a,))
+            perms[a].append(y)
+    return residues, words, perms

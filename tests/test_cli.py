@@ -140,6 +140,8 @@ def _identity_with(entry):
     # size bound of cyclo.MAX_EXPONENT squared bits
     pytest.param("mat:ER(269),0;0,1", id="entry-ER(269)"),
     pytest.param(_identity_with("((2^100)^100)^100"), id="entry-nested-power"),
+    # a product of allowed powers past the same bound
+    pytest.param(_identity_with("*".join(["(2^999)^1000"] * 40)), id="entry-product-chain"),
 ])
 def test_targeted_bad_matrix_entry(capsys, spec):
     code, _, err = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted",

@@ -117,6 +117,32 @@ def test_sqrt_past_the_conductor_limit_rejected(r):
         parse_cyclo(f"ER({r})")
 
 
+def _complex_value(x: CycloNum) -> complex:
+    return sum(c * complex(math.cos(2 * math.pi * k / x.n), math.sin(2 * math.pi * k / x.n))
+               for k, c in enumerate(x.num)) / x.den
+
+
+@pytest.mark.parametrize("r, conductor", [(201, 201), (-67, 67), (-71, 71), (-284, 71), (-2, 8),
+                                          (Fraction(-5, 3), 15)])
+def test_sqrt_conductor_is_the_discriminant(r, conductor):
+    # sqrt(201) = sqrt(3) sqrt(67) and sqrt(-67) lie in Q(zeta_201) and
+    # Q(zeta_67), although sqrt(67) alone needs conductor 268
+    s = parse_cyclo(f"ER({r})")
+    assert s.conductor == conductor
+    assert (s * s).to_rational() == Fraction(r)
+    # the positive real root, or i times the positive root of -r
+    value = _complex_value(s)
+    assert abs(value - (math.sqrt(r) if r > 0 else 1j * math.sqrt(-r))) < 1e-9
+
+
+def test_sqrt_normal_forms_kept():
+    assert parse_cyclo("ER(2)") is root_of_unity(8, 1) - root_of_unity(8, 3)
+    assert parse_cyclo("ER(3)") is root_of_unity(12, 1) + root_of_unity(12, 11)
+    assert parse_cyclo("ER(-3)") is root_of_unity(3, 1) - root_of_unity(3, 2)
+    assert parse_cyclo("ER(5)") is 1 + 2 * (root_of_unity(5, 1) + root_of_unity(5, 4))
+    assert parse_cyclo("ER(-1)") is root_of_unity(4, 1)
+
+
 def test_sqrt_with_a_square_cofactor_past_the_limit():
     # 1009 is a prime above the limit; its square leaves the root rational
     assert sqrt_rational(5 * 1009 ** 2) is 1009 * sqrt_rational(5)
@@ -310,6 +336,18 @@ def test_nested_powers_bounded():
     assert parse_cyclo("((E(7)^1000)^1000)^1000") is root_of_unity(7, 6)
     with pytest.raises(ValueError, match="power in cyclotomic literal"):
         parse_cyclo("((2^100)^100)^100")
+
+
+def test_products_bounded():
+    # a product or quotient is refused when its operands' sizes sum past
+    # MAX_EXPONENT squared bits, so a chain of allowed powers cannot grow
+    assert parse_cyclo("(2^999)^1000*3") == 3 * 2 ** 999000
+    assert parse_cyclo("(2^999)^1000/3") == Fraction(2 ** 999000, 3)
+    for factors in (2, 10, 40):
+        with pytest.raises(ValueError, match="product in cyclotomic literal"):
+            parse_cyclo("*".join(["(2^999)^1000"] * factors))
+    with pytest.raises(ValueError, match="product in cyclotomic literal"):
+        parse_cyclo("(2^999)^1000/(2^2)^1000")
 
 
 def test_dot_memo_keeps_repeated_terms(monkeypatch):

@@ -20,7 +20,8 @@ from fanoterm.groups import (
     quotient_group,
 )
 from fanoterm.linalg import MatC, diag, identity, perm_mat
-from oracles import all_joins_subgroup_classes, bounded_closure, exact_bfs_group, subgroup_orbit
+from oracles import (all_joins_subgroup_classes, bounded_closure, exact_bfs_group, residue_bfs,
+                     subgroup_orbit)
 
 W = root_of_unity(3, 1)
 
@@ -51,6 +52,76 @@ def test_generate_identity_only():
 def test_generate_cap():
     with pytest.raises(OrderCapExceeded):
         perm_group_cap = FinGroup.generate([perm_mat([1, 2, 3, 4, 5, 6, 0], 7)], cap=5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 6])
+def test_generate_identity_only_in_every_dimension(d):
+    # no generator is left after normalization, so there is no point image
+    # table and the frame's orbit is the frame itself
+    for gens in ([identity(d)], [identity(d).scale(W)], [identity(d), identity(d).scale(ONE + ONE)]):
+        group = FinGroup.generate(gens)
+        assert group.n == 1 and group.elements == [identity(d)] and group.gen_idx == ()
+    residue = bytes(int(i == j) for i in range(d) for j in range(d))
+    assert groups._residue_bfs([], d, 251, 10) == ([residue], [()], [])
+
+
+def _elementary(d, i, j):
+    return MatC([[ONE if a == b or (a, b) == (i, j) else ZERO for b in range(d)]
+                 for a in range(d)])
+
+
+def test_generate_cap_on_an_infinite_group_passed_by_the_frame_orbit():
+    # the elementary matrices generate SL_3(Z): mod p the orbit of [e_1] is
+    # all of P^2(Z/p), so the frame's orbit passes the cap first
+    gens = [_elementary(3, 0, 1), _elementary(3, 1, 2), _elementary(3, 2, 0)]
+    with pytest.raises(OrderCapExceeded, match="an orbit of the projective frame passed 100 points"):
+        FinGroup.generate(gens, cap=100)
+
+
+def test_generate_cap_on_an_infinite_group_passed_by_the_element_count():
+    # two commuting unipotent blocks, each fixing its (1, 1): mod p the
+    # group has p^2 elements, but each frame point moves through at most p
+    # points, so the element count passes the cap first
+    block = [[ONE + ONE, -ONE], [ONE, ZERO]]
+    upper = MatC([row + [ZERO, ZERO] for row in block] + [[ZERO, ZERO, ONE, ZERO],
+                                                          [ZERO, ZERO, ZERO, ONE]])
+    lower = MatC([[ONE, ZERO, ZERO, ZERO], [ZERO, ONE, ZERO, ZERO]]
+                 + [[ZERO, ZERO] + row for row in block])
+    with pytest.raises(OrderCapExceeded, match="exceeded the cap of 1000 elements"):
+        FinGroup.generate([upper, lower], cap=1000)
+
+
+# the size of the projective frame's orbit: at most 256 points give bytes keys
+FRAME_ORBIT_SIZES = {"Q8_S3": 58, "A3_5": 23, "L2_11": 1706, "M10_first": 84, "M10_second": 990,
+                     "G1944": 66, "A7_perm": 28, "A7_second": 420, "C3_4_A6": 87}
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_ORBIT_SIZES))
+def test_residue_bfs_matches_the_residue_keyed_oracle(monkeypatch, key):
+    # frame-image keys with residues along the tree give exactly the
+    # residues, words and permutations of comparing every edge's residue,
+    # with one residue product per element but the identity
+    calls, products = [], []
+    residue_bfs_under_test, residue_mults = groups._residue_bfs, groups._residue_mults
+
+    def recorded_bfs(*args):
+        calls.append((args, residue_bfs_under_test(*args)))
+        return calls[-1][1]
+
+    def counted_mults(*args):
+        return [lambda x, m=m: products.append(1) or m(x) for m in residue_mults(*args)]
+
+    monkeypatch.setattr(groups, "_residue_bfs", recorded_bfs)
+    monkeypatch.setattr(groups, "_residue_mults", counted_mults)
+    definition = load_group(key)
+    FinGroup.generate(definition.generators, cap=definition.order)
+    [(args, got)] = calls
+    assert len(got[0]) == definition.order and len(products) == definition.order - 1
+    gen_residues, d, p, cap = args
+    _, images = groups._frame_orbit(gen_residues, d, p, cap)
+    assert {len(image) for image in images} == {FRAME_ORBIT_SIZES[key]}
+    monkeypatch.setattr(groups, "_residue_mults", residue_mults)
+    assert got == residue_bfs(*args)
 
 
 def _assert_same_enumeration(got, want):
