@@ -523,7 +523,13 @@ def _dot(pairs: tuple[tuple[CycloNum, CycloNum], ...]) -> CycloNum:
     den = math.lcm(*dens)
     acc = [0] * (2 * _phi(n) - 1)
     for (a, b), dab in zip(pairs, dens):
-        _conv_into(acc, _lift_vec(a, n), _lift_vec(b, n), den // dab)
+        scale = den // dab
+        if b is ONE:  # a sum's term: add the lift of a, no convolution
+            for i, x in enumerate(_lift_vec(a, n)):
+                if x:
+                    acc[i] += x * scale
+        else:
+            _conv_into(acc, _lift_vec(a, n), _lift_vec(b, n), scale)
     return _canonical(n, _fold(acc, n), den)
 
 

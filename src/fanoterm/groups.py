@@ -12,9 +12,10 @@ and p = 1 (mod N) an odd prime, zeta_N -> omega reduces every matrix mod
 projective frame {[e_1], ..., [e_d], [e_1 + ... + e_d]}, which determine
 an element of PGL_d(Z/p): a generator moves a key by one table lookup per
 frame point, and an element's residue, one ``bytes`` when p < 256, is
-computed once, along the BFS's spanning tree.  When every residue of
-every element has one preimage among the entries of the identity and the
-generators, the elements are read off their residues, with no product.
+computed once, along the BFS's spanning tree.  When every residue value
+has one preimage among the entries of the identity and the generators,
+the group is read off its residues: it keeps them and the table of
+preimages, with no product, and builds a matrix when one is asked for.
 Every edge x -a-> y is then proved exact: with A = g_a e_x and (i0, j0)
 the first nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic
 integer whose conjugates are at most B in size, B from the L1 norms of
@@ -338,13 +339,13 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
 
 
 def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
-              gens: Sequence[MatC], ident: MatC) -> Optional[list[MatC]]:
-    """Every vertex as the matrix of its residues' preimages among the
-    entries of the identity and the generators, or None when some residue
-    has no preimage or two.  A vertex's first nonzero residue is 1, whose
-    one preimage is then ONE, so a read-off matrix is in normal form.  It
-    is the vertex's element only where ``_prove_edges`` proves it.  Equal
-    rows are one tuple."""
+              gens: Sequence[MatC], ident: MatC) -> Optional[dict[int, CycloNum]]:
+    """The table from each residue value to its one preimage among the
+    entries of the identity and the generators (each one used by them), or
+    None when a value some residue uses has no preimage or two.  A vertex's
+    first nonzero residue is 1, whose one preimage is then ONE, so the
+    matrix of its residues' preimages is in normal form.  It is the
+    vertex's element only where the norm bound proves every edge."""
     preimage: dict[int, CycloNum] = {}
     shared = set()
     for e in set(_entries(ident)).union(*map(_entries, gens)):
@@ -354,15 +355,11 @@ def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
         preimage[r] = e
     for r in shared:
         del preimage[r]
-    d = ident.dim
-    cuts = range(0, d * d, d)
-    row_of = {}
-    for key in {res[i:i + d] for res in residues for i in cuts}:
-        row = tuple(map(preimage.get, key))
-        if None in row:
-            return None
-        row_of[key] = row
-    return [MatC([row_of[res[i:i + d]] for i in cuts]) for res in residues]
+    if isinstance(residues[0], bytes):
+        unknown = b"".join(residues).translate(None, bytes(preimage))
+    else:
+        unknown = set(itertools.chain.from_iterable(residues)).difference(preimage)
+    return None if unknown else preimage
 
 
 def _exact_tree(gens: Sequence[MatC], perms: Sequence[Sequence[int]], ident: MatC):
@@ -397,13 +394,6 @@ def _entries(m: MatC) -> Iterable[CycloNum]:
     return itertools.chain.from_iterable(m.rows)
 
 
-def _entry_set(elems: Iterable[MatC]) -> set[CycloNum]:
-    entries: set[CycloNum] = set()
-    for m in elems:
-        entries.update(*m.rows)
-    return entries
-
-
 def _l1_bound(e: CycloNum, scale: int) -> int:
     """An integer bound on every conjugate of scale * e: the L1 norm of its
     coordinates, each power of zeta having absolute value one."""
@@ -423,25 +413,18 @@ def _conj_bound(e: CycloNum, scale: int) -> int:
     return b
 
 
-def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], entries: set[CycloNum],
-                 parent: Optional[Sequence], residues: Sequence, perms: Sequence[Sequence[int]],
-                 n_cond: int, p: int, reduce: Callable[[CycloNum], Optional[int]]) -> bool:
-    """Prove every edge x -a-> y of the residue graph exact:
-    ``_normalize(g_a * e_x) == e_y``; tree edges hold by construction.
-    ``entries`` is the set of the elements' distinct entries.  With no
-    tree (``parent`` None, the elements read off their residues) only the
-    first way below is tried, and False says that it failed.
+def _norm_bound(gens: Sequence[MatC], entries: set[CycloNum], n_cond: int, p: int) -> int:
+    """B^phi(N), the bound on the norm of every edge's defect when the
+    elements' entries are ``entries``.
 
     With A = g_a e_x and (i0, j0) the first nonzero entry of e_y, the edge
-    holds iff every A_ij - A_i0j0 y_ij is zero.  D clears the denominators,
-    so D (A_ij - A_i0j0 y_ij) is an algebraic integer, and B, built from
-    bounds on the entries, bounds each of its conjugates.  When the
-    residues of e_x and e_y are the BFS's, it lies in (p, zeta_N - omega),
-    so p divides its norm, which is at most B^phi(N) in size: for
-    p > B^phi(N) it is zero.  Otherwise every non-tree edge is rechecked
-    mod a second prime P > B^phi(N) by the same argument.  B >= 2, so the
-    tighter entry bound is computed only when p > 2^phi(N) leaves the
-    first way open.
+    x -a-> y holds iff every A_ij - A_i0j0 y_ij is zero.  D clears the
+    denominators, so D (A_ij - A_i0j0 y_ij) is an algebraic integer, and
+    B, built from bounds on the entries, bounds each of its conjugates.
+    When the residues of e_x and e_y are the BFS's, it lies in
+    (p, zeta_N - omega), so p divides its norm, which is at most B^phi(N)
+    in size: for p > B^phi(N) it is zero.  B >= 2, so the tighter entry
+    bound is computed only when p > 2^phi(N) leaves that open.
     """
     phi = len(cyclotomic_poly(n_cond)) - 1
     entry_bound = _conj_bound if p > 2 ** phi else _l1_bound
@@ -453,16 +436,24 @@ def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], entries: set[Cyclo
         for row in g.rows:
             r_max = max(r_max, sum(entry_bound(e, dg) for e in row))
     # |conj(D (A_ij - A_i0j0 y_ij))| <= Delta R C + R C C, D = delta_g Delta^2
-    bound = (r_max * c_max * (delta + c_max)) ** phi
+    return (r_max * c_max * (delta + c_max)) ** phi
+
+
+def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], entries: set[CycloNum],
+                 parent: Sequence, residues: Sequence, perms: Sequence[Sequence[int]],
+                 n_cond: int, p: int, reduce: Callable[[CycloNum], Optional[int]]) -> None:
+    """Prove every edge x -a-> y exact for the exact tree's elements, whose
+    entries are ``entries``: p > B^phi(N) (``_norm_bound``) when each
+    element's entries reduce to its residues, else every non-tree edge is
+    rechecked mod a second prime P > B^phi(N) by the same argument."""
+    bound = _norm_bound(gens, entries, n_cond, p)
     if p > bound:
         values = {e: reduce(e) for e in entries}
         if None not in values.values():
             pack = bytes if p < 256 else tuple
             get = values.__getitem__
             if all(pack(map(get, _entries(m))) == r for m, r in zip(elems, residues)):
-                return True
-    if parent is None:
-        return False
+                return
     entries = entries.union(*(_entries(g) for g in gens))
     # a prime above every denominator divides none of them
     big = 1 + n_cond * (max(bound, max(e.den for e in entries)) // n_cond + 1)
@@ -491,7 +482,6 @@ def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], entries: set[Cyclo
                 raise EnumerationUnproved(
                     f"generator {a} times element {x} is not element {y} (checked mod {big})"
                 )
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -636,24 +626,69 @@ class GroupView:
 # enumerated matrix groups
 
 
+class _ReadOffElements:
+    """The elements of a group read off their residues, as a read-only
+    sequence of normal forms: element i is the matrix of the preimages of
+    ``residues[i]`` under ``table`` (``_read_off``), built only when it is
+    asked for.  Equal rows are one tuple."""
+
+    __slots__ = ("residues", "table", "_code", "_pack", "_cuts", "_rows")
+
+    def __init__(self, residues: list, table: dict[int, CycloNum], dim: int):
+        self.residues = residues
+        self.table = table
+        self._code = {e: r for r, e in table.items()}
+        self._pack = type(residues[0])  # bytes below 256, else tuple
+        self._cuts = [slice(i, i + dim) for i in range(0, dim * dim, dim)]
+        self._rows: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.residues)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self._matrix, self.residues[i]))
+        return self._matrix(self.residues[i])
+
+    def __iter__(self):
+        return map(self._matrix, self.residues)
+
+    def _matrix(self, residue) -> MatC:
+        rows = []
+        for cut in self._cuts:
+            key = residue[cut]
+            row = self._rows.get(key)
+            if row is None:
+                row = self._rows[key] = tuple(map(self.table.__getitem__, key))
+            rows.append(row)
+        return MatC(rows)
+
+    def residue(self, mat: MatC):
+        """The residue that reads off as ``mat``; KeyError when one of its
+        entries is not in the table.  Entry and residue value are one to
+        one on the table, so this is exact."""
+        return self._pack(map(self._code.__getitem__, _entries(mat)))
+
+
 class FinGroup:
     """A fully enumerated finite subgroup of PGL_d.
 
     ``elements[0]`` is the identity; the remaining elements are sorted by
     the entries of their normal forms (see ``generate``), so the indexing
-    is reproducible across runs.  Nothing about the group changes after
+    is reproducible across runs; for a group read off its residues it is
+    a ``_ReadOffElements``.  Nothing about the group changes after
     construction.  Its view holds one ``array('I')`` per generator g,
-    x -> g^-1 x g, built here once the enumeration's residues are freed,
-    and memoizes element orders and the class map.
+    x -> g^-1 x g, built here once the BFS's keys are freed, and memoizes
+    element orders and the class map.
     """
 
     def __init__(self, elements, gen_elem_idx, perms, words, dim):
-        self.elements: list[MatC] = elements
+        self.elements: Sequence[MatC] = elements
         self.dim = dim
         self.gen_idx: tuple[int, ...] = tuple(gen_elem_idx)
         self._perms: list[list[int]] = perms
         self._rword: list[tuple[int, ...]] = words
-        self._index: dict[MatC, int] = {e: i for i, e in enumerate(elements)}
+        self._index: Optional[dict] = None  # built by the first index_of
         n = len(elements)
         # the inverse of g_ak...g_a1 applies the inverse generators in reverse
         inv_perms = [[0] * n for _ in perms]
@@ -688,21 +723,22 @@ class FinGroup:
         group's.  It tells elements apart by their images of a projective
         frame, which fix an element of PGL_d(Z/p), and computes each
         element's residue once, along its spanning tree (``_residue_bfs``).
-        When every residue has one preimage among the entries of the
+        When every residue value has one preimage among the entries of the
         identity and the generators, the elements are read off their
-        residues (``_read_off``), and they are kept when a norm bound proves
-        every edge from the residues alone (``_prove_edges``).  Otherwise
+        residues (``_read_off``, ``_ReadOffElements``), and they are kept
+        when each preimage reduces to its value and a norm bound proves
+        every edge from the residues alone (``_norm_bound``).  Otherwise
         exact normal forms are computed along a spanning tree of that graph,
         n - 1 products (``_exact_tree``), and every other edge is proved
-        exact by the norm bound or a recheck mod a second prime; a failed
-        proof raises EnumerationUnproved, so generators of an infinite group
-        never yield a group.  Element y = g_a * x is found from x, so its
-        word is x's word plus a, and ``mult`` replays the word through the
-        translation tables.
+        exact by the norm bound or a recheck mod a second prime
+        (``_prove_edges``); a failed proof raises EnumerationUnproved, so
+        generators of an infinite group never yield a group.  Element
+        y = g_a * x is found from x, so its word is x's word plus a, and
+        ``mult`` replays the word through the translation tables.
 
         The canonical order sorts the elements by the ranks of their
-        entries; elements read off residues mod p < 256 are sorted by their
-        residues translated to those ranks, one ``bytes`` per element.
+        entries; elements read off residues are sorted by their residues
+        translated to those ranks, one ``bytes`` per element below 256.
         """
         if not gens:
             raise ValueError("at least one generator is required")
@@ -723,32 +759,43 @@ class FinGroup:
             )
         reduce, gen_residues = data
         residues, words, perms = _residue_bfs(gen_residues, dim, p, cap)
-        elems = _read_off(residues, reduce, gens_p, ident)
-        entries = _entry_set(elems or ())
-        read_off = elems is not None and _prove_edges(gens_p, elems, entries, None, residues,
-                                                      perms, n_cond, p, reduce)
-        if not read_off:
-            elems, parent = _exact_tree(gens_p, perms, ident)
-            entries = _entry_set(elems)
-            _prove_edges(gens_p, elems, entries, parent, residues, perms, n_cond, p, reduce)
-            del parent
-        n = len(elems)
+        n = len(residues)
+        table = _read_off(residues, reduce, gens_p, ident)
+        # each read-off entry is its value's preimage, so every element's
+        # entries reduce to its residues when the table's do
+        if table is not None and not (all(reduce(e) == r for r, e in table.items())
+                                      and p > _norm_bound(gens_p, set(table.values()), n_cond, p)):
+            table = None
         # canonical order: identity first, the rest by their entries in
         # row-major order, each entry ranked by (conductor, denominator,
         # coordinates)
-        ranked = sorted(entries, key=lambda e: (e.n, e.den, e.num))
-        if read_off and p < 256:
-            # a read-off residue byte has one preimage, so there are fewer
-            # than 256 entries and a residue translated to its entries'
-            # ranks is the same key as the tuple of those ranks
-            rank_table = bytearray(256)
-            for r, e in enumerate(ranked):
-                rank_table[reduce(e)] = r
-            key = lambda i: residues[i].translate(rank_table)
-        else:
-            rank = {e: r for r, e in enumerate(ranked)}
+        by_value = lambda e: (e.n, e.den, e.num)
+        if table is None:
+            elems, parent = _exact_tree(gens_p, perms, ident)
+            entries = {e for m in elems for row in m.rows for e in row}
+            _prove_edges(gens_p, elems, entries, parent, residues, perms, n_cond, p, reduce)
+            del parent
+            rank = {e: r for r, e in enumerate(sorted(entries, key=by_value))}
             key = lambda i: tuple(map(rank.__getitem__, _entries(elems[i])))
+        else:
+            # a read-off residue value has one preimage, so a residue
+            # translated to its entries' ranks is the same key as the tuple
+            # of those ranks; below 256 that is one bytes.translate
+            rank = {r: k for k, r in enumerate(sorted(table, key=lambda r: by_value(table[r])))}
+            if p < 256:
+                rank_table = bytes(rank.get(v, 0) for v in range(256))
+                key = lambda i: residues[i].translate(rank_table)
+            else:
+                key = lambda i: tuple(map(rank.__getitem__, residues[i]))
         order = [0] + sorted(range(1, n), key=key)
+        # implied by the proof; checked as it is cheap, on the residues when
+        # they are one to one with the read-off matrices
+        if len(set(elems if table is None else residues)) != n:
+            raise EnumerationUnproved("two vertices of the residue graph are one element")
+        if table is None:
+            elements = [elems[i] for i in order]
+        else:
+            elements = _ReadOffElements([residues[i] for i in order], table, dim)
         del residues, key
         relabel = [0] * n
         for new, old in enumerate(order):
@@ -756,11 +803,7 @@ class FinGroup:
         new_perms = [[relabel[perm[old]] for old in order] for perm in perms]
         gen_elem_idx = [relabel[perm[0]] for perm in perms]
         del perms
-        group = cls([elems[i] for i in order], gen_elem_idx, new_perms,
-                    [words[i] for i in order], dim)
-        if len(group._index) != n:  # implied by the proof; checked as it is free
-            raise EnumerationUnproved("two vertices of the residue graph are one element")
-        return group
+        return cls(elements, gen_elem_idx, new_perms, [words[i] for i in order], dim)
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -779,9 +822,16 @@ class FinGroup:
         return self._inv[i]
 
     def index_of(self, mat: MatC) -> int:
-        """The index of the element with lift ``mat``, any scalar multiple."""
+        """The index of the element with lift ``mat``, any scalar multiple,
+        looked up by residue in a group read off its residues."""
+        elements = self.elements
+        read_off = isinstance(elements, _ReadOffElements)
         try:
-            return self._index[_normalize(mat)]
+            key = elements.residue(_normalize(mat)) if read_off else _normalize(mat)
+            if self._index is None:
+                keys = elements.residues if read_off else elements
+                self._index = {k: i for i, k in enumerate(keys)}
+            return self._index[key]
         except KeyError:
             raise KeyError("element does not belong to this group") from None
 

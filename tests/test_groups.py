@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 
-from fanoterm.cyclo import ONE, ZERO, root_of_unity
+from fanoterm.cyclo import ONE, ZERO, rational, root_of_unity
 from fanoterm import catalog, groups
 from fanoterm.catalog import load_group
 from fanoterm.cli import EXIT_VALIDATION, main as cli_main
@@ -60,7 +61,7 @@ def test_generate_identity_only_in_every_dimension(d):
     # table and the frame's orbit is the frame itself
     for gens in ([identity(d)], [identity(d).scale(W)], [identity(d), identity(d).scale(ONE + ONE)]):
         group = FinGroup.generate(gens)
-        assert group.n == 1 and group.elements == [identity(d)] and group.gen_idx == ()
+        assert group.n == 1 and list(group.elements) == [identity(d)] and group.gen_idx == ()
     residue = bytes(int(i == j) for i in range(d) for j in range(d))
     assert groups._residue_bfs([], d, 251, 10) == ([residue], [()], [])
 
@@ -125,7 +126,7 @@ def test_residue_bfs_matches_the_residue_keyed_oracle(monkeypatch, key):
 
 
 def _assert_same_enumeration(got, want):
-    assert got.elements == want.elements
+    assert list(got.elements) == list(want.elements)
     assert got.gen_idx == want.gen_idx
     assert got._perms == want._perms
     assert got._rword == want._rword
@@ -161,7 +162,8 @@ def test_canonical_order_of_c3_4_a6(built):
     # their entries' ranks, each entry ranked by (conductor, denominator,
     # coordinates)
     group = built("C3_4_A6")
-    entries = sorted(groups._entry_set(group.elements), key=lambda e: (e.n, e.den, e.num))
+    entries = sorted({e for m in group.elements for row in m.rows for e in row},
+                     key=lambda e: (e.n, e.den, e.num))
     rank = {e: r for r, e in enumerate(entries)}
     keys = [tuple(rank[e] for row in m.rows for e in row) for m in group.elements[1:]]
     assert group.elements[0] == identity(group.dim)
@@ -217,28 +219,99 @@ def test_generate_refuses_an_infinite_group_read_off_its_residues(monkeypatch):
     monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 3)
     read = []
     read_off = groups._read_off
-    monkeypatch.setattr(groups, "_read_off", lambda *args: read.append(read_off(*args)) or read[-1])
+
+    def recorded(residues, *args):
+        read.append((len(residues), read_off(residues, *args)))
+        return read[-1][1]
+
+    monkeypatch.setattr(groups, "_read_off", recorded)
     unipotent = MatC([[ONE, ONE], [ZERO, ONE]])
     with pytest.raises(EnumerationUnproved, match="is not element"):
         FinGroup.generate([unipotent, MatC([[ONE, -ONE], [ZERO, ONE]])], cap=1000)
-    assert read and len(read[0]) == 3
+    [(vertices, table)] = read
+    assert vertices == 3 and sorted(table) == [0, 1, 2]
 
 
 def test_generate_drops_a_tampered_read_off(monkeypatch, built):
-    # a read-off element replaced by another element of the group lacks its
-    # vertex's residues: the first proof fails, the read-off is dropped, and
-    # every element is computed exactly
-    read_off = groups._read_off
+    # one preimage of the read-off table replaced by another entry does not
+    # reduce to its residue value: the table's check fails, the read-off is
+    # dropped, and every element is computed exactly
+    read_off, tried = groups._read_off, []
 
     def tampered(residues, reduce, gens, ident):
-        elems = read_off(residues, reduce, gens, ident)
-        elems[-1] = _normalize(gens[0] * elems[-1])
-        return elems
+        table = read_off(residues, reduce, gens, ident)
+        r = max(table)
+        table[r] = next(e for e in table.values() if reduce(e) != r)
+        tried.append(table)
+        return table
 
     monkeypatch.setattr(groups, "_read_off", tampered)
     definition = load_group("A3_5")
     group = FinGroup.generate(definition.generators, cap=definition.order)
+    assert tried and isinstance(group.elements, list)
     _assert_same_enumeration(group, built("A3_5"))
+
+
+def test_generate_builds_no_matrix_per_read_off_element(monkeypatch):
+    # a read-off group keeps residues and the preimage table: enumerating
+    # C3_4_A6 builds the identity and at most one normal form per generator
+    built_mats = []
+    init = MatC.__init__
+    monkeypatch.setattr(MatC, "__init__", lambda m, rows: built_mats.append(1) or init(m, rows))
+    definition = load_group("C3_4_A6")
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    assert group.n == 29160
+    assert len(built_mats) <= len(definition.generators) + 1
+    assert isinstance(group.elements[5], MatC) and len(built_mats) <= len(definition.generators) + 2
+
+
+def _assert_index_of_round_trips(group, count=50, seed=7):
+    # elements in the middle, every slice element equal to its indexed one,
+    # and scalar multiples of each lift give the same index
+    rng = random.Random(seed)
+    scalars = [W, -ONE, W * W + W, ONE + ONE]
+    for i in rng.sample(range(group.n), count):
+        m = group.elements[i]
+        assert group.elements[i:i + 1] == [m]
+        assert group.index_of(m) == i
+        assert group.index_of(m.scale(rng.choice(scalars))) == i
+
+
+def test_index_of_round_trips_on_c3_4_a6(built):
+    group = built("C3_4_A6")
+    _assert_index_of_round_trips(group)
+    assert group.index_of(identity(6).scale(W)) == 0
+
+
+def test_index_of_rejects_foreign_matrices_of_a_read_off_group(built):
+    group = built("C3_4_A6")
+    table = group.elements.table
+    # every entry is a preimage, but the elementary matrix has infinite order
+    elementary = _elementary(6, 0, 1)
+    assert all(e in table.values() for row in elementary.rows for e in row)
+    with pytest.raises(KeyError, match="does not belong"):
+        group.index_of(elementary)
+    # an element with its last zero entry replaced by 256!, a multiple of
+    # every prime below 256: the residue is the element's, but 256! is no
+    # preimage, so the lift is not that element
+    rows = [list(row) for row in group.elements[1].rows]
+    shifted = rational(math.factorial(256))
+    j = max(j for j in range(6) if rows[5][j] is ZERO)
+    rows[5][j] = shifted
+    assert shifted not in table.values()
+    with pytest.raises(KeyError, match="does not belong"):
+        group.index_of(MatC(rows))
+
+
+def test_read_off_with_tuple_residues(monkeypatch, built):
+    # above 256 residues are tuples: the table check, the canonical order,
+    # the elements and index_of all read them as they read bytes
+    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 271)
+    definition = load_group("M10_first")
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    assert isinstance(group.elements.residues[0], tuple)
+    _assert_same_enumeration(group, built("M10_first"))
+    _assert_index_of_round_trips(group)
 
 
 def test_generate_refuses_a_tampered_element(monkeypatch):
