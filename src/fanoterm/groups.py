@@ -21,11 +21,10 @@ the first nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic
 integer whose conjugates are at most B in size, B from the L1 norms of
 the entries; it lies in the prime above p, so p divides its norm, which
 is at most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the
-read-off is dropped, exact normal forms are computed along a spanning
-tree of the residue Cayley graph, one product per element, and every
-other edge is proved by the same bound, or, when p is too small for it,
-rechecked mod a second prime P > B^phi(N).  A failed proof is an error,
-so generators of an infinite group never yield a group.
+read-off is dropped and the exact group is closed as cosets of a cyclic
+subgroup <s>, each element placed at the vertex of its residue: one to
+one onto the vertices, reduction proves every edge.  A failed proof is
+an error, so generators of an infinite group never yield a group.
 
 After enumeration the group theory runs on element indices:
 ``FinGroup.mult`` walks the element's generator word through
@@ -44,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,9 +75,10 @@ class BudgetExceeded(RuntimeError):
 
 
 class EnumerationUnproved(RuntimeError):
-    """An edge of the residue Cayley graph does not hold exactly, or the
-    residue prime is unusable: the generators do not give the finite group
-    their residues show."""
+    """The generators do not give the finite group their residues show, or
+    that is not proved: a power of a generator at its residue order is not
+    the identity, two exact elements share a residue, an entry has no
+    residue, or the residue prime is unusable."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,33 +106,10 @@ def _normalize(mat: MatC) -> MatC:
 # reduced to the flat row-major tuple of its entries' residues.
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
 def _is_prime(m: int) -> bool:
-    """Miller-Rabin on the first twelve primes: exact below 3.1e23 and a
-    probable prime above, which the proof does not rely on (it checks
-    that omega is a root of the cyclotomic polynomial instead)."""
-    if m < 2:
-        return False
-    for q in _MR_BASES:
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for q in _MR_BASES:
-        x = pow(q, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division, as a residue prime is small: 1 mod N, the least
+    one above 256 when N leaves none below."""
+    return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
 
 
 def _cyclotomic_root(m: int, n_cond: int) -> Optional[int]:
@@ -219,6 +195,16 @@ def _residue_prime(gens: Sequence[MatC], n_cond: int) -> int:
             return p
 
 
+@lru_cache(maxsize=None)
+def _byte_tables(p: int, d: int):
+    """For p < 256: per c the table of ``bytes.translate`` that multiplies
+    by c mod p, the inverses mod p, and the reduction mod p of a sum of d
+    residues."""
+    tables = tuple(bytes(c * v % p for v in range(256)) for c in range(p))
+    inv = (0,) + tuple(pow(c, -1, p) for c in range(1, p))
+    return tables, inv, bytes(s % p for s in range(d * (p - 1) + 1)).__getitem__
+
+
 def _residue_mults(gen_residues: Sequence[Sequence[int]], d: int, p: int) -> list[Callable]:
     """Per generator g, x -> the normal form mod p of g x.
 
@@ -228,9 +214,7 @@ def _residue_mults(gen_residues: Sequence[Sequence[int]], d: int, p: int) -> lis
     the product folded in.  Above 256 residues are tuples.
     """
     if p < 256:
-        tables = [bytes(c * v % p for v in range(256)) for c in range(p)]
-        inv = [0] + [pow(c, -1, p) for c in range(1, p)]
-        mod = bytes(s % p for s in range(d * (p - 1) + 1)).__getitem__
+        tables, inv, mod = _byte_tables(p, d)
 
     def make(flat):
         rows = [[(k, flat[i * d + k]) for k in range(d) if flat[i * d + k]] for i in range(d)]
@@ -270,29 +254,51 @@ def _frame_orbit(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
     each point of Omega).  Omega is found one orbit at a time, each
     numbered consecutively.  A group of at most cap elements moves a point
     to at most cap points, so an orbit passing cap points raises
-    OrderCapExceeded."""
-    frame = [tuple(int(i == j) for i in range(d)) for j in range(d)] + [(1,) * d]
-    gen_rows = [[[(k, c) for k, c in enumerate(flat[i * d:(i + 1) * d]) if c] for i in range(d)]
-                for flat in gen_residues]
-    index: dict[tuple[int, ...], int] = {}
-    images: list[list[int]] = [[] for _ in gen_rows]
+    OrderCapExceeded.  An orbit grows by layers: row i of g X, for X the
+    layer's points as columns (``bytes`` below 256, else a tuple), is a sum
+    of rows of X scaled by ``bytes.translate`` as in ``_residue_mults``,
+    and each column of g X is then normalized."""
+    if p < 256:
+        tables, inv, mod = _byte_tables(p, d)
+        pack, join, scale = bytes, b"".join, lambda row, c: row.translate(tables[c])
+    else:
+        inv, mod = [0] + [pow(c, -1, p) for c in range(1, p)], p.__rmod__
+        pack, scale = tuple, lambda row, c: tuple(c * v % p for v in row)
+        join = lambda parts: tuple(itertools.chain.from_iterable(parts))
+    frame = [pack(int(i == j) for i in range(d)) for j in range(d)] + [pack((1,) * d)]
+
+    def make(flat):
+        spec = [[(k, c) for k, c in enumerate(flat[i * d:(i + 1) * d]) if c] for i in range(d)]
+
+        def images(layer: list) -> list:
+            x, m = join(layer), len(layer)
+            rows = [x[k::d] for k in range(d)]
+            gx = join([pack(map(mod, map(sum, zip(*[scale(rows[k], c) for k, c in row]))))
+                       for row in spec])
+            out = [gx[j::m] for j in range(m)]
+            return [w if (lead := next(filter(None, w))) == 1 else scale(w, inv[lead]) for w in out]
+        return images
+    maps = [make(flat) for flat in gen_residues]
+    index: dict = {}
+    images: list[list[int]] = [[] for _ in maps]
     for v0 in frame:
         if v0 in index:
             continue
         index[v0] = len(index)
-        orbit = [v0]
-        for v in orbit:
-            for rows, image in zip(gen_rows, images):
-                w = [sum(c * v[k] for k, c in row) % p for row in rows]
-                scale = pow(next(filter(None, w)), -1, p)
-                w = tuple(x * scale % p for x in w)
-                i = index.get(w)
-                if i is None:
-                    if len(orbit) >= cap:
-                        raise OrderCapExceeded(f"an orbit of the projective frame passed {cap} points")
-                    i = index[w] = len(index)
-                    orbit.append(w)
-                image.append(i)
+        size, layer = 1, [v0]
+        while layer:
+            found = []
+            for ws in zip(*[g(layer) for g in maps]):
+                for w, image in zip(ws, images):
+                    i = index.get(w)
+                    if i is None:
+                        if size >= cap:
+                            raise OrderCapExceeded(f"an orbit of the projective frame passed {cap} points")
+                        i = index[w] = len(index)
+                        size += 1
+                        found.append(w)
+                    image.append(i)
+            layer = found
     return [index[v] for v in frame], images
 
 
@@ -362,47 +368,14 @@ def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
     return None if unknown else preimage
 
 
-def _exact_tree(gens: Sequence[MatC], perms: Sequence[Sequence[int]], ident: MatC):
-    """The exact normal form of every vertex, one exact product per vertex
-    along a spanning tree of the residue graph, and each vertex's tree
-    edge (a, x).  The tree takes an edge of the sparsest generator
-    whenever one reaches a new vertex (every known vertex joins each
-    generator's queue), so a dense generator is used about once per orbit
-    of the sparse ones."""
-    n = len(perms[0]) if perms else 1
-    elems: list[Optional[MatC]] = [None] * n
-    elems[0] = ident
-    parent: list[Optional[tuple[int, int]]] = [None] * n
-    order = [0]  # vertices in the order they became known
-    cost = sorted(range(len(gens)), key=lambda a: sum(map(len, gens[a].nnz)))
-    done = [0] * len(gens)  # generator a has been tried on order[:done[a]]
-    while len(order) < n:
-        for a in cost:
-            if done[a] < len(order):
-                break
-        x = order[done[a]]
-        done[a] += 1
-        y = perms[a][x]
-        if elems[y] is None:
-            elems[y] = _normalize(gens[a] * elems[x])
-            parent[y] = (a, x)
-            order.append(y)
-    return elems, parent
-
-
 def _entries(m: MatC) -> Iterable[CycloNum]:
     return itertools.chain.from_iterable(m.rows)
 
 
-def _l1_bound(e: CycloNum, scale: int) -> int:
-    """An integer bound on every conjugate of scale * e: the L1 norm of its
-    coordinates, each power of zeta having absolute value one."""
-    return sum(map(abs, e.num)) * (scale // e.den)
-
-
 def _conj_bound(e: CycloNum, scale: int) -> int:
-    """A tighter such bound: |sigma(e)|^2 is sigma(e * conj(e)), at most the
-    L1 norm of that value's coordinates."""
+    """An integer bound on every conjugate of scale * e: |sigma(e)|^2 is
+    sigma(e * conj(e)), at most the L1 norm of that value's coordinates,
+    each power of zeta having absolute value one."""
     if e.is_zero:
         return 0
     sq = e * galois(e, -1)
@@ -415,7 +388,8 @@ def _conj_bound(e: CycloNum, scale: int) -> int:
 
 def _norm_bound(gens: Sequence[MatC], entries: set[CycloNum], n_cond: int, p: int) -> int:
     """B^phi(N), the bound on the norm of every edge's defect when the
-    elements' entries are ``entries``.
+    elements are read off their residues and their entries are
+    ``entries``, the read-off table's preimages.
 
     With A = g_a e_x and (i0, j0) the first nonzero entry of e_y, the edge
     x -a-> y holds iff every A_ij - A_i0j0 y_ij is zero.  D clears the
@@ -423,65 +397,82 @@ def _norm_bound(gens: Sequence[MatC], entries: set[CycloNum], n_cond: int, p: in
     B, built from bounds on the entries, bounds each of its conjugates.
     When the residues of e_x and e_y are the BFS's, it lies in
     (p, zeta_N - omega), so p divides its norm, which is at most B^phi(N)
-    in size: for p > B^phi(N) it is zero.  B >= 2, so the tighter entry
-    bound is computed only when p > 2^phi(N) leaves that open.
+    in size: for p > B^phi(N) it is zero.
     """
     phi = len(cyclotomic_poly(n_cond)) - 1
-    entry_bound = _conj_bound if p > 2 ** phi else _l1_bound
     delta = math.lcm(*(e.den for e in entries))  # Delta e_x is integral for every x
-    c_max = max(entry_bound(e, delta) for e in entries)
+    c_max = max(_conj_bound(e, delta) for e in entries)
     r_max = 1  # the largest row sum of the conjugate bounds of delta_g g_a
     for g in gens:
         dg = math.lcm(*(e.den for e in _entries(g)))
         for row in g.rows:
-            r_max = max(r_max, sum(entry_bound(e, dg) for e in row))
+            r_max = max(r_max, sum(_conj_bound(e, dg) for e in row))
     # |conj(D (A_ij - A_i0j0 y_ij))| <= Delta R C + R C C, D = delta_g Delta^2
     return (r_max * c_max * (delta + c_max)) ** phi
 
 
-def _prove_edges(gens: Sequence[MatC], elems: Sequence[MatC], entries: set[CycloNum],
-                 parent: Sequence, residues: Sequence, perms: Sequence[Sequence[int]],
-                 n_cond: int, p: int, reduce: Callable[[CycloNum], Optional[int]]) -> None:
-    """Prove every edge x -a-> y exact for the exact tree's elements, whose
-    entries are ``entries``: p > B^phi(N) (``_norm_bound``) when each
-    element's entries reduce to its residues, else every non-tree edge is
-    rechecked mod a second prime P > B^phi(N) by the same argument."""
-    bound = _norm_bound(gens, entries, n_cond, p)
-    if p > bound:
-        values = {e: reduce(e) for e in entries}
-        if None not in values.values():
-            pack = bytes if p < 256 else tuple
-            get = values.__getitem__
-            if all(pack(map(get, _entries(m))) == r for m, r in zip(elems, residues)):
-                return
-    entries = entries.union(*(_entries(g) for g in gens))
-    # a prime above every denominator divides none of them
-    big = 1 + n_cond * (max(bound, max(e.den for e in entries)) // n_cond + 1)
-    while not _is_prime(big):
-        big += n_cond
-    w = _cyclotomic_root(big, n_cond)
-    if w is None:
-        raise EnumerationUnproved(f"no root of the {n_cond}-th cyclotomic polynomial mod {big}")
-    reduce_big = _reducer(big, n_cond, w)
-    values = {e: reduce_big(e) for e in entries}
-    if None in values.values():
-        raise EnumerationUnproved(f"a denominator is not invertible mod {big}")
-    get = values.__getitem__
-    flats = [list(map(get, _entries(m))) for m in elems]
-    d = elems[0].dim
-    columns = [[f[j::d] for j in range(d)] for f in flats]
-    leads = [list(_entries(m)).index(ONE) for m in elems]
-    for a, g in enumerate(gens):
-        grows = [list(map(get, row)) for row in g.rows]
-        for x, y in enumerate(perms[a]):
-            if parent[y] == (a, x):
-                continue
-            prod = [sum(map(operator.mul, gi, cj)) for gi in grows for cj in columns[x]]
-            lead = prod[leads[y]]
-            if any((u - lead * v) % big for u, v in zip(prod, flats[y])):
-                raise EnumerationUnproved(
-                    f"generator {a} times element {x} is not element {y} (checked mod {big})"
-                )
+def _exact_cosets(gens: Sequence[MatC], residues: Sequence, perms: Sequence[Sequence[int]],
+                  reduce: Callable[[CycloNum], Optional[int]], p: int, ident: MatC) -> list[MatC]:
+    """The exact normal form of every vertex of the residue graph, and the
+    proof that the generators give the group their residues show.
+
+    H = <s>, for a cheap generator s of residue order m, is exact of order
+    m once s^m = 1 in PGL_d.  E grows by cosets t H, chained t, t s, ... by
+    right products with s; g t, for each representative t and generator g,
+    is in E, and then so is g t H, or it starts a new coset.  So E is
+    closed under the generators: it is the group G they generate.  Each
+    element is placed at the vertex of its residue (an entry whose
+    denominator p divides has none).  Reduction maps G onto the residue
+    group, so two elements at one vertex mean |G| > n, and one at each
+    vertex makes it a bijection: g_a e_x = e_y on every edge x -a-> y.
+    Exact products: n/m per generator, m - 1 per coset and one for s^m.
+    """
+    n = len(residues)
+    nnz = [sum(map(len, g.nnz)) for g in gens]
+    orders = []
+    for perm in perms:
+        m, y = 1, perm[0]
+        while y:
+            m, y = m + 1, perm[y]
+        orders.append(m)
+    # the chains make about n products with s, the cosets n/m with each generator
+    a = min(range(len(gens)), key=lambda a: nnz[a] + sum(nnz) / orders[a])
+    s, m = gens[a], orders[a]
+    index = {tuple(r): x for x, r in enumerate(residues)}
+    elems: list[Optional[MatC]] = [None] * n
+    reps: list[MatC] = []
+
+    def vertex(u: MatC) -> int:
+        key = tuple(map(reduce, _entries(u)))
+        x = index.get(key)
+        if x is None:
+            raise EnumerationUnproved(f"an entry's denominator is divisible by {p}" if None in key
+                                      else f"an element's residue mod {p} is no vertex")
+        return x
+
+    def add_coset(t: MatC) -> MatC:
+        reps.append(t)
+        for k in range(m):
+            if k:
+                t = _normalize(t * s)
+            x = vertex(t)
+            if elems[x] is not None:
+                raise EnumerationUnproved(f"two products have the residue of element {x}: "
+                                          f"the group has more than {n} elements")
+            elems[x] = t
+        return t
+
+    if _normalize(add_coset(ident) * s) != ident:
+        raise EnumerationUnproved(f"generator {a} to the power {m}, its residue order, is not the identity")
+    for t in reps:
+        for g in gens:
+            u = _normalize(g * t)
+            x = vertex(u)
+            if elems[x] != u:  # a new coset, or a second element at x that add_coset refuses
+                add_coset(u)
+    if None in elems:
+        raise EnumerationUnproved(f"the cosets reach {n - elems.count(None)} of the {n} elements")
+    return elems
 
 
 # ---------------------------------------------------------------------------
@@ -728,11 +719,11 @@ class FinGroup:
         residues (``_read_off``, ``_ReadOffElements``), and they are kept
         when each preimage reduces to its value and a norm bound proves
         every edge from the residues alone (``_norm_bound``).  Otherwise
-        exact normal forms are computed along a spanning tree of that graph,
-        n - 1 products (``_exact_tree``), and every other edge is proved
-        exact by the norm bound or a recheck mod a second prime
-        (``_prove_edges``); a failed proof raises EnumerationUnproved, so
-        generators of an infinite group never yield a group.  Element
+        the exact group is closed as cosets of a cyclic subgroup, about
+        n/|H| products per generator, and reduction is proved one to one
+        onto the vertices, which proves every edge (``_exact_cosets``); a
+        failed proof raises EnumerationUnproved, so generators of an
+        infinite group never yield a group.  Element
         y = g_a * x is found from x, so its word is x's word plus a, and
         ``mult`` replays the word through the translation tables.
 
@@ -754,9 +745,7 @@ class FinGroup:
         p = _residue_prime(gens_p, n_cond)
         data = _prime_data(p, n_cond, gens_p)
         if data is None:
-            raise EnumerationUnproved(
-                f"{p} is not a usable residue prime for conductor {n_cond}"
-            )
+            raise EnumerationUnproved(f"{p} is not a usable residue prime for conductor {n_cond}")
         reduce, gen_residues = data
         residues, words, perms = _residue_bfs(gen_residues, dim, p, cap)
         n = len(residues)
@@ -771,10 +760,8 @@ class FinGroup:
         # coordinates)
         by_value = lambda e: (e.n, e.den, e.num)
         if table is None:
-            elems, parent = _exact_tree(gens_p, perms, ident)
+            elems = _exact_cosets(gens_p, residues, perms, reduce, p, ident)
             entries = {e for m in elems for row in m.rows for e in row}
-            _prove_edges(gens_p, elems, entries, parent, residues, perms, n_cond, p, reduce)
-            del parent
             rank = {e: r for r, e in enumerate(sorted(entries, key=by_value))}
             key = lambda i: tuple(map(rank.__getitem__, _entries(elems[i])))
         else:
@@ -788,9 +775,9 @@ class FinGroup:
             else:
                 key = lambda i: tuple(map(rank.__getitem__, residues[i]))
         order = [0] + sorted(range(1, n), key=key)
-        # implied by the proof; checked as it is cheap, on the residues when
-        # they are one to one with the read-off matrices
-        if len(set(elems if table is None else residues)) != n:
+        # implied by the proof; checked as it is cheap, on the residues, which
+        # are one to one with the elements
+        if len(set(residues)) != n:
             raise EnumerationUnproved("two vertices of the residue graph are one element")
         if table is None:
             elements = [elems[i] for i in order]

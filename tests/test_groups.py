@@ -170,11 +170,14 @@ def test_canonical_order_of_c3_4_a6(built):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
+# the order of the cyclic subgroup H whose cosets close each catalog group
+# not read off its residues: some residues there have no preimage or two
+COSET_ORDERS = {"Q8_S3": 4, "L2_11": 3, "M10_second": 8, "A7_second": 6}
+
+
 @pytest.mark.parametrize("key, read_off", [
     ("A3_5", True), ("A7_perm", True), ("M10_first", True), ("G1944", True),
-    # some residues there have no preimage or two, so every element but
-    # the identity is an exact product along the tree
-    ("Q8_S3", False), ("L2_11", False),
+    ("Q8_S3", False), ("L2_11", False), ("M10_second", False), ("A7_second", False),
 ])
 def test_generate_exact_product_count(monkeypatch, key, read_off):
     products = []
@@ -182,7 +185,14 @@ def test_generate_exact_product_count(monkeypatch, key, read_off):
     monkeypatch.setattr(MatC, "__mul__", lambda a, b: products.append(1) or mul(a, b))
     definition = load_group(key)
     group = FinGroup.generate(definition.generators, cap=definition.order)
-    assert len(products) == (0 if read_off else group.n - 1)
+    if read_off:
+        assert products == []
+    else:
+        # n/|H| cosets: each representative times each of the k generators,
+        # |H| - 1 right products per coset, and one for s^|H|
+        h = COSET_ORDERS[key]
+        r, k = group.n // h, len(group.gen_idx)
+        assert len(products) == r * k + r * (h - 1) + 1
 
 
 @pytest.mark.parametrize("gens", [
@@ -205,17 +215,36 @@ def test_generate_matches_exact_bfs_on_small_groups(gens):
 
 def test_generate_refuses_infinite_group_with_finite_residues():
     # [[1, 1], [0, 1]] has infinite order, but mod the residue prime it has
-    # finite order: the residue BFS closes, and the edge that closes the
-    # residue cycle is not exact
+    # finite order: the residue BFS closes, and the power at its residue
+    # order is not the identity
     unipotent = MatC([[ONE, ONE], [ZERO, ONE]])
-    with pytest.raises(EnumerationUnproved, match="is not element 0"):
+    with pytest.raises(EnumerationUnproved, match="to the power 251, its residue order, is not the identity"):
         FinGroup.generate([unipotent], cap=1000)
+
+
+def test_generate_refuses_a_cheap_generator_of_infinite_order():
+    # the unipotent generator, sparse and of residue order 251, is the cheap
+    # one beside diag(-1, 1) of order 2; mod p the group has 502 elements
+    unipotent = MatC([[ONE, ONE], [ZERO, ONE]])
+    with pytest.raises(EnumerationUnproved, match="generator 1 to the power 251, its residue order, is not"):
+        FinGroup.generate([diag([-ONE, ONE]), unipotent], cap=1000)
+
+
+def test_generate_refuses_an_infinite_group_of_finite_order_generators():
+    # two involutions whose product [[1, -1], [0, 1]] has infinite order
+    # (the infinite dihedral group): the cheap one, diag(-1, 1), closes
+    # exactly, but its cosets pass the 502 elements of the residue group
+    reflection = MatC([[-ONE, ONE], [ZERO, ONE]])
+    assert _normalize(reflection * reflection) == identity(2)
+    with pytest.raises(EnumerationUnproved, match="the group has more than 502 elements"):
+        FinGroup.generate([diag([-ONE, ONE]), reflection], cap=1000)
 
 
 def test_generate_refuses_an_infinite_group_read_off_its_residues(monkeypatch):
     # mod 3 every power of [[1, 1], [0, 1]] reads off the entries 0, 1, -1
     # of it and its inverse, giving a group of order 3; 3 is below the norm
-    # bound, so the read-off is dropped and the exact tree's recheck fails
+    # bound, so the read-off is dropped and the cube of the first generator
+    # is not the identity
     monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 3)
     read = []
     read_off = groups._read_off
@@ -226,7 +255,7 @@ def test_generate_refuses_an_infinite_group_read_off_its_residues(monkeypatch):
 
     monkeypatch.setattr(groups, "_read_off", recorded)
     unipotent = MatC([[ONE, ONE], [ZERO, ONE]])
-    with pytest.raises(EnumerationUnproved, match="is not element"):
+    with pytest.raises(EnumerationUnproved, match="generator 0 to the power 3, its residue order, is not"):
         FinGroup.generate([unipotent, MatC([[ONE, -ONE], [ZERO, ONE]])], cap=1000)
     [(vertices, table)] = read
     assert vertices == 3 and sorted(table) == [0, 1, 2]
@@ -314,19 +343,44 @@ def test_read_off_with_tuple_residues(monkeypatch, built):
     _assert_index_of_round_trips(group)
 
 
+def test_coset_proof_with_tuple_residues(monkeypatch):
+    # 257 = 1 mod 8 is above 256, so residues are tuples: the cosets place
+    # each element at the vertex of its tuple residue
+    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 257)
+    residues, exact_cosets = [], groups._exact_cosets
+
+    def recorded(gens, got, *args):
+        residues.extend(got)
+        return exact_cosets(gens, got, *args)
+
+    monkeypatch.setattr(groups, "_exact_cosets", recorded)
+    gens = load_group("Q8_S3").generators
+    group = FinGroup.generate(gens, cap=48)
+    assert len(residues) == 48 and isinstance(residues[0], tuple)
+    _assert_same_enumeration(group, exact_bfs_group(gens))
+
+
 def test_generate_refuses_a_tampered_element(monkeypatch):
-    # one element of the exact tree is replaced by another: the other edges
-    # into it are rechecked mod the second prime
-    exact_tree = groups._exact_tree
+    # one element of a coset, a right product with s, is replaced by another
+    # group element: its coset no longer fills its own vertices, and a
+    # later coset reaches one of the vertices it took.  s is Q8_S3's third
+    # generator (order 4, the cheapest by the choice of _exact_cosets)
+    gens = load_group("Q8_S3").generators
+    s = _normalize(gens[2])
+    mul, chained = MatC.__mul__, []
 
-    def tampered(gens, perms, ident):
-        elems, parent = exact_tree(gens, perms, ident)
-        elems[-1] = _normalize(gens[0] * elems[-1])
-        return elems, parent
+    def tampered(a, b):
+        c = mul(a, b)
+        if b == s:
+            chained.append(c)
+            if len(chained) == 10:  # the third coset's third element
+                return mul(gens[0], c)
+        return c
 
-    monkeypatch.setattr(groups, "_exact_tree", tampered)
-    with pytest.raises(EnumerationUnproved, match="is not element"):
-        FinGroup.generate(load_group("Q8_S3").generators, cap=48)
+    monkeypatch.setattr(MatC, "__mul__", tampered)
+    with pytest.raises(EnumerationUnproved, match="the group has more than 48 elements"):
+        FinGroup.generate(gens, cap=48)
+    assert len(chained) >= 10
 
 
 def test_generate_never_returns_the_sign_dropped_l2_11():
