@@ -9,9 +9,8 @@ once loaded.
 from __future__ import annotations
 
 import importlib.resources as res
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import data as _data
 from .cyclo import ONE, CycloNum, parse_cyclo
@@ -36,8 +35,7 @@ class CatalogValidationError(RuntimeError):
     rank contradicts the rank table or the codimension-2 bounds."""
 
 
-@dataclass(frozen=True)
-class GroupDefinition:
+class GroupDefinition(NamedTuple):
     key: str
     name: str
     order: int

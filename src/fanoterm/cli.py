@@ -9,7 +9,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import re
@@ -200,6 +199,8 @@ def render_records(records, fmt: str, ambient: str, mode: str) -> str:
             )
         return json.dumps({"ambient": ambient, "mode": mode, "rows": rows}, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(TABLE_COLUMNS)
@@ -278,6 +279,8 @@ def cmd_check_deformation(args) -> int:
         ("new deformation-class candidates", report.new_candidates),
     ]
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["section", "group_id", "b2", "ambient_order"])

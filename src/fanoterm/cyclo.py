@@ -671,6 +671,11 @@ def _tokens(text: str) -> Iterator[str]:
 
 
 class _Parser:
+    """Recursive descent over the tokens of one literal.  A sum's terms go
+    to one ``dot``, so the sum is canonicalized once, and a binary minus
+    is read as the sign of the next term's first factor; E(n)^k with
+    k >= 0 is ``root_of_unity(n, k)``, with no product."""
+
     def __init__(self, text: str):
         self.toks = list(_tokens(text))
         self.pos = 0
@@ -695,12 +700,12 @@ class _Parser:
         return out
 
     def expr(self) -> CycloNum:
-        out = self.term()
+        terms = [(self.term(), ONE)]
         while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+            if self.peek() == "+":
+                self.take()
+            terms.append((self.term(), ONE))
+        return terms[0][0] if len(terms) == 1 else dot(terms)
 
     def term(self) -> CycloNum:
         out = self.factor()
@@ -717,6 +722,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
+        start = self.pos
         out = self.atom()
         if self.peek() == "^":
             self.take()
@@ -729,7 +735,10 @@ class _Parser:
                 raise ValueError(f"exponent in cyclotomic literal exceeds {MAX_EXPONENT}")
             if k * _bits(out) > MAX_EXPONENT ** 2:
                 raise ValueError(f"power in cyclotomic literal exceeds {MAX_EXPONENT ** 2} bits")
-            out = out ** (-k if neg else k)
+            if neg or self.toks[start] != "E":
+                out = out ** (-k if neg else k)
+            else:
+                out = root_of_unity(int(self.toks[start + 2]), k)
         return out if sign == 1 else -out
 
     def atom(self) -> CycloNum:

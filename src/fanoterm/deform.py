@@ -10,9 +10,8 @@ The criterion is necessary, not sufficient, so matched entries are only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .groups import GroupId
 
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KnownClassCatalog:
+class KnownClassCatalog(NamedTuple):
     """b2 -> orders of the groups realizing that b2, per comparison family."""
 
     fujiki: dict[int, tuple[int, ...]]
@@ -34,15 +32,13 @@ class KnownClassCatalog:
     kummer: dict[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class ObstructionEntry:
+class ObstructionEntry(NamedTuple):
     group_id: GroupId
     b2: int
     ambient_order: int
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     fujiki_unmatched: tuple[ObstructionEntry, ...]
     hilbert_square_unmatched: tuple[ObstructionEntry, ...]
     kummer_unmatched: tuple[ObstructionEntry, ...]

@@ -44,9 +44,8 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclo import ONE, CycloNum, _prime_factors, cyclotomic_poly, galois
 from .linalg import MatC, identity
@@ -169,7 +168,9 @@ def _nonsingular_mod(flat: Sequence[int], d: int, m: int) -> bool:
 def _prime_data(p: int, n_cond: int, gens: Sequence[MatC]):
     """(reduce, generator residues) when p is a usable residue prime: odd,
     1 mod N, dividing no entry denominator and leaving every generator
-    nonsingular mod p; else None."""
+    nonsingular mod p; else None.  A generator singular mod p has its exact
+    determinant checked, and a singular one raises EnumerationUnproved, as
+    it is singular mod every prime."""
     if p % 2 == 0 or (p - 1) % n_cond:
         return None
     w = _cyclotomic_root(p, n_cond)
@@ -179,7 +180,11 @@ def _prime_data(p: int, n_cond: int, gens: Sequence[MatC]):
     residues = []
     for g in gens:
         flat = [reduce(e) for row in g.rows for e in row]
-        if None in flat or not _nonsingular_mod(flat, g.dim, p):
+        if None in flat:
+            return None
+        if not _nonsingular_mod(flat, g.dim, p):
+            if g.det().is_zero:
+                raise EnumerationUnproved(f"the generator {g!r} is singular")
             return None
         residues.append(flat)
     return reduce, residues
@@ -199,8 +204,22 @@ def _residue_prime(gens: Sequence[MatC], n_cond: int) -> int:
 def _byte_tables(p: int, d: int):
     """For p < 256: per c the table of ``bytes.translate`` that multiplies
     by c mod p, the inverses mod p, and the reduction mod p of a sum of d
-    residues."""
-    tables = tuple(bytes(c * v % p for v in range(256)) for c in range(p))
+    residues.
+
+    Each table is one translate of ``logs``, v -> the log of v mod p to a
+    primitive root r, with 0 sent to the sentinel p - 1: through the
+    powers of r rotated by log c, r^e -> r^(e + log c), and the sentinel
+    to 0."""
+    r = next(g for g in range(2, p)
+             if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)))
+    powers = [1]
+    for _ in range(p - 2):
+        powers.append(powers[-1] * r % p)
+    log = {x: e for e, x in enumerate(powers)}
+    logs = bytes(log.get(v % p, p - 1) for v in range(256))
+    cycle, pad = bytes(powers), bytes(257 - p)
+    tables = (bytes(256),) + tuple(logs.translate(cycle[log[c]:] + cycle[:log[c]] + pad)
+                                   for c in range(1, p))
     inv = (0,) + tuple(pow(c, -1, p) for c in range(1, p))
     return tables, inv, bytes(s % p for s in range(d * (p - 1) + 1)).__getitem__
 
@@ -983,8 +1002,7 @@ def quotient_group(h: GroupView, n: GroupView) -> GroupView:
 # fingerprints and identification
 
 
-@dataclass(frozen=True)
-class GroupId:
+class GroupId(NamedTuple):
     order: int
     gid: int
 
@@ -992,8 +1010,7 @@ class GroupId:
         return f"({self.order},{self.gid})"
 
 
-@dataclass(frozen=True)
-class UnidentifiedGroup:
+class UnidentifiedGroup(NamedTuple):
     order: int
     tier1: tuple
 
@@ -1001,8 +1018,7 @@ class UnidentifiedGroup:
         return f"({self.order},?)"
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism invariants: cheap tier separates almost everything."""
 
     order: int
@@ -1014,14 +1030,7 @@ class Fingerprint:
 
     @property
     def tier1(self) -> tuple:
-        return (
-            self.order,
-            self.order_histogram,
-            self.class_count,
-            self.abelian_invariants,
-            self.center_order,
-            self.derived_sizes,
-        )
+        return tuple(self)
 
 
 def _abelian_invariants(q: GroupView) -> tuple[int, ...]:
@@ -1100,11 +1109,16 @@ def fingerprint(view: GroupView) -> Fingerprint:
 IDENTIFY_ORDER_FLOOR = 2520  # orders at or above this report (order, 0)
 
 
+def _tuples(x):
+    """A JSON value with its arrays made tuples, all the way down."""
+    return tuple(map(_tuples, x)) if isinstance(x, list) else x
+
+
 @lru_cache(maxsize=None)
 def _load_id_catalog() -> dict[tuple, list[GroupId]]:
     """Tier-1 fingerprint -> the catalog ids that carry it."""
-    import ast
     import importlib.resources as res
+    import json
 
     from . import data as _data
 
@@ -1116,7 +1130,9 @@ def _load_id_catalog() -> dict[tuple, list[GroupId]]:
         ids, t1 = line.split("|")
         order_s, gid_s = ids.split()
         gid = GroupId(int(order_s), int(gid_s))
-        table.setdefault(ast.literal_eval(t1.strip()), []).append(gid)
+        # a tuple's repr is JSON with brackets for parentheses and no trailing comma
+        t1 = json.loads(t1.replace("(", "[").replace(")", "]").replace(",]", "]"))
+        table.setdefault(_tuples(t1), []).append(gid)
     return table
 
 

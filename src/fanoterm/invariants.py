@@ -9,8 +9,7 @@ locus, and the second Betti number
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .cyclo import ONE, CycloNum, rational
 from .groups import (
@@ -39,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class L3Set:
+class L3Set(NamedTuple):
     """The order-3 subgroups whose generator fixes a codimension-2 locus."""
 
     group: FinGroup
@@ -166,8 +164,7 @@ def b2_of_terminalization(rank_coinvariant: int, n2: int, n31: int, n32: int) ->
     return 23 - rank_coinvariant + n2 + n31 + 2 * n32
 
 
-@dataclass
-class SubgroupRecord:
+class SubgroupRecord(NamedTuple):
     class_index: int
     order: int
     group_id: Union[GroupId, UnidentifiedGroup]

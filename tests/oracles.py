@@ -5,12 +5,15 @@ arithmetic with textbook long division, a direct trace over monomials
 for ranks on the Fermat cubic, element-by-element scans of the group
 table for the L3 set and the singular invariants, a subgroup-class
 sweep that joins every class with every cyclic subgroup by word-walk
-products, and an enumeration by one exact product per Cayley-graph
-edge, so results never depend on the code paths under test.
+products, an enumeration by one exact product per Cayley-graph edge, and
+a reader of cyclotomic literals that adds, multiplies and powers one
+operation at a time, so results never depend on the code paths under
+test.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -393,3 +396,71 @@ def residue_bfs(gen_residues, d: int, p: int, cap: int):
                 words.append(words[x] + (a,))
             perms[a].append(y)
     return residues, words, perms
+
+
+def pairwise_parse(text: str):
+    """A cyclotomic literal of the catalog grammar, read with one ``+``,
+    ``-``, ``*`` or ``/`` of values per operator, left to right, and a
+    power x^k as k products by x (by 1/x for k < 0), so every partial sum,
+    product and power is canonicalized on its own."""
+    from fanoterm.cyclo import ONE, rational, root_of_unity, sqrt_rational
+
+    toks = re.findall(r"ER|E|\d+|[()+\-*/^]", text)
+    pos = 0
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def peek():
+        return toks[pos] if pos < len(toks) else None
+
+    def signs():
+        sign = 1
+        while peek() in ("+", "-"):
+            sign = -sign if take() == "-" else sign
+        return sign
+
+    def atom():
+        tok = take()
+        if tok == "(":
+            out = expr()
+            take()
+            return out
+        if tok in ("E", "ER"):
+            take()
+            num = signs() * int(take())
+            den = 1
+            if peek() == "/":
+                take()
+                den = int(take())
+            take()
+            return root_of_unity(num) if tok == "E" else sqrt_rational(Fraction(num, den))
+        return rational(int(tok))
+
+    def factor():
+        sign = signs()
+        base = atom()
+        if peek() == "^":
+            take()
+            k = signs() * int(take())
+            step = base if k >= 0 else ONE / base
+            base = ONE
+            for _ in range(abs(k)):
+                base = base * step
+        return base if sign == 1 else -base
+
+    def term():
+        out = factor()
+        while peek() in ("*", "/"):
+            out = out * factor() if take() == "*" else out / factor()
+        return out
+
+    def expr():
+        out = term()
+        while peek() in ("+", "-"):
+            out = out + term() if take() == "+" else out - term()
+        return out
+
+    return expr()

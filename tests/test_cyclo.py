@@ -17,8 +17,8 @@ from fanoterm.cyclo import (
     sqrt_rational,
 )
 
-from fanoterm import cyclo
-from oracles import cyclo_as_power_poly, reduce_power_poly
+from fanoterm import catalog, cyclo
+from oracles import cyclo_as_power_poly, pairwise_parse, reduce_power_poly
 
 
 def test_root_of_unity_identity_case():
@@ -327,6 +327,55 @@ def test_parse_grammar_forms():
         parse_cyclo("E(3) +")
     with pytest.raises(ValueError):
         parse_cyclo("Q(3)")
+
+
+def _catalog_literals():
+    """Every cubic coefficient and generator cell of the group files."""
+    for key in catalog.group_keys():
+        cells = False
+        for line in catalog._read(f"groups/{key}.txt").splitlines():
+            line = line.strip()
+            if line.startswith("cubic:"):
+                yield from line[len("cubic:"):].split(",")
+            elif line.startswith("generator "):
+                cells = True
+            elif cells and line and not line.startswith("#"):
+                yield from line.split(",")
+
+
+def test_catalog_literals_parse_as_pairwise_sums():
+    literals = list(_catalog_literals())
+    assert len(catalog.group_keys()) == 9 and len(literals) > 9 * 56
+    for text in literals:
+        assert parse_cyclo(text) is pairwise_parse(text), text
+
+
+@pytest.mark.parametrize("text, value", [
+    ("E(24)^0", ONE),
+    ("E(24)^24", ONE),
+    ("E(24)^25", root_of_unity(24, 1)),
+    ("-E(8)^3", -root_of_unity(8, 3)),
+    ("2*E(3)^2", 2 * root_of_unity(3, 2)),
+    ("(E(3)+E(3)^2)^2", ONE),
+    ("E(4)^2+1", ZERO),
+    ("E(7)^-2", root_of_unity(7, 5)),
+    ("1-E(5)^2-(E(5)-2)*3", 7 - root_of_unity(5, 2) - 3 * root_of_unity(5)),
+])
+def test_parse_edge_literals(text, value):
+    assert parse_cyclo(text) is value
+    assert pairwise_parse(text) is value
+
+
+def test_negative_power_of_a_root_takes_the_general_path(monkeypatch):
+    calls = []
+    root = cyclo.root_of_unity
+    monkeypatch.setattr(cyclo, "root_of_unity", lambda n, k=1: calls.append((n, k)) or root(n, k))
+    assert parse_cyclo("E(7)^-2") is root(7, 5)
+    assert calls == [(7, 1)]
+    assert parse_cyclo("E(7)^2") is root(7, 2)
+    assert calls[1:] == [(7, 1), (7, 2)]
+    with pytest.raises(ValueError, match="exponent in cyclotomic literal exceeds 1000"):
+        parse_cyclo("E(5)^1001")
 
 
 def test_nested_powers_bounded():

@@ -1,11 +1,12 @@
 import math
 import random
+import signal
 
 import pytest
 
 from fanoterm.cyclo import ONE, ZERO, rational, root_of_unity
 from fanoterm import catalog, groups
-from fanoterm.catalog import load_group
+from fanoterm.catalog import group_keys, load_group
 from fanoterm.cli import EXIT_VALIDATION, main as cli_main
 from fanoterm.groups import (
     BudgetExceeded,
@@ -20,7 +21,7 @@ from fanoterm.groups import (
     identify,
     quotient_group,
 )
-from fanoterm.linalg import MatC, diag, identity, perm_mat
+from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
 from oracles import (all_joins_subgroup_classes, bounded_closure, exact_bfs_group, residue_bfs,
                      subgroup_orbit)
 
@@ -400,6 +401,65 @@ def test_generate_refuses_an_even_residue_prime(monkeypatch, capsys):
     monkeypatch.setattr(catalog, "_BUILD_MEMO", {})
     assert cli_main(["validate-catalog", "--group", "A7_perm"]) == EXIT_VALIDATION
     assert capsys.readouterr().out.startswith("FAIL A7_perm: enumeration is not exact: ")
+
+
+def test_generate_refuses_a_singular_generator():
+    # a singular generator is singular mod every prime, so the search for a
+    # residue prime stops at its exact determinant; the alarm turns a
+    # search that never ends into a failure
+    def hang(signum, frame):
+        raise TimeoutError("FinGroup.generate did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        with pytest.raises(EnumerationUnproved, match=r"generator MatC\[1,0; 0,0\] is singular"):
+            FinGroup.generate([mat_from_strings([["1", "0"], ["0", "0"]])])
+        with pytest.raises(EnumerationUnproved, match=r"generator MatC\[1,E\(3\); 0,0\]"):
+            FinGroup.generate([perm_mat([1, 0]), mat_from_strings([["1", "E(3)"], ["0", "0"]])])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_generate_skips_a_prime_that_divides_a_determinant():
+    # [[0, 1], [251, 0]] squares to 251, a scalar, and is singular mod 251,
+    # the first candidate prime for conductor 1; the next prime, 241, serves
+    g = FinGroup.generate([mat_from_strings([["0", "1"], ["251", "0"]])])
+    assert g.n == 2
+
+
+def test_byte_tables_match_their_definition():
+    primes = set()
+    for key in group_keys():
+        gens = [_normalize(m) for m in load_group(key).generators]
+        n_cond = math.lcm(*(e.n for g in gens for row in g.rows for e in row))
+        primes.add(groups._residue_prime(gens, n_cond))
+    primes = sorted(primes)
+    assert primes == [199, 241, 251]  # the residue primes of the nine ambients
+    for p in primes + [3, 5, 7, 13]:
+        tables, inv, mod = groups._byte_tables(p, 6)
+        assert len(tables) == p
+        for c in range(p):
+            assert tables[c] == bytes(c * v % p for v in range(256)), (p, c)
+        assert inv == (0,) + tuple(pow(c, -1, p) for c in range(1, p))
+        assert [mod(s) for s in range(6 * (p - 1) + 1)] == [s % p for s in range(6 * (p - 1) + 1)]
+
+
+def test_id_catalog_parses_like_literal_eval():
+    import ast
+    import importlib.resources as res
+
+    from fanoterm import data
+
+    want: dict[tuple, list[GroupId]] = {}
+    lines = (res.files(data) / "idcatalog.data").read_text().splitlines()
+    for line in lines[1:]:
+        ids, t1 = line.split("|")
+        want.setdefault(ast.literal_eval(t1.strip()), []).append(GroupId(*map(int, ids.split())))
+    table = groups._load_id_catalog()
+    assert table == want
+    assert sum(map(len, table.values())) == len(lines) - 1 == 90
 
 
 def test_element_order():
