@@ -553,24 +553,44 @@ class GroupView:
             return [c.__getitem__ for c in self.conjugations]
         return [lambda x, g=g: self.conj(x, g) for g in self.gens]
 
-    def closure(self, gens: Iterable[int]) -> frozenset[int]:
-        """The subgroup generated by gens.  When they are all members, it is
-        a subgroup of this view's group, so past half its order it is the
-        whole group (Lagrange) and the closure stops there."""
+    def closure(self, gens: Iterable[int], base: frozenset[int] = frozenset((0,))) -> frozenset[int]:
+        """The subgroup generated by gens, grown from ``base``, a known
+        subgroup of it, by cosets (Dimino; Butler, LNCS 559, 1991): per
+        coset representative e and generator s, y = s e lies in a known
+        coset or starts the coset y base.  When gens and base are members,
+        a result past half this view's order is the whole group (Lagrange),
+        so the closure stops there."""
         gen_list = sorted({g for g in gens if g != 0})
-        half = self.order // 2 if self.members.issuperset(gen_list) else math.inf
-        seen = {0}
-        queue = [0]
-        mult = self.mult
-        for x in queue:
+        members, mult = self.members, self.mult
+        half = self.order // 2 if members.issuperset(gen_list) and members.issuperset(base) else math.inf
+        seen, reps = set(base), [0]
+        rest = [b for b in base if b]  # y 0 is y
+        for e in reps:
             for s in gen_list:
-                y = mult(x, s)
+                y = mult(s, e)
                 if y not in seen:
+                    reps.append(y)
                     seen.add(y)
-                    queue.append(y)
-            if len(seen) > half:
-                return self.members
+                    seen.update([mult(y, b) for b in rest])
+                    if len(seen) > half:
+                        return members
         return frozenset(seen)
+
+    def span(self, candidates: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
+        """The subgroup the candidates generate, and as its generators the
+        candidates, in increasing order, that each extend the span of those
+        before them."""
+        members: frozenset[int] = frozenset((0,))
+        gens: list[int] = []
+        for x in sorted(candidates):
+            if x not in members:
+                gens.append(x)
+                members = self.closure(gens, members)
+        return members, tuple(gens)
+
+    def sub(self, members: Iterable[int], gens: Sequence[int]) -> "GroupView":
+        """The subgroup with these members and generators, in this view."""
+        return GroupView(members, self.mult, self.inv, gens, self.ambient)
 
     def class_map(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
         """The orbits of the conjugation action and the class index of every
@@ -606,30 +626,10 @@ class GroupView:
         gen_list = sorted({s for s in seeds if s != 0})
         members = self.closure(gen_list)
         conjugators = self._conjugators()
-        while True:
-            new = []
-            for s in gen_list:
-                for conj in conjugators:
-                    c = conj(s)
-                    if c not in members:
-                        new.append(c)
-            if not new:
-                return members, tuple(gen_list)
-            gen_list = sorted(set(gen_list) | set(new))
-            members = self.closure(gen_list)
-
-    def greedy_gens(self, members: frozenset[int]) -> tuple[int, ...]:
-        """A small deterministic generating set for a known subgroup."""
-        target = len(members)
-        gens: list[int] = []
-        covered: frozenset[int] = frozenset((0,))
-        for x in sorted(members):
-            if x not in covered:
-                gens.append(x)
-                covered = self.closure(gens)
-                if len(covered) == target:
-                    break
-        return tuple(gens)
+        while new := {conj(s) for s in gen_list for conj in conjugators} - members:
+            gen_list = sorted(set(gen_list) | new)
+            members = self.closure(gen_list, members)
+        return members, tuple(gen_list)
 
 
 # ---------------------------------------------------------------------------
@@ -843,16 +843,18 @@ class FinGroup:
 
     def subgroup(self, gens: Iterable[int] = (), members: Optional[frozenset[int]] = None) -> GroupView:
         """The subgroup generated by ``gens``, or the one with the given
-        ``members``; for the whole group this is the group's own view."""
+        ``members`` (ValueError if they are no subgroup); for the whole
+        group this is the group's own view."""
         if members is None:
             gens = tuple(sorted({g for g in gens if g}))
             members = self.view.closure(gens)
         else:
-            members = frozenset(members)
-            gens = self.view.greedy_gens(members)
+            spanned, gens = self.view.span(members)
+            if spanned != set(members):
+                raise ValueError("the members are not a subgroup")
         if len(members) == self.n:
             return self.view
-        return GroupView(members, self.mult, self.inv, gens, self)
+        return self.view.sub(members, gens)
 
     def multiplication_table(self) -> list[array]:
         """``table[i][j] == mult(i, j)``: one ``array('H')`` row per element,
@@ -932,7 +934,7 @@ class FinGroup:
                         registered.add(t)
                         orbit.append(t)
             rep = min(orbit, key=sorted)
-            classes.append((rep, gens if rep == members else view.greedy_gens(rep)))
+            classes.append((rep, gens if rep == members else view.span(rep)[1]))
 
         register(frozenset((0,)), ())
         for fs, gen in cyclic_list:
@@ -950,10 +952,9 @@ class FinGroup:
                     continue
                 row = table[gen]
                 covered.update(cyclic_id[table[inv[h]][row[h]]] for h in normalizer)
-                register(view.closure(rep_gens + (gen,)), rep_gens + (gen,))
+                register(view.closure(rep_gens + (gen,), rep), rep_gens + (gen,))
         classes.sort(key=lambda c: (len(c[0]), sorted(c[0])))
-        return [self.view if len(rep) == n else GroupView(rep, view.mult, view.inv, gens, self)
-                for rep, gens in classes]
+        return [self.view if len(rep) == n else view.sub(rep, gens) for rep, gens in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -1092,7 +1093,7 @@ def fingerprint(view: GroupView) -> Fingerprint:
     )
     sizes = [n, len(dm)]
     while 1 < sizes[-1] < sizes[-2]:
-        dm, dg = _derived_data(GroupView(dm, view.mult, view.inv, dg, view.ambient))
+        dm, dg = _derived_data(view.sub(dm, dg))
         sizes.append(len(dm))
     return Fingerprint(
         order=n,

@@ -144,13 +144,7 @@ def pi1_quotient(h: GroupView, l3: L3Set) -> GroupView:
     """
     seeds = set(h.involutions())
     seeds.update(m for m in (l3.members & h.members))
-    members = frozenset((0,))
-    gens: list[int] = []
-    for s in sorted(seeds):
-        if s not in members:
-            gens.append(s)
-            members = h.closure(gens)
-    return quotient_group(h, GroupView(members, h.mult, h.inv, gens, h.ambient))
+    return quotient_group(h, h.sub(*h.span(seeds)))
 
 
 def pi1_id(h: GroupView, l3: L3Set):

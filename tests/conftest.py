@@ -34,11 +34,11 @@ def sweeps(built):
 
     memo = {}
 
-    def get(key, all_subgroups=False):
-        k = (key, all_subgroups)
+    def get(key, all_subgroups=False, budget=1000):
+        k = (key, all_subgroups, budget)
         if k not in memo:
             memo[k] = classification_table(
-                key, mode="full-sweep", budget=1000, all_subgroups=all_subgroups
+                key, mode="full-sweep", budget=budget, all_subgroups=all_subgroups
             )
         return memo[k]
 

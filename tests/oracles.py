@@ -3,16 +3,18 @@
 Everything here is deliberately naive: Fraction-coefficient polynomial
 arithmetic with textbook long division, a direct trace over monomials
 for ranks on the Fermat cubic, element-by-element scans of the group
-table for the L3 set and the singular invariants, a subgroup-class
-sweep that joins every class with every cyclic subgroup by word-walk
-products, an enumeration by one exact product per Cayley-graph edge, and
-a reader of cyclotomic literals that adds, multiplies and powers one
-operation at a time, so results never depend on the code paths under
-test.
+table for the L3 set and the singular invariants, subgroup closures
+rebuilt breadth-first from the identity, a subgroup-class sweep that
+joins every class with every cyclic subgroup by word-walk products and
+those closures, an enumeration by one exact product per Cayley-graph
+edge, and a reader of cyclotomic literals that adds, multiplies and
+powers one operation at a time, so results never depend on the code
+paths under test.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -203,6 +205,37 @@ def bounded_closure(view, gens, bound):
     return frozenset(seen)
 
 
+def bfs_closure(view, gens):
+    """The subgroup generated by gens, breadth-first from the identity by
+    right products.  When gens are all members of the view, past half its
+    order the subgroup is the whole view (Lagrange), so it stops there."""
+    gen_list = sorted({g for g in gens if g != 0})
+    half = view.order // 2 if view.members.issuperset(gen_list) else math.inf
+    seen = {0}
+    queue = [0]
+    for x in queue:
+        for s in gen_list:
+            y = view.mult(x, s)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+        if len(seen) > half:
+            return view.members
+    return frozenset(seen)
+
+
+def greedy_gens(view, members):
+    """The members, in increasing order, that each enlarge the closure of
+    those before them, every closure rebuilt from the identity."""
+    gens = []
+    covered = frozenset((0,))
+    for x in sorted(members):
+        if x not in covered:
+            gens.append(x)
+            covered = bfs_closure(view, gens)
+    return tuple(gens)
+
+
 def l3_trace_prefilter(mat) -> bool:
     """Eigenvalue-multiset test: tr(M) != 0 and tr(M)^2 + 3 tr(M^2) = 0.
 
@@ -293,11 +326,11 @@ def all_joins_subgroup_classes(group) -> list[list[int]]:
     """Sorted member lists of one representative per subgroup conjugacy
     class, in the sweep's order: cyclic subgroups joined with every class
     representative, every cyclic subgroup at every step, every product a
-    word walk of ``group.mult``."""
+    word walk of ``group.mult`` and every closure ``bfs_closure``."""
     view = group.view
     cyclics = {}
     for x in range(1, group.n):
-        cyclics.setdefault(view.closure([x]), x)
+        cyclics.setdefault(bfs_closure(view, [x]), x)
     cyclic_list = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
     class_of = {}
     classes = []
@@ -309,7 +342,7 @@ def all_joins_subgroup_classes(group) -> list[list[int]]:
         rep = min(orbit, key=sorted)
         for s in orbit:
             class_of[s] = len(classes)
-        classes.append((rep, gens if rep == members else view.greedy_gens(rep)))
+        classes.append((rep, gens if rep == members else greedy_gens(view, rep)))
 
     register(frozenset((0,)), ())
     for fs, gen in cyclic_list:
@@ -324,7 +357,7 @@ def all_joins_subgroup_classes(group) -> list[list[int]]:
             if fs <= rep or union in joined:
                 continue
             joined.add(union)
-            register(view.closure(rep_gens + (gen,)), rep_gens + (gen,))
+            register(bfs_closure(view, rep_gens + (gen,)), rep_gens + (gen,))
     return sorted((sorted(rep) for rep, _ in classes), key=lambda m: (len(m), m))
 
 

@@ -2,6 +2,7 @@
 pass/fail line.  Run with  pytest tests/test_acceptance.py -v  (add -s to
 see the lines as they print)."""
 
+import hashlib
 import json
 import random
 import time
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from fanoterm.catalog import build_group, load_deformation_catalog, load_fixtures, load_group
-from fanoterm.cli import main as cli_main
+from fanoterm.cli import main as cli_main, render_records
 from fanoterm.cyclo import ONE, rational, root_of_unity, sqrt_rational
 from fanoterm.deform import ObstructionEntry, is_square_rational, obstruction_report
 from fanoterm.groups import (
@@ -426,8 +427,8 @@ def test_criterion_9_budget_guard(built, key):
     _report(9, True, f"{key}: full sweep refused at the default budget")
 
 
-def test_stretch_full_sweep_1944(built):
-    records = classification_table("G1944", mode="full-sweep", budget=2000, all_subgroups=True)
+def test_stretch_full_sweep_1944(sweeps):
+    records = sweeps("G1944", True, 2000)
     assert len(records) == 237
     assert all(isinstance(r.b2, int) for r in records)
     simply = [r for r in records if r.pi1_trivial and not r.terminal]
@@ -445,15 +446,31 @@ def test_stretch_full_sweep_1944(built):
         ), (gid, b2)
 
 
-def test_stretch_full_sweep_a7(built):
-    records = classification_table("A7_perm", mode="full-sweep", budget=3000)
-    simply = [r for r in records if r.pi1_trivial]
+def test_stretch_full_sweep_a7(sweeps):
+    records = sweeps("A7_perm", True, 3000)
+    simply = [r for r in records if r.pi1_trivial and not r.terminal]
     merged = merged_rows(simply)
     got = sorted((m[0], m[5]) for m in merged)
     want = sorted(
         (str(f.group_id), str(f.b2)) for f in load_fixtures() if f.ambient_order == 2520
     )
     assert got == want
+
+
+# sha256 of `fanoterm table --group KEY --all-subgroups --budget BUDGET
+# --format structured`, pinned for the sweeps no benchmark workload runs
+SWEEP_DIGESTS = {
+    ("A7_perm", 3000): "c6e11f19e7b883fba7c4e1cdf94b796f213de4eff46b489868ba442165703132",
+    ("G1944", 2000): "3ce43b4036c872bda1fd2d72a3e9fc6435b216cdb3ca1a5b50d8476c2e163501",
+}
+
+
+@pytest.mark.parametrize("key, budget", sorted(SWEEP_DIGESTS))
+def test_sweep_output_is_pinned(sweeps, key, budget):
+    # the same sweep as test_stretch_full_sweep_1944 and _a7, rendered as
+    # the table command renders it
+    text = render_records(sweeps(key, True, budget), "structured", key, "full-sweep")
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[key, budget]
 
 
 @pytest.mark.stretch

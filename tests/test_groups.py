@@ -20,10 +20,11 @@ from fanoterm.groups import (
     fingerprint,
     identify,
     quotient_group,
+    quotient_view,
 )
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
-from oracles import (all_joins_subgroup_classes, bounded_closure, exact_bfs_group, residue_bfs,
-                     subgroup_orbit)
+from oracles import (all_joins_subgroup_classes, bfs_closure, bounded_closure, exact_bfs_group,
+                     greedy_gens, residue_bfs, subgroup_orbit)
 
 W = root_of_unity(3, 1)
 
@@ -533,6 +534,66 @@ def test_closure_stops_past_half_the_order(built):
     assert inner.closure(l2.gen_idx) == frozenset(range(l2.n))
 
 
+def _table_view(group):
+    """The whole group multiplying through its table, as the class sweep's
+    view does."""
+    table = group.multiplication_table()
+    return GroupView(range(group.n), lambda a, b: table[a][b], group.inv, group.gen_idx, group)
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "G1944"])
+def test_closure_from_a_base_matches_the_oracle(built, key):
+    # closure(gens, base), base generated by some of gens, against the
+    # breadth-first closure from the identity: on the sweep's table view,
+    # the word-walk view, a quotient (by the least normal closure of one
+    # element), and a subgroup view holding base but not every generator,
+    # where the closure must not stop at half the view's order and makes
+    # k products per coset of base and |base| - 1 per coset added
+    group = built(key)
+    table_view = _table_view(group)
+    classes, _ = group.view.class_map()
+    normal = min((table_view.normal_closure([c[0]])[0] for c in classes[1:]), key=len)
+    rng = random.Random(19)
+    for view in (table_view, group.view, quotient_view(table_view, normal)):
+        for _ in range(8):
+            gens = rng.sample(view.elements, rng.randint(1, min(3, view.order)))
+            cut = rng.randrange(len(gens))
+            base = bfs_closure(view, gens[:cut])
+            want = bfs_closure(view, gens)
+            assert view.closure(gens, base) == want
+            assert view.closure(gens) == want
+            products = []
+
+            def mult(a, b, view=view):
+                products.append((a, b))
+                return view.mult(a, b)
+
+            inner = GroupView(base, mult, view.inv, gens[:cut], view.ambient)
+            assert inner.closure(gens, base) == want
+            index, k = len(want) // len(base), len({g for g in gens if g})
+            assert len(products) == index * k + (index - 1) * (len(base) - 1)
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first"])
+def test_span_keeps_the_sweep_generators(built, key):
+    # every class representative's span and generators are the ones the
+    # greedy loop over closures from the identity gives, and its view's
+    # generators generate it
+    group = built(key)
+    table_view = _table_view(group)
+    for c in group.subgroup_conjugacy_classes(budget=1000):
+        assert table_view.span(c.members) == (c.members, greedy_gens(group.view, c.members))
+        assert bfs_closure(group.view, c.gens) == c.members
+
+
+def test_subgroup_refuses_members_that_are_no_subgroup(built):
+    group = built("Q8_S3")
+    x = next(i for i in range(1, group.n) if group.view.order_of(i) == 3)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        group.subgroup(members={0, x})
+    assert group.subgroup(members={0, x, group.mult(x, x)}).gens == (min(x, group.mult(x, x)),)
+
+
 def test_involution_closure_of_simple_group(built):
     l2 = built("L2_11")
     invs = [i for i in range(1, l2.n) if l2.view.order_of(i) == 2]
@@ -593,13 +654,13 @@ def _oracle_subgroup_classes(group):
     view = group.view
     cyclic = {}
     for x in range(1, group.n):
-        fs = view.closure([x])
+        fs = bfs_closure(view, [x])
         cyclic.setdefault(fs, x)
     subgroups = {frozenset((0,))} | set(cyclic)
     items = sorted(cyclic.items(), key=lambda kv: sorted(kv[0]))
     for i, (fs1, g1) in enumerate(items):
         for fs2, g2 in items[i + 1:]:
-            subgroups.add(view.closure([g1, g2]))
+            subgroups.add(bfs_closure(view, [g1, g2]))
     reps = set()
     seen = set()
     for fs in sorted(subgroups, key=lambda s: (len(s), sorted(s))):
