@@ -338,6 +338,13 @@ def cmd_validate_catalog(args) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanoterm",
@@ -357,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="targeted subgroup: comma-separated generator words over "
                         "g1..gN, or mat:row;row;... (repeatable)")
     p.add_argument("--format", default="table", choices=["table", "csv", "structured"])
-    p.add_argument("--budget", type=int, default=1000,
+    p.add_argument("--budget", type=positive_int, default=1000,
                    help="maximum ambient order for a full sweep, which holds a "
                         "multiplication table of 2*n^2 bytes for order n")
     p.add_argument("--all-subgroups", action="store_true",

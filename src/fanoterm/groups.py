@@ -45,6 +45,7 @@ import itertools
 import math
 from array import array
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclo import ONE, CycloNum, _prime_factors, cyclotomic_poly, galois
@@ -323,7 +324,8 @@ def _frame_orbit(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
 
 def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int):
     """Breadth-first closure of the generators' classes in PGL_d(Z/p):
-    (residues, words, perms) with perms[a][x] the vertex g_a x.
+    (residues, words, perms) with perms[a][x] the vertex g_a x and
+    words[x] the ``bytes`` of letters a_1 ... a_k with x = g_ak ... g_a1.
 
     A vertex is keyed by its images of the projective frame F
     (``_frame_orbit``): an element of PGL_d(Z/p) that fixes every point of
@@ -345,7 +347,8 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
     residues = [(bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))]
     keys = [key0]
     index = {key0: 0}
-    words: list[tuple[int, ...]] = [()]
+    words = [b""]
+    letters = [bytes((a,)) for a in range(len(mults))]
     perms: list[list[int]] = [[] for _ in mults]
     for x, kx in enumerate(keys):
         for a, table in enumerate(tables):
@@ -358,7 +361,7 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
                 keys.append(ky)
                 index[ky] = y
                 residues.append(mults[a](residues[x]))
-                words.append(words[x] + (a,))
+                words.append(words[x] + letters[a])
             perms[a].append(y)
     return residues, words, perms
 
@@ -687,7 +690,10 @@ class FinGroup:
     the entries of their normal forms (see ``generate``), so the indexing
     is reproducible across runs; for a group read off its residues it is
     a ``_ReadOffElements``.  Nothing about the group changes after
-    construction.  Its view holds one ``array('I')`` per generator g,
+    construction.  Per element it keeps a word, the ``bytes`` of its
+    generator letters, one index in each generator's translation table and
+    its inverse, and these index lists and the view's members share one int
+    object per index.  Its view holds one ``array('I')`` per generator g,
     x -> g^-1 x g, built here once the BFS's keys are freed, and memoizes
     element orders and the class map.
     """
@@ -697,14 +703,13 @@ class FinGroup:
         self.dim = dim
         self.gen_idx: tuple[int, ...] = tuple(gen_elem_idx)
         self._perms: list[list[int]] = perms
-        self._rword: list[tuple[int, ...]] = words
+        self._rword: list[bytes] = words
         self._index: Optional[dict] = None  # built by the first index_of
-        n = len(elements)
+        # each perm holds every index once: its ints are the group's, and the
+        # inverse permutations, the inverses and the view's members reuse them
+        ids = sorted(perms[0]) if perms else [0]
         # the inverse of g_ak...g_a1 applies the inverse generators in reverse
-        inv_perms = [[0] * n for _ in perms]
-        for p, q in zip(perms, inv_perms):
-            for x, y in enumerate(p):
-                q[y] = x
+        inv_perms = [sorted(ids, key=p.__getitem__) for p in perms]
         inv = []
         for word in words:
             r = 0
@@ -717,7 +722,7 @@ class FinGroup:
         conjugations = [array("I", map(q.__getitem__, map(inv.__getitem__,
                                                            map(q.__getitem__, inv))))
                         for q in inv_perms]
-        self.view = GroupView(range(n), self.mult, self.inv, self.gen_idx, self, conjugations)
+        self.view = GroupView(ids, self.mult, self.inv, self.gen_idx, self, conjugations)
 
     # -- construction -----------------------------------------------------
 
@@ -759,6 +764,9 @@ class FinGroup:
             g = _normalize(m)
             if g != ident and g not in gens_p:
                 gens_p.append(g)
+        if len(gens_p) >= 256:
+            raise ValueError(f"a word holds one letter per byte: fewer than 256 distinct generators "
+                             f"are allowed, {len(gens_p)} given")
         # every product of the generators has its entries in Q(zeta_N)
         n_cond = math.lcm(*(e.n for g in gens_p for e in _entries(g)))
         p = _residue_prime(gens_p, n_cond)
@@ -793,7 +801,9 @@ class FinGroup:
                 key = lambda i: residues[i].translate(rank_table)
             else:
                 key = lambda i: tuple(map(rank.__getitem__, residues[i]))
-        order = [0] + sorted(range(1, n), key=key)
+        # every index list of the group takes its ints from ids, one per element
+        ids = list(range(n))
+        order = ids[:1] + sorted(ids[1:], key=key)
         # implied by the proof; checked as it is cheap, on the residues, which
         # are one to one with the elements
         if len(set(residues)) != n:
@@ -804,12 +814,14 @@ class FinGroup:
             elements = _ReadOffElements([residues[i] for i in order], table, dim)
         del residues, key
         relabel = [0] * n
-        for new, old in enumerate(order):
+        for new, old in zip(ids, order):
             relabel[old] = new
-        new_perms = [[relabel[perm[old]] for old in order] for perm in perms]
-        gen_elem_idx = [relabel[perm[0]] for perm in perms]
-        del perms
-        return cls(elements, gen_elem_idx, new_perms, [words[i] for i in order], dim)
+        del ids
+        words = [words[i] for i in order]
+        perms = [[relabel[perm[old]] for old in order] for perm in perms]
+        gen_elem_idx = [perm[0] for perm in perms]
+        del order, relabel
+        return cls(elements, gen_elem_idx, perms, words, dim)
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -836,7 +848,7 @@ class FinGroup:
             key = elements.residue(_normalize(mat)) if read_off else _normalize(mat)
             if self._index is None:
                 keys = elements.residues if read_off else elements
-                self._index = {k: i for i, k in enumerate(keys)}
+                self._index = dict(zip(keys, self.view.elements))
             return self._index[key]
         except KeyError:
             raise KeyError("element does not belong to this group") from None
@@ -861,8 +873,8 @@ class FinGroup:
         2 n^2 bytes in all.
 
         Element y = g_a * x has x's word plus the letter a, so row y is row x
-        sent through generator a's translation table: n row passes instead
-        of n^2 word walks.
+        sent through generator a's translation table: n row passes, each one
+        ``itemgetter`` call, instead of n^2 word walks.
         """
         words = self._rword
         index = {word: i for i, word in enumerate(words)}
@@ -870,8 +882,7 @@ class FinGroup:
         table[0] = array("H", range(self.n))
         for y in sorted(range(1, self.n), key=lambda i: len(words[i])):
             word = words[y]
-            table[y] = array("H", map(self._perms[word[-1]].__getitem__,
-                                      table[index[word[:-1]]]))
+            table[y] = array("H", itemgetter(*table[index[word[:-1]]])(self._perms[word[-1]]))
         return table
 
     # -- subgroup conjugacy sweep -------------------------------------------

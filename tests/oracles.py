@@ -379,7 +379,7 @@ def exact_bfs_group(gens, cap: int = 250000):
             gens_p.append(g)
     elems = [ident]
     index = {ident: 0}
-    words = [()]
+    words = [b""]
     perms = [[] for _ in gens_p]
     for x, ex in enumerate(elems):
         for a, g in enumerate(gens_p):
@@ -391,7 +391,7 @@ def exact_bfs_group(gens, cap: int = 250000):
                     raise OrderCapExceeded(f"group closure exceeded the cap of {cap} elements")
                 elems.append(y)
                 index[y] = yi
-                words.append(words[x] + (a,))
+                words.append(words[x] + bytes((a,)))
             perms[a].append(yi)
     n = len(elems)
     order = [0] + sorted(range(1, n), key=lambda i: [(e.n, e.den, e.num)
@@ -414,7 +414,7 @@ def residue_bfs(gen_residues, d: int, p: int, cap: int):
     r0 = (bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))
     residues = [r0]
     index = {r0: 0}
-    words = [()]
+    words = [b""]
     perms = [[] for _ in mults]
     for x, rx in enumerate(residues):
         for a, mult in enumerate(mults):
@@ -426,7 +426,7 @@ def residue_bfs(gen_residues, d: int, p: int, cap: int):
                     raise OrderCapExceeded(f"group closure exceeded the cap of {cap} elements")
                 residues.append(ry)
                 index[ry] = y
-                words.append(words[x] + (a,))
+                words.append(words[x] + bytes((a,)))
             perms[a].append(y)
     return residues, words, perms
 

@@ -66,6 +66,15 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5", "x"])
+def test_budget_below_one_is_an_input_failure(capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--group", "L2_11", "--all-subgroups", "--budget", budget])
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "argument --budget" in err and "raise --budget" not in err
+
+
 def test_full_group_only(capsys):
     code, out, _ = run_cli(capsys, "table", "--group", "C3_4_A6", "--mode", "full-group-only",
                            "--format", "structured")

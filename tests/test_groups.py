@@ -65,7 +65,7 @@ def test_generate_identity_only_in_every_dimension(d):
         group = FinGroup.generate(gens)
         assert group.n == 1 and list(group.elements) == [identity(d)] and group.gen_idx == ()
     residue = bytes(int(i == j) for i in range(d) for j in range(d))
-    assert groups._residue_bfs([], d, 251, 10) == ([residue], [()], [])
+    assert groups._residue_bfs([], d, 251, 10) == ([residue], [b""], [])
 
 
 def _elementary(d, i, j):
@@ -156,6 +156,26 @@ def test_read_off_elements_of_c3_4_a6_are_exact(built):
         g, perm = gens[a], group._perms[a]
         assert all(_normalize(g * e) == group.elements[perm[x]]
                    for x, e in enumerate(group.elements))
+
+
+def test_c3_4_a6_stores_one_int_per_index_and_byte_words(built):
+    # a word is bytes of generator letters, and the perms, the inverses and
+    # the whole-group view's members share one int object per index
+    group = built("C3_4_A6")
+    assert all(type(word) is bytes for word in group._rword)
+    seqs = (*group._perms, group._inv, group.view.members)
+    assert all(len(seq) == group.n for seq in seqs)
+    assert len({id(x) for seq in seqs for x in seq}) == group.n
+
+
+def test_generate_refuses_256_generators():
+    # a word holds one letter per byte; the generators are checked before
+    # any residue is computed
+    gens = [diag([ONE, rational(k)]) for k in range(2, 258)]
+    with pytest.raises(ValueError, match="fewer than 256 distinct generators"):
+        FinGroup.generate(gens)
+    with pytest.raises(ValueError, match="fewer than 256 distinct generators"):
+        FinGroup.generate(gens[:255] + [identity(2)] + gens[:1] + gens[255:256])
 
 
 def test_canonical_order_of_c3_4_a6(built):
