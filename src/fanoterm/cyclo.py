@@ -5,16 +5,29 @@ basis {zeta_n^0, ..., zeta_n^(phi(n)-1)} reduced modulo the n-th cyclotomic
 polynomial, a positive common denominator, and a minimal conductor.  The
 conductor is read off the coordinates: ``_descend`` moves a value from
 Q(zeta_n) down to Q(zeta_(n/p)) by direct tests on its coordinates, so no
-linear system is solved.
+linear system is solved; for p prime to n/p a value outside the subfield
+is rejected at the first of a few precomputed sparse linear functionals
+that does not vanish on it.
 Canonical values are hash-consed, so equal values are the same object:
 a value compares and hashes by identity, and every value stays in the
 intern table for the life of the process, as does every term tuple that
-``dot`` has memoized.  The one Galois action, ``galois``, gives every
+``dot`` has memoized and every packing of the kernel.
+
+Every product goes through one kernel, Kronecker substitution (Harvey,
+J. Symbolic Comput. 44, 2009): a coordinate vector is packed as one big
+integer with a fixed-width digit per coordinate, so a polynomial product
+is one machine-level multiply.  A value's lift to conductor n is packed
+once, at 64-bit digits, and memoized beside the value.  The digit width
+of a product comes from a proven bound on its raw coefficients (the
+operands' coordinate sizes, the scale and the number of terms), so no
+digit carries into its neighbour; where 64 bits are too few, the terms
+are packed wider.  The one Galois action, ``galois``, gives every
 conjugate, and the inverse is the product of the other conjugates over
-the rational norm.  Values of different conductors are combined only in
-``dot``, which lifts them to their common conductor and is the one place
-that enforces the conductor limit on sums and products; ``+`` and ``*``
-handle zero, one and equal conductors themselves and send every other
+the rational norm, multiplied through the same kernel.  Values of
+different conductors are combined only in ``dot``, which lifts them to
+their common conductor and is the one place that enforces the conductor
+limit on sums and products; ``+`` handles zero and equal conductors
+itself and ``*`` zero, one and two rationals, and both send every other
 case there.
 """
 
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
@@ -159,22 +173,67 @@ def _fold(vec: list[int], n: int) -> list[int]:
     return vec[:phi]
 
 
-def _conv_into(acc: list[int], va: Sequence[int], vb: Sequence[int], scale: int) -> None:
-    """Add scale times the raw (unreduced) product of two coordinate vectors
-    to acc."""
-    for i, x in enumerate(va):
-        if x:
-            x *= scale
-            for j, y in enumerate(vb):
-                if y:
-                    acc[i + j] += x * y
+# ---------------------------------------------------------------------------
+# the product kernel (Kronecker substitution)
+#
+# A coordinate vector packs as the integer sum of c_i 2^(w i): its polynomial
+# at t = 2^w.  Packing is a ring map, so the product of two packings is the
+# packing of the raw product, and one machine-level multiply replaces the
+# convolution.  The raw coefficients are read back as balanced w-bit digits,
+# which is exact when every one of them lies in [-2^(w-1), 2^(w-1)).
 
 
-def _mul_vec(va: Sequence[int], vb: Sequence[int], n: int) -> list[int]:
-    """The product of two coordinate vectors of Q(zeta_n)."""
-    conv = [0] * (len(va) + len(vb) - 1)
-    _conv_into(conv, va, vb, 1)
-    return _fold(conv, n)
+_WIDTH = 64  # the digit width of the memoized packings
+
+
+def _width(bits: int) -> int:
+    """The least multiple of _WIDTH that holds, as balanced digits, every raw
+    coefficient of absolute value below 2^bits."""
+    return -(-(bits + 1) // _WIDTH) * _WIDTH
+
+
+def _pack(vec: Sequence[int], w: int) -> int:
+    acc = 0
+    for c in reversed(vec):
+        acc = (acc << w) + c
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _digit_layout(n: int, w: int) -> tuple[int, int, Optional[struct.Struct]]:
+    """For the 2 phi(n) - 1 raw coefficients of a product at width w: the
+    byte length, the offset adding 2^(w-1) to each digit, and the unpacker
+    of 64-bit digits (None for wider ones)."""
+    count = 2 * _phi(n) - 1
+    offset = sum(1 << (w * k + w - 1) for k in range(count))
+    return count * w // 8, offset, struct.Struct(f"<{count}Q") if w == 64 else None
+
+
+def _unpack(acc: int, n: int, w: int) -> list[int]:
+    """The raw coefficients packed in acc at width w, folded modulo Phi_n.
+    The caller proves that each one lies in [-2^(w-1), 2^(w-1)): adding
+    2^(w-1) to every digit then makes them all nonnegative, so the plain
+    base-2^w digits of the sum are read off and the offset subtracted."""
+    size, offset, unpacker = _digit_layout(n, w)
+    raw = (acc + offset).to_bytes(size, "little")
+    half = 1 << (w - 1)
+    if unpacker is not None:
+        return _fold([u - half for u in unpacker.unpack(raw)], n)
+    step = w // 8
+    return _fold([int.from_bytes(raw[i:i + step], "little") - half
+                  for i in range(0, size, step)], n)
+
+
+def _bit_bound(vec: Sequence[int]) -> int:
+    """The bit length of the largest coordinate of vec in absolute value."""
+    return max(map(abs, vec)).bit_length()
+
+
+def _vec_product(va: Sequence[int], vb: Sequence[int], n: int) -> list[int]:
+    """The product of two coordinate vectors of Q(zeta_n), through the
+    kernel at the width their sizes prove safe."""
+    w = _width(_bit_bound(va) + _bit_bound(vb) + _phi(n).bit_length())
+    return _unpack(_pack(va, w) * _pack(vb, w), n, w)
 
 
 @lru_cache(maxsize=None)
@@ -194,13 +253,18 @@ def _descend(n: int, vec: list[int]) -> Optional[tuple[int, list[int]]]:
     zeta_n = zeta_m^a zeta_p^b (a = p^-1 mod m, b = m^-1 mod p) splits the
     value as the sum of A_r zeta_p^r, A_r in Q(zeta_m); as 1, zeta_p, ...,
     zeta_p^(p-2) is a basis over Q(zeta_m), it lies there exactly when
-    A_1 = ... = A_(p-1), and then it is A_0 - A_(p-1).
+    A_1 = ... = A_(p-1), and then it is A_0 - A_(p-1).  That condition is
+    first tested functional by functional (``_split_tests``), so a value
+    outside the subfield is rejected at its first nonzero one, and only a
+    value inside it is split.
     """
     for p in _prime_factors(n):
         m = n // p
         if m % p == 0:
             if not any(c for i, c in enumerate(vec) if i % p):
                 return m, vec[::p]
+            continue
+        if any(sum([vec[i] * c for i, c in test]) for test in _split_tests(n, p)):
             continue
         a, b = pow(p, -1, m), pow(m, -1, p)
         powers = _powers(m)
@@ -211,10 +275,30 @@ def _descend(n: int, vec: list[int]) -> Optional[tuple[int, list[int]]]:
                 for j, x in enumerate(powers[a * i % m]):
                     if x:
                         part[j] += c * x
-        last = parts[-1]
-        if all(part == last for part in parts[1:-1]):
-            return m, [x - y for x, y in zip(parts[0], last)]
+        return m, [x - y for x, y in zip(parts[0], parts[-1])]
     return None
+
+
+@lru_cache(maxsize=None)
+def _split_tests(n: int, p: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For a prime p prime to m = n/p: the linear functionals on conductor-n
+    coordinates whose common zero set is A_1 = ... = A_(p-1) in the split
+    of ``_descend``, coordinate j of A_r - A_(p-1) for r = 1, ..., p-2, each
+    as its nonzero (coordinate index, coefficient) pairs.  Coordinate i
+    enters only A_(b i mod p), so the two parts of a functional never share
+    an index."""
+    m = n // p
+    a, b = pow(p, -1, m), pow(m, -1, p)
+    powers = _powers(m)
+    # rows[r][j]: the (i, coefficient) pairs of coordinate j of A_r
+    rows = [[[] for _ in range(_phi(m))] for _ in range(p)]
+    for i in range(_phi(n)):
+        for j, x in enumerate(powers[a * i % m]):
+            if x:
+                rows[b * i % p][j].append((i, x))
+    return tuple(tuple(sorted(rows[r][j] + [(i, -x) for i, x in rows[-1][j]]))
+                 for r in range(1, p - 1) for j in range(_phi(m))
+                 if rows[r][j] or rows[-1][j])
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +412,9 @@ class CycloNum:
             return b
         if b.is_one:
             return a
-        if a.n != b.n:
-            return _dot(((a, b),))
-        if a.n == 1:
+        if a.n == 1 == b.n:
             return _canonical(1, [a.num[0] * b.num[0]], a.den * b.den)
-        return _canonical(a.n, _mul_vec(a.num, b.num, a.n), a.den * b.den)
+        return _dot(((a, b),))
 
     __rmul__ = __mul__
 
@@ -346,8 +428,8 @@ class CycloNum:
         rest = _power_vec(n, 0)
         for k in range(2, n):
             if math.gcd(k, n) == 1:
-                rest = _mul_vec(rest, _map_vec(self, n, k), n)
-        norm = _mul_vec(self.num, rest, n)[0]
+                rest = _vec_product(rest, _map_vec(self, n, k), n)
+        norm = _vec_product(self.num, rest, n)[0]
         sign = 1 if norm > 0 else -1
         return _canonical(n, [sign * self.den * c for c in rest], abs(norm))
 
@@ -491,23 +573,34 @@ def _lift_vec(x: CycloNum, n: int) -> Sequence[int]:
 # the memo of ``dot``: the tuple of its (a, b) terms -> their sum of products
 _DOT_CACHE: dict[tuple, CycloNum] = {}
 
+# the packings of the kernel: conductor n -> {value: (its lift to Q(zeta_n)
+# packed at width _WIDTH, the ``_bit_bound`` of that lift)}
+_PACKS: dict[int, dict[CycloNum, tuple[int, int]]] = {}
+
 
 def dot(pairs: Sequence[tuple[CycloNum, CycloNum]]) -> CycloNum:
     """The sum of a * b over the pairs (a, b), canonicalized once: the raw
     products of the terms, lifted to their common conductor and scaled to
-    one common denominator, are summed, folded once and canonicalized once.
-    When that conductor passes the limit, each product and partial sum is
-    canonicalized instead, so a product in a smaller field descends to it
-    first; ConductorLimitError is raised where that fails too, and at once
-    when no product can descend (one pair, or every b is ONE).
+    one common denominator, are summed, unpacked once, folded once and
+    canonicalized once.  When that conductor passes the limit, each product
+    and partial sum is canonicalized instead, so a product in a smaller
+    field descends to it first; ConductorLimitError is raised where that
+    fails too, and at once when no product can descend (one pair, or every
+    b is ONE).
 
     The result is memoized on the tuple of the terms, in their order and
     with their repeats; values are hash-consed, so the key holds the values
-    themselves and the terms are lifted once per distinct tuple."""
+    themselves.  Each value is lifted and packed once per conductor."""
     key = tuple(pairs)
     out = _DOT_CACHE.get(key)
     if out is None:
         out = _DOT_CACHE[key] = _dot(key)
+    return out
+
+
+def _packed(x: CycloNum, n: int, memo: dict) -> tuple[int, int]:
+    vec = _lift_vec(x, n)
+    out = memo[x] = (_pack(vec, _WIDTH), _bit_bound(vec))
     return out
 
 
@@ -521,16 +614,25 @@ def _dot(pairs: tuple[tuple[CycloNum, CycloNum], ...]) -> CycloNum:
         return sum((a * b for a, b in pairs), ZERO)
     dens = [a.den * b.den for a, b in pairs]
     den = math.lcm(*dens)
-    acc = [0] * (2 * _phi(n) - 1)
+    memo = _PACKS.get(n)
+    if memo is None:
+        memo = _PACKS[n] = {}
+    acc = bits = 0
     for (a, b), dab in zip(pairs, dens):
+        pa, ba = memo.get(a) or _packed(a, n, memo)
+        pb, bb = memo.get(b) or _packed(b, n, memo)
         scale = den // dab
-        if b is ONE:  # a sum's term: add the lift of a, no convolution
-            for i, x in enumerate(_lift_vec(a, n)):
-                if x:
-                    acc[i] += x * scale
-        else:
-            _conv_into(acc, _lift_vec(a, n), _lift_vec(b, n), scale)
-    return _canonical(n, _fold(acc, n), den)
+        acc += pa * pb * scale
+        term_bits = ba + bb + scale.bit_length()
+        if term_bits > bits:
+            bits = term_bits
+    # a raw coefficient sums at most phi(n) products per term, each below
+    # 2^bits in absolute value
+    w = _width(bits + (len(pairs) * _phi(n)).bit_length())
+    if w != _WIDTH:
+        acc = sum(_pack(_lift_vec(a, n), w) * _pack(_lift_vec(b, n), w) * (den // dab)
+                  for (a, b), dab in zip(pairs, dens))
+    return _canonical(n, _unpack(acc, n, w), den)
 
 
 def galois(x: CycloNum, k: int) -> CycloNum:

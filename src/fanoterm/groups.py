@@ -44,6 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from collections.abc import Set
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -501,33 +502,86 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, perms: Sequence[Sequ
 # generic group algorithms over an index interface
 
 
+class _Indices(Set):
+    """The members of a whole enumerated group's view, every index
+    0 <= x < n, as a set that holds no hash table: membership is a range
+    test and iteration walks ``elements``, the indices in order.  It equals
+    and hashes as the frozenset of the indices, and the set operations
+    return frozensets.  Inclusions test membership at C level, as a
+    frozenset's do: each pi1 quotient of the whole group compares two of
+    these sets."""
+
+    __slots__ = ("elements", "_range")
+
+    def __init__(self, elements: tuple[int, ...]):
+        self.elements = elements
+        self._range = range(len(elements))
+
+    def __contains__(self, x) -> bool:
+        return x in self._range
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.elements))
+
+    def issuperset(self, xs: Iterable[int]) -> bool:
+        return all(map(self._range.__contains__, xs))
+
+    def __le__(self, other) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        if isinstance(other, _Indices):
+            return len(self) <= len(other)
+        return len(self) <= len(other) and all(map(other.__contains__, self.elements))
+
+    def __ge__(self, other) -> bool:
+        if not isinstance(other, Set):
+            return NotImplemented
+        return self.issuperset(other)
+
+    _from_iterable = staticmethod(frozenset)
+
+
 class GroupView:
     """A finite group on element indices: an enumerated group, a subgroup of
     it or a quotient.
 
-    ``members`` is the frozenset of element ids valid for ``mult``/``inv``
-    and ``elements`` the same ids in increasing order, so the identity id 0
-    is always the first element.  ``ambient`` is the FinGroup whose indices
-    a subgroup uses, or None for a quotient.  ``conjugations``, when given,
+    ``members`` is the set of element ids valid for ``mult``/``inv`` (a
+    frozenset, or for a whole enumerated group its ``_Indices``) and
+    ``elements`` the same ids in increasing order, so the identity id 0 is
+    always the first element.  ``ambient`` is the FinGroup whose indices a
+    subgroup uses, or None for a quotient.  ``conjugations``, when given,
     holds per generator g the array x -> g^-1 x g, which the class map and
-    the normal closure read instead of multiplying.  A view memoizes its
+    the normal closure read instead of multiplying.  ``table``, when given,
+    is the multiplication table that ``mult`` reads, ``table[a][b]``; the
+    closure builds each coset from one of its rows.  A view memoizes its
     element orders and its class map; nothing else about it changes.
     """
 
     __slots__ = ("elements", "members", "mult", "inv", "gens", "ambient", "conjugations",
-                 "_order_cache", "_class_map")
+                 "table", "_order_cache", "_class_map")
 
     def __init__(self, members: Iterable[int], mult: Callable[[int, int], int],
                  inv: Callable[[int], int], gens: Sequence[int],
                  ambient: Optional["FinGroup"],
-                 conjugations: Optional[Sequence[Sequence[int]]] = None):
-        self.members = frozenset(members)
-        self.elements = tuple(sorted(self.members))
+                 conjugations: Optional[Sequence[Sequence[int]]] = None,
+                 table: Optional[Sequence[Sequence[int]]] = None):
+        if isinstance(members, _Indices):
+            self.members, self.elements = members, members.elements
+        else:
+            self.members = frozenset(members)
+            self.elements = tuple(sorted(self.members))
         self.mult = mult
         self.inv = inv
         self.gens = tuple(gens)
         self.ambient = ambient
         self.conjugations = conjugations
+        self.table = table
         self._order_cache: dict[int, int] = {}
         self._class_map: Optional[tuple[tuple[tuple[int, ...], ...], dict[int, int]]] = None
 
@@ -562,9 +616,10 @@ class GroupView:
         coset representative e and generator s, y = s e lies in a known
         coset or starts the coset y base.  When gens and base are members,
         a result past half this view's order is the whole group (Lagrange),
-        so the closure stops there."""
+        so the closure stops there.  With a table, each coset is one pass
+        over row y."""
         gen_list = sorted({g for g in gens if g != 0})
-        members, mult = self.members, self.mult
+        members, mult, table = self.members, self.mult, self.table
         half = self.order // 2 if members.issuperset(gen_list) and members.issuperset(base) else math.inf
         seen, reps = set(base), [0]
         rest = [b for b in base if b]  # y 0 is y
@@ -574,7 +629,10 @@ class GroupView:
                 if y not in seen:
                     reps.append(y)
                     seen.add(y)
-                    seen.update([mult(y, b) for b in rest])
+                    if table is not None:
+                        seen.update(map(table[y].__getitem__, rest))
+                    else:
+                        seen.update([mult(y, b) for b in rest])
                     if len(seen) > half:
                         return members
         return frozenset(seen)
@@ -593,7 +651,7 @@ class GroupView:
 
     def sub(self, members: Iterable[int], gens: Sequence[int]) -> "GroupView":
         """The subgroup with these members and generators, in this view."""
-        return GroupView(members, self.mult, self.inv, gens, self.ambient)
+        return GroupView(members, self.mult, self.inv, gens, self.ambient, table=self.table)
 
     def class_map(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
         """The orbits of the conjugation action and the class index of every
@@ -722,7 +780,8 @@ class FinGroup:
         conjugations = [array("I", map(q.__getitem__, map(inv.__getitem__,
                                                            map(q.__getitem__, inv))))
                         for q in inv_perms]
-        self.view = GroupView(ids, self.mult, self.inv, self.gen_idx, self, conjugations)
+        self.view = GroupView(_Indices(tuple(ids)), self.mult, self.inv, self.gen_idx, self,
+                              conjugations)
 
     # -- construction -----------------------------------------------------
 
@@ -911,7 +970,7 @@ class FinGroup:
         table = self.multiplication_table()
         inv = self._inv
         view = GroupView(range(n), lambda a, b: table[a][b], inv.__getitem__,
-                         self.gen_idx, self)
+                         self.gen_idx, self, table=table)
         conjugations = self.view.conjugations  # x -> g^-1 x g per generator g
 
         cyclic_of: list[frozenset[int]] = []  # <x> for x = 1, ..., n - 1
@@ -996,7 +1055,7 @@ def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
         if q and q not in gens:
             gens.append(q)
     inv = [row.index(0) for row in table]
-    return GroupView(range(m), lambda a, b: table[a][b], inv.__getitem__, gens, None)
+    return GroupView(range(m), lambda a, b: table[a][b], inv.__getitem__, gens, None, table=table)
 
 
 def quotient_group(h: GroupView, n: GroupView) -> GroupView:

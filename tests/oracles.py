@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is deliberately naive: Fraction-coefficient polynomial
-arithmetic with textbook long division, a direct trace over monomials
+Everything here is deliberately naive: Fraction- and integer-coefficient
+polynomial arithmetic with textbook long division (cyclotomic polynomials
+from the Moebius product of the x^d - 1), cyclotomic sums of products by
+schoolbook convolution, a direct trace over monomials
 for ranks on the Fermat cubic, element-by-element scans of the group
 table for the L3 set and the singular invariants, subgroup closures
 rebuilt breadth-first from the identity, a subgroup-class sweep that
@@ -111,15 +113,110 @@ def reduce_power_poly(coeffs: dict[int, Fraction], n: int) -> tuple[Fraction, ..
     return tuple(red)
 
 
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def _int_poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_poly_rem(a: list[int], m: list[int]) -> list[int]:
+    """The remainder of a modulo the monic integer polynomial m, padded to
+    deg m coefficients; the quotient's coefficients are those cancelled."""
+    a = list(a)
+    dm = len(m) - 1
+    for k in range(len(a) - 1, dm - 1, -1):
+        c = a[k]
+        if c:
+            for i, y in enumerate(m):
+                a[k - dm + i] -= c * y
+    return (a + [0] * dm)[:dm]
+
+
+@lru_cache(maxsize=None)
+def int_cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Phi_n as the Moebius product of the x^d - 1 over d | n, on integers:
+    the factors of exponent -1 divide out exactly by long division."""
+    num, den = [1], [1]
+    for d in range(1, n + 1):
+        mu = _mobius(n // d) if n % d == 0 else 0
+        if mu:
+            factor = [-1] + [0] * (d - 1) + [1]
+            if mu == 1:
+                num = _int_poly_mul(num, factor)
+            else:
+                den = _int_poly_mul(den, factor)
+    out = []
+    dd = len(den) - 1
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = num[k]
+        out.append(c)
+        if c:
+            for i, y in enumerate(den):
+                num[k - dd + i] -= c * y
+    assert not any(num)
+    return tuple(reversed(out))
+
+
+def _lift_numerators(x, n: int) -> list[int]:
+    """The coordinates of x times its denominator at conductor n, by the
+    substitution zeta_(x.n) -> zeta_n^(n/x.n), reduced modulo Phi_n."""
+    step = n // x.conductor
+    dense = [0] * n
+    for j, c in enumerate(x.num):
+        dense[j * step] += c
+    return _int_poly_rem(dense, list(int_cyclotomic_poly(n)))
+
+
 def cyclo_as_power_poly(x, n: int) -> tuple[Fraction, ...]:
     """Express a CycloNum in the power basis of zeta_n via oracle reduction."""
     assert n % x.conductor == 0
-    step = n // x.conductor
-    sparse: dict[int, Fraction] = {}
-    for j, c in enumerate(x.coeffs):
-        if c:
-            sparse[j * step] = sparse.get(j * step, Fraction(0)) + c
-    return reduce_power_poly(sparse, n)
+    return tuple(Fraction(c, x.den) for c in _lift_numerators(x, n))
+
+
+def schoolbook_dot(pairs, n: int) -> tuple[Fraction, ...]:
+    """The sum of a * b over the pairs, as power-basis coordinates at
+    conductor n: each product a schoolbook convolution of the integer
+    numerators of the two lifts, scaled to one common denominator, and the
+    sum reduced modulo Phi_n once by long division."""
+    den = math.lcm(*(a.den * b.den for a, b in pairs))
+    acc = [0]
+    for a, b in pairs:
+        conv = _int_poly_mul(_lift_numerators(a, n), _lift_numerators(b, n))
+        scale = den // (a.den * b.den)
+        acc += [0] * (len(conv) - len(acc))
+        for k, c in enumerate(conv):
+            acc[k] += c * scale
+    return tuple(Fraction(c, den) for c in _int_poly_rem(acc, list(int_cyclotomic_poly(n))))
+
+
+def split_parts_equal(n: int, p: int, vec) -> bool:
+    """Whether the value with conductor-n coordinates vec lies in
+    Q(zeta_(n/p)), p a prime prime to m = n/p, by the full split: zeta_n =
+    zeta_m^a zeta_p^b (a = p^-1 mod m, b = m^-1 mod p) writes it as the sum
+    of A_r zeta_p^r with A_r in Q(zeta_m), and it lies there exactly when
+    A_1 = ... = A_(p-1)."""
+    m = n // p
+    a, b = pow(p, -1, m), pow(m, -1, p)
+    parts = [[0] * m for _ in range(p)]
+    for i, c in enumerate(vec):
+        parts[b * i % p][a * i % m] += c
+    reduced = [_int_poly_rem(part, list(int_cyclotomic_poly(m))) for part in parts]
+    return all(part == reduced[-1] for part in reduced[1:])
 
 
 # -- the monomial trace: coinvariant ranks on the Fermat cubic --------------------

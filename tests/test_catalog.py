@@ -181,8 +181,16 @@ def test_id_catalog_regenerates_byte_for_byte():
 
 def test_fixture_list_shape():
     fixtures = load_fixtures()
-    assert len(fixtures) == 104
+    assert len(fixtures) == 103
     by_ambient = {}
     for f in fixtures:
         by_ambient[f.ambient_order] = by_ambient.get(f.ambient_order, 0) + 1
-    assert by_ambient == {360: 14, 660: 7, 720: 9, 1944: 10, 2520: 15, 29160: 43, 48: 6}
+    assert by_ambient == {360: 14, 660: 7, 720: 9, 1944: 10, 2520: 15, 29160: 42, 48: 6}
+
+
+def test_fixture_rows_do_not_repeat():
+    # a repeated row would be reported twice by check-deformation
+    rows = [line.split() for line in catalog._read("fixtures.list").splitlines()
+            if line.strip() and not line.startswith("#")]
+    assert len(rows) == len(load_fixtures())
+    assert len({tuple(row) for row in rows}) == len(rows)

@@ -18,7 +18,13 @@ from fanoterm.cyclo import (
 )
 
 from fanoterm import catalog, cyclo
-from oracles import cyclo_as_power_poly, pairwise_parse, reduce_power_poly
+from oracles import (
+    cyclo_as_power_poly,
+    pairwise_parse,
+    reduce_power_poly,
+    schoolbook_dot,
+    split_parts_equal,
+)
 
 
 def test_root_of_unity_identity_case():
@@ -411,14 +417,99 @@ def test_dot_memo_keeps_repeated_terms(monkeypatch):
 
 
 def test_dot_memo_lifts_each_term_list_once(monkeypatch):
+    # each value is lifted and packed once per conductor, and a repeated
+    # term tuple is a hit of the dot memo
     monkeypatch.setattr(cyclo, "_DOT_CACHE", {})
-    lifts = []
-    lift = cyclo._lift_vec
-    monkeypatch.setattr(cyclo, "_lift_vec", lambda x, n: lifts.append(n) or lift(x, n))
-    terms = [(root_of_unity(7, 3), root_of_unity(9)), (rational(1, 2), root_of_unity(7))]
+    monkeypatch.setattr(cyclo, "_PACKS", {})
+    packed = []
+    pack = cyclo._packed
+    monkeypatch.setattr(cyclo, "_packed",
+                        lambda x, n, memo: packed.append((x, n)) or pack(x, n, memo))
+    z73, z9, z7, half = root_of_unity(7, 3), root_of_unity(9), root_of_unity(7), rational(1, 2)
+    terms = [(z73, z9), (half, z7)]
     first = dot(terms)
-    assert len(lifts) == 4  # the four values, lifted to conductor 63
+    assert sorted(packed, key=str) == sorted([(z73, 63), (z9, 63), (half, 63), (z7, 63)], key=str)
     assert dot(list(terms)) is first
     assert dot(tuple(terms)) is first
-    assert len(lifts) == 4
+    assert len(packed) == 4
+    # a new term list at conductor 63 reuses the packings of its values
+    assert dot([(z9, z73), (z7, half)]) is first
+    assert len(packed) == 4
+    # at its own conductor a value is packed once more
+    assert z73 * z7 is root_of_unity(7, 4)
+    assert z73 * root_of_unity(7, 5) is root_of_unity(7, 1)
+    assert packed[4:] == [(z73, 7), (z7, 7), (root_of_unity(7, 5), 7)]
     assert first is root_of_unity(7, 3) * root_of_unity(9) + rational(1, 2) * root_of_unity(7)
+
+
+# the conductors of canonical values up to the limit: n = 2 mod 4 never is one
+KERNEL_CONDUCTORS = [n for n in range(1, cyclo._CONDUCTOR_LIMIT + 1) if n % 4 != 2]
+
+
+def _dense_value(rng: random.Random, n: int, bits: int, den: int) -> CycloNum:
+    # coordinates of at most `bits` bits, the first exactly that size and a
+    # power of two, through the kernel-free constructor; for an odd den no
+    # content divides out, so the value keeps those coordinates when it
+    # keeps conductor n
+    coords = [rng.choice((-1, 1)) * rng.randrange(1 << bits) for _ in range(cyclo._phi(n))]
+    coords[0] = 1 << (bits - 1)
+    return cyclo._canonical(n, coords, den)
+
+
+def test_packed_dot_against_schoolbook_oracle():
+    rng = random.Random(264)
+    for n in KERNEL_CONDUCTORS:
+        divisors = [m for m in KERNEL_CONDUCTORS if n % m == 0]
+        a = _dense_value(rng, n, rng.randint(1, 12), rng.choice((1, 2, 9, 35)))
+        b = _dense_value(rng, rng.choice(divisors), rng.randint(1, 12), rng.choice((1, 4, 7)))
+        c = _dense_value(rng, rng.choice(divisors), rng.randint(1, 4), rng.choice((1, 3, 10)))
+        pairs = [(a, b), (c, a), (b, ONE), (rational(-3, 5), c)]
+        assert cyclo_as_power_poly(dot(pairs), n) == schoolbook_dot(pairs, n), n
+        assert cyclo_as_power_poly(a * b, n) == schoolbook_dot([(a, b)], n), n
+
+
+@pytest.mark.parametrize("n", [3, 8, 24, 60, 105, 264])
+def test_packed_dot_at_the_width_boundary(n, monkeypatch):
+    # a product's raw coefficients are proven below 2^(bits(a) + bits(b) +
+    # bits(scale) + bits(terms * phi)), and a balanced digit needs one more
+    # bit for its sign: at the memoized width that leaves `fit` bits for
+    # the two coordinate sizes, and one bit more packs wider, at the next
+    # multiple of the width
+    widths = []
+    unpack = cyclo._unpack
+    monkeypatch.setattr(cyclo, "_unpack", lambda acc, m, w: widths.append(w) or unpack(acc, m, w))
+    rng = random.Random(n)
+    w = cyclo._WIDTH
+    fit = w - 2 - cyclo._phi(n).bit_length()
+    for total, width in ((fit, w), (fit + 1, 2 * w), (fit + w, 2 * w), (fit + w + 1, 3 * w)):
+        for den in (1, 9):
+            a = _dense_value(rng, n, total // 2, den)
+            b = _dense_value(rng, n, total - total // 2, 1)
+            assert a.conductor == b.conductor == n
+            assert cyclo._bit_bound(a.num) + cyclo._bit_bound(b.num) == total
+            widths.clear()
+            got = dot([(a, b)])
+            assert widths == [width], (total, widths)
+            assert cyclo_as_power_poly(got, n) == schoolbook_dot([(a, b)], n)
+
+
+def test_descent_early_out_against_full_split():
+    # the functionals of _split_tests vanish exactly when the full split
+    # has A_1 = ... = A_(p-1), for values inside and outside each subfield
+    rng = random.Random(5)
+    for n, p in ((n, p) for n in KERNEL_CONDUCTORS for p in cyclo._prime_factors(n)):
+        m = n // p
+        if m % p == 0:
+            continue
+        tests = cyclo._split_tests(n, p)
+        inside = []
+        for _ in range(2):
+            x = _dense_value(rng, m, 4, 1)
+            inside.append([int(c) for c in cyclo_as_power_poly(x, n)])
+        outside = [vec[:i] + [vec[i] + 1] + vec[i + 1:]
+                   for vec in inside for i in rng.sample(range(len(vec)), 2)]
+        outside.append([rng.randint(-3, 3) for _ in range(cyclo._phi(n))])
+        for vec in inside + outside:
+            early = not any(sum(vec[i] * c for i, c in test) for test in tests)
+            assert early == split_parts_equal(n, p, vec), (p, vec)
+        assert all(split_parts_equal(n, p, vec) for vec in inside)

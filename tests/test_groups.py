@@ -1,6 +1,7 @@
 import math
 import random
 import signal
+import sys
 
 import pytest
 
@@ -166,6 +167,24 @@ def test_c3_4_a6_stores_one_int_per_index_and_byte_words(built):
     seqs = (*group._perms, group._inv, group.view.members)
     assert all(len(seq) == group.n for seq in seqs)
     assert len({id(x) for seq in seqs for x in seq}) == group.n
+
+
+def test_whole_group_members_hold_no_hash_table(built):
+    # every index 0 <= x < n is a member of the whole group's view, so its
+    # members are a range test that acts as the frozenset of the indices
+    group = built("C3_4_A6")
+    members, want = group.view.members, frozenset(range(group.n))
+    assert not isinstance(members, frozenset) and sys.getsizeof(members) < 100
+    assert members == want and want == members and hash(members) == hash(want)
+    assert {want: "whole"}[members] == "whole"
+    assert 0 in members and group.n - 1 in members
+    assert group.n not in members and -1 not in members and "0" not in members
+    sub = group.subgroup(gens=[1, 2]).members
+    assert sub <= members and members >= sub and members.issuperset(sub)
+    assert type(sub & members) is frozenset and sub & members == sub
+    assert type(members - sub) is frozenset and members - sub == want - sub
+    assert group.view.closure(group.gen_idx) is members
+    assert group.subgroup(members=want) is group.view
 
 
 def test_generate_refuses_256_generators():
@@ -558,7 +577,8 @@ def _table_view(group):
     """The whole group multiplying through its table, as the class sweep's
     view does."""
     table = group.multiplication_table()
-    return GroupView(range(group.n), lambda a, b: table[a][b], group.inv, group.gen_idx, group)
+    return GroupView(range(group.n), lambda a, b: table[a][b], group.inv, group.gen_idx, group,
+                     table=table)
 
 
 @pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "G1944"])
