@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: table, detect-l3, check-deformation, fingerprint,
-validate-catalog.  Exit codes: 0 success, 2 validation or input failure,
-3 enumeration budget exceeded.  Identical invocations produce
-byte-identical output.
+validate-catalog.  Exit codes: 0 success, 2 validation or input failure.
+``table`` sweeps any ambient with no multiplication table: the default
+table of C3_4_A6 (order 29160, 280 rows) took 18-21 s of CPU and 50 MB
+on a 2-core Xeon.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .catalog import (
 )
 from .cyclo import MAX_NESTING
 from .deform import obstruction_report
-from .groups import BudgetExceeded, GroupId, GroupView, fingerprint, identify
+from .groups import GroupId, GroupView, fingerprint, identify
 from .invariants import classification_table, detect_l3
 from .linalg import MatC, mat_from_strings
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_BUDGET = 3
 
 
 class CliError(Exception):
@@ -232,7 +232,6 @@ def cmd_table(args) -> int:
         args.group,
         mode=args.mode,
         targeted=targeted,
-        budget=args.budget,
         all_subgroups=args.all_subgroups,
     )
     sys.stdout.write(render_records(records, args.format, args.group, args.mode))
@@ -338,13 +337,6 @@ def cmd_validate_catalog(args) -> int:
     return EXIT_OK
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fanoterm",
@@ -364,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="targeted subgroup: comma-separated generator words over "
                         "g1..gN, or mat:row;row;... (repeatable)")
     p.add_argument("--format", default="table", choices=["table", "csv", "structured"])
-    p.add_argument("--budget", type=positive_int, default=1000,
-                   help="maximum ambient order for a full sweep, which holds a "
-                        "multiplication table of 2*n^2 bytes for order n")
     p.add_argument("--all-subgroups", action="store_true",
                    help="emit every class, not only the non-terminal ones")
     p.set_defaults(func=cmd_table)
@@ -399,9 +388,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"error: {exc}; raise --budget to force the sweep\n")
-        return EXIT_BUDGET
     except CatalogValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION

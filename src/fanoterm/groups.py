@@ -32,9 +32,10 @@ per-generator translation tables.  Conjugation by each generator is one
 array, built with the group from the inverses and those tables, so the
 whole group's class map and the sweep's subgroup orbits are lookups.
 Matrices are multiplied again only per conjugacy class, by the L3 test
-and the class traces of the rank.  The subgroup sweep, which multiplies
-millions of times, builds the full multiplication table once (2 n^2
-bytes, bounded by its budget) and multiplies by lookup.  All derived data
+and the class traces of the rank.  No multiplication table is built: a
+closure maps a coset through one translation table per letter, and the
+involution-guided subgroup sweep conjugates through the per-generator
+arrays (C3_4_A6's 302 classes in 14-20 s of CPU).  All derived data
 (orderings, class lists, subgroup lattices) is canonical: two runs
 produce identical output.
 """
@@ -45,8 +46,7 @@ import itertools
 import math
 from array import array
 from collections.abc import Set
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclo import ONE, CycloNum, _prime_factors, cyclotomic_poly, galois
@@ -59,7 +59,6 @@ __all__ = [
     "UnidentifiedGroup",
     "Fingerprint",
     "OrderCapExceeded",
-    "BudgetExceeded",
     "EnumerationUnproved",
     "fingerprint",
     "identify",
@@ -69,10 +68,6 @@ __all__ = [
 
 class OrderCapExceeded(RuntimeError):
     """Enumeration passed the configured cap (runaway or wrong generators)."""
-
-
-class BudgetExceeded(RuntimeError):
-    """A full subgroup sweep was requested above the enumeration budget."""
 
 
 class EnumerationUnproved(RuntimeError):
@@ -557,20 +552,20 @@ class GroupView:
     always the first element.  ``ambient`` is the FinGroup whose indices a
     subgroup uses, or None for a quotient.  ``conjugations``, when given,
     holds per generator g the array x -> g^-1 x g, which the class map and
-    the normal closure read instead of multiplying.  ``table``, when given,
-    is the multiplication table that ``mult`` reads, ``table[a][b]``; the
-    closure builds each coset from one of its rows.  A view memoizes its
-    element orders and its class map; nothing else about it changes.
+    the normal closure read instead of multiplying.  ``coset``, when given,
+    maps (y, xs) to the list of the products y x, x in xs, in one pass;
+    the closure builds each coset with it.  A view memoizes its element
+    orders and its class map; nothing else about it changes.
     """
 
     __slots__ = ("elements", "members", "mult", "inv", "gens", "ambient", "conjugations",
-                 "table", "_order_cache", "_class_map")
+                 "coset", "_order_cache", "_class_map")
 
     def __init__(self, members: Iterable[int], mult: Callable[[int, int], int],
                  inv: Callable[[int], int], gens: Sequence[int],
                  ambient: Optional["FinGroup"],
                  conjugations: Optional[Sequence[Sequence[int]]] = None,
-                 table: Optional[Sequence[Sequence[int]]] = None):
+                 coset: Optional[Callable[[int, Sequence[int]], list[int]]] = None):
         if isinstance(members, _Indices):
             self.members, self.elements = members, members.elements
         else:
@@ -581,7 +576,7 @@ class GroupView:
         self.gens = tuple(gens)
         self.ambient = ambient
         self.conjugations = conjugations
-        self.table = table
+        self.coset = coset
         self._order_cache: dict[int, int] = {}
         self._class_map: Optional[tuple[tuple[tuple[int, ...], ...], dict[int, int]]] = None
 
@@ -610,16 +605,18 @@ class GroupView:
             return [c.__getitem__ for c in self.conjugations]
         return [lambda x, g=g: self.conj(x, g) for g in self.gens]
 
-    def closure(self, gens: Iterable[int], base: frozenset[int] = frozenset((0,))) -> frozenset[int]:
+    def closure(self, gens: Iterable[int], base: frozenset[int] = frozenset((0,)),
+                forbidden: Optional[frozenset[int]] = None) -> Optional[frozenset[int]]:
         """The subgroup generated by gens, grown from ``base``, a known
         subgroup of it, by cosets (Dimino; Butler, LNCS 559, 1991): per
         coset representative e and generator s, y = s e lies in a known
-        coset or starts the coset y base.  When gens and base are members,
-        a result past half this view's order is the whole group (Lagrange),
-        so the closure stops there.  With a table, each coset is one pass
-        over row y."""
+        coset or starts the coset y base (by ``coset``, if the view has it).
+        When gens and base are members, a result past half this view's
+        order is the whole group (Lagrange), so the closure stops there.
+        It returns None at its first element of ``forbidden`` outside base."""
         gen_list = sorted({g for g in gens if g != 0})
-        members, mult, table = self.members, self.mult, self.table
+        members, mult = self.members, self.mult
+        coset = self.coset or (lambda y, xs: [mult(y, b) for b in xs])
         half = self.order // 2 if members.issuperset(gen_list) and members.issuperset(base) else math.inf
         seen, reps = set(base), [0]
         rest = [b for b in base if b]  # y 0 is y
@@ -629,12 +626,12 @@ class GroupView:
                 if y not in seen:
                     reps.append(y)
                     seen.add(y)
-                    if table is not None:
-                        seen.update(map(table[y].__getitem__, rest))
-                    else:
-                        seen.update([mult(y, b) for b in rest])
+                    new = coset(y, rest)
+                    if forbidden is not None and (y in forbidden or not forbidden.isdisjoint(new)):
+                        return None
+                    seen.update(new)
                     if len(seen) > half:
-                        return members
+                        return members if forbidden is None or forbidden <= seen else None
         return frozenset(seen)
 
     def span(self, candidates: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -651,7 +648,7 @@ class GroupView:
 
     def sub(self, members: Iterable[int], gens: Sequence[int]) -> "GroupView":
         """The subgroup with these members and generators, in this view."""
-        return GroupView(members, self.mult, self.inv, gens, self.ambient, table=self.table)
+        return GroupView(members, self.mult, self.inv, gens, self.ambient, coset=self.coset)
 
     def class_map(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
         """The orbits of the conjugation action and the class index of every
@@ -781,7 +778,7 @@ class FinGroup:
                                                            map(q.__getitem__, inv))))
                         for q in inv_perms]
         self.view = GroupView(_Indices(tuple(ids)), self.mult, self.inv, self.gen_idx, self,
-                              conjugations)
+                              conjugations, self.coset)
 
     # -- construction -----------------------------------------------------
 
@@ -927,104 +924,115 @@ class FinGroup:
             return self.view
         return self.view.sub(members, gens)
 
-    def multiplication_table(self) -> list[array]:
-        """``table[i][j] == mult(i, j)``: one ``array('H')`` row per element,
-        2 n^2 bytes in all.
-
-        Element y = g_a * x has x's word plus the letter a, so row y is row x
-        sent through generator a's translation table: n row passes, each one
-        ``itemgetter`` call, instead of n^2 word walks.
-        """
-        words = self._rword
-        index = {word: i for i, word in enumerate(words)}
-        table: list = [None] * self.n
-        table[0] = array("H", range(self.n))
-        for y in sorted(range(1, self.n), key=lambda i: len(words[i])):
-            word = words[y]
-            table[y] = array("H", itemgetter(*table[index[word[:-1]]])(self._perms[word[-1]]))
-        return table
+    def coset(self, y: int, xs: Sequence[int]) -> list[int]:
+        """The products y x, x in xs, by one ``map`` per letter of y's word."""
+        for a in self._rword[y]:
+            xs = map(self._perms[a].__getitem__, xs)
+        return list(xs)
 
     # -- subgroup conjugacy sweep -------------------------------------------
 
-    def subgroup_conjugacy_classes(self, budget: int = 1000) -> list[GroupView]:
+    def subgroup_conjugacy_classes(self) -> list[GroupView]:
         """One representative view per conjugacy class of subgroups, sorted
-        by order and then by sorted members; class k is at position k - 1.
+        by order and then by sorted members, each the least member list of
+        its orbit; class k is at position k - 1.
 
-        Seeds with the cyclic subgroups, then repeatedly joins class
-        representatives K with cyclic subgroups until a fixed point; any
-        subgroup arises this way because a maximal chain climbs one extra
-        generator at a time.  K is joined with one cyclic subgroup per
-        N_G(K)-orbit (Neubueser's cyclic extension): for h in N_G(K),
-        <K, C^h> = <K, C>^h, so the rest of the orbit gives conjugate joins.
-        Each representative is the least member list of its orbit.
-
-        Every product goes through the multiplication table, built once here
-        (2 n^2 bytes, which the budget bounds); the returned views multiply
-        through it too, except the whole group, which is the group's view.
+        A cyclic extension (Neubueser, Numer. Math. 2, 1960) guided by the
+        involutions S, as H is reached from N = <S & H> by joining elements
+        outside S that normalize N and bring no involution: a class K
+        generated by involutions is joined with each involution outside K,
+        every K with each <x>, x outside S normalizing <S & K>, abandoned at
+        a new involution.  One join per N_G(K)-orbit, N_G(K) from Schreier
+        generators of the walk registering each conjugate by its sorted
+        members (Holt, Eick and O'Brien, 2005).
         """
-        n = self.n
-        if n > budget:
-            raise BudgetExceeded(
-                f"full sweep of a group of order {n} exceeds the budget {budget}"
-            )
-        table = self.multiplication_table()
-        inv = self._inv
-        view = GroupView(range(n), lambda a, b: table[a][b], inv.__getitem__,
-                         self.gen_idx, self, table=table)
-        conjugations = self.view.conjugations  # x -> g^-1 x g per generator g
+        view, n, mult, inv, words = self.view, self.n, self.mult, self._inv, self._rword
+        conjugations, involutions = view.conjugations, view.involutions()
+        forbidden = frozenset(involutions)
+        half = [0] * n  # the involution x^k of <x> for x of order 2k, 0 for odd orders
+        for c in view.class_map()[0]:
+            k, odd = divmod(view.order_of(c[0]), 2)
+            for x in () if odd else c:
+                half[x] = reduce(lambda y, _: mult(x, y), range(k - 1), x)
+        code = "H" if n <= 1 << 16 else "I"
+        spanning = set(view.span(self.gen_idx)[1])  # generators enough to generate G
+        steps = [(conj, g) for conj, g in zip(conjugations, self.gen_idx) if g in spanning]
 
-        cyclic_of: list[frozenset[int]] = []  # <x> for x = 1, ..., n - 1
-        cyclics: dict[frozenset[int], int] = {}  # each with its least generator
-        for x in range(1, n):
-            row = table[x]
-            powers = [0]
-            y = x
-            while y:
-                powers.append(y)
-                y = row[y]
-            fs = frozenset(powers)
-            cyclics.setdefault(fs, x)
-            cyclic_of.append(fs)
-        cyclic_list = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        position = {fs: c for c, (fs, _) in enumerate(cyclic_list)}
-        cyclic_id = [0] + [position[fs] for fs in cyclic_of]  # by element; 0 is unused
+        def walk(first: array):
+            """The conjugation orbit of sorted members, point i first^trans[i],
+            its keys, and generators and members of first's stabilizer:
+            Schreier generators trans[i] g trans[j]^-1 up to order n/|orbit|."""
+            points, trans, where, edges = [first], [0], {first.tobytes(): 0}, []
+            for i, pts in enumerate(points):
+                for conj, g in steps:
+                    img = array(code, sorted(map(conj.__getitem__, pts)))
+                    j = where.setdefault(img.tobytes(), len(points))
+                    if j == len(points):
+                        points.append(img)
+                        trans.append(mult(trans[i], g))
+                    else:
+                        edges.append((i, g, j))
+            target, stabilizer, grown = n // len(points), [], frozenset((0,))
+            for i, g, j in edges:
+                if len(grown) == target:
+                    break
+                h = mult(mult(trans[i], g), inv[trans[j]])
+                if h not in grown:
+                    stabilizer.append(h)
+                    grown = view.closure(stabilizer, grown)
+            return points, trans, where, stabilizer, grown
 
-        registered: set[frozenset[int]] = set()  # every member of every class found
-        classes: list[tuple[frozenset[int], tuple[int, ...]]] = []
+        registered: set[bytes] = set()  # every conjugate of every class found
+        classes = []  # members, sorted members, generators, letters of N_G's generators
 
         def register(members: frozenset[int], gens: tuple[int, ...]) -> None:
-            if members in registered:
+            first = array(code, sorted(members))
+            if first.tobytes() in registered:
                 return
-            orbit = [members]
-            registered.add(members)
-            for s in orbit:
-                for perm in conjugations:
-                    t = frozenset(map(perm.__getitem__, s))
-                    if t not in registered:
-                        registered.add(t)
-                        orbit.append(t)
-            rep = min(orbit, key=sorted)
-            classes.append((rep, gens if rep == members else view.span(rep)[1]))
+            points, trans, where, normalizer, _ = walk(first)
+            registered.update(where)
+            r = min(range(len(points)), key=points.__getitem__)
+            rep, t = points[r], trans[r]
+            # N_G(K^t) = N_G(K)^t; x^h for h = g_ak ... g_a1, word a_1 ... a_k,
+            # conjugates by g_ak first
+            letters = [[conjugations[a].__getitem__ for a in reversed(words[mult(mult(inv[t], h), t)])]
+                       for h in normalizer]
+            classes.append((frozenset(members) if r == 0 else frozenset(rep), rep,
+                            gens if r == 0 else view.span(rep)[1], letters))
+
+        def orbit(xs: Sequence[int], letters: list[list[Callable]]) -> set[int]:
+            """The union of the N_G(K)-orbits of xs: a map per letter and layer."""
+            seen, layer = set(xs), list(xs)
+            while layer:
+                found: set[int] = set()
+                for word in letters:
+                    ys = layer
+                    for conj in word:
+                        ys = map(conj, ys)
+                    found.update(ys)
+                layer = list(found - seen)
+                seen.update(layer)
+            return seen
 
         register(frozenset((0,)), ())
-        for fs, gen in cyclic_list:
-            register(fs, (gen,))
-        for rep, rep_gens in classes:  # classes grows as joins find new ones
-            if len(rep) == n:
-                continue
-            normalizer: Sequence[int] = range(n)
-            for x in rep_gens:
-                row = table[x]
-                normalizer = [h for h in normalizer if table[inv[h]][row[h]] in rep]
-            covered: set[int] = set()  # cyclic subgroups in the orbits joined so far
-            for c, (_, gen) in enumerate(cyclic_list):
-                if c in covered or gen in rep:
+        for rep_set, rep, gens, letters in classes:  # classes grows as joins find new ones
+            invs = array(code, [s for s in involutions if s in rep_set])  # S & K
+            joins = involutions if len(view.span(invs)[0]) == len(rep) else []
+            # the involutions outside K, then the x normalizing <S & K> (the
+            # stabilizer of S & K) whose involution, if any, is in K
+            covered: set[int] = set()
+            for x in itertools.chain(joins, walk(invs)[4] if invs else view.members):
+                if (x in covered or x in rep_set
+                        or half[x] not in rep_set and not (joins and half[x] == x)):
                     continue
-                row = table[gen]
-                covered.update(cyclic_id[table[inv[h]][row[h]]] for h in normalizer)
-                register(view.closure(rep_gens + (gen,), rep), rep_gens + (gen,))
-        classes.sort(key=lambda c: (len(c[0]), sorted(c[0])))
-        return [self.view if len(rep) == n else view.sub(rep, gens) for rep, gens in classes]
+                o = view.order_of(x)
+                powers = itertools.accumulate(range(o - 2), lambda y, _: mult(x, y), initial=x)
+                covered |= orbit([y for k, y in enumerate(powers, 1) if math.gcd(k, o) == 1], letters)
+                joined = view.closure(gens + (x,), rep_set, None if half[x] == x else forbidden)
+                if joined is not None:
+                    register(joined, gens + (x,))
+        classes.sort(key=lambda c: (len(c[1]), c[1]))
+        return [view if len(rep) == n else view.sub(rep_set, gens) for rep_set, rep, gens, _ in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -1036,7 +1044,10 @@ def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
 
     Cosets are represented by their minimal member; normality of the
     divisor is the caller's responsibility (checked in quotient_group).
+    The whole view as divisor gives the one-element group at once.
     """
+    if len(normal_members) == view.order:
+        return GroupView((0,), lambda a, b: 0, lambda a: 0, (), None)
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     nm = sorted(normal_members)
@@ -1055,7 +1066,7 @@ def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
         if q and q not in gens:
             gens.append(q)
     inv = [row.index(0) for row in table]
-    return GroupView(range(m), lambda a, b: table[a][b], inv.__getitem__, gens, None, table=table)
+    return GroupView(range(m), lambda a, b: table[a][b], inv.__getitem__, gens, None)
 
 
 def quotient_group(h: GroupView, n: GroupView) -> GroupView:

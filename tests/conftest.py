@@ -1,21 +1,9 @@
-import os
 import sys
 import pathlib
 
 import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-
-STRETCH = os.environ.get("FANOTERM_STRETCH") == "1"
-
-
-def pytest_collection_modifyitems(config, items):
-    if STRETCH:
-        return
-    skip = pytest.mark.skip(reason="stretch sweep; enable with FANOTERM_STRETCH=1")
-    for item in items:
-        if "stretch" in item.keywords:
-            item.add_marker(skip)
 
 
 @pytest.fixture(scope="session")
@@ -34,12 +22,10 @@ def sweeps(built):
 
     memo = {}
 
-    def get(key, all_subgroups=False, budget=1000):
-        k = (key, all_subgroups, budget)
+    def get(key, all_subgroups=False):
+        k = (key, all_subgroups)
         if k not in memo:
-            memo[k] = classification_table(
-                key, mode="full-sweep", budget=budget, all_subgroups=all_subgroups
-            )
+            memo[k] = classification_table(key, mode="full-sweep", all_subgroups=all_subgroups)
         return memo[k]
 
     return get

@@ -15,7 +15,6 @@ from fanoterm.cli import main as cli_main, render_records
 from fanoterm.cyclo import ONE, rational, root_of_unity, sqrt_rational
 from fanoterm.deform import ObstructionEntry, is_square_rational, obstruction_report
 from fanoterm.groups import (
-    BudgetExceeded,
     GroupId,
     UnidentifiedGroup,
     fingerprint,
@@ -313,7 +312,7 @@ def test_criterion_7_oracle_and_structures(built):
 
     for key in ("Q8_S3", "A3_5"):
         group = built(key)
-        classes = group.subgroup_conjugacy_classes(budget=1000)
+        classes = group.subgroup_conjugacy_classes()
         got = {c.members for c in classes}
         oracle = _oracle_subgroup_classes(group)
         assert oracle <= got
@@ -416,19 +415,23 @@ def _random_invertible_6(rng, pool):
             return g
 
 
-# -- criterion 9: the large sweeps stay behind the budget flag ---------------------
+# -- criterion 9: every ambient's table, with no budget ------------------------------
+
+# the non-terminal rows of the default table of the ambients above order 1000
+LARGE_SWEEP_ROWS = {"G1944": 210, "A7_perm": 33, "A7_second": 33, "C3_4_A6": 280}
 
 
-@pytest.mark.parametrize("key", ["G1944", "A7_perm", "C3_4_A6"])
-def test_criterion_9_budget_guard(built, key):
-    group = built(key)
-    with pytest.raises(BudgetExceeded):
-        group.subgroup_conjugacy_classes(budget=1000)
-    _report(9, True, f"{key}: full sweep refused at the default budget")
+@pytest.mark.parametrize("key", sorted(LARGE_SWEEP_ROWS))
+def test_criterion_9_budget_guard(sweeps, key):
+    # no budget guards a sweep any more: the default table runs on every ambient
+    records = sweeps(key)
+    assert len(records) == LARGE_SWEEP_ROWS[key]
+    assert not any(r.terminal for r in records)
+    _report(9, True, f"{key}: default table of {len(records)} rows with no budget")
 
 
 def test_stretch_full_sweep_1944(sweeps):
-    records = sweeps("G1944", True, 2000)
+    records = sweeps("G1944", True)
     assert len(records) == 237
     assert all(isinstance(r.b2, int) for r in records)
     simply = [r for r in records if r.pi1_trivial and not r.terminal]
@@ -447,7 +450,7 @@ def test_stretch_full_sweep_1944(sweeps):
 
 
 def test_stretch_full_sweep_a7(sweeps):
-    records = sweeps("A7_perm", True, 3000)
+    records = sweeps("A7_perm", True)
     simply = [r for r in records if r.pi1_trivial and not r.terminal]
     merged = merged_rows(simply)
     got = sorted((m[0], m[5]) for m in merged)
@@ -457,36 +460,46 @@ def test_stretch_full_sweep_a7(sweeps):
     assert got == want
 
 
-# sha256 of `fanoterm table --group KEY --all-subgroups --budget BUDGET
-# --format structured`, pinned for the sweeps no benchmark workload runs
+# sha256 of `fanoterm table --group KEY --all-subgroups --format structured`,
+# pinned for the sweeps no benchmark workload runs
 SWEEP_DIGESTS = {
-    ("A7_perm", 3000): "c6e11f19e7b883fba7c4e1cdf94b796f213de4eff46b489868ba442165703132",
-    ("G1944", 2000): "3ce43b4036c872bda1fd2d72a3e9fc6435b216cdb3ca1a5b50d8476c2e163501",
+    "A7_perm": "c6e11f19e7b883fba7c4e1cdf94b796f213de4eff46b489868ba442165703132",
+    "G1944": "3ce43b4036c872bda1fd2d72a3e9fc6435b216cdb3ca1a5b50d8476c2e163501",
 }
 
 
-@pytest.mark.parametrize("key, budget", sorted(SWEEP_DIGESTS))
-def test_sweep_output_is_pinned(sweeps, key, budget):
+@pytest.mark.parametrize("key", sorted(SWEEP_DIGESTS))
+def test_sweep_output_is_pinned(sweeps, key):
     # the same sweep as test_stretch_full_sweep_1944 and _a7, rendered as
     # the table command renders it
-    text = render_records(sweeps(key, True, budget), "structured", key, "full-sweep")
-    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[key, budget]
+    text = render_records(sweeps(key, True), "structured", key, "full-sweep")
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[key]
 
 
-@pytest.mark.stretch
-def test_stretch_full_sweep_fermat(built):
-    from fanoterm.groups import _load_id_catalog
+# computed rows that fixtures.list lacks: C3 x S3 = <a> x <b, t> in C3_4_A6,
+# whose L3 subgroups <ab> and <ab^2> are swapped by t and inverted by no
+# element of H (n31 = 0, n32 = 1); an open finding, not a fixture to edit
+UNLISTED_ROWS = {("C3_4_A6", GroupId(18, 3), 6)}
 
-    records = classification_table("C3_4_A6", mode="full-sweep", budget=30000)
-    simply = [r for r in records if r.pi1_trivial and isinstance(r.group_id, GroupId)]
-    got = {(str(r.group_id), str(r.b2)) for r in simply}
-    catalog_ids = {gid for gids in _load_id_catalog().values() for gid in gids}
-    want = {
-        (str(f.group_id), str(f.b2))
-        for f in load_fixtures()
-        if f.ambient_order == 29160
-        and (f.group_id in catalog_ids or f.group_id.gid == 0 or f.group_id.order >= 2520)
-    }
-    # every fixture row whose id the identification catalog can name must
-    # be reproduced; ids outside the catalog surface as sentinels
-    assert want <= got
+AMBIENT_FILES = ["Q8_S3", "A3_5", "L2_11", "M10_first", "M10_second", "G1944", "A7_perm",
+                 "A7_second", "C3_4_A6"]
+
+
+@pytest.mark.parametrize("key", AMBIENT_FILES)
+def test_fixture_rows_match_both_ways(sweeps, key):
+    # the simply connected non-terminal rows of the default table against
+    # the fixture rows of the file's ambient order: every fixture row is
+    # computed, with the same order and b2 and its id or an unidentified
+    # one, and every identified row is a fixture row
+    order = load_group(key).group_id.order
+    simply = [r for r in sweeps(key) if r.pi1_trivial]
+    want = {(f.group_id, f.b2) for f in load_fixtures() if f.ambient_order == order}
+    assert want
+    for gid, b2 in want:
+        assert any(
+            r.order == gid.order and r.b2 == b2
+            and (r.group_id == gid or isinstance(r.group_id, UnidentifiedGroup))
+            for r in simply
+        ), (gid, b2)
+    identified = {(r.group_id, r.b2) for r in simply if isinstance(r.group_id, GroupId)}
+    assert identified - want == {(gid, b2) for k, gid, b2 in UNLISTED_ROWS if k == key}

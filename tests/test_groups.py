@@ -10,7 +10,6 @@ from fanoterm import catalog, groups
 from fanoterm.catalog import group_keys, load_group
 from fanoterm.cli import EXIT_VALIDATION, main as cli_main
 from fanoterm.groups import (
-    BudgetExceeded,
     EnumerationUnproved,
     FinGroup,
     GroupId,
@@ -573,28 +572,22 @@ def test_closure_stops_past_half_the_order(built):
     assert inner.closure(l2.gen_idx) == frozenset(range(l2.n))
 
 
-def _table_view(group):
-    """The whole group multiplying through its table, as the class sweep's
-    view does."""
-    table = group.multiplication_table()
-    return GroupView(range(group.n), lambda a, b: table[a][b], group.inv, group.gen_idx, group,
-                     table=table)
-
-
 @pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "G1944"])
 def test_closure_from_a_base_matches_the_oracle(built, key):
     # closure(gens, base), base generated by some of gens, against the
-    # breadth-first closure from the identity: on the sweep's table view,
-    # the word-walk view, a quotient (by the least normal closure of one
-    # element), and a subgroup view holding base but not every generator,
-    # where the closure must not stop at half the view's order and makes
-    # k products per coset of base and |base| - 1 per coset added
+    # breadth-first closure from the identity: on the group's view, whose
+    # cosets walk a word over base, a view of the same group that makes
+    # one product per coset element, a quotient (by the least normal
+    # closure of one element), and a subgroup view holding base but not
+    # every generator, where the closure must not stop at half the view's
+    # order and makes k products per coset of base and |base| - 1 per
+    # coset added
     group = built(key)
-    table_view = _table_view(group)
     classes, _ = group.view.class_map()
-    normal = min((table_view.normal_closure([c[0]])[0] for c in classes[1:]), key=len)
-    rng = random.Random(19)
-    for view in (table_view, group.view, quotient_view(table_view, normal)):
+    normal = min((group.view.normal_closure([c[0]])[0] for c in classes[1:]), key=len)
+    rng, pick = random.Random(19), random.Random(23)
+    product_view = GroupView(range(group.n), group.mult, group.inv, group.gen_idx, group)
+    for view in (group.view, product_view, quotient_view(group.view, normal)):
         for _ in range(8):
             gens = rng.sample(view.elements, rng.randint(1, min(3, view.order)))
             cut = rng.randrange(len(gens))
@@ -602,6 +595,10 @@ def test_closure_from_a_base_matches_the_oracle(built, key):
             want = bfs_closure(view, gens)
             assert view.closure(gens, base) == want
             assert view.closure(gens) == want
+            # with a forbidden set: None exactly when the closure meets it outside base
+            for forbidden in (frozenset(pick.sample(view.elements, min(2, view.order))),
+                              frozenset(view.elements) - want):
+                assert view.closure(gens, base, forbidden) == (None if forbidden & (want - base) else want)
             products = []
 
             def mult(a, b, view=view):
@@ -620,9 +617,8 @@ def test_span_keeps_the_sweep_generators(built, key):
     # greedy loop over closures from the identity gives, and its view's
     # generators generate it
     group = built(key)
-    table_view = _table_view(group)
-    for c in group.subgroup_conjugacy_classes(budget=1000):
-        assert table_view.span(c.members) == (c.members, greedy_gens(group.view, c.members))
+    for c in group.subgroup_conjugacy_classes():
+        assert group.view.span(c.members) == (c.members, greedy_gens(group.view, c.members))
         assert bfs_closure(group.view, c.gens) == c.members
 
 
@@ -683,9 +679,13 @@ def test_subgroup_classes_a4_contains_klein():
 
 
 def test_subgroup_classes_budget():
-    with pytest.raises(BudgetExceeded):
-        built = perm_group([1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0])
-        built.subgroup_conjugacy_classes(budget=10)
+    # the sweep builds no multiplication table and takes no budget: S7, of
+    # order 5040, sweeps
+    s7 = perm_group([1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0])
+    with pytest.raises(TypeError):
+        s7.subgroup_conjugacy_classes(budget=10)
+    classes = s7.subgroup_conjugacy_classes()
+    assert s7.n == 5040 and len(classes) == 96
 
 
 def _oracle_subgroup_classes(group):
@@ -731,7 +731,7 @@ def test_subgroup_classes_match_oracle(built, key):
     # find all of those, and anything extra must be certified as needing
     # three generators (so the oracle could not reach it by construction)
     group = built(key)
-    classes = group.subgroup_conjugacy_classes(budget=1000)
+    classes = group.subgroup_conjugacy_classes()
     got = {c.members for c in classes}
     oracle = _oracle_subgroup_classes(group)
     assert oracle <= got
@@ -739,48 +739,46 @@ def test_subgroup_classes_match_oracle(built, key):
         assert not _two_generated(group, extra)
 
 
-@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11"])
+def _exps(es):
+    return diag([(ONE, W, W * W)[e] for e in es])
+
+
+# groups of odd order, with no involutions: the sweep is then a plain
+# cyclic extension
+ODD_GROUPS = {
+    # the order-3 group of test_invariants.py, which preserves the Fermat cubic
+    "fermat-3": lambda: FinGroup.generate([_exps((0, 1, 1, 0, 2, 2))]),
+    # a nonabelian group of order 81, with 56 subgroup classes
+    "monomial-81": lambda: FinGroup.generate([perm_mat([1, 2, 0, 3, 4, 5], 6),
+                                              _exps((0, 1, 2, 0, 0, 0)),
+                                              _exps((0, 0, 0, 0, 1, 2))]),
+}
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", *ODD_GROUPS])
 def test_subgroup_classes_match_all_joins(built, key):
-    # joining over normalizer orbits only, through the multiplication
-    # table, finds exactly the classes of the join with every cyclic subgroup
-    group = built(key)
-    classes = group.subgroup_conjugacy_classes(budget=1000)
+    # joining involutions from involution-generated classes and other
+    # cyclic subgroups from every class, over normalizer orbits only,
+    # finds exactly the classes of the join with every cyclic subgroup
+    group = ODD_GROUPS[key]() if key in ODD_GROUPS else built(key)
+    classes = group.subgroup_conjugacy_classes()
     assert [sorted(c.members) for c in classes] == all_joins_subgroup_classes(group)
 
 
-@pytest.mark.parametrize("key", ["Q8_S3", "A3_5"])
-def test_multiplication_table_every_pair(built, key):
-    group = built(key)
-    table = group.multiplication_table()
-    assert [list(row) for row in table] == [
-        [group.mult(i, j) for j in range(group.n)] for i in range(group.n)
-    ]
-
-
-@pytest.mark.parametrize("key", ["M10_first", "G1944"])
-def test_multiplication_table_random_pairs(built, key):
-    group = built(key)
-    table = group.multiplication_table()
-    rng = random.Random(7)
-    for _ in range(20000):
-        i, j = rng.randrange(group.n), rng.randrange(group.n)
-        assert table[i][j] == group.mult(i, j)
-
-
-def test_full_group_only_builds_no_table(monkeypatch):
+def test_full_group_only_runs_no_sweep(monkeypatch):
     from fanoterm.invariants import classification_table
 
     def refuse(self):
-        raise AssertionError("multiplication table built outside a sweep")
+        raise AssertionError("subgroup classes swept outside a full sweep")
 
-    monkeypatch.setattr(FinGroup, "multiplication_table", refuse)
+    monkeypatch.setattr(FinGroup, "subgroup_conjugacy_classes", refuse)
     (row,) = classification_table("M10_second", mode="full-group-only")
     assert row.order == 720
 
 
 def test_subgroup_classes_lagrange_and_nonconjugacy(built):
     group = built("A3_5")
-    classes = group.subgroup_conjugacy_classes(budget=1000)
+    classes = group.subgroup_conjugacy_classes()
     for c in classes:
         assert group.n % c.order == 0
     # representatives are pairwise non-conjugate: orbits are disjoint
@@ -794,8 +792,8 @@ def test_subgroup_classes_lagrange_and_nonconjugacy(built):
 
 def test_subgroup_classes_deterministic(built):
     group = built("Q8_S3")
-    a = group.subgroup_conjugacy_classes(budget=1000)
-    b = group.subgroup_conjugacy_classes(budget=1000)
+    a = group.subgroup_conjugacy_classes()
+    b = group.subgroup_conjugacy_classes()
     assert [sorted(c.members) for c in a] == [sorted(c.members) for c in b]
     # the top class is the whole group, held as the group's own view
     assert a[-1] is group.view and b[-1] is group.view

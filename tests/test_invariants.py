@@ -146,7 +146,7 @@ def _brute_force_sample(group, l3, key):
             if members is not None and members not in sample:
                 sample[members] = group.subgroup(members=members)
         return list(sample.values())
-    return group.subgroup_conjugacy_classes(budget=1000)
+    return group.subgroup_conjugacy_classes()
 
 
 @pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "G1944", "C3_4_A6"])
@@ -262,7 +262,7 @@ def test_classification_table_trivial_ambient():
 
     g = FinGroup.generate([_exps((0, 1, 1, 0, 2, 2))])
     l3 = detect_l3(g)
-    classes = g.subgroup_conjugacy_classes(budget=10)
+    classes = g.subgroup_conjugacy_classes()
     recs = records_for_classes(l3, load_group("C3_4_A6").cubic,
                                list(enumerate(classes, start=1)))
     assert all(r.terminal for r in recs)
@@ -283,8 +283,8 @@ def test_merged_rows_fold_identical_strings(sweeps):
 
 
 def test_table_runs_deterministic(built):
-    a = classification_table("Q8_S3", mode="full-sweep", budget=1000)
-    b = classification_table("Q8_S3", mode="full-sweep", budget=1000)
+    a = classification_table("Q8_S3", mode="full-sweep")
+    b = classification_table("Q8_S3", mode="full-sweep")
     assert [(r.class_index, str(r.group_id), r.rank, r.b2, str(r.pi1)) for r in a] == [
         (r.class_index, str(r.group_id), r.rank, r.b2, str(r.pi1)) for r in b
     ]
