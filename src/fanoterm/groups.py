@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from array import array
 from collections.abc import Set
 from functools import lru_cache, reduce
@@ -328,10 +329,12 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
     F is the identity, so two residues with the same frame images are
     equal.  The key of g_a x is x's key sent through generator a's point
     images, one ``bytes.translate`` when the frame's orbit has at most 256
-    points and a tuple otherwise.  A residue is computed only for a new
-    vertex, on its tree edge: n - 1 products.  Every other edge x -a-> y
-    has g_a r_x = r_y because their keys agree.  The keys are local, so
-    they are freed on return."""
+    points and a tuple otherwise.  The walk records each new vertex's
+    parent and letter, its tree edge; once the keys and their index are
+    freed, the residues and words are built along the tree: n - 1 residue
+    products.  Every other edge x -a-> y has g_a r_x = r_y because their
+    keys agree.  So a key and a residue are never held for every element
+    at once; what is returned is kept by the group."""
     frame, images = _frame_orbit(gen_residues, d, p, cap)
     if all(len(image) <= 256 for image in images):
         key0, step = bytes(frame), bytes.translate
@@ -340,12 +343,10 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
         key0, step = tuple(frame), lambda key, lookup: tuple(map(lookup, key))
         tables = [image.__getitem__ for image in images]
     mults = _residue_mults(gen_residues, d, p)
-    residues = [(bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))]
     keys = [key0]
     index = {key0: 0}
-    words = [b""]
-    letters = [bytes((a,)) for a in range(len(mults))]
-    perms: list[list[int]] = [[] for _ in mults]
+    parents, letters = array("I"), bytearray()  # the tree edge of vertex 1, 2, ...
+    perms: list[list[int]] = [[] for _ in tables]
     for x, kx in enumerate(keys):
         for a, table in enumerate(tables):
             ky = step(kx, table)
@@ -356,9 +357,16 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
                     raise OrderCapExceeded(f"group closure exceeded the cap of {cap} elements")
                 keys.append(ky)
                 index[ky] = y
-                residues.append(mults[a](residues[x]))
-                words.append(words[x] + letters[a])
+                parents.append(x)
+                letters.append(a)
             perms[a].append(y)
+    del keys, index
+    residues = [(bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))]
+    words = [b""]
+    letter_bytes = [bytes((a,)) for a in range(len(mults))]
+    for x, a in zip(parents, letters):
+        residues.append(mults[a](residues[x]))
+        words.append(words[x] + letter_bytes[a])
     return residues, words, perms
 
 
@@ -369,7 +377,8 @@ def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
     None when a value some residue uses has no preimage or two.  A vertex's
     first nonzero residue is 1, whose one preimage is then ONE, so the
     matrix of its residues' preimages is in normal form.  It is the
-    vertex's element only where the norm bound proves every edge."""
+    vertex's element only where the norm bound proves every edge.  The
+    residues are tested 1024 at a time, so the test holds no copy of them."""
     preimage: dict[int, CycloNum] = {}
     shared = set()
     for e in set(_entries(ident)).union(*map(_entries, gens)):
@@ -380,7 +389,9 @@ def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
     for r in shared:
         del preimage[r]
     if isinstance(residues[0], bytes):
-        unknown = b"".join(residues).translate(None, bytes(preimage))
+        known = bytes(preimage)
+        unknown = any(b"".join(residues[i:i + 1024]).translate(None, known)
+                      for i in range(0, len(residues), 1024))
     else:
         unknown = set(itertools.chain.from_iterable(residues)).difference(preimage)
     return None if unknown else preimage
@@ -578,7 +589,8 @@ class GroupView:
         self.conjugations = conjugations
         self.coset = coset
         self._order_cache: dict[int, int] = {}
-        self._class_map: Optional[tuple[tuple[tuple[int, ...], ...], dict[int, int]]] = None
+        self._class_map: Optional[tuple[tuple[tuple[int, ...], ...],
+                                        list[int] | dict[int, int]]] = None
 
     @property
     def order(self) -> int:
@@ -650,16 +662,24 @@ class GroupView:
         """The subgroup with these members and generators, in this view."""
         return GroupView(members, self.mult, self.inv, gens, self.ambient, coset=self.coset)
 
-    def class_map(self) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
+    def class_map(self) -> tuple[tuple[tuple[int, ...], ...], list[int] | dict[int, int]]:
         """The orbits of the conjugation action and the class index of every
         element, memoized on the view.  Each orbit is found from its least
-        member, so the classes come out sorted by it."""
+        member, so the classes come out sorted by it.
+
+        The class index is looked up by element: for a whole enumerated
+        group, whose elements are the indices 0 <= x < n, it is a list, and
+        its classes hold the group's own ints, not the fresh ints that the
+        conjugation arrays return; for any other view it is a dict.  The
+        orbits' sets are transient."""
         if self._class_map is None:
             conjugators = self._conjugators()
+            elements = self.elements
+            whole = isinstance(self.members, _Indices)
             classes = []
-            class_of: dict[int, int] = {}
-            for x in self.elements:
-                if x in class_of:
+            class_of = [None] * len(elements) if whole else dict.fromkeys(elements)
+            for x in elements:
+                if class_of[x] is not None:
                     continue
                 orbit = {x}
                 queue = [x]
@@ -669,9 +689,11 @@ class GroupView:
                         if z not in orbit:
                             orbit.add(z)
                             queue.append(z)
+                k = len(classes)
                 for z in orbit:
-                    class_of[z] = len(classes)
-                classes.append(tuple(sorted(orbit)))
+                    class_of[z] = k
+                members = sorted(orbit)
+                classes.append(tuple(map(elements.__getitem__, members) if whole else members))
             self._class_map = (tuple(classes), class_of)
         return self._class_map
 
@@ -696,9 +718,11 @@ class GroupView:
 
 class _ReadOffElements:
     """The elements of a group read off their residues, as a read-only
-    sequence of normal forms: element i is the matrix of the preimages of
-    ``residues[i]`` under ``table`` (``_read_off``), built only when it is
-    asked for.  Equal rows are one tuple."""
+    sequence of normal forms.  ``residues[i]`` is element i's residue with
+    each value recoded as the rank of its one preimage (``generate``), and
+    ``table`` maps a rank to that entry (``_read_off``): element i is the
+    matrix of ``table`` over ``residues[i]``, built only when it is asked
+    for.  Equal rows are one tuple."""
 
     __slots__ = ("residues", "table", "_code", "_pack", "_cuts", "_rows")
 
@@ -732,9 +756,9 @@ class _ReadOffElements:
         return MatC(rows)
 
     def residue(self, mat: MatC):
-        """The residue that reads off as ``mat``; KeyError when one of its
-        entries is not in the table.  Entry and residue value are one to
-        one on the table, so this is exact."""
+        """The recoded residue that reads off as ``mat``; KeyError when one
+        of its entries is not in the table.  Entry and rank are one to one
+        on the table, so this is exact."""
         return self._pack(map(self._code.__getitem__, _entries(mat)))
 
 
@@ -747,10 +771,16 @@ class FinGroup:
     a ``_ReadOffElements``.  Nothing about the group changes after
     construction.  Per element it keeps a word, the ``bytes`` of its
     generator letters, one index in each generator's translation table and
-    its inverse, and these index lists and the view's members share one int
-    object per index.  Its view holds one ``array('I')`` per generator g,
-    x -> g^-1 x g, built here once the BFS's keys are freed, and memoizes
-    element orders and the class map.
+    its inverse (and, read off, its recoded residue), and these index lists
+    and the view's members share one int object per index.  Its view holds
+    one ``array('I')`` per generator g, x -> g^-1 x g, and memoizes element
+    orders and the class map.
+
+    Building it holds no second copy of a per-element list: the BFS's keys
+    are freed before its residues are built, the residues are recoded in
+    place, the translation tables are relabeled one generator at a time,
+    and each inverse permutation, transient here, is dropped once its
+    conjugation array is built.
     """
 
     def __init__(self, elements, gen_elem_idx, perms, words, dim):
@@ -761,8 +791,8 @@ class FinGroup:
         self._rword: list[bytes] = words
         self._index: Optional[dict] = None  # built by the first index_of
         # each perm holds every index once: its ints are the group's, and the
-        # inverse permutations, the inverses and the view's members reuse them
-        ids = sorted(perms[0]) if perms else [0]
+        # inverses and the view's members reuse them
+        ids = tuple(sorted(perms[0])) if perms else (0,)
         # the inverse of g_ak...g_a1 applies the inverse generators in reverse
         inv_perms = [sorted(ids, key=p.__getitem__) for p in perms]
         inv = []
@@ -773,11 +803,12 @@ class FinGroup:
             inv.append(r)
         self._inv = inv
         # g^-1 x g = g^-1 (g^-1 x^-1)^-1: per generator, two passes of the
-        # inverse and two of left multiplication by g^-1
+        # inverse and two of left multiplication by g^-1; each inverse
+        # permutation is dropped as soon as its array is built
         conjugations = [array("I", map(q.__getitem__, map(inv.__getitem__,
                                                            map(q.__getitem__, inv))))
-                        for q in inv_perms]
-        self.view = GroupView(_Indices(tuple(ids)), self.mult, self.inv, self.gen_idx, self,
+                        for q in map(inv_perms.pop, [0] * len(inv_perms))]
+        self.view = GroupView(_Indices(ids), self.mult, self.inv, self.gen_idx, self,
                               conjugations, self.coset)
 
     # -- construction -----------------------------------------------------
@@ -808,8 +839,9 @@ class FinGroup:
         ``mult`` replays the word through the translation tables.
 
         The canonical order sorts the elements by the ranks of their
-        entries; elements read off residues are sorted by their residues
-        translated to those ranks, one ``bytes`` per element below 256.
+        entries; elements read off residues are sorted by their residues,
+        recoded in place to those ranks, one ``bytes`` per element below
+        256, and the recoded residues are what the group keeps.
         """
         if not gens:
             raise ValueError("at least one generator is required")
@@ -840,41 +872,50 @@ class FinGroup:
             table = None
         # canonical order: identity first, the rest by their entries in
         # row-major order, each entry ranked by (conductor, denominator,
-        # coordinates)
+        # coordinates); every index list of the group takes its ints from
+        # ids, one per element.  The residues are one to one with the
+        # elements: implied by the proof, and checked as it is cheap.
         by_value = lambda e: (e.n, e.den, e.num)
+        ids = list(range(n))
         if table is None:
             elems = _exact_cosets(gens_p, residues, perms, reduce, p, ident)
             entries = {e for m in elems for row in m.rows for e in row}
             rank = {e: r for r, e in enumerate(sorted(entries, key=by_value))}
-            key = lambda i: tuple(map(rank.__getitem__, _entries(elems[i])))
-        else:
-            # a read-off residue value has one preimage, so a residue
-            # translated to its entries' ranks is the same key as the tuple
-            # of those ranks; below 256 that is one bytes.translate
-            rank = {r: k for k, r in enumerate(sorted(table, key=lambda r: by_value(table[r])))}
-            if p < 256:
-                rank_table = bytes(rank.get(v, 0) for v in range(256))
-                key = lambda i: residues[i].translate(rank_table)
-            else:
-                key = lambda i: tuple(map(rank.__getitem__, residues[i]))
-        # every index list of the group takes its ints from ids, one per element
-        ids = list(range(n))
-        order = ids[:1] + sorted(ids[1:], key=key)
-        # implied by the proof; checked as it is cheap, on the residues, which
-        # are one to one with the elements
-        if len(set(residues)) != n:
-            raise EnumerationUnproved("two vertices of the residue graph are one element")
-        if table is None:
+            order = ids[:1] + sorted(ids[1:], key=lambda i: tuple(map(rank.__getitem__,
+                                                                      _entries(elems[i]))))
+            unique = len(set(residues)) == n
             elements = [elems[i] for i in order]
         else:
-            elements = _ReadOffElements([residues[i] for i in order], table, dim)
-        del residues, key
+            # a read-off residue value has one preimage, so the rank of that
+            # entry codes it: each residue is recoded in place, below 256 by
+            # one bytes.translate, and is then its element's sort key
+            rank = {r: k for k, r in enumerate(sorted(table, key=lambda r: by_value(table[r])))}
+            table = {rank[r]: e for r, e in table.items()}
+            if p < 256:
+                rank_table = bytes(rank.get(v, 0) for v in range(256))
+                recode = lambda r: r.translate(rank_table)
+            else:
+                recode = lambda r: tuple(map(rank.__getitem__, r))
+            for i, r in enumerate(residues):
+                residues[i] = recode(r)
+            order = sorted(ids, key=residues.__getitem__)
+            # distinct codes, strictly increasing in sorted order
+            unique = all(map(operator.lt, map(residues.__getitem__, order),
+                             map(residues.__getitem__, itertools.islice(order, 1, None))))
+            order.remove(0)
+            order.insert(0, ids[0])
+            elements = _ReadOffElements(list(map(residues.__getitem__, order)), table, dim)
+        if not unique:
+            raise EnumerationUnproved("two vertices of the residue graph are one element")
+        del residues
         relabel = [0] * n
         for new, old in zip(ids, order):
             relabel[old] = new
         del ids
         words = [words[i] for i in order]
-        perms = [[relabel[perm[old]] for old in order] for perm in perms]
+        # one generator at a time, so one old table at most is held beside the new ones
+        for a in range(len(perms)):
+            perms[a] = list(map(relabel.__getitem__, map(perms[a].__getitem__, order)))
         gen_elem_idx = [perm[0] for perm in perms]
         del order, relabel
         return cls(elements, gen_elem_idx, perms, words, dim)
