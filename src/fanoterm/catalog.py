@@ -109,11 +109,10 @@ def load_group(key: str) -> GroupDefinition:
     )
 
 
-_BUILD_MEMO: dict[str, FinGroup] = {}
-
-
+@lru_cache(maxsize=None)
 def build_group(key: str) -> FinGroup:
-    """Enumerate a catalog group (memoized in-process).
+    """Enumerate a catalog group (memoized in-process, like ``load_group``;
+    a failure is not cached).
 
     Every generator must have determinant 1 and preserve the cubic,
     F(Mx) = F(x), so the action is symplectic (lambda^2 = det); and the
@@ -122,9 +121,6 @@ def build_group(key: str) -> FinGroup:
     proved exact (``FinGroup.generate``).  A failure is a validation error,
     not a silent fallback.
     """
-    group = _BUILD_MEMO.get(key)
-    if group is not None:
-        return group
     definition = load_group(key)
     for i, m in enumerate(definition.generators, start=1):
         det = m.det()
@@ -146,7 +142,6 @@ def build_group(key: str) -> FinGroup:
         raise CatalogValidationError(
             f"{key}: enumerated order {group.n} != declared order {definition.order}"
         )
-    _BUILD_MEMO[key] = group
     return group
 
 

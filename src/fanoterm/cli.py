@@ -2,9 +2,8 @@
 
 Commands: table, detect-l3, check-deformation, fingerprint,
 validate-catalog.  Exit codes: 0 success, 2 validation or input failure.
-``table`` sweeps any ambient with no multiplication table: the default
-table of C3_4_A6 (order 29160, 280 rows) took 18-21 s of CPU and 50 MB
-on a 2-core Xeon.  Identical invocations produce byte-identical output.
+``table`` sweeps any ambient with no multiplication table.  Identical
+invocations produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ and p = 1 (mod N) an odd prime, zeta_N -> omega reduces every matrix mod
 (p, zeta_N - omega).  The BFS keys each element by its images of the
 projective frame {[e_1], ..., [e_d], [e_1 + ... + e_d]}, which determine
 an element of PGL_d(Z/p): a generator moves a key by one table lookup per
-frame point, and an element's residue, one ``bytes`` when p < 256, is
+frame point, and an element's residue, one ``bytes`` as p < 256, is
 computed once, along the BFS's spanning tree.  When every residue value
 has one preimage among the entries of the identity and the generators,
 the group is read off its residues: it keeps them and the table of
@@ -35,7 +35,9 @@ Matrices are multiplied again only per conjugacy class, by the L3 test
 and the class traces of the rank.  No multiplication table is built: a
 closure maps a coset through one translation table per letter, and the
 involution-guided subgroup sweep conjugates through the per-generator
-arrays (C3_4_A6's 302 classes in 14-20 s of CPU).  All derived data
+arrays.  Every conjugacy question about a subgroup (its classes, center,
+normal closures and normality of a divisor) is a read of its memoized
+class map.  All derived data
 (orderings, class lists, subgroup lattices) is canonical: two runs
 produce identical output.
 """
@@ -100,12 +102,12 @@ def _normalize(mat: MatC) -> MatC:
 #
 # zeta_N -> omega, a root of the N-th cyclotomic polynomial mod m, is a ring
 # map from Z[1/D][zeta_N] onto Z/m when m is coprime to D.  A matrix is
-# reduced to the flat row-major tuple of its entries' residues.
+# reduced to the flat row-major ``bytes`` of its entries' residues, as
+# m < 256.
 
 
 def _is_prime(m: int) -> bool:
-    """Trial division, as a residue prime is small: 1 mod N, the least
-    one above 256 when N leaves none below."""
+    """Trial division, as a residue prime is small: 1 mod N and below 256."""
     return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
 
 
@@ -190,17 +192,16 @@ def _prime_data(p: int, n_cond: int, gens: Sequence[MatC]):
 
 def _residue_prime(gens: Sequence[MatC], n_cond: int) -> int:
     """The largest usable residue prime below 256, so that a residue is
-    one ``bytes``; above 256 the least one, when N leaves none below."""
-    below = range(1 + n_cond * (254 // n_cond), 2, -n_cond)
-    above = itertools.count(1 + n_cond * (254 // n_cond + 1), n_cond)
-    for p in itertools.chain(below, above):
+    one ``bytes``; EnumerationUnproved when the conductor N leaves none."""
+    for p in range(1 + n_cond * (254 // n_cond), 2, -n_cond):
         if _is_prime(p) and _prime_data(p, n_cond, gens) is not None:
             return p
+    raise EnumerationUnproved(f"no usable residue prime below 256 for conductor {n_cond}")
 
 
 @lru_cache(maxsize=None)
 def _byte_tables(p: int, d: int):
-    """For p < 256: per c the table of ``bytes.translate`` that multiplies
+    """Per c < p the table of ``bytes.translate`` that multiplies
     by c mod p, the inverses mod p, and the reduction mod p of a sum of d
     residues.
 
@@ -225,22 +226,16 @@ def _byte_tables(p: int, d: int):
 def _residue_mults(gen_residues: Sequence[Sequence[int]], d: int, p: int) -> list[Callable]:
     """Per generator g, x -> the normal form mod p of g x.
 
-    Residues are ``bytes`` when p < 256: a row of g x is a sum of rows of x,
-    each scaled by ``bytes.translate`` through a table of multiples.  A
-    monomial g takes one translate per row, with the scale that normalizes
-    the product folded in.  Above 256 residues are tuples.
+    A row of g x is a sum of rows of the ``bytes`` x, each scaled by
+    ``bytes.translate`` through a table of multiples.  A monomial g takes
+    one translate per row, with the scale that normalizes the product
+    folded in.
     """
-    if p < 256:
-        tables, inv, mod = _byte_tables(p, d)
+    tables, inv, mod = _byte_tables(p, d)
 
     def make(flat):
         rows = [[(k, flat[i * d + k]) for k in range(d) if flat[i * d + k]] for i in range(d)]
-        if p >= 256:
-            def mult(x):
-                out = [sum(c * x[k * d + j] for k, c in row) % p for row in rows for j in range(d)]
-                scale = pow(next(v for v in out if v), -1, p)
-                return tuple(v * scale % p for v in out)
-        elif all(len(row) == 1 for row in rows):
+        if all(len(row) == 1 for row in rows):
             (k0, c0), = rows[0]
             s0, e0 = k0 * d, (k0 + 1) * d
             # by_scale[t]: (row slice, table of c t) per row of g
@@ -272,17 +267,12 @@ def _frame_orbit(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
     numbered consecutively.  A group of at most cap elements moves a point
     to at most cap points, so an orbit passing cap points raises
     OrderCapExceeded.  An orbit grows by layers: row i of g X, for X the
-    layer's points as columns (``bytes`` below 256, else a tuple), is a sum
-    of rows of X scaled by ``bytes.translate`` as in ``_residue_mults``,
-    and each column of g X is then normalized."""
-    if p < 256:
-        tables, inv, mod = _byte_tables(p, d)
-        pack, join, scale = bytes, b"".join, lambda row, c: row.translate(tables[c])
-    else:
-        inv, mod = [0] + [pow(c, -1, p) for c in range(1, p)], p.__rmod__
-        pack, scale = tuple, lambda row, c: tuple(c * v % p for v in row)
-        join = lambda parts: tuple(itertools.chain.from_iterable(parts))
-    frame = [pack(int(i == j) for i in range(d)) for j in range(d)] + [pack((1,) * d)]
+    layer's points as ``bytes`` columns, is a sum of rows of X scaled by
+    ``bytes.translate`` as in ``_residue_mults``, and each column of g X
+    is then normalized."""
+    tables, inv, mod = _byte_tables(p, d)
+    join, scale = b"".join, lambda row, c: row.translate(tables[c])
+    frame = [bytes(int(i == j) for i in range(d)) for j in range(d)] + [bytes((1,) * d)]
 
     def make(flat):
         spec = [[(k, c) for k, c in enumerate(flat[i * d:(i + 1) * d]) if c] for i in range(d)]
@@ -290,7 +280,7 @@ def _frame_orbit(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
         def images(layer: list) -> list:
             x, m = join(layer), len(layer)
             rows = [x[k::d] for k in range(d)]
-            gx = join([pack(map(mod, map(sum, zip(*[scale(rows[k], c) for k, c in row]))))
+            gx = join([bytes(map(mod, map(sum, zip(*[scale(rows[k], c) for k, c in row]))))
                        for row in spec])
             out = [gx[j::m] for j in range(m)]
             return [w if (lead := next(filter(None, w))) == 1 else scale(w, inv[lead]) for w in out]
@@ -361,7 +351,7 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
                 letters.append(a)
             perms[a].append(y)
     del keys, index
-    residues = [(bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))]
+    residues = [bytes(int(f // d == f % d) for f in range(d * d))]
     words = [b""]
     letter_bytes = [bytes((a,)) for a in range(len(mults))]
     for x, a in zip(parents, letters):
@@ -378,7 +368,8 @@ def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
     first nonzero residue is 1, whose one preimage is then ONE, so the
     matrix of its residues' preimages is in normal form.  It is the
     vertex's element only where the norm bound proves every edge.  The
-    residues are tested 1024 at a time, so the test holds no copy of them."""
+    ``bytes`` residues are tested 1024 at a time, so the test holds no copy
+    of them."""
     preimage: dict[int, CycloNum] = {}
     shared = set()
     for e in set(_entries(ident)).union(*map(_entries, gens)):
@@ -388,12 +379,9 @@ def _read_off(residues: Sequence, reduce: Callable[[CycloNum], Optional[int]],
         preimage[r] = e
     for r in shared:
         del preimage[r]
-    if isinstance(residues[0], bytes):
-        known = bytes(preimage)
-        unknown = any(b"".join(residues[i:i + 1024]).translate(None, known)
-                      for i in range(0, len(residues), 1024))
-    else:
-        unknown = set(itertools.chain.from_iterable(residues)).difference(preimage)
+    known = bytes(preimage)
+    unknown = any(b"".join(residues[i:i + 1024]).translate(None, known)
+                  for i in range(0, len(residues), 1024))
     return None if unknown else preimage
 
 
@@ -467,13 +455,13 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, perms: Sequence[Sequ
     # the chains make about n products with s, the cosets n/m with each generator
     a = min(range(len(gens)), key=lambda a: nnz[a] + sum(nnz) / orders[a])
     s, m = gens[a], orders[a]
-    index = {tuple(r): x for x, r in enumerate(residues)}
+    index = {r: x for x, r in enumerate(residues)}
     elems: list[Optional[MatC]] = [None] * n
     reps: list[MatC] = []
 
     def vertex(u: MatC) -> int:
-        key = tuple(map(reduce, _entries(u)))
-        x = index.get(key)
+        key = list(map(reduce, _entries(u)))
+        x = None if None in key else index.get(bytes(key))
         if x is None:
             raise EnumerationUnproved(f"an entry's denominator is divisible by {p}" if None in key
                                       else f"an element's residue mod {p} is no vertex")
@@ -562,8 +550,8 @@ class GroupView:
     ``elements`` the same ids in increasing order, so the identity id 0 is
     always the first element.  ``ambient`` is the FinGroup whose indices a
     subgroup uses, or None for a quotient.  ``conjugations``, when given,
-    holds per generator g the array x -> g^-1 x g, which the class map and
-    the normal closure read instead of multiplying.  ``coset``, when given,
+    holds per generator g the array x -> g^-1 x g, which the class map
+    reads instead of multiplying.  ``coset``, when given,
     maps (y, xs) to the list of the products y x, x in xs, in one pass;
     the closure builds each coset with it.  A view memoizes its element
     orders and its class map; nothing else about it changes.
@@ -606,16 +594,6 @@ class GroupView:
             k += 1
         self._order_cache[x] = k
         return k
-
-    def conj(self, x: int, g: int) -> int:
-        return self.mult(self.mult(self.inv(g), x), g)
-
-    def _conjugators(self) -> list[Callable[[int], int]]:
-        """Per generator g, x -> g^-1 x g: an array lookup when the view has
-        the arrays, else two products."""
-        if self.conjugations is not None:
-            return [c.__getitem__ for c in self.conjugations]
-        return [lambda x, g=g: self.conj(x, g) for g in self.gens]
 
     def closure(self, gens: Iterable[int], base: frozenset[int] = frozenset((0,)),
                 forbidden: Optional[frozenset[int]] = None) -> Optional[frozenset[int]]:
@@ -665,7 +643,9 @@ class GroupView:
     def class_map(self) -> tuple[tuple[tuple[int, ...], ...], list[int] | dict[int, int]]:
         """The orbits of the conjugation action and the class index of every
         element, memoized on the view.  Each orbit is found from its least
-        member, so the classes come out sorted by it.
+        member, so the classes come out sorted by it.  Conjugation by a
+        generator g, x -> g^-1 x g, is an array lookup when the view has the
+        arrays, else two products.
 
         The class index is looked up by element: for a whole enumerated
         group, whose elements are the indices 0 <= x < n, it is a list, and
@@ -673,7 +653,12 @@ class GroupView:
         conjugation arrays return; for any other view it is a dict.  The
         orbits' sets are transient."""
         if self._class_map is None:
-            conjugators = self._conjugators()
+            if self.conjugations is not None:
+                conjugators = [c.__getitem__ for c in self.conjugations]
+            else:
+                mult = self.mult
+                conjugators = [lambda x, g=g, g_inv=self.inv(g): mult(mult(g_inv, x), g)
+                               for g in self.gens]
             elements = self.elements
             whole = isinstance(self.members, _Indices)
             classes = []
@@ -702,14 +687,10 @@ class GroupView:
         return sorted(x for c in classes if self.order_of(c[0]) == 2 for x in c)
 
     def normal_closure(self, seeds: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
-        """Smallest normal subgroup (of this view's group) containing seeds."""
-        gen_list = sorted({s for s in seeds if s != 0})
-        members = self.closure(gen_list)
-        conjugators = self._conjugators()
-        while new := {conj(s) for s in gen_list for conj in conjugators} - members:
-            gen_list = sorted(set(gen_list) | new)
-            members = self.closure(gen_list, members)
-        return members, tuple(gen_list)
+        """The smallest normal subgroup of this view's group containing the
+        seeds, and its generators: the ``span`` of the seeds' classes."""
+        classes, class_of = self.class_map()
+        return self.span({x for k in {class_of[s] for s in seeds} for x in classes[k]})
 
 
 # ---------------------------------------------------------------------------
@@ -724,13 +705,12 @@ class _ReadOffElements:
     matrix of ``table`` over ``residues[i]``, built only when it is asked
     for.  Equal rows are one tuple."""
 
-    __slots__ = ("residues", "table", "_code", "_pack", "_cuts", "_rows")
+    __slots__ = ("residues", "table", "_code", "_cuts", "_rows")
 
     def __init__(self, residues: list, table: dict[int, CycloNum], dim: int):
         self.residues = residues
         self.table = table
         self._code = {e: r for r, e in table.items()}
-        self._pack = type(residues[0])  # bytes below 256, else tuple
         self._cuts = [slice(i, i + dim) for i in range(0, dim * dim, dim)]
         self._rows: dict = {}
 
@@ -759,7 +739,7 @@ class _ReadOffElements:
         """The recoded residue that reads off as ``mat``; KeyError when one
         of its entries is not in the table.  Entry and rank are one to one
         on the table, so this is exact."""
-        return self._pack(map(self._code.__getitem__, _entries(mat)))
+        return bytes(map(self._code.__getitem__, _entries(mat)))
 
 
 class FinGroup:
@@ -840,8 +820,8 @@ class FinGroup:
 
         The canonical order sorts the elements by the ranks of their
         entries; elements read off residues are sorted by their residues,
-        recoded in place to those ranks, one ``bytes`` per element below
-        256, and the recoded residues are what the group keeps.
+        recoded in place to those ranks, one ``bytes`` per element, and
+        the recoded residues are what the group keeps.
         """
         if not gens:
             raise ValueError("at least one generator is required")
@@ -887,17 +867,13 @@ class FinGroup:
             elements = [elems[i] for i in order]
         else:
             # a read-off residue value has one preimage, so the rank of that
-            # entry codes it: each residue is recoded in place, below 256 by
-            # one bytes.translate, and is then its element's sort key
+            # entry codes it: each residue is recoded in place by one
+            # bytes.translate, and is then its element's sort key
             rank = {r: k for k, r in enumerate(sorted(table, key=lambda r: by_value(table[r])))}
             table = {rank[r]: e for r, e in table.items()}
-            if p < 256:
-                rank_table = bytes(rank.get(v, 0) for v in range(256))
-                recode = lambda r: r.translate(rank_table)
-            else:
-                recode = lambda r: tuple(map(rank.__getitem__, r))
+            rank_table = bytes(rank.get(v, 0) for v in range(256))
             for i, r in enumerate(residues):
-                residues[i] = recode(r)
+                residues[i] = r.translate(rank_table)
             order = sorted(ids, key=residues.__getitem__)
             # distinct codes, strictly increasing in sorted order
             unique = all(map(operator.lt, map(residues.__getitem__, order),
@@ -1111,13 +1087,13 @@ def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
 
 
 def quotient_group(h: GroupView, n: GroupView) -> GroupView:
-    """H/N on minimal coset representatives; verifies N is normal in H."""
+    """H/N on minimal coset representatives; verifies N is normal in H,
+    that is, the H-class of each generator of N lies in N."""
     if not n.members <= h.members:
         raise ValueError("divisor is not contained in the subgroup")
-    for g in h.gens:
-        for s in n.gens:
-            if h.conj(s, g) not in n.members:
-                raise ValueError("divisor is not normal in the subgroup")
+    classes, class_of = h.class_map()
+    if not all(n.members.issuperset(classes[class_of[s]]) for s in n.gens):
+        raise ValueError("divisor is not normal in the subgroup")
     return quotient_view(h, n.members)
 
 
@@ -1199,20 +1175,18 @@ def _derived_data(view: GroupView) -> tuple[frozenset[int], tuple[int, ...]]:
 
 
 def fingerprint(view: GroupView) -> Fingerprint:
+    """The view's isomorphism invariants.  The order histogram, the class
+    count and the center, whose elements are the singleton classes, are
+    read off the class map, with one element order per class."""
     n = view.order
+    classes, _ = view.class_map()
     hist: dict[int, int] = {}
-    for x in view.elements:
-        o = view.order_of(x)
-        hist[o] = hist.get(o, 0) + 1
-    classes = len(view.class_map()[0])
+    for c in classes:
+        o = view.order_of(c[0])
+        hist[o] = hist.get(o, 0) + len(c)
     # abelianization, then the derived series down to its perfect end
     dm, dg = _derived_data(view)
     ab = _abelian_invariants(quotient_view(view, dm))
-    center = sum(
-        1
-        for x in view.elements
-        if all(view.mult(x, g) == view.mult(g, x) for g in view.gens)
-    )
     sizes = [n, len(dm)]
     while 1 < sizes[-1] < sizes[-2]:
         dm, dg = _derived_data(view.sub(dm, dg))
@@ -1220,9 +1194,9 @@ def fingerprint(view: GroupView) -> Fingerprint:
     return Fingerprint(
         order=n,
         order_histogram=tuple(sorted(hist.items())),
-        class_count=classes,
+        class_count=len(classes),
         abelian_invariants=ab,
-        center_order=center,
+        center_order=sum(len(c) == 1 for c in classes),
         derived_sizes=tuple(sizes),
     )
 

@@ -1,9 +1,9 @@
 """Core invariants of quotient terminalizations.
 
 For a subgroup H of a symplectic action: the involution classes n2, the
-codimension-2-fixing order-3 subgroups (N3 and its class split n31/n32 by
-even-order normalizer witnesses), the fundamental group of the regular
-locus, and the second Betti number
+codimension-2-fixing order-3 subgroups (N3, and their H-classes n3, split
+into n31/n32 by whether H inverts their generator), the fundamental group
+of the regular locus, and the second Betti number
     b2 = 23 - rank_coinvariant + n2 + n31 + 2*n32.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Sequence, Union
 
+from .catalog import build_group, load_group
 from .cyclo import ONE, CycloNum, rational
 from .groups import (
     FinGroup,
@@ -100,39 +101,21 @@ def singular_invariants(h: GroupView, l3: L3Set) -> tuple[int, int, int, int, in
     """(n2, N3, n3, n31, n32) for one subgroup, read off its class map.
 
     n2 counts H-conjugacy classes of involutions; N3 the codimension-2
-    order-3 subgroups inside H; n3 their H-conjugacy classes, one per pair
-    {class of g, class of g^2}, split by whether an even-order element of
-    H normalizes <g> without commuting with g (n31) or not (n32).  That
-    witness is a class invariant, so it is checked on the first subgroup of
-    each class.
+    order-3 subgroups <g> inside H; n3 their H-conjugacy classes, one per
+    set {class of g, class of g^2}.  n31 counts those where some element
+    of even order normalizes <g> without centralizing it, n32 the rest.
+    That is where g and g^2 share an H-class: an x with x^-1 g x = g^2
+    has x^2 centralizing g, and an x of odd order is a power of x^2, so x
+    has even order.
     """
     if h.ambient is not l3.group:
         raise ValueError("subgroup does not belong to the ambient of the L3 set")
     classes, class_of = h.class_map()
     n2 = sum(1 for c in classes if h.order_of(c[0]) == 2)
     inside = [fs for fs in l3.subgroups if fs <= h.members]
-    seen: set[frozenset[int]] = set()
-    n31 = n32 = 0
-    for fs in inside:
-        key = frozenset(class_of[m] for m in fs if m)
-        if key in seen:
-            continue
-        seen.add(key)
-        gen = min(m for m in fs if m)
-        witness = False
-        for x in h.elements:
-            c = h.conj(gen, x)
-            if c == gen:
-                continue  # centralizing
-            if c in fs:  # normalizing but not centralizing
-                if h.order_of(x) % 2 == 0:
-                    witness = True
-                    break
-        if witness:
-            n31 += 1
-        else:
-            n32 += 1
-    return n2, len(inside), n31 + n32, n31, n32
+    keys = {frozenset(class_of[m] for m in fs if m) for fs in inside}
+    n31 = sum(len(key) == 1 for key in keys)
+    return n2, len(inside), len(keys), n31, len(keys) - n31
 
 
 def pi1_quotient(h: GroupView, l3: L3Set) -> GroupView:
@@ -217,13 +200,10 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
     """One record per subgroup conjugacy class with n2 + n3 > 0.
 
     ``full-sweep`` enumerates every class of any ambient by the sweep's
-    involution-guided cyclic extension, with no multiplication table
-    (C3_4_A6: 302 classes, 280 rows, in 18-21 s of CPU and 50 MB on a
-    2-core Xeon), keeping the canonical class indices after filtering;
+    involution-guided cyclic extension, with no multiplication table,
+    keeping the canonical class indices after filtering;
     ``full-group-only`` and ``targeted`` give rows with class index 0.
     """
-    from .catalog import build_group, load_group
-
     group = build_group(ambient_key)
     cubic = load_group(ambient_key).cubic
     l3 = detect_l3(group)

@@ -87,13 +87,15 @@ def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
 
 def coinvariant_rank(h: GroupView, traces: Sequence[int]) -> int:
     """23 minus the average over H of the trace on H^2(F(X)), from the
-    ambient's class_traces.
+    ambient's class_traces: one term per H-class, the trace of the ambient
+    class holding it times its size.
 
     The result must be an integer in [0, 20]; anything else means the
     shipped cubic or generators are wrong, a CatalogValidationError.
     """
-    _, class_of = h.ambient.view.class_map()
-    rank = Fraction(23 * h.order - sum(traces[class_of[x]] for x in h.members), h.order)
+    _, ambient_class_of = h.ambient.view.class_map()
+    total = sum(len(c) * traces[ambient_class_of[c[0]]] for c in h.class_map()[0])
+    rank = Fraction(23 * h.order - total, h.order)
     if rank.denominator != 1 or not 0 <= rank <= 20:
         raise CatalogValidationError(
             f"coinvariant rank {rank} of a subgroup of order {h.order} "

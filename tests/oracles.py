@@ -6,7 +6,9 @@ from the Moebius product of the x^d - 1), cyclotomic sums of products by
 schoolbook convolution, a direct trace over monomials
 for ranks on the Fermat cubic, element-by-element scans of the group
 table for the L3 set and the singular invariants, subgroup closures
-rebuilt breadth-first from the identity, a subgroup-class sweep that
+rebuilt breadth-first from the identity, the center by commuting with
+every element, normal closures grown to a fixpoint of conjugates, a
+subgroup-class sweep that
 joins every class with every cyclic subgroup by word-walk products and
 those closures, an enumeration by one exact product per Cayley-graph
 edge, and a reader of cyclotomic literals that adds, multiplies and
@@ -331,6 +333,26 @@ def greedy_gens(view, members):
             gens.append(x)
             covered = bfs_closure(view, gens)
     return tuple(gens)
+
+
+def commuting_center(view):
+    """The elements of the view that commute with every element of it."""
+    return frozenset(x for x in view.elements
+                     if all(view.mult(x, y) == view.mult(y, x) for y in view.elements))
+
+
+def fixpoint_normal_closure(view, seeds):
+    """The smallest normal subgroup of the view holding the seeds: the
+    seeds' closure, whose generators grow by their conjugates under the
+    view's generators until no conjugate is new, every closure rebuilt
+    from the identity."""
+    gens = {s for s in seeds if s}
+    while True:
+        members = bfs_closure(view, gens)
+        new = {view.mult(view.mult(view.inv(g), s), g) for s in gens for g in view.gens} - members
+        if not new:
+            return members
+        gens |= new
 
 
 def l3_trace_prefilter(mat) -> bool:

@@ -461,10 +461,16 @@ def test_stretch_full_sweep_a7(sweeps):
 
 
 # sha256 of `fanoterm table --group KEY --all-subgroups --format structured`,
-# pinned for the sweeps no benchmark workload runs
+# pinned for every ambient of order at most 2520
 SWEEP_DIGESTS = {
+    "A3_5": "e14b256f09cc123142259d89276c8757c745e44ae4edbd0c60ea771bec7a5718",
     "A7_perm": "c6e11f19e7b883fba7c4e1cdf94b796f213de4eff46b489868ba442165703132",
+    "A7_second": "2b07877fcb36942bc25d28e28a3b0d2067d701272367ef1076bc3da8dc6262ea",
     "G1944": "3ce43b4036c872bda1fd2d72a3e9fc6435b216cdb3ca1a5b50d8476c2e163501",
+    "L2_11": "1c33af162c46200f9cbe372be13dc3dfc9f36355a249cf13783836a433dfc469",
+    "M10_first": "c105162d5b056dc6f6b2183eb6cb308e4a173a54a7651d52e54771838e2c7d51",
+    "M10_second": "e7bae805b95639750f0080c4bde1ddd4e6959a27e017c0b84c0f24a555696772",
+    "Q8_S3": "573ba4da95512e065d0c3d709fa99792f789e3208d8f64f0e4d7c3166a467895",
 }
 
 

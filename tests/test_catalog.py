@@ -1,6 +1,6 @@
 import pytest
 
-from fanoterm import catalog
+from fanoterm import catalog, cli
 from fanoterm.catalog import (
     CatalogValidationError,
     build_group,
@@ -97,7 +97,8 @@ def corrupted(monkeypatch):
         real_read = catalog._read
         monkeypatch.setattr(catalog, "_read",
                             lambda name: bad if name == path else real_read(name))
-        monkeypatch.setattr(catalog, "_BUILD_MEMO", {})
+        # the uncached builder, so the session's cached groups are left as they are
+        monkeypatch.setattr(cli, "build_group", build_group.__wrapped__)
         load_group.cache_clear()
 
     yield apply
@@ -147,7 +148,7 @@ def _q8_s3_from(marker):
 def test_corrupted_definition_fails_build(corrupted, capsys, key, old, new, message):
     corrupted(key, old, new)
     with pytest.raises(CatalogValidationError, match=message):
-        build_group(key)
+        build_group.__wrapped__(key)
     assert cli_main(["validate-catalog", "--group", key]) == EXIT_VALIDATION
     out = capsys.readouterr().out
     assert out.startswith(f"FAIL {key}: ") and message in out and out.count(key) == 1

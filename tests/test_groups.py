@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from fanoterm.cyclo import ONE, ZERO, rational, root_of_unity
-from fanoterm import catalog, groups
+from fanoterm import catalog, cli, groups
 from fanoterm.catalog import group_keys, load_group
 from fanoterm.cli import EXIT_VALIDATION, main as cli_main
 from fanoterm.groups import (
@@ -24,8 +24,9 @@ from fanoterm.groups import (
     quotient_view,
 )
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
-from oracles import (all_joins_subgroup_classes, bfs_closure, bounded_closure, exact_bfs_group,
-                     greedy_gens, residue_bfs, subgroup_orbit)
+from oracles import (all_joins_subgroup_classes, bfs_closure, bounded_closure, commuting_center,
+                     exact_bfs_group, fixpoint_normal_closure, greedy_gens, residue_bfs,
+                     subgroup_orbit)
 
 W = root_of_unity(3, 1)
 
@@ -249,9 +250,6 @@ def test_generate_exact_product_count(monkeypatch, key, read_off):
     pytest.param(lambda: [perm_mat([1, 0, 2, 3, 4, 5, 6], 7), perm_mat([1, 2, 3, 4, 5, 6, 0], 7)],
                  id="7x7-S7"),
     pytest.param(lambda: [perm_mat(list(range(1, 17)) + [0], 17)], id="17x17-C17"),
-    # no prime below 256 is 1 mod 132, so residues are tuples mod 397
-    pytest.param(lambda: [diag([root_of_unity(132, 1), ONE]), perm_mat([1, 0], 2)],
-                 id="2x2-conductor-132"),
 ])
 def test_generate_matches_exact_bfs_on_small_groups(gens):
     _assert_same_enumeration(FinGroup.generate(gens()), exact_bfs_group(gens()))
@@ -412,32 +410,12 @@ def test_index_of_rejects_foreign_matrices_of_a_read_off_group(built):
         group.index_of(MatC(rows))
 
 
-def test_read_off_with_tuple_residues(monkeypatch, built):
-    # above 256 residues are tuples: the table check, the canonical order,
-    # the elements and index_of all read them as they read bytes
-    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 271)
-    definition = load_group("M10_first")
-    group = FinGroup.generate(definition.generators, cap=definition.order)
-    assert isinstance(group.elements.residues[0], tuple)
-    _assert_same_enumeration(group, built("M10_first"))
-    _assert_index_of_round_trips(group)
-
-
-def test_coset_proof_with_tuple_residues(monkeypatch):
-    # 257 = 1 mod 8 is above 256, so residues are tuples: the cosets place
-    # each element at the vertex of its tuple residue
-    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 257)
-    residues, exact_cosets = [], groups._exact_cosets
-
-    def recorded(gens, got, *args):
-        residues.extend(got)
-        return exact_cosets(gens, got, *args)
-
-    monkeypatch.setattr(groups, "_exact_cosets", recorded)
-    gens = load_group("Q8_S3").generators
-    group = FinGroup.generate(gens, cap=48)
-    assert len(residues) == 48 and isinstance(residues[0], tuple)
-    _assert_same_enumeration(group, exact_bfs_group(gens))
+def test_generate_refuses_a_conductor_with_no_residue_prime_below_256():
+    # a residue is one byte per entry, so its prime is below 256; no prime
+    # below 256 is 1 mod 132 (133 = 7 * 19, 265 = 5 * 53)
+    gens = [diag([root_of_unity(132, 1), ONE]), perm_mat([1, 0], 2)]
+    with pytest.raises(EnumerationUnproved, match="no usable residue prime below 256 for conductor 132"):
+        FinGroup.generate(gens)
 
 
 def test_generate_refuses_a_tampered_element(monkeypatch):
@@ -477,7 +455,8 @@ def test_generate_refuses_an_even_residue_prime(monkeypatch, capsys):
     monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 2)
     with pytest.raises(EnumerationUnproved, match="2 is not a usable residue prime"):
         FinGroup.generate(load_group("A7_perm").generators, cap=2520)
-    monkeypatch.setattr(catalog, "_BUILD_MEMO", {})
+    # the uncached builder, so the session's cached A7_perm is left as it is
+    monkeypatch.setattr(cli, "build_group", catalog.build_group.__wrapped__)
     assert cli_main(["validate-catalog", "--group", "A7_perm"]) == EXIT_VALIDATION
     assert capsys.readouterr().out.startswith("FAIL A7_perm: enumeration is not exact: ")
 
@@ -572,7 +551,7 @@ def test_conjugation_arrays_match_word_walks(built, key):
     view = group.view
     assert len(view.conjugations) == len(view.gens)
     for g, conjugation in zip(view.gens, view.conjugations):
-        assert list(conjugation) == [view.conj(x, g) for x in range(group.n)]
+        assert list(conjugation) == [group.mult(group.mult(group.inv(g), x), g) for x in range(group.n)]
     reference = GroupView(range(group.n), group.mult, group.inv, group.gen_idx, group)
     assert reference.conjugations is None
     (classes, class_of), (want_classes, want_class_of) = view.class_map(), reference.class_map()
@@ -591,6 +570,21 @@ def test_whole_group_class_map_holds_the_groups_ints(built):
     assert all(x is view.elements[x] for c in classes for x in c)
     assert len(class_of) == view.order
     assert all(x in classes[class_of[x]] for x in view.elements)
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first"])
+def test_center_and_normal_closures_match_the_oracles(built, key):
+    # on every sweep class H, the reads of its class map against brute
+    # force: the center order against commuting with every element, and
+    # the normal closure of each class's least element, and of the least
+    # elements of two classes, against a fixpoint of conjugates
+    for h in built(key).subgroup_conjugacy_classes():
+        assert fingerprint(h).center_order == len(commuting_center(h)), (h.order, h.gens)
+        reps = [c[0] for c in h.class_map()[0][1:]]
+        for seeds in [[x] for x in reps] + [reps[:2]]:
+            members, gens = h.normal_closure(seeds)
+            assert members == fixpoint_normal_closure(h, seeds), (h.order, h.gens, seeds)
+            assert bfs_closure(h, gens) == members
 
 
 def test_conjugacy_classes_a7(built):

@@ -149,7 +149,8 @@ def _brute_force_sample(group, l3, key):
     return group.subgroup_conjugacy_classes()
 
 
-@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "G1944", "C3_4_A6"])
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "G1944", "A7_perm",
+                                 "C3_4_A6"])
 def test_singular_invariants_match_brute_force(built, key):
     # the class-map invariants agree with orbits under every element of H
     group = built(key)
