@@ -402,7 +402,7 @@ def catalog_text():
         group = builder()
         if group.n != order:
             raise SystemExit(f"recipe ({order},{gid}) built a group of order {group.n}")
-        t1 = fingerprint(group.view).tier1
+        t1 = tuple(fingerprint(group.view))
         if t1 in seen:
             raise SystemExit(f"fingerprint collision between ({order},{gid}) and {seen[t1]}")
         seen[t1] = (order, gid)

@@ -337,10 +337,6 @@ class CycloNum:
         return self.n
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    @property
     def is_zero(self) -> bool:
         return self.n == 1 and self.num[0] == 0
 

@@ -26,18 +26,19 @@ subgroup <s>, each element placed at the vertex of its residue: one to
 one onto the vertices, reduction proves every edge.  A failed proof is
 an error, so generators of an infinite group never yield a group.
 
-After enumeration the group theory runs on element indices:
-``FinGroup.mult`` walks the element's generator word through
-per-generator translation tables.  Conjugation by each generator is one
-array, built with the group from the inverses and those tables, so the
-whole group's class map and the sweep's subgroup orbits are lookups.
-Matrices are multiplied again only per conjugacy class, by the L3 test
-and the class traces of the rank.  No multiplication table is built: a
-closure maps a coset through one translation table per letter, and the
-involution-guided subgroup sweep conjugates through the per-generator
-arrays.  Every conjugacy question about a subgroup (its classes, center,
-normal closures and normality of a divisor) is a read of its memoized
-class map.  All derived data
+After enumeration the group theory runs on element indices.  A
+``FinGroup`` is the Cayley graph of its generators: ``mult`` walks an
+element's generator word through per-generator translation tables, and
+conjugation by each generator is one array, built from the inverses
+and those tables, so conjugation by any element walks its word through
+arrays.  A quotient acts regularly on its cosets, so it is a
+``FinGroup`` too, and every subgroup and quotient is a ``GroupView``,
+a member set of one.  Matrices are multiplied again only per conjugacy
+class, by the L3 test and the class traces of the rank.  No
+multiplication table is built: a closure maps a coset through one
+translation table per letter.  Every conjugacy question about a
+subgroup (its classes, center, normal closures and normality of a
+divisor) is a read of its memoized class map.  All derived data
 (orderings, class lists, subgroup lattices) is canonical: two runs
 produce identical output.
 """
@@ -542,40 +543,31 @@ class _Indices(Set):
 
 
 class GroupView:
-    """A finite group on element indices: an enumerated group, a subgroup of
-    it or a quotient.
+    """A finite group on element indices: a member set of a ``FinGroup``,
+    its ``ambient``, whether the whole enumerated group, a subgroup of it
+    or a quotient (itself a ``FinGroup`` on coset indices).
 
-    ``members`` is the set of element ids valid for ``mult``/``inv`` (a
-    frozenset, or for a whole enumerated group its ``_Indices``) and
-    ``elements`` the same ids in increasing order, so the identity id 0 is
-    always the first element.  ``ambient`` is the FinGroup whose indices a
-    subgroup uses, or None for a quotient.  ``conjugations``, when given,
-    holds per generator g the array x -> g^-1 x g, which the class map
-    reads instead of multiplying.  ``coset``, when given,
-    maps (y, xs) to the list of the products y x, x in xs, in one pass;
-    the closure builds each coset with it.  A view memoizes its element
-    orders and its class map; nothing else about it changes.
+    ``members`` is a set of the ambient's element ids (a frozenset, or for
+    the whole group its ``_Indices``) and ``elements`` the same ids in
+    increasing order, so the identity id 0 is always the first element.
+    ``mult``, ``inv`` and ``coset`` are the ambient's.  A view memoizes its
+    element orders and its class map; nothing else about it changes.
     """
 
-    __slots__ = ("elements", "members", "mult", "inv", "gens", "ambient", "conjugations",
-                 "coset", "_order_cache", "_class_map")
+    __slots__ = ("elements", "members", "mult", "inv", "coset", "gens", "ambient",
+                 "_order_cache", "_class_map")
 
-    def __init__(self, members: Iterable[int], mult: Callable[[int, int], int],
-                 inv: Callable[[int], int], gens: Sequence[int],
-                 ambient: Optional["FinGroup"],
-                 conjugations: Optional[Sequence[Sequence[int]]] = None,
-                 coset: Optional[Callable[[int, Sequence[int]], list[int]]] = None):
+    def __init__(self, members: Iterable[int], gens: Sequence[int], ambient: "FinGroup"):
         if isinstance(members, _Indices):
             self.members, self.elements = members, members.elements
         else:
             self.members = frozenset(members)
             self.elements = tuple(sorted(self.members))
-        self.mult = mult
-        self.inv = inv
+        self.mult = ambient.mult
+        self.inv = ambient.inv
+        self.coset = ambient.coset
         self.gens = tuple(gens)
         self.ambient = ambient
-        self.conjugations = conjugations
-        self.coset = coset
         self._order_cache: dict[int, int] = {}
         self._class_map: Optional[tuple[tuple[tuple[int, ...], ...],
                                         list[int] | dict[int, int]]] = None
@@ -600,13 +592,12 @@ class GroupView:
         """The subgroup generated by gens, grown from ``base``, a known
         subgroup of it, by cosets (Dimino; Butler, LNCS 559, 1991): per
         coset representative e and generator s, y = s e lies in a known
-        coset or starts the coset y base (by ``coset``, if the view has it).
+        coset or starts the coset y base, built by ``coset``.
         When gens and base are members, a result past half this view's
         order is the whole group (Lagrange), so the closure stops there.
         It returns None at its first element of ``forbidden`` outside base."""
         gen_list = sorted({g for g in gens if g != 0})
-        members, mult = self.members, self.mult
-        coset = self.coset or (lambda y, xs: [mult(y, b) for b in xs])
+        members, mult, coset = self.members, self.mult, self.coset
         half = self.order // 2 if members.issuperset(gen_list) and members.issuperset(base) else math.inf
         seen, reps = set(base), [0]
         rest = [b for b in base if b]  # y 0 is y
@@ -638,14 +629,14 @@ class GroupView:
 
     def sub(self, members: Iterable[int], gens: Sequence[int]) -> "GroupView":
         """The subgroup with these members and generators, in this view."""
-        return GroupView(members, self.mult, self.inv, gens, self.ambient, coset=self.coset)
+        return GroupView(members, gens, self.ambient)
 
     def class_map(self) -> tuple[tuple[tuple[int, ...], ...], list[int] | dict[int, int]]:
         """The orbits of the conjugation action and the class index of every
         element, memoized on the view.  Each orbit is found from its least
         member, so the classes come out sorted by it.  Conjugation by a
-        generator g, x -> g^-1 x g, is an array lookup when the view has the
-        arrays, else two products.
+        generator g, x -> g^-1 x g, is the ambient's ``conjugator``: one
+        array lookup per letter of g's word.
 
         The class index is looked up by element: for a whole enumerated
         group, whose elements are the indices 0 <= x < n, it is a list, and
@@ -653,12 +644,7 @@ class GroupView:
         conjugation arrays return; for any other view it is a dict.  The
         orbits' sets are transient."""
         if self._class_map is None:
-            if self.conjugations is not None:
-                conjugators = [c.__getitem__ for c in self.conjugations]
-            else:
-                mult = self.mult
-                conjugators = [lambda x, g=g, g_inv=self.inv(g): mult(mult(g_inv, x), g)
-                               for g in self.gens]
+            conjugators = list(map(self.ambient.conjugator, self.gens))
             elements = self.elements
             whole = isinstance(self.members, _Indices)
             classes = []
@@ -743,18 +729,19 @@ class _ReadOffElements:
 
 
 class FinGroup:
-    """A fully enumerated finite subgroup of PGL_d.
-
-    ``elements[0]`` is the identity; the remaining elements are sorted by
-    the entries of their normal forms (see ``generate``), so the indexing
-    is reproducible across runs; for a group read off its residues it is
-    a ``_ReadOffElements``.  Nothing about the group changes after
-    construction.  Per element it keeps a word, the ``bytes`` of its
-    generator letters, one index in each generator's translation table and
-    its inverse (and, read off, its recoded residue), and these index lists
-    and the view's members share one int object per index.  Its view holds
-    one ``array('I')`` per generator g, x -> g^-1 x g, and memoizes element
-    orders and the class map.
+    """A finite group on the indices 0 <= x < n, as the Cayley graph of
+    its generators: ``perms[a][x]`` is the index of g_a x, so g_a is
+    ``perms[a][0]``, and ``words[x]`` the ``bytes`` of letters a_1 ... a_k
+    with x = g_ak ... g_a1.  ``elements[x]`` is, for a group enumerated in
+    PGL_d (``generate``), the normal form of x, the identity first and the
+    rest sorted by their entries, so the indexing is reproducible (read off
+    residues, a ``_ReadOffElements``); for a quotient (``quotient_view``,
+    ``dim`` None), the least member of coset x.  Nothing about the group
+    changes after construction.  Per element it keeps its word, one index
+    in each translation table, its inverse and one entry in each
+    generator's conjugation array x -> g^-1 x g, an ``array('I')`` (and,
+    read off, its recoded residue); these index lists and the view's
+    members share one int object per index.
 
     Building it holds no second copy of a per-element list: the BFS's keys
     are freed before its residues are built, the residues are recoded in
@@ -763,10 +750,10 @@ class FinGroup:
     conjugation array is built.
     """
 
-    def __init__(self, elements, gen_elem_idx, perms, words, dim):
-        self.elements: Sequence[MatC] = elements
+    def __init__(self, elements, perms, words, dim):
+        self.elements: Sequence = elements
         self.dim = dim
-        self.gen_idx: tuple[int, ...] = tuple(gen_elem_idx)
+        self.gen_idx: tuple[int, ...] = tuple(perm[0] for perm in perms)
         self._perms: list[list[int]] = perms
         self._rword: list[bytes] = words
         self._index: Optional[dict] = None  # built by the first index_of
@@ -785,11 +772,10 @@ class FinGroup:
         # g^-1 x g = g^-1 (g^-1 x^-1)^-1: per generator, two passes of the
         # inverse and two of left multiplication by g^-1; each inverse
         # permutation is dropped as soon as its array is built
-        conjugations = [array("I", map(q.__getitem__, map(inv.__getitem__,
-                                                           map(q.__getitem__, inv))))
-                        for q in map(inv_perms.pop, [0] * len(inv_perms))]
-        self.view = GroupView(_Indices(ids), self.mult, self.inv, self.gen_idx, self,
-                              conjugations, self.coset)
+        self._conjugations = [array("I", map(q.__getitem__, map(inv.__getitem__,
+                                                                map(q.__getitem__, inv))))
+                              for q in map(inv_perms.pop, [0] * len(inv_perms))]
+        self.view = GroupView(_Indices(ids), self.gen_idx, self)
 
     # -- construction -----------------------------------------------------
 
@@ -892,9 +878,8 @@ class FinGroup:
         # one generator at a time, so one old table at most is held beside the new ones
         for a in range(len(perms)):
             perms[a] = list(map(relabel.__getitem__, map(perms[a].__getitem__, order)))
-        gen_elem_idx = [perm[0] for perm in perms]
         del order, relabel
-        return cls(elements, gen_elem_idx, perms, words, dim)
+        return cls(elements, perms, words, dim)
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -947,6 +932,23 @@ class FinGroup:
             xs = map(self._perms[a].__getitem__, xs)
         return list(xs)
 
+    def _conjugation_arrays(self, h: int) -> list[array]:
+        """The arrays that map x -> h^-1 x h in turn: for h = g_ak ... g_a1,
+        word a_1 ... a_k, conjugation by g_ak first."""
+        return [self._conjugations[a] for a in reversed(self._rword[h])]
+
+    def conjugator(self, h: int) -> Callable[[int], int]:
+        """x -> h^-1 x h, one array lookup per letter of h's word."""
+        arrays = self._conjugation_arrays(h)
+        if len(arrays) == 1:
+            return arrays[0].__getitem__
+
+        def conj(x: int) -> int:
+            for arr in arrays:
+                x = arr[x]
+            return x
+        return conj
+
     # -- subgroup conjugacy sweep -------------------------------------------
 
     def subgroup_conjugacy_classes(self) -> list[GroupView]:
@@ -963,8 +965,8 @@ class FinGroup:
         generators of the walk registering each conjugate by its sorted
         members (Holt, Eick and O'Brien, 2005).
         """
-        view, n, mult, inv, words = self.view, self.n, self.mult, self._inv, self._rword
-        conjugations, involutions = view.conjugations, view.involutions()
+        view, n, mult, inv = self.view, self.n, self.mult, self._inv
+        involutions = view.involutions()
         forbidden = frozenset(involutions)
         half = [0] * n  # the involution x^k of <x> for x of order 2k, 0 for odd orders
         for c in view.class_map()[0]:
@@ -973,7 +975,7 @@ class FinGroup:
                 half[x] = reduce(lambda y, _: mult(x, y), range(k - 1), x)
         code = "H" if n <= 1 << 16 else "I"
         spanning = set(view.span(self.gen_idx)[1])  # generators enough to generate G
-        steps = [(conj, g) for conj, g in zip(conjugations, self.gen_idx) if g in spanning]
+        steps = [(conj, g) for conj, g in zip(self._conjugations, self.gen_idx) if g in spanning]
 
         def walk(first: array):
             """The conjugation orbit of sorted members, point i first^trans[i],
@@ -1010,14 +1012,12 @@ class FinGroup:
             registered.update(where)
             r = min(range(len(points)), key=points.__getitem__)
             rep, t = points[r], trans[r]
-            # N_G(K^t) = N_G(K)^t; x^h for h = g_ak ... g_a1, word a_1 ... a_k,
-            # conjugates by g_ak first
-            letters = [[conjugations[a].__getitem__ for a in reversed(words[mult(mult(inv[t], h), t)])]
-                       for h in normalizer]
+            # N_G(K^t) = N_G(K)^t
+            letters = [self._conjugation_arrays(mult(mult(inv[t], h), t)) for h in normalizer]
             classes.append((frozenset(members) if r == 0 else frozenset(rep), rep,
                             gens if r == 0 else view.span(rep)[1], letters))
 
-        def orbit(xs: Sequence[int], letters: list[list[Callable]]) -> set[int]:
+        def orbit(xs: Sequence[int], letters: list[list[array]]) -> set[int]:
             """The union of the N_G(K)-orbits of xs: a map per letter and layer."""
             seen, layer = set(xs), list(xs)
             while layer:
@@ -1025,7 +1025,7 @@ class FinGroup:
                 for word in letters:
                     ys = layer
                     for conj in word:
-                        ys = map(conj, ys)
+                        ys = map(conj.__getitem__, ys)
                     found.update(ys)
                 layer = list(found - seen)
                 seen.update(layer)
@@ -1057,33 +1057,39 @@ class FinGroup:
 
 
 def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
-    """Quotient of a view's group by a normal subgroup, over its coset table.
-
-    Cosets are represented by their minimal member; normality of the
-    divisor is the caller's responsibility (checked in quotient_group).
-    The whole view as divisor gives the one-element group at once.
-    """
+    """The quotient of a view's group by a normal subgroup N, as the view
+    of a FinGroup on the cosets, numbered in order of their least members.
+    The group acts regularly on them, so each distinct nontrivial
+    generator coset has one translation table, one product per coset, and
+    the words come from a breadth-first walk from N.  Normality is the
+    caller's responsibility (checked in quotient_group); N the whole view
+    gives the one-element group at once."""
     if len(normal_members) == view.order:
-        return GroupView((0,), lambda a, b: 0, lambda a: 0, (), None)
+        return FinGroup([0], [], [b""], None).view
+    coset = view.ambient.coset
+    nm = sorted(normal_members)
     coset_of: dict[int, int] = {}
     reps: list[int] = []
-    nm = sorted(normal_members)
     for x in view.elements:
-        if x in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(x)
-        for n_ in nm:
-            coset_of[view.mult(x, n_)] = cid
-    m = len(reps)
-    table = [[coset_of[view.mult(reps[a], reps[b])] for b in range(m)] for a in range(m)]
-    gens = []
+        if x not in coset_of:
+            coset_of.update(dict.fromkeys(coset(x, nm), len(reps)))
+            reps.append(x)
+    perms: list[list[int]] = []
+    found = {0}
     for g in view.gens:
         q = coset_of[g]
-        if q and q not in gens:
-            gens.append(q)
-    inv = [row.index(0) for row in table]
-    return GroupView(range(m), lambda a, b: table[a][b], inv.__getitem__, gens, None)
+        if q not in found:
+            found.add(q)
+            perms.append(list(map(coset_of.__getitem__, coset(g, reps))))
+    words: list[Optional[bytes]] = [b""] + [None] * (len(reps) - 1)
+    queue = [0]
+    for x in queue:
+        for a, perm in enumerate(perms):
+            y = perm[x]
+            if words[y] is None:
+                words[y] = words[x] + bytes((a,))
+                queue.append(y)
+    return FinGroup(reps, perms, words, None).view
 
 
 def quotient_group(h: GroupView, n: GroupView) -> GroupView:
@@ -1126,10 +1132,6 @@ class Fingerprint(NamedTuple):
     abelian_invariants: tuple[int, ...]
     center_order: int
     derived_sizes: tuple[int, ...]
-
-    @property
-    def tier1(self) -> tuple:
-        return tuple(self)
 
 
 def _abelian_invariants(q: GroupView) -> tuple[int, ...]:
@@ -1246,7 +1248,7 @@ def identify(view: GroupView):
     if n >= IDENTIFY_ORDER_FLOOR:
         return GroupId(n, 0)
     fp = fingerprint(view)
-    hits = _load_id_catalog().get(fp.tier1, [])
+    hits = _load_id_catalog().get(fp, [])
     if len(hits) == 1:
         return hits[0]
-    return UnidentifiedGroup(n, fp.tier1)
+    return UnidentifiedGroup(n, tuple(fp))

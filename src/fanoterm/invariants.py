@@ -208,12 +208,8 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
     cubic = load_group(ambient_key).cubic
     l3 = detect_l3(group)
     if mode == "full-sweep":
-        classes = group.subgroup_conjugacy_classes()
-        records = records_for_classes(l3, cubic, list(enumerate(classes, start=1)))
-        if not all_subgroups:
-            records = [r for r in records if not r.terminal]
-        return records
-    if mode == "full-group-only":
+        pairs = list(enumerate(group.subgroup_conjugacy_classes(), start=1))
+    elif mode == "full-group-only":
         pairs = [(0, group.view)]
     elif mode == "targeted":
         if not targeted:
@@ -222,7 +218,7 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
     else:
         raise ValueError(f"unknown mode {mode!r}")
     records = records_for_classes(l3, cubic, pairs)
-    if not all_subgroups and mode == "targeted":
+    if not all_subgroups and mode != "full-group-only":
         records = [r for r in records if not r.terminal]
     return records
 

@@ -355,6 +355,72 @@ def fixpoint_normal_closure(view, seeds):
         gens |= new
 
 
+def product_class_map(view):
+    """The conjugacy classes of the view, each sorted and found from its
+    least member, and the class index of every element: the orbits of the
+    view's generators, by two products x -> g^-1 x g per generator and
+    element."""
+    classes, class_of = [], {}
+    for x in view.elements:
+        if x in class_of:
+            continue
+        orbit, queue = {x}, [x]
+        for y in queue:
+            for g in view.gens:
+                z = view.mult(view.mult(view.inv(g), y), g)
+                if z not in orbit:
+                    orbit.add(z)
+                    queue.append(z)
+        class_of.update(dict.fromkeys(orbit, len(classes)))
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes), class_of
+
+
+class CosetTable:
+    """A group given by its multiplication table: the ambient of the views
+    that coset_table_quotient returns, with every product looked up in the
+    table and conjugation by g as two products."""
+
+    def __init__(self, table):
+        self.table = table
+        self._inv = [row.index(0) for row in table]
+
+    def mult(self, a, b):
+        return self.table[a][b]
+
+    def inv(self, a):
+        return self._inv[a]
+
+    def coset(self, y, xs):
+        return [self.table[y][x] for x in xs]
+
+    def conjugator(self, g):
+        table, g_inv = self.table, self._inv[g]
+        return lambda x: table[table[g_inv][x]][g]
+
+
+def coset_table_quotient(view, normal_members):
+    """The view's group modulo a normal subgroup over its m x m coset
+    table, one product per entry, cosets numbered in order of their least
+    members: the reference for groups.quotient_view."""
+    from fanoterm.groups import GroupView
+
+    coset_of, reps = {}, []
+    nm = sorted(normal_members)
+    for x in view.elements:
+        if x not in coset_of:
+            for n in nm:
+                coset_of[view.mult(x, n)] = len(reps)
+            reps.append(x)
+    table = [[coset_of[view.mult(a, b)] for b in reps] for a in reps]
+    gens = []
+    for g in view.gens:
+        q = coset_of[g]
+        if q and q not in gens:
+            gens.append(q)
+    return GroupView(range(len(reps)), gens, CosetTable(table))
+
+
 def l3_trace_prefilter(mat) -> bool:
     """Eigenvalue-multiset test: tr(M) != 0 and tr(M)^2 + 3 tr(M^2) = 0.
 
@@ -519,9 +585,7 @@ def exact_bfs_group(gens, cap: int = 250000):
     for new, old in enumerate(order):
         relabel[old] = new
     new_perms = [[relabel[p[old]] for old in order] for p in perms]
-    gen_elem_idx = [relabel[index[g]] for g in gens_p]
-    return FinGroup([elems[i] for i in order], gen_elem_idx, new_perms,
-                    [words[i] for i in order], dim)
+    return FinGroup([elems[i] for i in order], new_perms, [words[i] for i in order], dim)
 
 
 def residue_bfs(gen_residues, d: int, p: int, cap: int):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -276,6 +277,28 @@ def test_fingerprint_command(capsys):
     code, out, _ = run_cli(capsys, "fingerprint", "--group", "Q8_S3")
     assert code == EXIT_OK
     assert "identification: (48,29)" in out
+
+
+# sha256 of `fanoterm fingerprint --group KEY`, pinned for every ambient
+# file: its derived series runs through nested quotients
+FINGERPRINT_DIGESTS = {
+    "A3_5": "bcaa5c45b7ce9e444853f1bda86aa73e07c259f7d0d862f203a2108dc73cf3b9",
+    "A7_perm": "988ff1ccabdbb3e92ecdbc67776e59bf025054e02e4386ad57b912e26f958592",
+    "A7_second": "ca866ac45af5963e4b610c1f27e6b59fc026899118758b6db14dbd3cef7373a6",
+    "C3_4_A6": "eb60b4b7e2d20e9fe3d014bb86263ade0bfed24f1a89de04ea001d0703e1e868",
+    "G1944": "9dbbe584147991f7c4c31148e861396fc32789f041546e21f778ee0f9a6dea13",
+    "L2_11": "3ed3fd54948cd771434bc0cd8418399e48c6d03643fbb6ffcf6f836c34551075",
+    "M10_first": "19f5e4ed135933623ee2282b11db6e05e2e4537784958ed35be1749f4255e9ed",
+    "M10_second": "d281979adc808526ea56b5c462e2a99172ba62d422615b45022b8107db0454cf",
+    "Q8_S3": "2b5655c0ff1324427ac34b26545295c5e1186e763e90f803f0063d6114647b83",
+}
+
+
+@pytest.mark.parametrize("key", sorted(FINGERPRINT_DIGESTS))
+def test_fingerprint_output_is_pinned(capsys, key):
+    code, out, _ = run_cli(capsys, "fingerprint", "--group", key)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == FINGERPRINT_DIGESTS[key]
 
 
 def test_validate_catalog_single(capsys):

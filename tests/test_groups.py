@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 import signal
@@ -25,8 +26,8 @@ from fanoterm.groups import (
 )
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
 from oracles import (all_joins_subgroup_classes, bfs_closure, bounded_closure, commuting_center,
-                     exact_bfs_group, fixpoint_normal_closure, greedy_gens, residue_bfs,
-                     subgroup_orbit)
+                     coset_table_quotient, exact_bfs_group, fixpoint_normal_closure, greedy_gens,
+                     product_class_map, residue_bfs, subgroup_orbit)
 
 W = root_of_unity(3, 1)
 
@@ -544,17 +545,17 @@ def test_conjugacy_classes_trivial_and_abelian():
 @pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", "M10_second", "G1944",
                                  "A7_perm", "A7_second"])
 def test_conjugation_arrays_match_word_walks(built, key):
-    # the arrays built from the inverses against two word-walk products
-    # per element, and the class map read from them against the class map
-    # of a view without them
+    # the conjugator of each generator, one array, and of a few longer
+    # words against two word-walk products per element, and the class map
+    # read from them against the brute-force one by products
     group = built(key)
     view = group.view
-    assert len(view.conjugations) == len(view.gens)
-    for g, conjugation in zip(view.gens, view.conjugations):
-        assert list(conjugation) == [group.mult(group.mult(group.inv(g), x), g) for x in range(group.n)]
-    reference = GroupView(range(group.n), group.mult, group.inv, group.gen_idx, group)
-    assert reference.conjugations is None
-    (classes, class_of), (want_classes, want_class_of) = view.class_map(), reference.class_map()
+    rng = random.Random(29)
+    for h in view.gens + tuple(rng.sample(range(1, group.n), 3)):
+        conj = group.conjugator(h)
+        assert list(map(conj, range(group.n))) == [group.mult(group.mult(group.inv(h), x), h)
+                                                   for x in range(group.n)]
+    (classes, class_of), (want_classes, want_class_of) = view.class_map(), product_class_map(view)
     assert classes == want_classes
     assert [class_of[x] for x in range(group.n)] == [want_class_of[x] for x in range(group.n)]
     assert len(class_of) == len(want_class_of) == group.n
@@ -587,6 +588,23 @@ def test_center_and_normal_closures_match_the_oracles(built, key):
             assert bfs_closure(h, gens) == members
 
 
+@pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first"])
+def test_quotients_match_the_coset_table(built, key):
+    # on every sweep class H, the quotients by <S & H> and by the derived
+    # subgroup against the coset-table quotient in fingerprint, and the
+    # conjugator of every quotient element, its generators' one array,
+    # against two products
+    for h in built(key).subgroup_conjugacy_classes():
+        commutators = {h.mult(h.mult(h.inv(a), h.inv(b)), h.mult(a, b)) for a in h.gens for b in h.gens}
+        for normal in (h.span(h.involutions())[0], fixpoint_normal_closure(h, commutators)):
+            q = quotient_view(h, normal)
+            assert fingerprint(q) == fingerprint(coset_table_quotient(h, normal)), (h.order, h.gens)
+            for g in q.elements:
+                conj = q.ambient.conjugator(g)
+                assert list(map(conj, q.elements)) == [q.mult(q.mult(q.inv(g), x), g)
+                                                       for x in q.elements], (h.order, h.gens, g)
+
+
 def test_conjugacy_classes_a7(built):
     a7 = built("A7_perm")
     assert len(a7.view.class_map()[0]) == 9
@@ -602,22 +620,39 @@ def test_subgroup_closure():
     assert g.subgroup(gens=invs).order == 6
 
 
+@contextlib.contextmanager
+def counted_products(group):
+    """Wrap the group instance's mult and coset, which the views built
+    meanwhile read, to list every product they make."""
+    products = []
+    mult, coset = group.mult, group.coset
+
+    def counted_mult(a, b):
+        products.append((a, b))
+        return mult(a, b)
+
+    def counted_coset(y, xs):
+        products.extend((y, x) for x in xs)
+        return coset(y, xs)
+
+    group.mult, group.coset = counted_mult, counted_coset
+    try:
+        yield products
+    finally:
+        del group.mult, group.coset
+
+
 def test_closure_stops_past_half_the_order(built):
     # a subgroup larger than half the group is the group (Lagrange), so the
     # closure of the whole group's generators stops with far fewer than the
     # n k products of a full closure
     l2 = built("L2_11")
-    products = []
-
-    def mult(a, b):
-        products.append((a, b))
-        return l2.mult(a, b)
-
-    view = GroupView(range(l2.n), mult, l2.inv, l2.gen_idx, l2)
+    with counted_products(l2) as products:
+        view = GroupView(range(l2.n), l2.gen_idx, l2)
     assert view.closure(l2.gen_idx) is view.members
-    assert len(products) < l2.n * len(l2.gen_idx) * 3 // 4
+    assert 0 < len(products) < l2.n * len(l2.gen_idx) * 3 // 4
     # generators outside the view never stop the closure early
-    inner = GroupView((0,), l2.mult, l2.inv, (), l2)
+    inner = GroupView((0,), (), l2)
     assert inner.closure(l2.gen_idx) == frozenset(range(l2.n))
 
 
@@ -625,8 +660,7 @@ def test_closure_stops_past_half_the_order(built):
 def test_closure_from_a_base_matches_the_oracle(built, key):
     # closure(gens, base), base generated by some of gens, against the
     # breadth-first closure from the identity: on the group's view, whose
-    # cosets walk a word over base, a view of the same group that makes
-    # one product per coset element, a quotient (by the least normal
+    # cosets walk a word over base, a quotient (by the least normal
     # closure of one element), and a subgroup view holding base but not
     # every generator, where the closure must not stop at half the view's
     # order and makes k products per coset of base and |base| - 1 per
@@ -635,8 +669,7 @@ def test_closure_from_a_base_matches_the_oracle(built, key):
     classes, _ = group.view.class_map()
     normal = min((group.view.normal_closure([c[0]])[0] for c in classes[1:]), key=len)
     rng, pick = random.Random(19), random.Random(23)
-    product_view = GroupView(range(group.n), group.mult, group.inv, group.gen_idx, group)
-    for view in (group.view, product_view, quotient_view(group.view, normal)):
+    for view in (group.view, quotient_view(group.view, normal)):
         for _ in range(8):
             gens = rng.sample(view.elements, rng.randint(1, min(3, view.order)))
             cut = rng.randrange(len(gens))
@@ -648,13 +681,8 @@ def test_closure_from_a_base_matches_the_oracle(built, key):
             for forbidden in (frozenset(pick.sample(view.elements, min(2, view.order))),
                               frozenset(view.elements) - want):
                 assert view.closure(gens, base, forbidden) == (None if forbidden & (want - base) else want)
-            products = []
-
-            def mult(a, b, view=view):
-                products.append((a, b))
-                return view.mult(a, b)
-
-            inner = GroupView(base, mult, view.inv, gens[:cut], view.ambient)
+            with counted_products(view.ambient) as products:
+                inner = GroupView(base, gens[:cut], view.ambient)
             assert inner.closure(gens, base) == want
             index, k = len(want) // len(base), len({g for g in gens if g})
             assert len(products) == index * k + (index - 1) * (len(base) - 1)
@@ -857,7 +885,7 @@ def test_generate_canonical_order_reproducible():
 
 
 def test_fingerprint_separates_small_groups():
-    fps = {name: fingerprint(g().view).tier1 for name, g in [("S3", S3), ("C6", C6), ("A4", A4)]}
+    fps = {name: fingerprint(g().view) for name, g in [("S3", S3), ("C6", C6), ("A4", A4)]}
     assert len(set(fps.values())) == 3
 
 
