@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import importlib.resources as res
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import data as _data
 from .cyclo import ONE, CycloNum, parse_cyclo
@@ -48,6 +48,11 @@ def _read(name: str) -> str:
     return (res.files(_data) / name).read_text()
 
 
+def _data_lines(text: str) -> Iterator[str]:
+    """The stripped lines of a data file, without blank and ``#`` lines."""
+    return (line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#"))
+
+
 @lru_cache(maxsize=None)
 def group_keys() -> tuple[str, ...]:
     root = res.files(_data) / "groups"
@@ -66,10 +71,7 @@ def load_group(key: str) -> GroupDefinition:
     header: dict[str, str] = {}
     gens: list[list[list[str]]] = []
     current: Optional[list[list[str]]] = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _data_lines(text):
         if line.startswith("generator ") and line.endswith(":"):
             current = []
             gens.append(current)
@@ -150,25 +152,14 @@ def build_group(key: str) -> FinGroup:
 
 @lru_cache(maxsize=None)
 def load_rank_rows() -> tuple[tuple[str, GroupId, int], ...]:
-    rows = []
-    for line in _read("rkl.table").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, order_s, id_s, rank_s = line.split()
-        rows.append((label, GroupId(int(order_s), int(id_s)), int(rank_s)))
-    return tuple(rows)
+    rows = map(str.split, _data_lines(_read("rkl.table")))
+    return tuple((label, GroupId(int(order), int(gid)), int(rank))
+                 for label, order, gid, rank in rows)
 
 
 def _load_b2_table(name: str) -> dict[int, tuple[int, ...]]:
-    out: dict[int, tuple[int, ...]] = {}
-    for line in _read(name).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [int(x) for x in line.split()]
-        out[parts[0]] = tuple(parts[1:])
-    return out
+    rows = [tuple(map(int, line.split())) for line in _data_lines(_read(name))]
+    return {row[0]: row[1:] for row in rows}
 
 
 @lru_cache(maxsize=None)
@@ -188,10 +179,7 @@ def load_fixtures(path: Optional[str] = None) -> tuple[ObstructionEntry, ...]:
         with open(path) as fh:
             text = fh.read()
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in _data_lines(text):
         order, gid, b2, ambient = (int(x) for x in line.split())
         if order <= 0 or ambient <= 0:
             raise ValueError(f"fixture row {line!r}: orders must be positive")

@@ -45,6 +45,7 @@ produce identical output.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -105,11 +106,6 @@ def _normalize(mat: MatC) -> MatC:
 # map from Z[1/D][zeta_N] onto Z/m when m is coprime to D.  A matrix is
 # reduced to the flat row-major ``bytes`` of its entries' residues, as
 # m < 256.
-
-
-def _is_prime(m: int) -> bool:
-    """Trial division, as a residue prime is small: 1 mod N and below 256."""
-    return m > 1 and all(m % q for q in range(2, math.isqrt(m) + 1))
 
 
 def _cyclotomic_root(m: int, n_cond: int) -> Optional[int]:
@@ -195,7 +191,7 @@ def _residue_prime(gens: Sequence[MatC], n_cond: int) -> int:
     """The largest usable residue prime below 256, so that a residue is
     one ``bytes``; EnumerationUnproved when the conductor N leaves none."""
     for p in range(1 + n_cond * (254 // n_cond), 2, -n_cond):
-        if _is_prime(p) and _prime_data(p, n_cond, gens) is not None:
+        if _prime_factors(p) == (p,) and _prime_data(p, n_cond, gens) is not None:
             return p
     raise EnumerationUnproved(f"no usable residue prime below 256 for conductor {n_cond}")
 
@@ -756,7 +752,6 @@ class FinGroup:
         self.gen_idx: tuple[int, ...] = tuple(perm[0] for perm in perms)
         self._perms: list[list[int]] = perms
         self._rword: list[bytes] = words
-        self._index: Optional[dict] = None  # built by the first index_of
         # each perm holds every index once: its ints are the group's, and the
         # inverses and the view's members reuse them
         ids = tuple(sorted(perms[0])) if perms else (0,)
@@ -898,18 +893,21 @@ class FinGroup:
         return self._inv[i]
 
     def index_of(self, mat: MatC) -> int:
-        """The index of the element with lift ``mat``, any scalar multiple,
-        looked up by residue in a group read off its residues."""
-        elements = self.elements
-        read_off = isinstance(elements, _ReadOffElements)
+        """The index of the element with lift ``mat``, any scalar multiple;
+        KeyError when there is none.  A group read off its residues
+        bisects its recoded residues after the identity, which are sorted;
+        any other group scans its normal forms."""
+        elements, form = self.elements, _normalize(mat)
         try:
-            key = elements.residue(_normalize(mat)) if read_off else _normalize(mat)
-            if self._index is None:
-                keys = elements.residues if read_off else elements
-                self._index = dict(zip(keys, self.view.elements))
-            return self._index[key]
-        except KeyError:
-            raise KeyError("element does not belong to this group") from None
+            if not isinstance(elements, _ReadOffElements):
+                return elements.index(form)
+            key, residues = elements.residue(form), elements.residues
+            i = 0 if key == residues[0] else bisect.bisect_left(residues, key, 1)
+            if i < len(residues) and residues[i] == key:
+                return i
+        except (KeyError, ValueError):
+            pass
+        raise KeyError("element does not belong to this group")
 
     def subgroup(self, gens: Iterable[int] = (), members: Optional[frozenset[int]] = None) -> GroupView:
         """The subgroup generated by ``gens``, or the one with the given
@@ -963,7 +961,10 @@ class FinGroup:
         every K with each <x>, x outside S normalizing <S & K>, abandoned at
         a new involution.  One join per N_G(K)-orbit, N_G(K) from Schreier
         generators of the walk registering each conjugate by its sorted
-        members (Holt, Eick and O'Brien, 2005).
+        members (Holt, Eick and O'Brien, 2005).  K is extended as the
+        member set it was found as: the trivial class and an involution
+        join are generated by involutions, so N_G(<S & K>) is N_G(K); any
+        other join keeps its parent's S & K, and so its parent's N_G(<S & K>).
         """
         view, n, mult, inv = self.view, self.n, self.mult, self._inv
         involutions = view.involutions()
@@ -976,11 +977,19 @@ class FinGroup:
         code = "H" if n <= 1 << 16 else "I"
         spanning = set(view.span(self.gen_idx)[1])  # generators enough to generate G
         steps = [(conj, g) for conj, g in zip(self._conjugations, self.gen_idx) if g in spanning]
+        registered: set[bytes] = set()  # every conjugate of every class found
+        # members as found, generators, letters of N_G(K)'s generators,
+        # N_G(<S & K>), whether S & K generates K, least conjugate K^t, t
+        classes = []
 
-        def walk(first: array):
-            """The conjugation orbit of sorted members, point i first^trans[i],
-            its keys, and generators and members of first's stabilizer:
-            Schreier generators trans[i] g trans[j]^-1 up to order n/|orbit|."""
+        def register(members: frozenset[int], gens: tuple[int, ...], candidates) -> None:
+            """Key the conjugation orbit of K's sorted members, point i
+            K^trans[i], and grow N_G(K) from its Schreier generators
+            trans[i] g trans[j]^-1 up to order n/|orbit|; ``candidates``
+            is N_G(<S & K>), or None when S & K generates K."""
+            first = array(code, sorted(members))
+            if first.tobytes() in registered:
+                return
             points, trans, where, edges = [first], [0], {first.tobytes(): 0}, []
             for i, pts in enumerate(points):
                 for conj, g in steps:
@@ -991,31 +1000,21 @@ class FinGroup:
                         trans.append(mult(trans[i], g))
                     else:
                         edges.append((i, g, j))
-            target, stabilizer, grown = n // len(points), [], frozenset((0,))
+            registered.update(where)
+            target, normalizer, grown = n // len(points), [], frozenset((0,))
             for i, g, j in edges:
                 if len(grown) == target:
                     break
                 h = mult(mult(trans[i], g), inv[trans[j]])
                 if h not in grown:
-                    stabilizer.append(h)
-                    grown = view.closure(stabilizer, grown)
-            return points, trans, where, stabilizer, grown
-
-        registered: set[bytes] = set()  # every conjugate of every class found
-        classes = []  # members, sorted members, generators, letters of N_G's generators
-
-        def register(members: frozenset[int], gens: tuple[int, ...]) -> None:
-            first = array(code, sorted(members))
-            if first.tobytes() in registered:
-                return
-            points, trans, where, normalizer, _ = walk(first)
-            registered.update(where)
+                    normalizer.append(h)
+                    grown = view.closure(normalizer, grown)
+            by_involutions = candidates is None
+            if by_involutions:
+                candidates = grown if len(grown) == n else array(code, sorted(grown))
             r = min(range(len(points)), key=points.__getitem__)
-            rep, t = points[r], trans[r]
-            # N_G(K^t) = N_G(K)^t
-            letters = [self._conjugation_arrays(mult(mult(inv[t], h), t)) for h in normalizer]
-            classes.append((frozenset(members) if r == 0 else frozenset(rep), rep,
-                            gens if r == 0 else view.span(rep)[1], letters))
+            classes.append((members, gens, list(map(self._conjugation_arrays, normalizer)),
+                            candidates, by_involutions, points[r], trans[r]))
 
         def orbit(xs: Sequence[int], letters: list[list[array]]) -> set[int]:
             """The union of the N_G(K)-orbits of xs: a map per letter and layer."""
@@ -1031,25 +1030,26 @@ class FinGroup:
                 seen.update(layer)
             return seen
 
-        register(frozenset((0,)), ())
-        for rep_set, rep, gens, letters in classes:  # classes grows as joins find new ones
-            invs = array(code, [s for s in involutions if s in rep_set])  # S & K
-            joins = involutions if len(view.span(invs)[0]) == len(rep) else []
-            # the involutions outside K, then the x normalizing <S & K> (the
-            # stabilizer of S & K) whose involution, if any, is in K
+        register(frozenset((0,)), (), None)
+        # classes grows as joins find new ones
+        for members, gens, letters, candidates, by_involutions, _, _ in classes:
+            # the involutions outside K when they generate K, then the x
+            # normalizing <S & K> whose involution, if any, is in K
             covered: set[int] = set()
-            for x in itertools.chain(joins, walk(invs)[4] if invs else view.members):
-                if (x in covered or x in rep_set
-                        or half[x] not in rep_set and not (joins and half[x] == x)):
+            for x in itertools.chain(involutions if by_involutions else (), candidates):
+                if (x in covered or x in members
+                        or half[x] not in members and not (by_involutions and half[x] == x)):
                     continue
                 o = view.order_of(x)
                 powers = itertools.accumulate(range(o - 2), lambda y, _: mult(x, y), initial=x)
                 covered |= orbit([y for k, y in enumerate(powers, 1) if math.gcd(k, o) == 1], letters)
-                joined = view.closure(gens + (x,), rep_set, None if half[x] == x else forbidden)
+                joined = view.closure(gens + (x,), members, None if half[x] == x else forbidden)
                 if joined is not None:
-                    register(joined, gens + (x,))
-        classes.sort(key=lambda c: (len(c[1]), c[1]))
-        return [view if len(rep) == n else view.sub(rep_set, gens) for rep_set, rep, gens, _ in classes]
+                    register(joined, gens + (x,), None if half[x] == x else candidates)
+        classes.sort(key=lambda c: (len(c[5]), c[5]))
+        return [view if len(rep) == n else
+                view.sub(map(view.elements.__getitem__, rep), tuple(map(self.conjugator(t), gens)))
+                for _, gens, _, _, _, rep, t in classes]
 
 
 # ---------------------------------------------------------------------------

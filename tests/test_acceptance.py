@@ -482,6 +482,14 @@ def test_sweep_output_is_pinned(sweeps, key):
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_DIGESTS[key]
 
 
+def test_default_c3_4_a6_table_is_pinned(sweeps):
+    # sha256 of `fanoterm table --group C3_4_A6 --format structured`, its
+    # 280 non-terminal rows, rendered from the session's one C3_4_A6 sweep
+    text = render_records(sweeps("C3_4_A6"), "structured", "C3_4_A6", "full-sweep")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "af0307b5b31ce890cdf10cdbad74edee1d125bef506db665be16fe39989075c5")
+
+
 # computed rows that fixtures.list lacks: C3 x S3 = <a> x <b, t> in C3_4_A6,
 # whose L3 subgroups <ab> and <ab^2> are swapped by t and inverted by no
 # element of H (n31 = 0, n32 = 1); an open finding, not a fixture to edit

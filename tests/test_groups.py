@@ -391,6 +391,17 @@ def test_index_of_round_trips_on_c3_4_a6(built):
     assert group.index_of(identity(6).scale(W)) == 0
 
 
+def test_index_of_round_trips_on_an_exact_group(built):
+    # M10_second is closed as exact cosets, not read off its residues: its
+    # index_of scans the normal forms, and a miss is a KeyError
+    group = built("M10_second")
+    assert not isinstance(group.elements, groups._ReadOffElements)
+    _assert_index_of_round_trips(group)
+    assert group.index_of(identity(6).scale(W)) == 0
+    with pytest.raises(KeyError, match="does not belong"):
+        group.index_of(_elementary(6, 0, 1))
+
+
 def test_index_of_rejects_foreign_matrices_of_a_read_off_group(built):
     group = built("C3_4_A6")
     table = group.elements.table
@@ -571,6 +582,17 @@ def test_whole_group_class_map_holds_the_groups_ints(built):
     assert all(x is view.elements[x] for c in classes for x in c)
     assert len(class_of) == view.order
     assert all(x in classes[class_of[x]] for x in view.elements)
+
+
+@pytest.mark.parametrize("key", ["G1944", "A7_perm"])
+def test_sweep_class_views_hold_the_groups_ints(built, key):
+    # every member of every sweep class is the group's own int object,
+    # not a fresh int read from an array of the sweep
+    group = built(key)
+    elements = group.view.elements
+    for c in group.subgroup_conjugacy_classes():
+        assert all(x is elements[x] for x in c.members), (c.order, c.gens)
+        assert all(x is elements[x] for x in c.elements), (c.order, c.gens)
 
 
 @pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first"])
