@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import importlib.resources as res
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import data as _data
 from .cyclo import ONE, CycloNum, parse_cyclo
+from .data import data_lines, read_data as _read
 from .deform import KnownClassCatalog, ObstructionEntry
 from .groups import EnumerationUnproved, FinGroup, GroupId, OrderCapExceeded
 from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose, mat_from_strings
@@ -44,15 +45,6 @@ class GroupDefinition(NamedTuple):
     generators: tuple[MatC, ...]
 
 
-def _read(name: str) -> str:
-    return (res.files(_data) / name).read_text()
-
-
-def _data_lines(text: str) -> Iterator[str]:
-    """The stripped lines of a data file, without blank and ``#`` lines."""
-    return (line for line in map(str.strip, text.splitlines()) if line and not line.startswith("#"))
-
-
 @lru_cache(maxsize=None)
 def group_keys() -> tuple[str, ...]:
     root = res.files(_data) / "groups"
@@ -71,7 +63,7 @@ def load_group(key: str) -> GroupDefinition:
     header: dict[str, str] = {}
     gens: list[list[list[str]]] = []
     current: Optional[list[list[str]]] = None
-    for line in _data_lines(text):
+    for line in data_lines(text):
         if line.startswith("generator ") and line.endswith(":"):
             current = []
             gens.append(current)
@@ -152,13 +144,13 @@ def build_group(key: str) -> FinGroup:
 
 @lru_cache(maxsize=None)
 def load_rank_rows() -> tuple[tuple[str, GroupId, int], ...]:
-    rows = map(str.split, _data_lines(_read("rkl.table")))
+    rows = map(str.split, data_lines(_read("rkl.table")))
     return tuple((label, GroupId(int(order), int(gid)), int(rank))
                  for label, order, gid, rank in rows)
 
 
 def _load_b2_table(name: str) -> dict[int, tuple[int, ...]]:
-    rows = [tuple(map(int, line.split())) for line in _data_lines(_read(name))]
+    rows = [tuple(map(int, line.split())) for line in data_lines(_read(name))]
     return {row[0]: row[1:] for row in rows}
 
 
@@ -179,7 +171,7 @@ def load_fixtures(path: Optional[str] = None) -> tuple[ObstructionEntry, ...]:
         with open(path) as fh:
             text = fh.read()
     rows = []
-    for line in _data_lines(text):
+    for line in data_lines(text):
         order, gid, b2, ambient = (int(x) for x in line.split())
         if order <= 0 or ambient <= 0:
             raise ValueError(f"fixture row {line!r}: orders must be positive")

@@ -14,17 +14,18 @@ an element of PGL_d(Z/p): a generator moves a key by one table lookup per
 frame point, and an element's residue, one ``bytes`` as p < 256, is
 computed once, along the BFS's spanning tree.  When every residue value
 has one preimage among the entries of the identity and the generators,
-the group is read off its residues: it keeps them and the table of
-preimages, with no product, and builds a matrix when one is asked for.
-Every edge x -a-> y is then proved exact: with A = g_a e_x and (i0, j0)
-the first nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic
-integer whose conjugates are at most B in size, B from the L1 norms of
-the entries; it lies in the prime above p, so p divides its norm, which
-is at most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the
+the group is read off its residues, with no product.  Every edge
+x -a-> y is then proved exact: with A = g_a e_x and (i0, j0) the first
+nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic integer
+whose conjugates are at most B in size, B from the L1 norms of the
+entries; it lies in the prime above p, so p divides its norm, which is
+at most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the
 read-off is dropped and the exact group is closed as cosets of a cyclic
 subgroup <s>, each element placed at the vertex of its residue: one to
 one onto the vertices, reduction proves every edge.  A failed proof is
 an error, so generators of an infinite group never yield a group.
+Either way each element is kept as its code, the ranks of its entries
+among the group's, and a matrix is built when one is asked for.
 
 After enumeration the group theory runs on element indices.  A
 ``FinGroup`` is the Cayley graph of its generators: ``mult`` walks an
@@ -546,12 +547,13 @@ class GroupView:
     ``members`` is a set of the ambient's element ids (a frozenset, or for
     the whole group its ``_Indices``) and ``elements`` the same ids in
     increasing order, so the identity id 0 is always the first element.
-    ``mult``, ``inv`` and ``coset`` are the ambient's.  A view memoizes its
-    element orders and its class map; nothing else about it changes.
+    ``mult``, ``inv``, ``coset`` and ``order_of`` are the ambient's, so
+    element orders are memoized once per group.  A view memoizes its class
+    map; nothing else about it changes.
     """
 
-    __slots__ = ("elements", "members", "mult", "inv", "coset", "gens", "ambient",
-                 "_order_cache", "_class_map")
+    __slots__ = ("elements", "members", "mult", "inv", "coset", "order_of", "gens", "ambient",
+                 "_class_map")
 
     def __init__(self, members: Iterable[int], gens: Sequence[int], ambient: "FinGroup"):
         if isinstance(members, _Indices):
@@ -562,26 +564,15 @@ class GroupView:
         self.mult = ambient.mult
         self.inv = ambient.inv
         self.coset = ambient.coset
+        self.order_of = ambient.order_of
         self.gens = tuple(gens)
         self.ambient = ambient
-        self._order_cache: dict[int, int] = {}
         self._class_map: Optional[tuple[tuple[tuple[int, ...], ...],
                                         list[int] | dict[int, int]]] = None
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def order_of(self, x: int) -> int:
-        cached = self._order_cache.get(x)
-        if cached is not None:
-            return cached
-        k, y = 1, x
-        while y != 0:
-            y = self.mult(y, x)
-            k += 1
-        self._order_cache[x] = k
-        return k
 
     def closure(self, gens: Iterable[int], base: frozenset[int] = frozenset((0,)),
                 forbidden: Optional[frozenset[int]] = None) -> Optional[frozenset[int]]:
@@ -679,49 +670,51 @@ class GroupView:
 # enumerated matrix groups
 
 
-class _ReadOffElements:
-    """The elements of a group read off their residues, as a read-only
-    sequence of normal forms.  ``residues[i]`` is element i's residue with
-    each value recoded as the rank of its one preimage (``generate``), and
-    ``table`` maps a rank to that entry (``_read_off``): element i is the
-    matrix of ``table`` over ``residues[i]``, built only when it is asked
-    for.  Equal rows are one tuple."""
+class _Elements:
+    """The elements of an enumerated group, as a read-only sequence of
+    normal forms.  ``codes[i]`` is element i's entries in row-major order,
+    each as its ``rank`` in ``entries``, the group's distinct entries sorted
+    by (conductor, denominator, coordinates): one ``bytes`` when there are
+    at most 256 of them, else a tuple; ``generate`` sets the codes, in the
+    group's order.  Element i is the matrix of ``entries`` over
+    ``codes[i]``, built only when it is asked for.  Equal rows are one
+    tuple."""
 
-    __slots__ = ("residues", "table", "_code", "_cuts", "_rows")
+    __slots__ = ("codes", "entries", "rank", "_pack", "_cuts", "_rows")
 
-    def __init__(self, residues: list, table: dict[int, CycloNum], dim: int):
-        self.residues = residues
-        self.table = table
-        self._code = {e: r for r, e in table.items()}
+    def __init__(self, entries: Sequence[CycloNum], dim: int):
+        self.codes: list = []
+        self.entries = entries
+        self.rank = {e: r for r, e in enumerate(entries)}
+        self._pack = bytes if len(entries) <= 256 else tuple
         self._cuts = [slice(i, i + dim) for i in range(0, dim * dim, dim)]
         self._rows: dict = {}
 
     def __len__(self) -> int:
-        return len(self.residues)
+        return len(self.codes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return list(map(self._matrix, self.residues[i]))
-        return self._matrix(self.residues[i])
+            return list(map(self._matrix, self.codes[i]))
+        return self._matrix(self.codes[i])
 
     def __iter__(self):
-        return map(self._matrix, self.residues)
+        return map(self._matrix, self.codes)
 
-    def _matrix(self, residue) -> MatC:
+    def _matrix(self, code) -> MatC:
         rows = []
         for cut in self._cuts:
-            key = residue[cut]
+            key = code[cut]
             row = self._rows.get(key)
             if row is None:
-                row = self._rows[key] = tuple(map(self.table.__getitem__, key))
+                row = self._rows[key] = tuple(map(self.entries.__getitem__, key))
             rows.append(row)
         return MatC(rows)
 
-    def residue(self, mat: MatC):
-        """The recoded residue that reads off as ``mat``; KeyError when one
-        of its entries is not in the table.  Entry and rank are one to one
-        on the table, so this is exact."""
-        return bytes(map(self._code.__getitem__, _entries(mat)))
+    def code(self, mat: MatC):
+        """The code of ``mat``; KeyError when one of its entries is not in
+        ``entries``.  Entry and rank are one to one, so this is exact."""
+        return self._pack(map(self.rank.__getitem__, _entries(mat)))
 
 
 class FinGroup:
@@ -730,20 +723,20 @@ class FinGroup:
     ``perms[a][0]``, and ``words[x]`` the ``bytes`` of letters a_1 ... a_k
     with x = g_ak ... g_a1.  ``elements[x]`` is, for a group enumerated in
     PGL_d (``generate``), the normal form of x, the identity first and the
-    rest sorted by their entries, so the indexing is reproducible (read off
-    residues, a ``_ReadOffElements``); for a quotient (``quotient_view``,
-    ``dim`` None), the least member of coset x.  Nothing about the group
-    changes after construction.  Per element it keeps its word, one index
+    rest sorted by their entries, so the indexing is reproducible (an
+    ``_Elements``, which keeps each element's code and no matrix); for a
+    quotient (``quotient_view``, ``dim`` None), the least member of coset
+    x.  Nothing about the group changes after construction but its memo of
+    element orders.  Per element it keeps its code, its word, one index
     in each translation table, its inverse and one entry in each
-    generator's conjugation array x -> g^-1 x g, an ``array('I')`` (and,
-    read off, its recoded residue); these index lists and the view's
-    members share one int object per index.
+    generator's conjugation array x -> g^-1 x g, an ``array('I')``; these
+    index lists and the view's members share one int object per index.
 
     Building it holds no second copy of a per-element list: the BFS's keys
-    are freed before its residues are built, the residues are recoded in
-    place, the translation tables are relabeled one generator at a time,
-    and each inverse permutation, transient here, is dropped once its
-    conjugation array is built.
+    are freed before its residues are built, the residues or normal forms
+    are coded in place, the translation tables are relabeled one generator
+    at a time, and each inverse permutation, transient here, is dropped
+    once its conjugation array is built.
     """
 
     def __init__(self, elements, perms, words, dim):
@@ -752,6 +745,7 @@ class FinGroup:
         self.gen_idx: tuple[int, ...] = tuple(perm[0] for perm in perms)
         self._perms: list[list[int]] = perms
         self._rword: list[bytes] = words
+        self._orders: dict[int, int] = {}
         # each perm holds every index once: its ints are the group's, and the
         # inverses and the view's members reuse them
         ids = tuple(sorted(perms[0])) if perms else (0,)
@@ -788,7 +782,7 @@ class FinGroup:
         element's residue once, along its spanning tree (``_residue_bfs``).
         When every residue value has one preimage among the entries of the
         identity and the generators, the elements are read off their
-        residues (``_read_off``, ``_ReadOffElements``), and they are kept
+        residues (``_read_off``), and they are kept
         when each preimage reduces to its value and a norm bound proves
         every edge from the residues alone (``_norm_bound``).  Otherwise
         the exact group is closed as cosets of a cyclic subgroup, about
@@ -799,10 +793,11 @@ class FinGroup:
         y = g_a * x is found from x, so its word is x's word plus a, and
         ``mult`` replays the word through the translation tables.
 
-        The canonical order sorts the elements by the ranks of their
-        entries; elements read off residues are sorted by their residues,
-        recoded in place to those ranks, one ``bytes`` per element, and
-        the recoded residues are what the group keeps.
+        Both proofs end in one code per element, its entries' ranks
+        (``_Elements``): read off, each residue is recoded in place by one
+        ``bytes.translate``; closed as cosets, each normal form is coded in
+        place and dropped.  The canonical order sorts the codes, and the
+        codes are what the group keeps.
         """
         if not gens:
             raise ValueError("at least one generator is required")
@@ -834,37 +829,34 @@ class FinGroup:
         # canonical order: identity first, the rest by their entries in
         # row-major order, each entry ranked by (conductor, denominator,
         # coordinates); every index list of the group takes its ints from
-        # ids, one per element.  The residues are one to one with the
+        # ids, one per element.  The codes are one to one with the
         # elements: implied by the proof, and checked as it is cheap.
         by_value = lambda e: (e.n, e.den, e.num)
         ids = list(range(n))
         if table is None:
-            elems = _exact_cosets(gens_p, residues, perms, reduce, p, ident)
-            entries = {e for m in elems for row in m.rows for e in row}
-            rank = {e: r for r, e in enumerate(sorted(entries, key=by_value))}
-            order = ids[:1] + sorted(ids[1:], key=lambda i: tuple(map(rank.__getitem__,
-                                                                      _entries(elems[i]))))
-            unique = len(set(residues)) == n
-            elements = [elems[i] for i in order]
+            codes = _exact_cosets(gens_p, residues, perms, reduce, p, ident)
+            elements = _Elements(sorted({e for m in codes for e in _entries(m)}, key=by_value), dim)
+            for i, m in enumerate(codes):
+                codes[i] = elements.code(m)
         else:
             # a read-off residue value has one preimage, so the rank of that
             # entry codes it: each residue is recoded in place by one
-            # bytes.translate, and is then its element's sort key
-            rank = {r: k for k, r in enumerate(sorted(table, key=lambda r: by_value(table[r])))}
-            table = {rank[r]: e for r, e in table.items()}
-            rank_table = bytes(rank.get(v, 0) for v in range(256))
-            for i, r in enumerate(residues):
-                residues[i] = r.translate(rank_table)
-            order = sorted(ids, key=residues.__getitem__)
-            # distinct codes, strictly increasing in sorted order
-            unique = all(map(operator.lt, map(residues.__getitem__, order),
-                             map(residues.__getitem__, itertools.islice(order, 1, None))))
-            order.remove(0)
-            order.insert(0, ids[0])
-            elements = _ReadOffElements(list(map(residues.__getitem__, order)), table, dim)
-        if not unique:
-            raise EnumerationUnproved("two vertices of the residue graph are one element")
+            # bytes.translate
+            codes = residues
+            elements = _Elements(sorted(table.values(), key=by_value), dim)
+            rank_table = bytes(elements.rank.get(table.get(v), 0) for v in range(256))
+            for i, r in enumerate(codes):
+                codes[i] = r.translate(rank_table)
         del residues
+        order = sorted(ids, key=codes.__getitem__)
+        # distinct codes, strictly increasing in sorted order
+        if not all(map(operator.lt, map(codes.__getitem__, order),
+                       map(codes.__getitem__, itertools.islice(order, 1, None)))):
+            raise EnumerationUnproved("two vertices of the residue graph are one element")
+        order.remove(0)
+        order.insert(0, ids[0])
+        elements.codes = list(map(codes.__getitem__, order))
+        del codes
         relabel = [0] * n
         for new, old in zip(ids, order):
             relabel[old] = new
@@ -892,20 +884,26 @@ class FinGroup:
     def inv(self, i: int) -> int:
         return self._inv[i]
 
+    def order_of(self, x: int) -> int:
+        """The order of element x, memoized on the group."""
+        if x not in self._orders:
+            k, y = 1, x
+            while y:
+                k, y = k + 1, self.mult(y, x)
+            self._orders[x] = k
+        return self._orders[x]
+
     def index_of(self, mat: MatC) -> int:
         """The index of the element with lift ``mat``, any scalar multiple;
-        KeyError when there is none.  A group read off its residues
-        bisects its recoded residues after the identity, which are sorted;
-        any other group scans its normal forms."""
+        KeyError when there is none.  It bisects the codes after the
+        identity, which are sorted, for the code of ``mat``'s normal form."""
         elements, form = self.elements, _normalize(mat)
         try:
-            if not isinstance(elements, _ReadOffElements):
-                return elements.index(form)
-            key, residues = elements.residue(form), elements.residues
-            i = 0 if key == residues[0] else bisect.bisect_left(residues, key, 1)
-            if i < len(residues) and residues[i] == key:
+            key, codes = elements.code(form), elements.codes
+            i = 0 if key == codes[0] else bisect.bisect_left(codes, key, 1)
+            if i < len(codes) and codes[i] == key:
                 return i
-        except (KeyError, ValueError):
+        except KeyError:
             pass
         raise KeyError("element does not belong to this group")
 
@@ -1216,16 +1214,12 @@ def _tuples(x):
 @lru_cache(maxsize=None)
 def _load_id_catalog() -> dict[tuple, list[GroupId]]:
     """Tier-1 fingerprint -> the catalog ids that carry it."""
-    import importlib.resources as res
     import json
 
-    from . import data as _data
+    from .data import data_lines, read_data
 
     table: dict[tuple, list[GroupId]] = {}
-    for line in (res.files(_data) / "idcatalog.data").read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in data_lines(read_data("idcatalog.data")):
         ids, t1 = line.split("|")
         order_s, gid_s = ids.split()
         gid = GroupId(int(order_s), int(gid_s))

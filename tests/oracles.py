@@ -379,7 +379,8 @@ def product_class_map(view):
 class CosetTable:
     """A group given by its multiplication table: the ambient of the views
     that coset_table_quotient returns, with every product looked up in the
-    table and conjugation by g as two products."""
+    table, conjugation by g as two products and an element's order as its
+    powers, one product each."""
 
     def __init__(self, table):
         self.table = table
@@ -393,6 +394,12 @@ class CosetTable:
 
     def coset(self, y, xs):
         return [self.table[y][x] for x in xs]
+
+    def order_of(self, x):
+        k, y = 1, x
+        while y:
+            k, y = k + 1, self.table[y][x]
+        return k
 
     def conjugator(self, g):
         table, g_inv = self.table, self._inv[g]

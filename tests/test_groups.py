@@ -308,7 +308,7 @@ def test_generate_drops_a_tampered_read_off(monkeypatch, built):
     # one preimage of the read-off table replaced by another entry does not
     # reduce to its residue value: the table's check fails, the read-off is
     # dropped, and every element is computed exactly
-    read_off, tried = groups._read_off, []
+    read_off, exact_cosets, tried, closed = groups._read_off, groups._exact_cosets, [], []
 
     def tampered(residues, reduce, gens, ident):
         table = read_off(residues, reduce, gens, ident)
@@ -318,9 +318,10 @@ def test_generate_drops_a_tampered_read_off(monkeypatch, built):
         return table
 
     monkeypatch.setattr(groups, "_read_off", tampered)
+    monkeypatch.setattr(groups, "_exact_cosets", lambda *args: closed.append(1) or exact_cosets(*args))
     definition = load_group("A3_5")
     group = FinGroup.generate(definition.generators, cap=definition.order)
-    assert tried and isinstance(group.elements, list)
+    assert tried and closed
     _assert_same_enumeration(group, built("A3_5"))
 
 
@@ -378,7 +379,7 @@ def _assert_index_of_round_trips(group, count=50, seed=7):
     # and scalar multiples of each lift give the same index
     rng = random.Random(seed)
     scalars = [W, -ONE, W * W + W, ONE + ONE]
-    for i in rng.sample(range(group.n), count):
+    for i in rng.sample(range(group.n), min(count, group.n)):
         m = group.elements[i]
         assert group.elements[i:i + 1] == [m]
         assert group.index_of(m) == i
@@ -392,22 +393,77 @@ def test_index_of_round_trips_on_c3_4_a6(built):
 
 
 def test_index_of_round_trips_on_an_exact_group(built):
-    # M10_second is closed as exact cosets, not read off its residues: its
-    # index_of scans the normal forms, and a miss is a KeyError
+    # M10_second is closed as exact cosets and has 1511 distinct entries:
+    # its codes are tuples, bisected as bytes codes are, and a miss is a
+    # KeyError
     group = built("M10_second")
-    assert not isinstance(group.elements, groups._ReadOffElements)
+    assert type(group.elements.codes[1]) is tuple
     _assert_index_of_round_trips(group)
     assert group.index_of(identity(6).scale(W)) == 0
     with pytest.raises(KeyError, match="does not belong"):
         group.index_of(_elementary(6, 0, 1))
 
 
+@pytest.mark.parametrize("key", sorted(set(group_keys()) - {"C3_4_A6", "M10_second"}))
+def test_index_of_round_trips(built, key):
+    group = built(key)
+    _assert_index_of_round_trips(group)
+    assert group.index_of(identity(6).scale(W)) == 0
+
+
+# closed as exact cosets: A7_second's codes are bytes, M10_second's tuples
+@pytest.mark.parametrize("key", ["A7_second", "M10_second"])
+def test_index_of_rejects_foreign_matrices_of_an_exact_group(built, key):
+    group = built(key)
+    with pytest.raises(KeyError, match="does not belong"):
+        group.index_of(_elementary(6, 0, 1))
+    # a lift of no element whose normal form has a code, so the bisection
+    # misses: element 1 with its first two rows swapped
+    rows = list(group.elements[1].rows)
+    rows[0], rows[1] = rows[1], rows[0]
+    assert all(e in group.elements.rank for row in _normalize(MatC(rows)).rows for e in row)
+    with pytest.raises(KeyError, match="does not belong"):
+        group.index_of(MatC(rows))
+
+
+@pytest.mark.parametrize("key", group_keys())
+def test_every_enumerated_group_keeps_sorted_codes_and_no_matrix(built, key):
+    # one code per element, bytes for at most 256 distinct entries and
+    # tuples above, sorted and distinct after the identity; the group and
+    # its store hold no per-element matrix
+    group = built(key)
+    store = group.elements
+    codes = store.codes
+    assert len(codes) == group.n
+    assert {type(c) for c in codes} == {bytes if len(store.entries) <= 256 else tuple}
+    assert all(a < b for a, b in zip(codes[1:], codes[2:]))
+    held = [*vars(group).values(), *(getattr(store, name) for name in store.__slots__)]
+    for value in held:
+        if isinstance(value, (list, tuple, dict)) and len(value) >= group.n:
+            items = value.values() if isinstance(value, dict) else value
+            assert not any(isinstance(x, MatC) for x in items), key
+
+
+def test_element_orders_are_memoized_once_per_group(monkeypatch):
+    # an element's order does not depend on the view: once one view has
+    # asked for it, another view of the same group makes no product for it
+    group = A4()
+    mult, calls = group.mult, []
+    monkeypatch.setattr(group, "mult", lambda i, j: calls.append((i, j)) or mult(i, j))
+    x = group.gen_idx[0]  # a 3-cycle
+    first = group.subgroup(gens=[x])
+    second = group.view.sub(range(group.n), group.gen_idx)
+    assert first.order_of(x) == 3 and calls
+    calls.clear()
+    assert second.order_of(x) == 3 and calls == []
+
+
 def test_index_of_rejects_foreign_matrices_of_a_read_off_group(built):
     group = built("C3_4_A6")
-    table = group.elements.table
+    entries = group.elements.entries
     # every entry is a preimage, but the elementary matrix has infinite order
     elementary = _elementary(6, 0, 1)
-    assert all(e in table.values() for row in elementary.rows for e in row)
+    assert all(e in entries for row in elementary.rows for e in row)
     with pytest.raises(KeyError, match="does not belong"):
         group.index_of(elementary)
     # an element with its last zero entry replaced by 256!, a multiple of
@@ -417,7 +473,7 @@ def test_index_of_rejects_foreign_matrices_of_a_read_off_group(built):
     shifted = rational(math.factorial(256))
     j = max(j for j in range(6) if rows[5][j] is ZERO)
     rows[5][j] = shifted
-    assert shifted not in table.values()
+    assert shifted not in entries
     with pytest.raises(KeyError, match="does not belong"):
         group.index_of(MatC(rows))
 
