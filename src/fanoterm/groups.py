@@ -20,12 +20,15 @@ nonzero entry of e_y, D (A_ij - A_i0j0 y_ij) is an algebraic integer
 whose conjugates are at most B in size, B from the L1 norms of the
 entries; it lies in the prime above p, so p divides its norm, which is
 at most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the
-read-off is dropped and the exact group is closed as cosets of a cyclic
-subgroup <s>, each element placed at the vertex of its residue: one to
-one onto the vertices, reduction proves every edge.  A failed proof is
-an error, so generators of an infinite group never yield a group.
-Either way each element is kept as its code, the ranks of its entries
-among the group's, and a matrix is built when one is asked for.
+read-off is dropped and the exact group is closed as cosets of a
+subgroup H, generated by a cheap generator and the vertices whose
+residues are monomial, each element placed at the vertex of its residue:
+one to one onto the vertices, reduction proves every edge.  Each exact
+product has a generator as one factor, scaled once per leading entry so
+that the product comes out in normal form.  A failed proof is an error,
+so generators of an infinite group never yield a group.  Either way each
+element is kept as its code, the ranks of its entries among the group's
+packed in ``bytes``, and a matrix is built when one is asked for.
 
 After enumeration the group theory runs on element indices.  A
 ``FinGroup`` is the Cayley graph of its generators: ``mult`` walks an
@@ -50,12 +53,13 @@ import bisect
 import itertools
 import math
 import operator
+import struct
 from array import array
 from collections.abc import Set
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .cyclo import ONE, CycloNum, _prime_factors, cyclotomic_poly, galois
+from .cyclo import ONE, ZERO, CycloNum, _prime_factors, cyclotomic_poly, dot, galois
 from .linalg import MatC, identity
 
 __all__ = [
@@ -426,23 +430,64 @@ def _norm_bound(gens: Sequence[MatC], entries: set[CycloNum], n_cond: int, p: in
     return (r_max * c_max * (delta + c_max)) ** phi
 
 
-def _exact_cosets(gens: Sequence[MatC], residues: Sequence, perms: Sequence[Sequence[int]],
-                  reduce: Callable[[CycloNum], Optional[int]], p: int, ident: MatC) -> list[MatC]:
+def _coset_subgroup(residues: Sequence[bytes], words: Sequence[bytes], perms: Sequence[Sequence[int]],
+                    d: int, s: int) -> tuple[list[int], set[int]]:
+    """The vertices that generate H, and H's vertices: s, then each vertex
+    whose residue is monomial, d of its d^2 entries nonzero, that those
+    before it, in vertex order, do not reach.  Reach is a closure by index
+    products, each generator's word replayed through the perms."""
+    def reach(hverts: list[int]) -> set[int]:
+        found, seen = [0], {0}
+        for x in found:
+            for h in hverts:
+                y = x
+                for b in words[h]:
+                    y = perms[b][y]
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        return seen
+
+    hverts = [s]
+    members = reach(hverts)
+    for v, r in enumerate(residues):
+        if v not in members and r.count(0) == d * d - d:
+            hverts.append(v)
+            members = reach(hverts)
+    return hverts, members
+
+
+def _exact_cosets(gens: Sequence[MatC], residues: Sequence, words: Sequence[bytes],
+                  perms: Sequence[Sequence[int]], reduce: Callable[[CycloNum], Optional[int]],
+                  p: int, ident: MatC) -> list[MatC]:
     """The exact normal form of every vertex of the residue graph, and the
     proof that the generators give the group their residues show.
 
-    H = <s>, for a cheap generator s of residue order m, is exact of order
-    m once s^m = 1 in PGL_d.  E grows by cosets t H, chained t, t s, ... by
-    right products with s; g t, for each representative t and generator g,
-    is in E, and then so is g t H, or it starts a new coset.  So E is
-    closed under the generators: it is the group G they generate.  Each
-    element is placed at the vertex of its residue (an entry whose
-    denominator p divides has none).  Reduction maps G onto the residue
-    group, so two elements at one vertex mean |G| > n, and one at each
-    vertex makes it a bijection: g_a e_x = e_y on every edge x -a-> y.
-    Exact products: n/m per generator, m - 1 per coset and one for s^m.
+    H is generated by s, a cheap generator of residue order m, and by the
+    vertices with monomial residues that ``_coset_subgroup`` picks; such a
+    vertex's matrix is the product along its word, and it must reduce to
+    the vertex.  H is closed exactly by a BFS of right products with its
+    generators, the powers of s first: s^m = 1 is checked in PGL_d, and
+    each other product lies at a new vertex or is the element there.  E
+    grows by cosets t H, each built along H's BFS tree, t eta =
+    (t eta') gamma; g t, for each representative t and generator g, is in
+    E, and then so is g t H, as g (t eta) = (g t) eta, or it starts a new
+    coset.  So E is closed under the generators: it is the group G they
+    generate.  Each element is placed at the vertex of its residue (an
+    entry whose denominator p divides has none).  Reduction maps G onto
+    the residue group, so two elements at one vertex mean |G| > n, and one
+    at each vertex makes it a bijection: g_a e_x = e_y on every edge
+    x -a-> y.
+
+    Every product has a fixed factor, a generator on the left or one of
+    H's on the right, and comes out in normal form: its lead entry c, the
+    first nonzero in row-major order, is found by one dot per probe, and
+    the fixed factor is scaled by 1/c, once per factor and lead.  Exact
+    products, with r = n/|H| cosets and k generators: |w| - 1 for each of
+    H's generators of word w, |H| - 1 per generator of H, |H| - 1 per
+    coset but H and k per representative but the identity.
     """
-    n = len(residues)
+    n, d = len(residues), ident.dim
     nnz = [sum(map(len, g.nnz)) for g in gens]
     orders = []
     for perm in perms:
@@ -450,12 +495,12 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, perms: Sequence[Sequ
         while y:
             m, y = m + 1, perm[y]
         orders.append(m)
-    # the chains make about n products with s, the cosets n/m with each generator
+    # s is chosen as for H = <s>, whose chains make about n products with s
+    # and whose cosets n/m with each generator
     a = min(range(len(gens)), key=lambda a: nnz[a] + sum(nnz) / orders[a])
-    s, m = gens[a], orders[a]
+    m = orders[a]
     index = {r: x for x, r in enumerate(residues)}
     elems: list[Optional[MatC]] = [None] * n
-    reps: list[MatC] = []
 
     def vertex(u: MatC) -> int:
         key = list(map(reduce, _entries(u)))
@@ -465,26 +510,89 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, perms: Sequence[Sequ
                                       else f"an element's residue mod {p} is no vertex")
         return x
 
-    def add_coset(t: MatC) -> MatC:
-        reps.append(t)
-        for k in range(m):
-            if k:
-                t = _normalize(t * s)
-            x = vertex(t)
-            if elems[x] is not None:
-                raise EnumerationUnproved(f"two products have the residue of element {x}: "
-                                          f"the group has more than {n} elements")
-            elems[x] = t
-        return t
+    def place(u: MatC) -> None:
+        x = vertex(u)
+        if elems[x] is not None:
+            raise EnumerationUnproved(f"two products have the residue of element {x}: "
+                                      f"the group has more than {n} elements")
+        elems[x] = u
 
-    if _normalize(add_coset(ident) * s) != ident:
+    # the fixed factors, the generators and then H's word products; a
+    # factor scaled by the inverse of a lead is kept per (position, lead)
+    factors, scaled = list(gens), {}
+
+    def fixed(pos: int, c: CycloNum) -> MatC:
+        if c is ONE:
+            return factors[pos]
+        f = scaled.get((pos, c))
+        if f is None:
+            f = scaled[pos, c] = factors[pos].scale(c.inv())
+        return f
+
+    def lead(x: MatC, y: MatC) -> CycloNum:
+        """The first nonzero entry of x y, in its first row as x y is
+        invertible."""
+        row, ks, rows = x.rows[0], x.nnz[0], y.rows
+        for j in range(d):
+            terms = [(row[k], rows[k][j]) for k in ks if rows[k][j] is not ZERO]
+            if terms:
+                c = dot(terms)
+                if not c.is_zero:
+                    return c
+        raise ZeroDivisionError("zero matrix has no projective class")
+
+    def left(b: int, t: MatC) -> MatC:
+        return fixed(b, lead(gens[b], t)) * t
+
+    def right(t: MatC, pos: int) -> MatC:
+        return t * fixed(pos, lead(t, factors[pos]))
+
+    hverts, _ = _coset_subgroup(residues, words, perms, d, perms[a][0])
+    hpos = [a]
+    for v in hverts[1:]:
+        w = words[v]
+        u = gens[w[0]]
+        for b in w[1:]:
+            u = left(b, u)
+        x = vertex(u)
+        if x != v:
+            raise EnumerationUnproved(f"the product along the word of element {v} "
+                                      f"has the residue of element {x}")
+        if u not in factors:
+            factors.append(u)
+        hpos.append(factors.index(u))
+
+    # H by a BFS of right products, the powers of s first; tree[i - 1] is
+    # the (parent, generator) of H's element i
+    hs, tree = [ident], []
+    elems[0] = ident
+    u = gens[a]
+    for k in range(1, m):
+        place(u)
+        hs.append(u)
+        tree.append((k - 1, 0))
+        u = right(u, a)
+    if u != ident:
         raise EnumerationUnproved(f"generator {a} to the power {m}, its residue order, is not the identity")
+    for i, eta in enumerate(hs):
+        for j in range(1 if i < m else 0, len(hpos)):
+            u = factors[hpos[j]] if i == 0 else right(eta, hpos[j])
+            if elems[vertex(u)] != u:  # a new element, or a second one at its vertex that place refuses
+                place(u)
+                hs.append(u)
+                tree.append((i, j))
+
+    reps = [ident]
     for t in reps:
-        for g in gens:
-            u = _normalize(g * t)
-            x = vertex(u)
-            if elems[x] != u:  # a new coset, or a second element at x that add_coset refuses
-                add_coset(u)
+        for b, g in enumerate(gens):
+            u = g if t is ident else left(b, t)
+            if elems[vertex(u)] != u:  # a new coset, or a second element at its vertex
+                reps.append(u)
+                coset = [u]
+                place(u)
+                for i, j in tree:
+                    coset.append(right(coset[i], hpos[j]))
+                    place(coset[-1])
     if None in elems:
         raise EnumerationUnproved(f"the cosets reach {n - elems.count(None)} of the {n} elements")
     return elems
@@ -674,20 +782,24 @@ class _Elements:
     """The elements of an enumerated group, as a read-only sequence of
     normal forms.  ``codes[i]`` is element i's entries in row-major order,
     each as its ``rank`` in ``entries``, the group's distinct entries sorted
-    by (conductor, denominator, coordinates): one ``bytes`` when there are
-    at most 256 of them, else a tuple; ``generate`` sets the codes, in the
-    group's order.  Element i is the matrix of ``entries`` over
-    ``codes[i]``, built only when it is asked for.  Equal rows are one
-    tuple."""
+    by (conductor, denominator, coordinates), packed in one ``bytes``: one
+    byte per rank when there are at most 256 entries, else two big-endian
+    bytes, so codes compare as the tuples of their ranks.  ``generate``
+    sets the codes, in the group's order.  Element i is the matrix of
+    ``entries`` over ``codes[i]``, built only when it is asked for.  Equal
+    rows are one tuple."""
 
-    __slots__ = ("codes", "entries", "rank", "_pack", "_cuts", "_rows")
+    __slots__ = ("codes", "entries", "rank", "_pack", "_unpack", "_cuts", "_rows")
 
     def __init__(self, entries: Sequence[CycloNum], dim: int):
-        self.codes: list = []
+        self.codes: list[bytes] = []
         self.entries = entries
         self.rank = {e: r for r, e in enumerate(entries)}
-        self._pack = bytes if len(entries) <= 256 else tuple
-        self._cuts = [slice(i, i + dim) for i in range(0, dim * dim, dim)]
+        unit = "B" if len(entries) <= 256 else "H"
+        row = struct.Struct(f">{dim}{unit}")
+        self._pack = struct.Struct(f">{dim * dim}{unit}").pack
+        self._unpack = row.unpack
+        self._cuts = [slice(i, i + row.size) for i in range(0, dim * row.size, row.size)]
         self._rows: dict = {}
 
     def __len__(self) -> int:
@@ -701,20 +813,20 @@ class _Elements:
     def __iter__(self):
         return map(self._matrix, self.codes)
 
-    def _matrix(self, code) -> MatC:
+    def _matrix(self, code: bytes) -> MatC:
         rows = []
         for cut in self._cuts:
             key = code[cut]
             row = self._rows.get(key)
             if row is None:
-                row = self._rows[key] = tuple(map(self.entries.__getitem__, key))
+                row = self._rows[key] = tuple(map(self.entries.__getitem__, self._unpack(key)))
             rows.append(row)
         return MatC(rows)
 
-    def code(self, mat: MatC):
+    def code(self, mat: MatC) -> bytes:
         """The code of ``mat``; KeyError when one of its entries is not in
         ``entries``.  Entry and rank are one to one, so this is exact."""
-        return self._pack(map(self.rank.__getitem__, _entries(mat)))
+        return self._pack(*map(self.rank.__getitem__, _entries(mat)))
 
 
 class FinGroup:
@@ -785,9 +897,13 @@ class FinGroup:
         residues (``_read_off``), and they are kept
         when each preimage reduces to its value and a norm bound proves
         every edge from the residues alone (``_norm_bound``).  Otherwise
-        the exact group is closed as cosets of a cyclic subgroup, about
-        n/|H| products per generator, and reduction is proved one to one
-        onto the vertices, which proves every edge (``_exact_cosets``); a
+        the exact group is closed as cosets of a subgroup H, generated by
+        a cheap generator and the vertices with monomial residues
+        (``_coset_subgroup``): about one product per element of H and
+        generator of H, one per element outside H, and one per coset
+        representative and generator, each made in normal form by
+        scaling its fixed factor.  Reduction is proved one to one onto
+        the vertices, which proves every edge (``_exact_cosets``); a
         failed proof raises EnumerationUnproved, so generators of an
         infinite group never yield a group.  Element
         y = g_a * x is found from x, so its word is x's word plus a, and
@@ -834,7 +950,7 @@ class FinGroup:
         by_value = lambda e: (e.n, e.den, e.num)
         ids = list(range(n))
         if table is None:
-            codes = _exact_cosets(gens_p, residues, perms, reduce, p, ident)
+            codes = _exact_cosets(gens_p, residues, words, perms, reduce, p, ident)
             elements = _Elements(sorted({e for m in codes for e in _entries(m)}, key=by_value), dim)
             for i, m in enumerate(codes):
                 codes[i] = elements.code(m)
@@ -903,7 +1019,7 @@ class FinGroup:
             i = 0 if key == codes[0] else bisect.bisect_left(codes, key, 1)
             if i < len(codes) and codes[i] == key:
                 return i
-        except KeyError:
+        except (KeyError, struct.error):  # an entry of no element, or another dimension
             pass
         raise KeyError("element does not belong to this group")
 

@@ -216,9 +216,32 @@ def test_canonical_order_of_c3_4_a6(built):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-# the order of the cyclic subgroup H whose cosets close each catalog group
-# not read off its residues: some residues there have no preimage or two
-COSET_ORDERS = {"Q8_S3": 4, "L2_11": 3, "M10_second": 8, "A7_second": 6}
+# the order of the subgroup H whose cosets close each catalog group not read
+# off its residues (some residues there have no preimage or two), and the
+# number of its cosets: H is generated by a cheap generator s and the
+# monomial vertices, and L2_11's only monomial vertex is the identity
+COSET_SUBGROUPS = {"Q8_S3": (16, 3), "L2_11": (3, 220), "M10_second": (16, 45), "A7_second": (72, 35)}
+
+
+def _record_coset_subgroup(monkeypatch):
+    # (the BFS words, H's generator vertices, H's vertices) per call
+    calls, coset_subgroup = [], groups._coset_subgroup
+
+    def recorded(residues, words, *args):
+        calls.append((list(words), *coset_subgroup(residues, words, *args)))
+        return calls[-1][1:]
+
+    monkeypatch.setattr(groups, "_coset_subgroup", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("key", sorted(COSET_SUBGROUPS))
+def test_coset_subgroup_of_each_exact_group(monkeypatch, key):
+    calls = _record_coset_subgroup(monkeypatch)
+    definition = load_group(key)
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    [(_, _, members)] = calls
+    assert (len(members), group.n // len(members)) == COSET_SUBGROUPS[key]
 
 
 @pytest.mark.parametrize("key, read_off", [
@@ -229,16 +252,37 @@ def test_generate_exact_product_count(monkeypatch, key, read_off):
     products = []
     mul = MatC.__mul__
     monkeypatch.setattr(MatC, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    calls = _record_coset_subgroup(monkeypatch)
     definition = load_group(key)
     group = FinGroup.generate(definition.generators, cap=definition.order)
     if read_off:
-        assert products == []
+        assert products == [] and calls == []
     else:
-        # n/|H| cosets: each representative times each of the k generators,
-        # |H| - 1 right products per coset, and one for s^|H|
-        h = COSET_ORDERS[key]
-        r, k = group.n // h, len(group.gen_idx)
-        assert len(products) == r * k + r * (h - 1) + 1
+        # the products along the words of H's generators but s, then every
+        # element of H but the identity times each of H's generators, each
+        # coset but H built along H's BFS tree, and every representative
+        # but the identity times each of the k generators
+        [(words, hverts, members)] = calls
+        h, r, k = len(members), group.n // len(members), len(group.gen_idx)
+        along_words = sum(len(words[v]) - 1 for v in hverts[1:])
+        assert len(products) == along_words + (h - 1) * len(hverts) + (r - 1) * (h - 1) + (r - 1) * k
+
+
+def test_generate_scales_each_factor_once_per_lead(monkeypatch):
+    # every exact product of M10_second's closure comes out in normal form
+    # by scaling its fixed factor, a generator or one of H's, by the inverse
+    # of the product's lead, once per factor and lead: no product is scaled
+    definition = load_group("M10_second")
+    gens = [*definition.generators, *map(_normalize, definition.generators)]
+    scaled = []
+    scale = MatC.scale
+    monkeypatch.setattr(MatC, "scale", lambda m, c: scaled.append((m, c)) or scale(m, c))
+    calls = _record_coset_subgroup(monkeypatch)
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    [(words, hverts, _)] = calls
+    factors = {*gens, *(group.elements[group._rword.index(words[v])] for v in hverts)}
+    assert scaled and len(set(scaled)) == len(scaled)
+    assert {m for m, _ in scaled} <= factors
 
 
 @pytest.mark.parametrize("gens", [
@@ -394,10 +438,10 @@ def test_index_of_round_trips_on_c3_4_a6(built):
 
 def test_index_of_round_trips_on_an_exact_group(built):
     # M10_second is closed as exact cosets and has 1511 distinct entries:
-    # its codes are tuples, bisected as bytes codes are, and a miss is a
-    # KeyError
+    # its codes are two bytes per rank, bisected as one-byte codes are, and
+    # a miss is a KeyError
     group = built("M10_second")
-    assert type(group.elements.codes[1]) is tuple
+    assert type(group.elements.codes[1]) is bytes and len(group.elements.codes[1]) == 2 * 36
     _assert_index_of_round_trips(group)
     assert group.index_of(identity(6).scale(W)) == 0
     with pytest.raises(KeyError, match="does not belong"):
@@ -411,7 +455,7 @@ def test_index_of_round_trips(built, key):
     assert group.index_of(identity(6).scale(W)) == 0
 
 
-# closed as exact cosets: A7_second's codes are bytes, M10_second's tuples
+# closed as exact cosets: A7_second's codes are one byte per rank, M10_second's two
 @pytest.mark.parametrize("key", ["A7_second", "M10_second"])
 def test_index_of_rejects_foreign_matrices_of_an_exact_group(built, key):
     group = built(key)
@@ -428,14 +472,15 @@ def test_index_of_rejects_foreign_matrices_of_an_exact_group(built, key):
 
 @pytest.mark.parametrize("key", group_keys())
 def test_every_enumerated_group_keeps_sorted_codes_and_no_matrix(built, key):
-    # one code per element, bytes for at most 256 distinct entries and
-    # tuples above, sorted and distinct after the identity; the group and
-    # its store hold no per-element matrix
+    # one bytes code per element, one byte per entry's rank for at most 256
+    # distinct entries and two above, sorted and distinct after the
+    # identity; the group and its store hold no per-element matrix
     group = built(key)
     store = group.elements
     codes = store.codes
     assert len(codes) == group.n
-    assert {type(c) for c in codes} == {bytes if len(store.entries) <= 256 else tuple}
+    width = 1 if len(store.entries) <= 256 else 2
+    assert {(type(c), len(c)) for c in codes} == {(bytes, width * group.dim ** 2)}
     assert all(a < b for a, b in zip(codes[1:], codes[2:]))
     held = [*vars(group).values(), *(getattr(store, name) for name in store.__slots__)]
     for value in held:
@@ -490,7 +535,9 @@ def test_generate_refuses_a_tampered_element(monkeypatch):
     # one element of a coset, a right product with s, is replaced by another
     # group element: its coset no longer fills its own vertices, and a
     # later coset reaches one of the vertices it took.  s is Q8_S3's third
-    # generator (order 4, the cheapest by the choice of _exact_cosets)
+    # generator (order 4, the cheapest by the choice of _exact_cosets); H
+    # has 16 elements, all of leading entry one, so its BFS makes 15 right
+    # products with s itself, and the 18th is in the first coset after H
     gens = load_group("Q8_S3").generators
     s = _normalize(gens[2])
     mul, chained = MatC.__mul__, []
@@ -499,14 +546,37 @@ def test_generate_refuses_a_tampered_element(monkeypatch):
         c = mul(a, b)
         if b == s:
             chained.append(c)
-            if len(chained) == 10:  # the third coset's third element
+            if len(chained) == 18:
                 return mul(gens[0], c)
         return c
 
     monkeypatch.setattr(MatC, "__mul__", tampered)
     with pytest.raises(EnumerationUnproved, match="the group has more than 48 elements"):
         FinGroup.generate(gens, cap=48)
-    assert len(chained) >= 10
+    assert len(chained) >= 18
+
+
+def test_generate_refuses_a_tampered_generator_of_the_coset_subgroup(monkeypatch):
+    # M10_second's second generator of H is a monomial vertex whose matrix
+    # is the product along its BFS word, the first products made; the last
+    # of them replaced by another group element does not reduce to it
+    gens = load_group("M10_second").generators
+    g = _normalize(gens[0])
+    calls = _record_coset_subgroup(monkeypatch)
+    mul, products = MatC.__mul__, []
+
+    def tampered(a, b):
+        products.append(mul(a, b))
+        [(words, hverts, _)] = calls
+        if len(products) == len(words[hverts[1]]) - 1:
+            return _normalize(mul(g, products[-1]))
+        return products[-1]
+
+    monkeypatch.setattr(MatC, "__mul__", tampered)
+    with pytest.raises(EnumerationUnproved, match="the product along the word of element"):
+        FinGroup.generate(gens, cap=720)
+    [(words, hverts, _)] = calls
+    assert len(products) == len(words[hverts[1]]) - 1 > 0
 
 
 def test_generate_never_returns_the_sign_dropped_l2_11():
