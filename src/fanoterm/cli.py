@@ -384,12 +384,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, CatalogValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.code
-    except CatalogValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
+        return getattr(exc, "code", EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

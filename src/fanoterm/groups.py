@@ -6,8 +6,9 @@ lift whose first nonzero entry is one); its entries are hash-consed
 cyclotomic values, so matrices compare and hash by the identity of their
 entries.
 
-The closure runs on residues: with N the lcm of the entries' conductors
-and p = 1 (mod N) an odd prime, zeta_N -> omega reduces every matrix mod
+The closure runs on residues: with N the lcm of the entries' conductors,
+p = 1 (mod N) an odd prime and omega = r^((p - 1)/N) for r the least
+primitive root mod p, zeta_N -> omega reduces every matrix mod
 (p, zeta_N - omega).  The BFS keys each element by its images of the
 projective frame {[e_1], ..., [e_d], [e_1 + ... + e_d]}, which determine
 an element of PGL_d(Z/p): a generator moves a key by one table lookup per
@@ -21,9 +22,10 @@ whose conjugates are at most B in size, B from the L1 norms of the
 entries; it lies in the prime above p, so p divides its norm, which is
 at most B^phi(N), and p > B^phi(N) makes it zero.  Otherwise the
 read-off is dropped and the exact group is closed as cosets of a
-subgroup H, generated by a cheap generator and the vertices whose
-residues are monomial, each element placed at the vertex of its residue:
-one to one onto the vertices, reduction proves every edge.  Each exact
+subgroup H, generated by the generator of largest residue order and the
+vertices whose residues are monomial, each element placed at the vertex
+of its residue: one to one onto the vertices, reduction proves every
+edge.  Each exact
 product has a generator as one factor, scaled once per leading entry so
 that the product comes out in normal form.  A failed proof is an error,
 so generators of an infinite group never yield a group.  Either way each
@@ -59,7 +61,7 @@ from collections.abc import Set
 from functools import lru_cache, reduce
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .cyclo import ONE, ZERO, CycloNum, _prime_factors, cyclotomic_poly, dot, galois
+from .cyclo import ONE, ZERO, CycloNum, _phi, _prime_factors, dot, galois
 from .linalg import MatC, identity
 
 __all__ = [
@@ -84,7 +86,8 @@ class EnumerationUnproved(RuntimeError):
     """The generators do not give the finite group their residues show, or
     that is not proved: a power of a generator at its residue order is not
     the identity, two exact elements share a residue, an entry has no
-    residue, or the residue prime is unusable."""
+    residue, a generator is singular, or no prime below 256 is a usable
+    residue prime."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,31 +110,26 @@ def _normalize(mat: MatC) -> MatC:
 # ---------------------------------------------------------------------------
 # residues modulo a split prime
 #
-# zeta_N -> omega, a root of the N-th cyclotomic polynomial mod m, is a ring
-# map from Z[1/D][zeta_N] onto Z/m when m is coprime to D.  A matrix is
-# reduced to the flat row-major ``bytes`` of its entries' residues, as
-# m < 256.
+# zeta_N -> omega, a root of the N-th cyclotomic polynomial mod a prime p,
+# is a ring map from Z[1/D][zeta_N] onto Z/p when p is coprime to D.  A
+# matrix is reduced to the flat row-major ``bytes`` of its entries'
+# residues, as p < 256.
 
 
-def _cyclotomic_root(m: int, n_cond: int) -> Optional[int]:
-    """A root mod m of the n_cond-th cyclotomic polynomial, from the least
-    base g >= 2 of the form g^((m - 1)/n_cond); None if none is found.  For
-    a prime m = 1 mod N any primitive root is such a base, and one lies far
-    below the bound on g."""
-    poly = cyclotomic_poly(n_cond)
-    for g in range(2, min(m, 1 << 16)):
-        w = pow(g, (m - 1) // n_cond, m)
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * w + c) % m
-        if acc == 0:
-            return w
-    return None
+def _primitive_root(p: int) -> int:
+    """The least primitive root mod an odd prime p: the least g >= 2
+    with g^((p - 1)/q) != 1 for every prime q dividing p - 1."""
+    return next(g for g in range(2, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)))
 
 
-def _reducer(m: int, n_cond: int, w: int) -> Callable[[CycloNum], Optional[int]]:
-    """The residue of a value under zeta_N -> w mod m, None when m divides
-    its denominator; memoized per (hash-consed) value."""
+def _reducer(p: int, n_cond: int) -> Callable[[CycloNum], Optional[int]]:
+    """The residue of a value under zeta_N -> omega mod a prime p = 1 mod
+    N, None when p divides its denominator; memoized per (hash-consed)
+    value.  omega = r^((p - 1)/N), r the least primitive root mod p, has
+    order exactly N, so it is a root of the N-th cyclotomic polynomial
+    mod p."""
+    w = pow(_primitive_root(p), (p - 1) // n_cond, p)
     memo: dict[CycloNum, Optional[int]] = {}
     powers: dict[int, list[int]] = {}
 
@@ -139,12 +137,12 @@ def _reducer(m: int, n_cond: int, w: int) -> Callable[[CycloNum], Optional[int]]
         if e in memo:
             return memo[e]
         r = None
-        if math.gcd(e.den, m) == 1:
+        if math.gcd(e.den, p) == 1:
             ws = powers.get(e.n)
             if ws is None:
-                wn = pow(w, n_cond // e.n, m)
-                ws = powers[e.n] = [pow(wn, k, m) for k in range(len(e.num))]
-            r = sum(c * x for c, x in zip(e.num, ws)) * pow(e.den, -1, m) % m
+                wn = pow(w, n_cond // e.n, p)
+                ws = powers[e.n] = [pow(wn, k, p) for k in range(len(e.num))]
+            r = sum(c * x for c, x in zip(e.num, ws)) * pow(e.den, -1, p) % p
         memo[e] = r
         return r
 
@@ -175,10 +173,7 @@ def _prime_data(p: int, n_cond: int, gens: Sequence[MatC]):
     it is singular mod every prime."""
     if p % 2 == 0 or (p - 1) % n_cond:
         return None
-    w = _cyclotomic_root(p, n_cond)
-    if w is None:
-        return None
-    reduce = _reducer(p, n_cond, w)
+    reduce = _reducer(p, n_cond)
     residues = []
     for g in gens:
         flat = [reduce(e) for row in g.rows for e in row]
@@ -192,12 +187,14 @@ def _prime_data(p: int, n_cond: int, gens: Sequence[MatC]):
     return reduce, residues
 
 
-def _residue_prime(gens: Sequence[MatC], n_cond: int) -> int:
-    """The largest usable residue prime below 256, so that a residue is
-    one ``bytes``; EnumerationUnproved when the conductor N leaves none."""
+def _residue_prime(gens: Sequence[MatC], n_cond: int):
+    """(p, reduce, generator residues): the largest usable residue prime p
+    below 256, so that a residue is one ``bytes``, and the ``_prime_data``
+    that accepted it; EnumerationUnproved when the conductor N leaves
+    none."""
     for p in range(1 + n_cond * (254 // n_cond), 2, -n_cond):
-        if _prime_factors(p) == (p,) and _prime_data(p, n_cond, gens) is not None:
-            return p
+        if _prime_factors(p) == (p,) and (data := _prime_data(p, n_cond, gens)) is not None:
+            return (p, *data)
     raise EnumerationUnproved(f"no usable residue prime below 256 for conductor {n_cond}")
 
 
@@ -207,12 +204,11 @@ def _byte_tables(p: int, d: int):
     by c mod p, the inverses mod p, and the reduction mod p of a sum of d
     residues.
 
-    Each table is one translate of ``logs``, v -> the log of v mod p to a
-    primitive root r, with 0 sent to the sentinel p - 1: through the
-    powers of r rotated by log c, r^e -> r^(e + log c), and the sentinel
-    to 0."""
-    r = next(g for g in range(2, p)
-             if all(pow(g, (p - 1) // q, p) != 1 for q in _prime_factors(p - 1)))
+    Each table is one translate of ``logs``, v -> the log of v mod p to
+    the primitive root r of ``_primitive_root``, with 0 sent to the
+    sentinel p - 1: through the powers of r rotated by log c,
+    r^e -> r^(e + log c), and the sentinel to 0."""
+    r = _primitive_root(p)
     powers = [1]
     for _ in range(p - 2):
         powers.append(powers[-1] * r % p)
@@ -405,7 +401,7 @@ def _conj_bound(e: CycloNum, scale: int) -> int:
     return b
 
 
-def _norm_bound(gens: Sequence[MatC], entries: set[CycloNum], n_cond: int, p: int) -> int:
+def _norm_bound(gens: Sequence[MatC], entries: set[CycloNum], n_cond: int) -> int:
     """B^phi(N), the bound on the norm of every edge's defect when the
     elements are read off their residues and their entries are
     ``entries``, the read-off table's preimages.
@@ -418,7 +414,7 @@ def _norm_bound(gens: Sequence[MatC], entries: set[CycloNum], n_cond: int, p: in
     (p, zeta_N - omega), so p divides its norm, which is at most B^phi(N)
     in size: for p > B^phi(N) it is zero.
     """
-    phi = len(cyclotomic_poly(n_cond)) - 1
+    phi = _phi(n_cond)
     delta = math.lcm(*(e.den for e in entries))  # Delta e_x is integral for every x
     c_max = max(_conj_bound(e, delta) for e in entries)
     r_max = 1  # the largest row sum of the conjugate bounds of delta_g g_a
@@ -463,7 +459,8 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, words: Sequence[byte
     """The exact normal form of every vertex of the residue graph, and the
     proof that the generators give the group their residues show.
 
-    H is generated by s, a cheap generator of residue order m, and by the
+    H is generated by s, the first generator of largest residue order m,
+    so that its chain of powers is as long as any generator's, and by the
     vertices with monomial residues that ``_coset_subgroup`` picks; such a
     vertex's matrix is the product along its word, and it must reduce to
     the vertex.  H is closed exactly by a BFS of right products with its
@@ -488,16 +485,13 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, words: Sequence[byte
     coset but H and k per representative but the identity.
     """
     n, d = len(residues), ident.dim
-    nnz = [sum(map(len, g.nnz)) for g in gens]
     orders = []
     for perm in perms:
         m, y = 1, perm[0]
         while y:
             m, y = m + 1, perm[y]
         orders.append(m)
-    # s is chosen as for H = <s>, whose chains make about n products with s
-    # and whose cosets n/m with each generator
-    a = min(range(len(gens)), key=lambda a: nnz[a] + sum(nnz) / orders[a])
+    a = max(range(len(gens)), key=orders.__getitem__)
     m = orders[a]
     index = {r: x for x, r in enumerate(residues)}
     elems: list[Optional[MatC]] = [None] * n
@@ -786,10 +780,9 @@ class _Elements:
     byte per rank when there are at most 256 entries, else two big-endian
     bytes, so codes compare as the tuples of their ranks.  ``generate``
     sets the codes, in the group's order.  Element i is the matrix of
-    ``entries`` over ``codes[i]``, built only when it is asked for.  Equal
-    rows are one tuple."""
+    ``entries`` over ``codes[i]``, built only when it is asked for."""
 
-    __slots__ = ("codes", "entries", "rank", "_pack", "_unpack", "_cuts", "_rows")
+    __slots__ = ("codes", "entries", "rank", "_pack", "_unpack", "_cuts")
 
     def __init__(self, entries: Sequence[CycloNum], dim: int):
         self.codes: list[bytes] = []
@@ -800,7 +793,6 @@ class _Elements:
         self._pack = struct.Struct(f">{dim * dim}{unit}").pack
         self._unpack = row.unpack
         self._cuts = [slice(i, i + row.size) for i in range(0, dim * row.size, row.size)]
-        self._rows: dict = {}
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -814,14 +806,8 @@ class _Elements:
         return map(self._matrix, self.codes)
 
     def _matrix(self, code: bytes) -> MatC:
-        rows = []
-        for cut in self._cuts:
-            key = code[cut]
-            row = self._rows.get(key)
-            if row is None:
-                row = self._rows[key] = tuple(map(self.entries.__getitem__, self._unpack(key)))
-            rows.append(row)
-        return MatC(rows)
+        entry, unpack = self.entries.__getitem__, self._unpack
+        return MatC([map(entry, unpack(code[cut])) for cut in self._cuts])
 
     def code(self, mat: MatC) -> bytes:
         """The code of ``mat``; KeyError when one of its entries is not in
@@ -885,29 +871,30 @@ class FinGroup:
         """Breadth-first closure of the projective classes of the generators,
         run on residues and proved exact.
 
-        The BFS runs in PGL_d(Z/p) for a prime p = 1 mod N
-        (``_residue_prime``), N the lcm of the entries' conductors, under
-        zeta_N -> omega: reduction mod an odd split prime is injective on a
-        finite matrix group (Minkowski), so the residue Cayley graph is the
-        group's.  It tells elements apart by their images of a projective
-        frame, which fix an element of PGL_d(Z/p), and computes each
-        element's residue once, along its spanning tree (``_residue_bfs``).
-        When every residue value has one preimage among the entries of the
-        identity and the generators, the elements are read off their
-        residues (``_read_off``), and they are kept
-        when each preimage reduces to its value and a norm bound proves
-        every edge from the residues alone (``_norm_bound``).  Otherwise
-        the exact group is closed as cosets of a subgroup H, generated by
-        a cheap generator and the vertices with monomial residues
+        The BFS runs in PGL_d(Z/p) for a prime p = 1 mod N, N the lcm of
+        the entries' conductors, under zeta_N -> omega (``_residue_prime``
+        returns p, the reduction and the generators' residues): reduction
+        mod an odd split prime is injective on a finite matrix group
+        (Minkowski), so the residue Cayley graph is the group's.  It tells
+        elements apart by their images of a projective frame, which fix an
+        element of PGL_d(Z/p), and computes each element's residue once,
+        along its spanning tree (``_residue_bfs``).  When every residue
+        value has one preimage among the entries of the identity and the
+        generators, the elements are read off their residues
+        (``_read_off``), and they are kept when each preimage reduces to
+        its value and a norm bound proves every edge from the residues
+        alone (``_norm_bound``).  Otherwise the exact group is closed as
+        cosets of a subgroup H, generated by the generator of largest
+        residue order and the vertices with monomial residues
         (``_coset_subgroup``): about one product per element of H and
         generator of H, one per element outside H, and one per coset
-        representative and generator, each made in normal form by
-        scaling its fixed factor.  Reduction is proved one to one onto
-        the vertices, which proves every edge (``_exact_cosets``); a
-        failed proof raises EnumerationUnproved, so generators of an
-        infinite group never yield a group.  Element
-        y = g_a * x is found from x, so its word is x's word plus a, and
-        ``mult`` replays the word through the translation tables.
+        representative and generator, each made in normal form by scaling
+        its fixed factor.  Reduction is proved one to one onto the
+        vertices, which proves every edge (``_exact_cosets``); a failed
+        proof raises EnumerationUnproved, so generators of an infinite
+        group never yield a group.  Element y = g_a * x is found from x,
+        so its word is x's word plus a, and ``mult`` replays the word
+        through the translation tables.
 
         Both proofs end in one code per element, its entries' ranks
         (``_Elements``): read off, each residue is recoded in place by one
@@ -929,18 +916,14 @@ class FinGroup:
                              f"are allowed, {len(gens_p)} given")
         # every product of the generators has its entries in Q(zeta_N)
         n_cond = math.lcm(*(e.n for g in gens_p for e in _entries(g)))
-        p = _residue_prime(gens_p, n_cond)
-        data = _prime_data(p, n_cond, gens_p)
-        if data is None:
-            raise EnumerationUnproved(f"{p} is not a usable residue prime for conductor {n_cond}")
-        reduce, gen_residues = data
+        p, reduce, gen_residues = _residue_prime(gens_p, n_cond)
         residues, words, perms = _residue_bfs(gen_residues, dim, p, cap)
         n = len(residues)
         table = _read_off(residues, reduce, gens_p, ident)
         # each read-off entry is its value's preimage, so every element's
         # entries reduce to its residues when the table's do
         if table is not None and not (all(reduce(e) == r for r, e in table.items())
-                                      and p > _norm_bound(gens_p, set(table.values()), n_cond, p)):
+                                      and p > _norm_bound(gens_p, set(table.values()), n_cond)):
             table = None
         # canonical order: identity first, the rest by their entries in
         # row-major order, each entry ranked by (conductor, denominator,

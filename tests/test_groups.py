@@ -27,7 +27,7 @@ from fanoterm.groups import (
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
 from oracles import (all_joins_subgroup_classes, bfs_closure, bounded_closure, commuting_center,
                      coset_table_quotient, exact_bfs_group, fixpoint_normal_closure, greedy_gens,
-                     product_class_map, residue_bfs, subgroup_orbit)
+                     int_cyclotomic_poly, product_class_map, residue_bfs, subgroup_orbit)
 
 W = root_of_unity(3, 1)
 
@@ -240,8 +240,12 @@ def test_coset_subgroup_of_each_exact_group(monkeypatch, key):
     calls = _record_coset_subgroup(monkeypatch)
     definition = load_group(key)
     group = FinGroup.generate(definition.generators, cap=definition.order)
-    [(_, _, members)] = calls
+    [(words, hverts, members)] = calls
     assert (len(members), group.n // len(members)) == COSET_SUBGROUPS[key]
+    # s, H's first generator, is the first generator of largest order, a
+    # generator's order being its residue order; its vertex's word is its letter
+    orders = [group.order_of(g) for g in group.gen_idx]
+    assert words[hverts[0]] == bytes((orders.index(max(orders)),))
 
 
 @pytest.mark.parametrize("key, read_off", [
@@ -332,7 +336,8 @@ def test_generate_refuses_an_infinite_group_read_off_its_residues(monkeypatch):
     # of it and its inverse, giving a group of order 3; 3 is below the norm
     # bound, so the read-off is dropped and the cube of the first generator
     # is not the identity
-    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 3)
+    monkeypatch.setattr(groups, "_residue_prime",
+                        lambda gens, n_cond: (3, *groups._prime_data(3, n_cond, gens)))
     read = []
     read_off = groups._read_off
 
@@ -535,9 +540,10 @@ def test_generate_refuses_a_tampered_element(monkeypatch):
     # one element of a coset, a right product with s, is replaced by another
     # group element: its coset no longer fills its own vertices, and a
     # later coset reaches one of the vertices it took.  s is Q8_S3's third
-    # generator (order 4, the cheapest by the choice of _exact_cosets); H
-    # has 16 elements, all of leading entry one, so its BFS makes 15 right
-    # products with s itself, and the 18th is in the first coset after H
+    # generator (order 4, the first of largest order, the choice of
+    # _exact_cosets); H has 16 elements, all of leading entry one, so its BFS
+    # makes 15 right products with s itself, and the 18th is in the first
+    # coset after H
     gens = load_group("Q8_S3").generators
     s = _normalize(gens[2])
     mul, chained = MatC.__mul__, []
@@ -590,10 +596,16 @@ def test_generate_never_returns_the_sign_dropped_l2_11():
 
 
 def test_generate_refuses_an_even_residue_prime(monkeypatch, capsys):
-    monkeypatch.setattr(groups, "_residue_prime", lambda gens, n_cond: 2)
-    with pytest.raises(EnumerationUnproved, match="2 is not a usable residue prime"):
-        FinGroup.generate(load_group("A7_perm").generators, cap=2520)
-    # the uncached builder, so the session's cached A7_perm is left as it is
+    gens = [_normalize(m) for m in load_group("A7_perm").generators]
+    assert groups._prime_data(2, 1, gens) is None
+    # a prime search that proves nothing fails validate-catalog, not the
+    # process; the uncached builder, so the session's cached A7_perm is left
+    # as it is
+
+    def unproved(gens, n_cond):
+        raise EnumerationUnproved(f"no usable residue prime below 256 for conductor {n_cond}")
+
+    monkeypatch.setattr(groups, "_residue_prime", unproved)
     monkeypatch.setattr(cli, "build_group", catalog.build_group.__wrapped__)
     assert cli_main(["validate-catalog", "--group", "A7_perm"]) == EXIT_VALIDATION
     assert capsys.readouterr().out.startswith("FAIL A7_perm: enumeration is not exact: ")
@@ -625,13 +637,15 @@ def test_generate_skips_a_prime_that_divides_a_determinant():
     assert g.n == 2
 
 
-def test_byte_tables_match_their_definition():
-    primes = set()
+def _ambient_conductors():
+    # (key, normalized generators, conductor N) per ambient
     for key in group_keys():
         gens = [_normalize(m) for m in load_group(key).generators]
-        n_cond = math.lcm(*(e.n for g in gens for row in g.rows for e in row))
-        primes.add(groups._residue_prime(gens, n_cond))
-    primes = sorted(primes)
+        yield key, gens, math.lcm(*(e.n for g in gens for row in g.rows for e in row))
+
+
+def test_byte_tables_match_their_definition():
+    primes = sorted({groups._residue_prime(gens, n_cond)[0] for _, gens, n_cond in _ambient_conductors()})
     assert primes == [199, 241, 251]  # the residue primes of the nine ambients
     for p in primes + [3, 5, 7, 13]:
         tables, inv, mod = groups._byte_tables(p, 6)
@@ -640,6 +654,31 @@ def test_byte_tables_match_their_definition():
             assert tables[c] == bytes(c * v % p for v in range(256)), (p, c)
         assert inv == (0,) + tuple(pow(c, -1, p) for c in range(1, p))
         assert [mod(s) for s in range(6 * (p - 1) + 1)] == [s % p for s in range(6 * (p - 1) + 1)]
+
+
+def test_primitive_root_gives_a_root_of_the_cyclotomic_polynomial():
+    pairs = {(groups._residue_prime(gens, n_cond)[0], n_cond) for _, gens, n_cond in _ambient_conductors()}
+    pairs |= {(p, n) for p in (3, 5, 7, 13) for n in range(1, p) if (p - 1) % n == 0}
+    for p, n in sorted(pairs):
+        r = groups._primitive_root(p)
+        assert sorted(pow(r, e, p) for e in range(1, p)) == list(range(1, p)), p  # order p - 1
+        w = pow(r, (p - 1) // n, p)
+        assert sum(c * pow(w, k, p) for k, c in enumerate(int_cyclotomic_poly(n))) % p == 0, (p, n)
+        primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % f for f in range(2, q))]
+        assert all(pow(w, n // q, p) != 1 for q in primes), (p, n)
+        # zeta_N -> omega is the reduction mod p
+        assert groups._reducer(p, n)(root_of_unity(n, 1)) == w, (p, n)
+
+
+def test_residue_prime_returns_its_prime_data(built):
+    # the reduction and generator residues come from the one search; they
+    # equal a fresh _prime_data of its prime on every entry of the group
+    for key, gens, n_cond in _ambient_conductors():
+        p, reduce, residues = groups._residue_prime(gens, n_cond)
+        fresh, fresh_residues = groups._prime_data(p, n_cond, gens)
+        assert residues == fresh_residues, key
+        entries = built(key).elements.entries
+        assert list(map(reduce, entries)) == list(map(fresh, entries)), key
 
 
 def test_id_catalog_parses_like_literal_eval():
