@@ -164,14 +164,9 @@ def load_deformation_catalog():
 
 
 @lru_cache(maxsize=None)
-def load_fixtures(path: Optional[str] = None) -> tuple[ObstructionEntry, ...]:
-    if path is None:
-        text = _read("fixtures.list")
-    else:
-        with open(path) as fh:
-            text = fh.read()
+def load_fixtures() -> tuple[ObstructionEntry, ...]:
     rows = []
-    for line in data_lines(text):
+    for line in data_lines(_read("fixtures.list")):
         order, gid, b2, ambient = (int(x) for x in line.split())
         if order <= 0 or ambient <= 0:
             raise ValueError(f"fixture row {line!r}: orders must be positive")

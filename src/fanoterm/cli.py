@@ -25,9 +25,9 @@ from .catalog import (
 )
 from .cyclo import MAX_NESTING
 from .deform import obstruction_report
-from .groups import GroupId, GroupView, fingerprint, identify
+from .groups import FinGroup, GroupId, GroupView, fingerprint, identify
 from .invariants import classification_table, detect_l3
-from .linalg import MatC, mat_from_strings
+from .linalg import mat_from_strings
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,8 +51,12 @@ def _clip(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "…"
 
 
-def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
-    """A product expression over the catalog generators: g1*g2^2, parens."""
+def _parse_word(expr: str, group: FinGroup, gens: Sequence[int]) -> int:
+    """The element index of a product expression over the catalog
+    generators, such as g1*g2^2 with parens, where ``gens`` holds the
+    generators' indices.  It is evaluated in the Cayley graph: ``*`` is
+    ``group.mult``, and x^k is k mod the order of x products by x, so a
+    negative or huge exponent needs no inverse."""
     toks = []
     pos = 0
     while pos < len(expr):
@@ -79,7 +83,7 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
         except ValueError:  # past the interpreter's limit on digits
             raise CliError("number in generator word has too many digits") from None
 
-    def atom() -> MatC:
+    def atom() -> int:
         t = take()
         if t == "(":
             state["depth"] += 1
@@ -103,14 +107,16 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
             e = take()
             if e is None or not re.fullmatch(r"-?\d+", e):
                 raise CliError(f"bad exponent in word {_clip(expr)!r}")
-            out = out.pow(number(e))
+            x, out = out, 0
+            for _ in range(number(e) % group.order_of(x)):
+                out = group.mult(out, x)
         return out
 
-    def product() -> MatC:
+    def product() -> int:
         out = atom()
         while peek() == "*":
             take()
-            out = out * atom()
+            out = group.mult(out, atom())
         return out
 
     result = product()
@@ -119,34 +125,26 @@ def _parse_word(expr: str, gens: Sequence[MatC]) -> MatC:
     return result
 
 
-def parse_subgroup_spec(spec: str, gens: Sequence[MatC]) -> list[MatC]:
-    """One --subgroup value: comma-separated generator words, or an inline
-    matrix of the form mat:entry,...;entry,...  (rows split by ';')."""
+def parse_subgroup_spec(spec: str, group: FinGroup, gens: Sequence[int]) -> list[int]:
+    """The element indices of one --subgroup value: comma-separated
+    generator words (``_parse_word``), or an inline matrix of the form
+    mat:entry,...;entry,...  (rows split by ';'), found by ``index_of``."""
     if spec.startswith("mat:"):
         rows = [cell.split(",") for cell in spec[4:].split(";")]
         try:
-            return [mat_from_strings(rows)]
+            return [group.index_of(mat_from_strings(rows))]
+        except KeyError:
+            raise CliError(f"subgroup specification {_clip(spec)!r} leaves the ambient group")
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(
                 f"bad matrix in subgroup specification {_clip(spec)!r}: {_clip(str(exc))}"
             )
-    return [_parse_word(part, gens) for part in spec.split(",") if part.strip()]
+    return [_parse_word(part, group, gens) for part in spec.split(",") if part.strip()]
 
 
 def _resolve_subgroups(group, definition, specs: Sequence[str]) -> list[GroupView]:
-    out = []
-    for spec in specs:
-        mats = parse_subgroup_spec(spec, definition.generators)
-        try:
-            idxs = [group.index_of(m) for m in mats]
-        except KeyError:
-            raise CliError(f"subgroup specification {_clip(spec)!r} leaves the ambient group")
-        except ZeroDivisionError as exc:
-            raise CliError(
-                f"bad matrix in subgroup specification {_clip(spec)!r}: {_clip(str(exc))}"
-            )
-        out.append(group.subgroup(gens=idxs))
-    return out
+    gens = [group.index_of(g) for g in definition.generators]
+    return [group.subgroup(gens=parse_subgroup_spec(spec, group, gens)) for spec in specs]
 
 
 # -- formatting -----------------------------------------------------------------
@@ -251,8 +249,8 @@ def cmd_detect_l3(args) -> int:
 
 def cmd_check_deformation(args) -> int:
     try:
-        fixtures = load_fixtures(args.fixtures)
-    except (OSError, ValueError) as exc:
+        fixtures = load_fixtures()
+    except ValueError as exc:
         raise CliError(f"cannot read fixtures: {exc}")
     report = obstruction_report(fixtures, load_deformation_catalog())
     if args.format == "structured":
@@ -364,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect_l3)
 
     p = sub.add_parser("check-deformation", help="numerical deformation obstruction report")
-    p.add_argument("--fixtures", default=None, help="alternative fixture list file")
     p.add_argument("--format", default="table", choices=["table", "csv", "structured"])
     p.set_defaults(func=cmd_check_deformation)
 

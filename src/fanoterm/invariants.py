@@ -56,9 +56,9 @@ def is_l3_matrix(mat: MatC) -> bool:
     """Exact normal-form test on any lift: the characteristic polynomial is
     (t^2 + a*t + a^2)^3 for a nonzero scalar a, i.e. the eigenvalues are
     {r,r,r, rw,rw,rw} up to the lift's scalar.  The coefficients of that
-    cube are a^6, 3a^5, 6a^4, 7a^3, 6a^2, 3a, 1, so a is a third of c5."""
-    if mat.is_scalar() is not None:
-        return False
+    cube are a^6, 3a^5, 6a^4, 7a^3, 6a^2, 3a, 1, so a is a third of c5.
+    A scalar cI fails it: a = -2c, and its t^4 coefficient is 15c^2, not
+    6a^2 = 24c^2."""
     cp = mat.char_poly()
     a = cp[5] * rational(1, 3)
     if a.is_zero:

@@ -2,9 +2,10 @@
 
 Matrices are immutable values; products exploit row sparsity and compute
 each entry as one fused dot product (``cyclo.dot``).  One Faddeev-LeVerrier
-recursion gives the characteristic polynomial, the determinant and, by
-Cayley-Hamilton, the inverse, so no elimination runs: only divisions by
-1..dim occur, and one cyclotomic inverse for a matrix inverse.
+recursion gives the characteristic polynomial and the determinant, so no
+elimination runs: only divisions by 1..dim occur.  There is no matrix
+power or inverse: a group's elements are multiplied and inverted by index
+(``groups.FinGroup``).
 """
 
 from __future__ import annotations
@@ -99,68 +100,27 @@ class MatC:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
-    def pow(self, k: int) -> "MatC":
-        if k < 0:
-            return self.inv().pow(-k)
-        out = identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def inv(self) -> "MatC":
-        """Exact inverse by Cayley-Hamilton: A M_d = -c_0 I in the
-        recursion of ``char_poly``, so A^-1 = -M_d / c_0; raises
-        ZeroDivisionError on singular input (c_0 = 0)."""
-        coeffs, m = self._faddeev_leverrier()
-        if coeffs[0].is_zero:
-            raise ZeroDivisionError("matrix is singular")
-        return m.scale(-coeffs[0].inv())
-
     def trace(self) -> CycloNum:
         return dot([(row[i], ONE) for i, row in enumerate(self.rows)])
 
     def char_poly(self) -> tuple[CycloNum, ...]:
         """Monic characteristic polynomial det(tI - A) as its tuple of
-        coefficients, ascending degree."""
-        return self._faddeev_leverrier()[0]
-
-    def _faddeev_leverrier(self) -> tuple[tuple[CycloNum, ...], "MatC"]:
-        """The one recursion behind ``char_poly``, ``det`` and ``inv``:
+        coefficients, ascending degree, by the Faddeev-LeVerrier recursion
         M_1 = I, c_(d-k) = -tr(A M_k) / k, M_(k+1) = A M_k + c_(d-k) I, so
-        only divisions by 1..dim occur.  Returns the coefficients c_0, ...,
-        c_d (ascending degree, c_d = 1) and M_d."""
+        only divisions by 1..dim occur."""
         d = self.dim
         coeffs = [ONE]  # c_d, c_(d-1), ..., c_0 as they are computed
-        m = identity(d)
+        am = self  # A M_k
         for k in range(1, d + 1):
-            am = self * m
             c = am.trace() * rational(Fraction(-1, k))
             coeffs.append(c)
             if k < d:
-                m = am.add(scalar_mat(d, c))
-        return tuple(reversed(coeffs)), m
+                am = self * am.add(scalar_mat(d, c))
+        return tuple(reversed(coeffs))
 
     def det(self) -> CycloNum:
         c0 = self.char_poly()[0]
         return c0 if self.dim % 2 == 0 else -c0
-
-    def is_scalar(self) -> Optional[CycloNum]:
-        """The scalar lambda when the matrix is lambda*I, else None."""
-        lam = self.rows[0][0]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                e = self.rows[i][j]
-                if i == j:
-                    if e is not lam:
-                        return None
-                elif not e.is_zero:
-                    return None
-        return lam
 
     def to_strings(self) -> list[list[str]]:
         return [[e.to_string() for e in row] for row in self.rows]

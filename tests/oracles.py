@@ -58,6 +58,14 @@ def poly_at_matrix(coeffs: tuple, m):
     return acc
 
 
+def cayley_hamilton_inverse(m):
+    """The inverse of an invertible matrix from its characteristic
+    polynomial c_0 + c_1 t + ... + t^d: m^-1 = -(c_1 + c_2 m + ... +
+    m^(d-1)) / c_0."""
+    cp = m.char_poly()
+    return poly_at_matrix(cp[1:], m).scale(-cp[0].inv())
+
+
 def poly_mod(a: list[Fraction], m: list[Fraction]) -> list[Fraction]:
     a = list(a)
     dm = len(m) - 1

@@ -11,6 +11,8 @@ import pytest
 
 import fanoterm
 from fanoterm.cli import EXIT_OK, EXIT_VALIDATION, main
+from fanoterm.linalg import identity
+from oracles import cayley_hamilton_inverse
 
 
 def run_cli(capsys, *args):
@@ -167,8 +169,8 @@ def test_targeted_bad_matrix_entry(capsys, spec):
 
 @pytest.mark.parametrize("key", ["L2_11", "M10_second"])
 def test_targeted_negative_exponent(capsys, key):
-    # g1^-1 goes through the exact matrix inverse; the row must be the one
-    # of the subgroup generated by the product of the element indices
+    # the row must be the one of the subgroup generated by the product of
+    # the element indices
     from fanoterm.catalog import build_group, load_group
     from fanoterm.cli import render_records
     from fanoterm.invariants import classification_table
@@ -182,6 +184,58 @@ def test_targeted_negative_exponent(capsys, key):
     records = classification_table(key, mode="targeted", targeted=[sub], all_subgroups=True)
     assert out == render_records(records, "structured", key, "targeted")
     assert [row["order"] for row in json.loads(out)["rows"]] == [sub.order]
+
+
+def _power(m, k):
+    """m^k by exact products, through the Cayley-Hamilton inverse when k < 0."""
+    if k < 0:
+        m, k = cayley_hamilton_inverse(m), -k
+    out = identity(m.dim)
+    while k:
+        if k & 1:
+            out = out * m
+        m, k = m * m, k >> 1
+    return out
+
+
+# each word beside its value on the generators' matrices
+WORDS = [
+    ("C3_4_A6", "g3*g4", lambda g: g[2] * g[3]),
+    ("C3_4_A6", "(g1*g2)^-3*g3^0", lambda g: _power(g[0] * g[1], -3)),
+    ("C3_4_A6", "(g1^2*(g4*g6)^-1)^123456789012",
+     lambda g: _power(_power(g[0], 2) * _power(g[3] * g[5], -1), 123456789012)),
+    ("M10_second", "g1^-1*g2", lambda g: _power(g[0], -1) * g[1]),
+    ("M10_second", "g2^0", lambda g: identity(6)),
+    ("M10_second", "(g1^3*(g2*g1)^-2)^99999999999",
+     lambda g: _power(_power(g[0], 3) * _power(g[1] * g[0], -2), 99999999999)),
+    ("L2_11", "(g1*g2)^5", lambda g: _power(g[0] * g[1], 5)),
+    ("L2_11", "g2^-7", lambda g: _power(g[1], -7)),
+    ("L2_11", "((g1*g2)^-5*g1)^-1", lambda g: _power(_power(g[0] * g[1], -5) * g[0], -1)),
+]
+
+
+@pytest.mark.parametrize("key,word,value", WORDS, ids=[f"{k}:{w}" for k, w, _ in WORDS])
+def test_word_is_the_index_of_its_matrix_product(key, word, value):
+    from fanoterm.catalog import build_group, load_group
+    from fanoterm.cli import parse_subgroup_spec
+
+    group, mats = build_group(key), load_group(key).generators
+    gens = [group.index_of(g) for g in mats]
+    assert parse_subgroup_spec(word, group, gens) == [group.index_of(value(mats))]
+
+
+def test_word_resolution_makes_no_matrix_product(monkeypatch):
+    from fanoterm.catalog import build_group, load_group
+    from fanoterm.cli import _resolve_subgroups
+    from fanoterm.linalg import MatC
+
+    group = build_group("M10_second")
+    products = []
+    mul = MatC.__mul__
+    monkeypatch.setattr(MatC, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    subs = _resolve_subgroups(group, load_group("M10_second"),
+                              ["g1^-1*g2", "(g1^3*(g2*g1)^-2)^99999999999", "g2^-7"])
+    assert len(subs) == 3 and products == []
 
 
 def test_rank_table_disagreement_is_a_validation_error(capsys, monkeypatch):
@@ -258,15 +312,16 @@ def test_check_deformation_structured(capsys):
     assert [e["group_id"] for e in payload["new_candidates"]] == [[660, 13], [2520, 0]]
 
 
-def test_check_deformation_missing_file(capsys):
-    code, _, err = run_cli(capsys, "check-deformation", "--fixtures", "/nonexistent/f.list")
-    assert code == EXIT_VALIDATION
+def test_check_deformation_nonpositive_order(capsys, monkeypatch):
+    from fanoterm import catalog
 
-
-def test_check_deformation_nonpositive_order(capsys, tmp_path):
-    path = tmp_path / "fixtures.list"
-    path.write_text("0 1 4 48\n")
-    code, out, err = run_cli(capsys, "check-deformation", "--fixtures", str(path))
+    monkeypatch.setattr(catalog, "_read", lambda name: "0 1 4 48\n")
+    catalog.load_fixtures.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "check-deformation")
+    finally:
+        monkeypatch.undo()
+        catalog.load_fixtures.cache_clear()
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err.startswith("error:") and "'0 1 4 48'" in err

@@ -5,7 +5,7 @@ import weakref
 import pytest
 
 from fanoterm.catalog import build_group
-from fanoterm.cyclo import ONE, root_of_unity
+from fanoterm.cyclo import ONE, rational, root_of_unity
 from fanoterm.groups import FinGroup, GroupId, identify
 from fanoterm.invariants import (
     b2_of_terminalization,
@@ -17,7 +17,7 @@ from fanoterm.invariants import (
     pi1_quotient,
     singular_invariants,
 )
-from fanoterm.linalg import diag, mat_from_strings, perm_mat
+from fanoterm.linalg import diag, mat_from_strings, perm_mat, scalar_mat
 from fanoterm.ranks import rank_candidates
 from oracles import (
     bounded_closure,
@@ -96,13 +96,14 @@ def test_l3_prefilter_agrees_with_char_poly_test(built):
 
 def test_l3_char_poly_matches_product_formula(fermat_l3, fermat):
     # a balanced diagonal has characteristic polynomial (t-1)^3 (t-w)^3
-    from fanoterm.cyclo import rational
-
     m = _exps((0, 0, 0, 1, 1, 1))
     lin1 = (rational(-1), ONE)
     linw = (-W, ONE)
     assert m.char_poly() == cyclo_poly_product(lin1, lin1, lin1, linw, linw, linw)
     assert is_l3_matrix(m)
+    # a scalar cI has a = -2c and t^4 coefficient 15c^2, not 6a^2; zero has a = 0
+    for c in (ONE, W, rational(-2), rational(0)):
+        assert not is_l3_matrix(scalar_mat(6, c))
 
 
 def test_l3_detection_conjugation_invariant(built):
@@ -110,8 +111,9 @@ def test_l3_detection_conjugation_invariant(built):
     l3 = detect_l3(group)
     # conjugating the generator set produces the same count
     definition_gens = [group.elements[i] for i in group.gen_idx]
-    conj = group.elements[5]
-    conj_gens = [conj * m * conj.inv() for m in definition_gens]
+    # the enumeration is projective, so a scalar multiple of conj^-1 will do
+    conj, conj_inv = group.elements[5], group.elements[group.inv(5)]
+    conj_gens = [conj * m * conj_inv for m in definition_gens]
     regrouped = FinGroup.generate(conj_gens, cap=3000)
     assert detect_l3(regrouped).count == l3.count
 
