@@ -1,21 +1,20 @@
-"""Data layer: group definitions, rank table, comparison catalogs.
+"""Data layer: group definitions and the rank table.
 
 Matrices and cubic forms live in text files under ``fanoterm/data`` using
 the cyclotomic grammar, one file per group; the tables are
 whitespace-separated columns with ``#`` comments.  Everything is read-only
-once loaded.
+once loaded.  The comparison catalogs and fixture rows of the deformation
+obstruction are read by ``deform``, which only ``check-deformation`` imports.
 """
 
 from __future__ import annotations
 
-import importlib.resources as res
+import os
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from . import data as _data
 from .cyclo import ONE, CycloNum, parse_cyclo
-from .data import data_lines, read_data as _read
-from .deform import KnownClassCatalog, ObstructionEntry
+from .data import DATA_DIR, data_lines, read_data as _read
 from .groups import EnumerationUnproved, FinGroup, GroupId, OrderCapExceeded
 from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose, mat_from_strings
 
@@ -26,8 +25,6 @@ __all__ = [
     "load_group",
     "build_group",
     "load_rank_rows",
-    "load_deformation_catalog",
-    "load_fixtures",
 ]
 
 
@@ -47,8 +44,8 @@ class GroupDefinition(NamedTuple):
 
 @lru_cache(maxsize=None)
 def group_keys() -> tuple[str, ...]:
-    root = res.files(_data) / "groups"
-    return tuple(sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".txt")))
+    names = os.listdir(os.path.join(DATA_DIR, "groups"))
+    return tuple(sorted(name[:-4] for name in names if name.endswith(".txt")))
 
 
 @lru_cache(maxsize=None)
@@ -147,28 +144,3 @@ def load_rank_rows() -> tuple[tuple[str, GroupId, int], ...]:
     rows = map(str.split, data_lines(_read("rkl.table")))
     return tuple((label, GroupId(int(order), int(gid)), int(rank))
                  for label, order, gid, rank in rows)
-
-
-def _load_b2_table(name: str) -> dict[int, tuple[int, ...]]:
-    rows = [tuple(map(int, line.split())) for line in data_lines(_read(name))]
-    return {row[0]: row[1:] for row in rows}
-
-
-@lru_cache(maxsize=None)
-def load_deformation_catalog():
-    return KnownClassCatalog(
-        fujiki=_load_b2_table("vfuj.table"),
-        hilbert_square=_load_b2_table("vk3.table"),
-        kummer=_load_b2_table("vkum.table"),
-    )
-
-
-@lru_cache(maxsize=None)
-def load_fixtures() -> tuple[ObstructionEntry, ...]:
-    rows = []
-    for line in data_lines(_read("fixtures.list")):
-        order, gid, b2, ambient = (int(x) for x in line.split())
-        if order <= 0 or ambient <= 0:
-            raise ValueError(f"fixture row {line!r}: orders must be positive")
-        rows.append(ObstructionEntry(GroupId(order, gid), b2, ambient))
-    return tuple(rows)

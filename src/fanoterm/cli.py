@@ -3,7 +3,9 @@
 Commands: table, detect-l3, check-deformation, fingerprint,
 validate-catalog.  Exit codes: 0 success, 2 validation or input failure.
 ``table`` sweeps any ambient with no multiplication table.  Identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  Targeted mode imports the
+``--subgroup`` grammar (``targeted``) and check-deformation the obstruction
+(``deform``) when they run, so no other command compiles them.
 """
 
 from __future__ import annotations
@@ -11,23 +13,12 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import re
 import sys
 from typing import Optional, Sequence
 
-from .catalog import (
-    CatalogValidationError,
-    build_group,
-    group_keys,
-    load_deformation_catalog,
-    load_fixtures,
-    load_group,
-)
-from .cyclo import MAX_NESTING
-from .deform import obstruction_report
-from .groups import FinGroup, GroupId, GroupView, fingerprint, identify
+from .catalog import CatalogValidationError, build_group, group_keys, load_group
+from .groups import GroupId, fingerprint, identify
 from .invariants import classification_table, detect_l3
-from .linalg import mat_from_strings
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -37,114 +28,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_VALIDATION):
         super().__init__(message)
         self.code = code
-
-
-# -- subgroup specifications ---------------------------------------------------
-
-
-_WORD_TOKEN = re.compile(r"\s*(g\d+|\^|\*|\(|\)|-?\d+)")
-
-
-def _clip(text: str) -> str:
-    """User input as an error line echoes it: at most 60 characters, then an
-    ellipsis."""
-    return text if len(text) <= 60 else text[:60] + "…"
-
-
-def _parse_word(expr: str, group: FinGroup, gens: Sequence[int]) -> int:
-    """The element index of a product expression over the catalog
-    generators, such as g1*g2^2 with parens, where ``gens`` holds the
-    generators' indices.  It is evaluated in the Cayley graph: ``*`` is
-    ``group.mult``, and x^k is k mod the order of x products by x, so a
-    negative or huge exponent needs no inverse."""
-    toks = []
-    pos = 0
-    while pos < len(expr):
-        m = _WORD_TOKEN.match(expr, pos)
-        if not m:
-            if expr[pos:].strip():
-                raise CliError(f"bad token in generator word: {_clip(expr[pos:])!r}")
-            break
-        toks.append(m.group(1))
-        pos = m.end()
-    state = {"i": 0, "depth": 0}
-
-    def peek():
-        return toks[state["i"]] if state["i"] < len(toks) else None
-
-    def take():
-        t = peek()
-        state["i"] += 1
-        return t
-
-    def number(t: str) -> int:
-        try:
-            return int(t)
-        except ValueError:  # past the interpreter's limit on digits
-            raise CliError("number in generator word has too many digits") from None
-
-    def atom() -> int:
-        t = take()
-        if t == "(":
-            state["depth"] += 1
-            if state["depth"] > MAX_NESTING:
-                raise CliError(f"word nested deeper than {MAX_NESTING} parentheses")
-            out = product()
-            if take() != ")":
-                raise CliError(f"unbalanced parentheses in word {_clip(expr)!r}")
-            state["depth"] -= 1
-        elif t and t.startswith("g"):
-            k = number(t[1:])
-            if not 1 <= k <= len(gens):
-                raise CliError(
-                    f"generator {_clip(t)} out of range; group has {len(gens)} generators"
-                )
-            out = gens[k - 1]
-        else:
-            raise CliError(f"unexpected token {_clip(repr(t))} in word {_clip(expr)!r}")
-        if peek() == "^":
-            take()
-            e = take()
-            if e is None or not re.fullmatch(r"-?\d+", e):
-                raise CliError(f"bad exponent in word {_clip(expr)!r}")
-            x, out = out, 0
-            for _ in range(number(e) % group.order_of(x)):
-                out = group.mult(out, x)
-        return out
-
-    def product() -> int:
-        out = atom()
-        while peek() == "*":
-            take()
-            out = group.mult(out, atom())
-        return out
-
-    result = product()
-    if peek() is not None:
-        raise CliError(f"trailing tokens in word {_clip(expr)!r}")
-    return result
-
-
-def parse_subgroup_spec(spec: str, group: FinGroup, gens: Sequence[int]) -> list[int]:
-    """The element indices of one --subgroup value: comma-separated
-    generator words (``_parse_word``), or an inline matrix of the form
-    mat:entry,...;entry,...  (rows split by ';'), found by ``index_of``."""
-    if spec.startswith("mat:"):
-        rows = [cell.split(",") for cell in spec[4:].split(";")]
-        try:
-            return [group.index_of(mat_from_strings(rows))]
-        except KeyError:
-            raise CliError(f"subgroup specification {_clip(spec)!r} leaves the ambient group")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(
-                f"bad matrix in subgroup specification {_clip(spec)!r}: {_clip(str(exc))}"
-            )
-    return [_parse_word(part, group, gens) for part in spec.split(",") if part.strip()]
-
-
-def _resolve_subgroups(group, definition, specs: Sequence[str]) -> list[GroupView]:
-    gens = [group.index_of(g) for g in definition.generators]
-    return [group.subgroup(gens=parse_subgroup_spec(spec, group, gens)) for spec in specs]
 
 
 # -- formatting -----------------------------------------------------------------
@@ -217,8 +100,13 @@ def render_records(records, fmt: str, ambient: str, mode: str) -> str:
 def cmd_table(args) -> int:
     definition = load_group(args.group)
     if args.mode == "targeted":
+        from .targeted import SubgroupSpecError, _resolve_subgroups
+
         group = build_group(args.group)
-        targeted = _resolve_subgroups(group, definition, args.subgroup or [])
+        try:
+            targeted = _resolve_subgroups(group, definition, args.subgroup or [])
+        except SubgroupSpecError as exc:
+            raise CliError(str(exc)) from None
         if not targeted:
             raise CliError("targeted mode requires at least one --subgroup")
     elif args.subgroup:
@@ -248,6 +136,8 @@ def cmd_detect_l3(args) -> int:
 
 
 def cmd_check_deformation(args) -> int:
+    from .deform import load_deformation_catalog, load_fixtures, obstruction_report
+
     try:
         fixtures = load_fixtures()
     except ValueError as exc:

@@ -34,9 +34,9 @@ case there.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import struct
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
@@ -53,7 +53,7 @@ __all__ = [
     "parse_cyclo",
 ]
 
-RationalLike = Union[int, Fraction]
+RationalLike = Union[int, numbers.Rational]
 
 
 class ConductorLimitError(ValueError):
@@ -344,9 +344,11 @@ class CycloNum:
     def is_one(self) -> bool:
         return self.n == 1 and self.num[0] == 1 and self.den == 1
 
-    def to_rational(self) -> Optional[Fraction]:
-        """The rational value, or None when the conductor exceeds 1."""
+    def to_rational(self):
+        """The rational value as a Fraction, or None when the conductor exceeds 1."""
         if self.n == 1:
+            from fractions import Fraction
+
             return Fraction(self.num[0], self.den)
         return None
 
@@ -359,8 +361,8 @@ class CycloNum:
             return True
         if isinstance(other, CycloNum):
             return False  # hash-consed: distinct objects are distinct values
-        if isinstance(other, (int, Fraction)):
-            return self.n == 1 and Fraction(self.num[0], self.den) == other
+        if isinstance(other, (int, numbers.Rational)):
+            return self.n == 1 and self.num[0] * other.denominator == other.numerator * self.den
         return NotImplemented
 
     def __add__(self, other) -> "CycloNum":
@@ -460,22 +462,22 @@ class CycloNum:
     def to_string(self) -> str:
         """Canonical text form in the catalog grammar (round-trips exactly)."""
         if self.n == 1:
-            return _fmt_rational(Fraction(self.num[0], self.den))
+            return _fmt_rational(self.num[0], self.den)
         parts = []
         for k, c in enumerate(self.num):
             if not c:
                 continue
-            q = Fraction(c, self.den)
+            q = _reduced(c, self.den)
             if k == 0:
-                parts.append(_fmt_rational(q))
+                parts.append(_fmt_rational(*q))
                 continue
             power = f"E({self.n})" if k == 1 else f"E({self.n})^{k}"
-            if q == 1:
+            if q == (1, 1):
                 term = power
-            elif q == -1:
+            elif q == (-1, 1):
                 term = "-" + power
             else:
-                term = f"{_fmt_rational(q)}*{power}"
+                term = f"{_fmt_rational(*q)}*{power}"
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:
@@ -488,16 +490,23 @@ class CycloNum:
         return f"CycloNum({self.to_string()!r})"
 
 
-def _fmt_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _fmt_rational(num: int, den: int) -> str:
+    """num/den, in lowest terms with den > 0, as Fraction prints it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator."""
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")  # Fraction's message, which error lines echo
+    g = math.gcd(num, den) * (-1 if den < 0 else 1)
+    return num // g, den // g
 
 
 def _coerce(x) -> "CycloNum":
     if isinstance(x, CycloNum):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, numbers.Rational)):
         return rational(x)
     return NotImplemented
 
@@ -649,9 +658,10 @@ ONE = _intern(1, (1,), 1)
 
 
 def rational(x: RationalLike, den: int = 1) -> CycloNum:
-    """Exact rational as a cyclotomic number."""
-    q = Fraction(x, den) if den != 1 else Fraction(x)
-    return _canonical(1, [q.numerator], q.denominator)
+    """Exact rational x/den as a cyclotomic number; x is an int or any
+    ``numbers.Rational``, such as a Fraction."""
+    num, den = _reduced(x.numerator, x.denominator * den)
+    return _canonical(1, [num], den)
 
 
 def root_of_unity(n: int, k: int = 1) -> CycloNum:
@@ -697,12 +707,17 @@ def sqrt_rational(r: RationalLike) -> CycloNum:
     one.  ConductorLimitError is raised, before any table is built, when
     that discriminant passes the limit.
     """
-    q = Fraction(r)
-    if q == 0:
+    return _sqrt_ratio(r.numerator, r.denominator)
+
+
+def _sqrt_ratio(num: int, den: int) -> CycloNum:
+    """``sqrt_rational`` of num/den."""
+    num, den = _reduced(num, den)
+    if num == 0:
         return ZERO
     # sqrt(num/den) = sqrt(num*den)/den; trial division by 2, ..., the limit
     # leaves a cofactor whose primes all pass the limit, so it must be a square
-    m = abs(q.numerator) * q.denominator
+    m = abs(num) * den
     square, free = 1, []
     for p in range(2, _CONDUCTOR_LIMIT + 1):
         if m == 1:
@@ -717,16 +732,16 @@ def sqrt_rational(r: RationalLike) -> CycloNum:
     root = math.isqrt(m)
     if root * root != m:
         raise ConductorLimitError(f"square root has a conductor above the limit {_CONDUCTOR_LIMIT}")
-    free_part = math.prod(free) * (-1 if q < 0 else 1)
+    free_part = math.prod(free) * (-1 if num < 0 else 1)
     conductor = abs(free_part) * (1 if free_part % 4 == 1 else 4)
     if conductor > _CONDUCTOR_LIMIT:
         raise ConductorLimitError(f"conductor {conductor} exceeds the limit {_CONDUCTOR_LIMIT}")
-    out = rational(Fraction(square * root, q.denominator))
+    out = rational(square * root, den)
     for p in free:
         out = out * _sqrt_prime_star(p)
     # the product is i^t sqrt(|m|), t the number of primes 3 mod 4, and
     # the root of r is i^s sqrt(|m|), s = 1 for r < 0
-    return out * root_of_unity(4, (q < 0) - sum(p % 4 == 3 for p in free))
+    return out * root_of_unity(4, (num < 0) - sum(p % 4 == 3 for p in free))
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +881,7 @@ class _Parser:
                 self.take()
                 den = int(self.take())
             self.take(")")
-            return sqrt_rational(Fraction(sign * num, den))
+            return _sqrt_ratio(sign * num, den)
         if tok.isdigit():
             return rational(int(tok))
         raise ValueError(f"unexpected token {tok!r} in cyclotomic literal")

@@ -1,11 +1,15 @@
 """The shipped data files, read as text with ``#`` comment lines."""
 
-import importlib.resources as res
+import os
 from typing import Iterator
+
+# the package is installed as files (setuptools package-data), never zipped
+DATA_DIR = os.path.dirname(__file__)
 
 
 def read_data(name: str) -> str:
-    return (res.files(__name__) / name).read_text()
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
 
 
 def data_lines(text: str) -> Iterator[str]:

@@ -5,14 +5,19 @@ order ratio (with an extra factor 3 against Kummer-type classes) is
 rational; entries matched by no catalog are genuinely new numerically.
 The criterion is necessary, not sufficient, so matched entries are only
 "numerically unobstructed".
+
+The comparison catalogs and the fixture rows are read here.  Only
+check-deformation imports this module, and with it ``fractions``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+from .data import data_lines, read_data as _read
 from .groups import GroupId
 
 __all__ = [
@@ -20,6 +25,8 @@ __all__ = [
     "ObstructionEntry",
     "ObstructionReport",
     "is_square_rational",
+    "load_deformation_catalog",
+    "load_fixtures",
     "obstruction_report",
 ]
 
@@ -43,6 +50,31 @@ class ObstructionReport(NamedTuple):
     hilbert_square_unmatched: tuple[ObstructionEntry, ...]
     kummer_unmatched: tuple[ObstructionEntry, ...]
     new_candidates: tuple[ObstructionEntry, ...]
+
+
+def _load_b2_table(name: str) -> dict[int, tuple[int, ...]]:
+    rows = [tuple(map(int, line.split())) for line in data_lines(_read(name))]
+    return {row[0]: row[1:] for row in rows}
+
+
+@lru_cache(maxsize=None)
+def load_deformation_catalog() -> KnownClassCatalog:
+    return KnownClassCatalog(
+        fujiki=_load_b2_table("vfuj.table"),
+        hilbert_square=_load_b2_table("vk3.table"),
+        kummer=_load_b2_table("vkum.table"),
+    )
+
+
+@lru_cache(maxsize=None)
+def load_fixtures() -> tuple[ObstructionEntry, ...]:
+    rows = []
+    for line in data_lines(_read("fixtures.list")):
+        order, gid, b2, ambient = (int(x) for x in line.split())
+        if order <= 0 or ambient <= 0:
+            raise ValueError(f"fixture row {line!r}: orders must be positive")
+        rows.append(ObstructionEntry(GroupId(order, gid), b2, ambient))
+    return tuple(rows)
 
 
 def is_square_rational(q) -> bool:

@@ -35,7 +35,6 @@ __all__ = [
     "b2_of_terminalization",
     "classification_table",
     "records_for_classes",
-    "merged_rows",
 ]
 
 
@@ -221,20 +220,3 @@ def classification_table(ambient_key: str, *, mode: str = "full-sweep",
     if not all_subgroups and mode != "full-group-only":
         records = [r for r in records if not r.terminal]
     return records
-
-
-def merged_rows(records: Sequence[SubgroupRecord]) -> list[tuple]:
-    """Collapse records carrying identical invariant strings.
-
-    Two conjugacy classes print one row when they agree in id, rank, n2,
-    n31, n32, b2 and the fundamental group (mirroring the convention of
-    folding indistinguishable rows).
-    """
-    seen = set()
-    out = []
-    for r in records:
-        key = (str(r.group_id), str(r.rank), r.n2, r.n31, r.n32, str(r.b2), str(r.pi1))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out

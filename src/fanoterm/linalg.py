@@ -10,7 +10,6 @@ power or inverse: a group's elements are multiplied and inverted by index
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
@@ -112,7 +111,7 @@ class MatC:
         coeffs = [ONE]  # c_d, c_(d-1), ..., c_0 as they are computed
         am = self  # A M_k
         for k in range(1, d + 1):
-            c = am.trace() * rational(Fraction(-1, k))
+            c = am.trace() * rational(-1, k)
             coeffs.append(c)
             if k < d:
                 am = self * am.add(scalar_mat(d, c))

@@ -16,7 +16,6 @@ of the ambient; the rank of a subgroup then needs no matrix work.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -76,12 +75,11 @@ def class_traces(group: FinGroup, cubic: Sequence[CycloNum]) -> tuple[int, ...]:
         image = [dot([(m[i, j], point[j]) for j in range(d)]) for i in range(d)]
         lam = cubic_eval(cubic, image) / value
         trace = 3 + h3 / lam - p1 * m_inv.trace() / s
-        q = trace.to_rational()
-        if q is None or q.denominator != 1:
+        if trace.n != 1 or trace.den != 1:
             raise CatalogValidationError(
                 f"the trace of element {x} on H^2 is {trace.to_string()}, not an integer"
             )
-        traces.append(int(q))
+        traces.append(trace.num[0])
     return tuple(traces)
 
 
@@ -95,13 +93,13 @@ def coinvariant_rank(h: GroupView, traces: Sequence[int]) -> int:
     """
     _, ambient_class_of = h.ambient.view.class_map()
     total = sum(len(c) * traces[ambient_class_of[c[0]]] for c in h.class_map()[0])
-    rank = Fraction(23 * h.order - total, h.order)
-    if rank.denominator != 1 or not 0 <= rank <= 20:
+    rank, rem = divmod(23 * h.order - total, h.order)
+    if rem or not 0 <= rank <= 20:
         raise CatalogValidationError(
-            f"coinvariant rank {rank} of a subgroup of order {h.order} "
-            f"is not an integer in [0, 20]"
+            f"coinvariant rank {rational(23 * h.order - total, h.order)} of a subgroup "
+            f"of order {h.order} is not an integer in [0, 20]"
         )
-    return int(rank)
+    return rank
 
 
 def resolve_rank(h: GroupView, traces: Sequence[int], gid, n3: int) -> int:

@@ -695,3 +695,20 @@ def pairwise_parse(text: str):
         return out
 
     return expr()
+
+
+def merged_rows(records) -> list[tuple]:
+    """Collapse records carrying identical invariant strings.
+
+    Two conjugacy classes print one row when they agree in id, rank, n2,
+    n31, n32, b2 and the fundamental group (mirroring the convention of
+    folding indistinguishable rows).
+    """
+    seen = set()
+    out = []
+    for r in records:
+        key = (str(r.group_id), str(r.rank), r.n2, r.n31, r.n32, str(r.b2), str(r.pi1))
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
+    return out

@@ -10,10 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from fanoterm.catalog import build_group, load_deformation_catalog, load_fixtures, load_group
+from fanoterm.catalog import build_group, load_group
 from fanoterm.cli import main as cli_main, render_records
 from fanoterm.cyclo import ONE, rational, root_of_unity, sqrt_rational
-from fanoterm.deform import ObstructionEntry, is_square_rational, obstruction_report
+from fanoterm.deform import (
+    ObstructionEntry,
+    is_square_rational,
+    load_deformation_catalog,
+    load_fixtures,
+    obstruction_report,
+)
 from fanoterm.groups import (
     GroupId,
     UnidentifiedGroup,
@@ -24,12 +30,17 @@ from fanoterm.groups import (
 from fanoterm.invariants import (
     classification_table,
     detect_l3,
-    merged_rows,
     singular_invariants,
 )
 from fanoterm.linalg import MatC, diag, perm_mat
 from fanoterm.ranks import class_traces, coinvariant_rank
-from oracles import bounded_closure, cayley_hamilton_inverse, monomial_parts, poly_at_matrix
+from oracles import (
+    bounded_closure,
+    cayley_hamilton_inverse,
+    merged_rows,
+    monomial_parts,
+    poly_at_matrix,
+)
 
 W = root_of_unity(3, 1)
 W2 = W * W

@@ -8,12 +8,12 @@ from fanoterm.catalog import (
     CatalogValidationError,
     build_group,
     group_keys,
-    load_fixtures,
     load_group,
     load_rank_rows,
 )
 from fanoterm.cli import EXIT_VALIDATION, main as cli_main
 from fanoterm.cyclo import parse_cyclo
+from fanoterm.deform import load_fixtures
 from fanoterm.groups import GroupId, identify
 from fanoterm.linalg import identity
 

@@ -217,7 +217,7 @@ WORDS = [
 @pytest.mark.parametrize("key,word,value", WORDS, ids=[f"{k}:{w}" for k, w, _ in WORDS])
 def test_word_is_the_index_of_its_matrix_product(key, word, value):
     from fanoterm.catalog import build_group, load_group
-    from fanoterm.cli import parse_subgroup_spec
+    from fanoterm.targeted import parse_subgroup_spec
 
     group, mats = build_group(key), load_group(key).generators
     gens = [group.index_of(g) for g in mats]
@@ -226,7 +226,7 @@ def test_word_is_the_index_of_its_matrix_product(key, word, value):
 
 def test_word_resolution_makes_no_matrix_product(monkeypatch):
     from fanoterm.catalog import build_group, load_group
-    from fanoterm.cli import _resolve_subgroups
+    from fanoterm.targeted import _resolve_subgroups
     from fanoterm.linalg import MatC
 
     group = build_group("M10_second")
@@ -290,6 +290,21 @@ def test_targeted_bad_word(capsys):
     assert "out of range" in err
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("(g1", "unbalanced parentheses in word '(g1'"),
+    ("mat:1,0;0,1", "subgroup specification 'mat:1,0;0,1' leaves the ambient group"),
+])
+def test_module_entry_reports_a_bad_subgroup_on_one_line(spec, message):
+    # under python -m the command line runs as __main__, so the --subgroup
+    # grammar, imported when targeted mode runs, must raise an error that
+    # __main__'s own handler catches
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fanoterm.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "fanoterm.cli", "table", "--group", "Q8_S3",
+                           "--mode", "targeted", "--subgroup", spec],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
 def test_detect_l3_counts(capsys):
     code, out, _ = run_cli(capsys, "detect-l3", "--group", "G1944")
     assert code == EXIT_OK
@@ -313,15 +328,15 @@ def test_check_deformation_structured(capsys):
 
 
 def test_check_deformation_nonpositive_order(capsys, monkeypatch):
-    from fanoterm import catalog
+    from fanoterm import deform
 
-    monkeypatch.setattr(catalog, "_read", lambda name: "0 1 4 48\n")
-    catalog.load_fixtures.cache_clear()
+    monkeypatch.setattr(deform, "_read", lambda name: "0 1 4 48\n")
+    deform.load_fixtures.cache_clear()
     try:
         code, out, err = run_cli(capsys, "check-deformation")
     finally:
         monkeypatch.undo()
-        catalog.load_fixtures.cache_clear()
+        deform.load_fixtures.cache_clear()
     assert code == EXIT_VALIDATION
     assert out == ""
     assert err.startswith("error:") and "'0 1 4 48'" in err

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from fanoterm.catalog import load_deformation_catalog, load_fixtures
 from fanoterm.deform import (
     KnownClassCatalog,
     ObstructionEntry,
     is_square_rational,
+    load_deformation_catalog,
+    load_fixtures,
     obstruction_report,
 )
 from fanoterm.groups import GroupId

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from fanoterm.cyclo import ONE, ZERO, rational, root_of_unity
-from fanoterm import catalog, cli, groups
+from fanoterm import catalog, cli, cosets, groups
 from fanoterm.catalog import group_keys, load_group
 from fanoterm.cli import EXIT_VALIDATION, main as cli_main
 from fanoterm.groups import (
@@ -225,13 +225,13 @@ COSET_SUBGROUPS = {"Q8_S3": (16, 3), "L2_11": (3, 220), "M10_second": (16, 45), 
 
 def _record_coset_subgroup(monkeypatch):
     # (the BFS words, H's generator vertices, H's vertices) per call
-    calls, coset_subgroup = [], groups._coset_subgroup
+    calls, coset_subgroup = [], cosets._coset_subgroup
 
     def recorded(residues, words, *args):
         calls.append((list(words), *coset_subgroup(residues, words, *args)))
         return calls[-1][1:]
 
-    monkeypatch.setattr(groups, "_coset_subgroup", recorded)
+    monkeypatch.setattr(cosets, "_coset_subgroup", recorded)
     return calls
 
 
@@ -357,7 +357,7 @@ def test_generate_drops_a_tampered_read_off(monkeypatch, built):
     # one preimage of the read-off table replaced by another entry does not
     # reduce to its residue value: the table's check fails, the read-off is
     # dropped, and every element is computed exactly
-    read_off, exact_cosets, tried, closed = groups._read_off, groups._exact_cosets, [], []
+    read_off, exact_cosets, tried, closed = groups._read_off, cosets._exact_cosets, [], []
 
     def tampered(residues, reduce, gens, ident):
         table = read_off(residues, reduce, gens, ident)
@@ -367,7 +367,7 @@ def test_generate_drops_a_tampered_read_off(monkeypatch, built):
         return table
 
     monkeypatch.setattr(groups, "_read_off", tampered)
-    monkeypatch.setattr(groups, "_exact_cosets", lambda *args: closed.append(1) or exact_cosets(*args))
+    monkeypatch.setattr(cosets, "_exact_cosets", lambda *args: closed.append(1) or exact_cosets(*args))
     definition = load_group("A3_5")
     group = FinGroup.generate(definition.generators, cap=definition.order)
     assert tried and closed

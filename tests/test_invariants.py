@@ -12,7 +12,6 @@ from fanoterm.invariants import (
     classification_table,
     detect_l3,
     is_l3_matrix,
-    merged_rows,
     pi1_id,
     pi1_quotient,
     singular_invariants,
@@ -24,6 +23,7 @@ from oracles import (
     brute_singular_invariants,
     cyclo_poly_product,
     l3_trace_prefilter,
+    merged_rows,
     scan_l3,
 )
 

@@ -214,3 +214,16 @@ def test_fermat_resolution_checks_table_membership(fermat):
         resolve_rank(h, _fermat_traces(), GroupId(3, 1), 2)
     with pytest.raises(CatalogValidationError, match="rank bound violated"):
         resolve_rank(fermat.subgroup(gens=[]), _fermat_traces(), GroupId(1, 1), 1)
+
+
+@pytest.mark.parametrize("identity_trace, shown", [(1, "1103/48"), (24, "45/2"), (48, "22"), (-48, "24")])
+def test_rank_off_the_range_names_its_exact_value(identity_trace, shown):
+    # traces that are zero but on the identity's class average to a rank
+    # of 23 - t/48 on Q8_S3: a fraction, or an integer outside [0, 20]
+    group = build_group("Q8_S3")
+    classes, _ = group.view.class_map()
+    traces = [identity_trace if c == (0,) else 0 for c in classes]
+    with pytest.raises(CatalogValidationError) as exc:
+        coinvariant_rank(group.view, traces)
+    assert str(exc.value) == (f"coinvariant rank {shown} of a subgroup of order 48 "
+                              f"is not an integer in [0, 20]")
