@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 from .cyclo import ONE, CycloNum, parse_cyclo
 from .data import DATA_DIR, data_lines, read_data as _read
 from .groups import EnumerationUnproved, FinGroup, GroupId, OrderCapExceeded
-from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose, mat_from_strings
+from .linalg import CUBIC_MONOMIALS, MatC, cubic_compose
 
 __all__ = [
     "GroupDefinition",
@@ -77,8 +77,11 @@ def load_group(key: str) -> GroupDefinition:
         order_s, id_s = header["id"].split(",")
         group_id = GroupId(int(order_s), int(id_s))
         order = int(header["order"])
-        cubic = tuple(parse_cyclo(c) for c in header["cubic"].split(","))
-        mats = tuple(mat_from_strings(g) for g in gens)
+        # each distinct literal is parsed once: a file repeats a few of them
+        parsed: dict[str, CycloNum] = {}
+        value = lambda s: parsed[s] if s in parsed else parsed.setdefault(s, parse_cyclo(s))
+        cubic = tuple(value(c) for c in header["cubic"].split(","))
+        mats = tuple(MatC([map(value, row) for row in g]) for g in gens)
     except (ValueError, ZeroDivisionError) as exc:
         raise CatalogValidationError(f"{key}: bad entry: {exc}") from None
     if not mats:

@@ -498,7 +498,7 @@ def _fmt_rational(num: int, den: int) -> str:
 def _reduced(num: int, den: int) -> tuple[int, int]:
     """num/den in lowest terms with a positive denominator."""
     if den == 0:
-        raise ZeroDivisionError(f"Fraction({num}, 0)")  # Fraction's message, which error lines echo
+        raise ZeroDivisionError(f"zero denominator in {num}/0")
     g = math.gcd(num, den) * (-1 if den < 0 else 1)
     return num // g, den // g
 

@@ -12,8 +12,9 @@ primitive root mod p, zeta_N -> omega reduces every matrix mod
 (p, zeta_N - omega).  The BFS keys each element by its images of the
 projective frame {[e_1], ..., [e_d], [e_1 + ... + e_d]}, which determine
 an element of PGL_d(Z/p): a generator moves a key by one table lookup per
-frame point, and an element's residue, one ``bytes`` as p < 256, is
-computed once, along the BFS's spanning tree.  When every residue value
+frame point.  The residues, one ``bytes`` each as p < 256, are then
+computed a layer of the BFS's spanning tree at a time by one batched
+kernel, which also finds the frame's orbit.  When every residue value
 has one preimage among the entries of the identity and the generators,
 the group is read off its residues, with no product.  Every edge
 x -a-> y is then proved exact: with A = g_a e_x and (i0, j0) the first
@@ -222,38 +223,35 @@ def _byte_tables(p: int, d: int):
     return tables, inv, bytes(s % p for s in range(d * (p - 1) + 1)).__getitem__
 
 
-def _residue_mults(gen_residues: Sequence[Sequence[int]], d: int, p: int) -> list[Callable]:
-    """Per generator g, x -> the normal form mod p of g x.
+def _layer_products(gen_residues: Sequence[Sequence[int]], d: int, c: int, p: int) -> list[Callable]:
+    """Per generator g, [X_1, ..., X_m] -> the normal forms mod p of
+    g X_1, ..., g X_m, for d x c residue matrices X_i as row-major
+    ``bytes``: residues for c = d, points of P^(d-1)(Z/p) for c = 1.
 
-    A row of g x is a sum of rows of the ``bytes`` x, each scaled by
-    ``bytes.translate`` through a table of multiples.  A monomial g takes
-    one translate per row, with the scale that normalizes the product
-    folded in.
+    The X_i are stacked in one ``bytes``, so entry f of every X_i is the
+    strided slice ``stack[f::d*c]``.  Entry (i, j) of every g X_i is then
+    one ``bytes.translate`` of the slice of (k, j) through the table of
+    multiples of g_ik when row i of g is monomial, and otherwise the sum
+    mod p of such slices over the row's nonzero g_ik.  Product i is cut
+    out as ``out[i::m]`` and scaled so that its first nonzero entry is 1.
     """
     tables, inv, mod = _byte_tables(p, d)
+    size = d * c
 
     def make(flat):
-        rows = [[(k, flat[i * d + k]) for k in range(d) if flat[i * d + k]] for i in range(d)]
-        if all(len(row) == 1 for row in rows):
-            (k0, c0), = rows[0]
-            s0, e0 = k0 * d, (k0 + 1) * d
-            # by_scale[t]: (row slice, table of c t) per row of g
-            by_scale = [[(k * d, (k + 1) * d, tables[c * t % p]) for ((k, c),) in rows]
-                        for t in range(p)]
+        rows = [[(k, tables[flat[i * d + k]]) for k in range(d) if flat[i * d + k]] for i in range(d)]
+        spec = [[(k * c + j, t) for k, t in row] for row in rows for j in range(c)]
 
-            def mult(x: bytes) -> bytes:
-                spec = by_scale[inv[c0 * x[s0:e0].lstrip(b"\0")[0] % p]]
-                return b"".join([x[s:e].translate(t) for s, e, t in spec])
-        else:
-            spec = [[(k * d, (k + 1) * d, tables[c]) for k, c in row] for row in rows]
+        def products(xs: list) -> list:
+            stack, m = b"".join(xs), len(xs)
 
-            def mult(x: bytes) -> bytes:
-                out = b"".join([bytes(map(mod, map(sum, zip(*[x[s:e].translate(t)
-                                                               for s, e, t in row]))))
-                                for row in spec])
-                lead = out.lstrip(b"\0")[0]
-                return out if lead == 1 else out.translate(tables[inv[lead]])
-        return mult
+            def entry(terms):
+                slices = [stack[f::size].translate(t) for f, t in terms]
+                return slices[0] if len(slices) == 1 else bytes(map(mod, map(sum, zip(*slices))))
+            out = b"".join(map(entry, spec))
+            return [w if (lead := next(filter(None, w))) == 1 else w.translate(tables[inv[lead]])
+                    for w in [out[i::m] for i in range(m)]]
+        return products
 
     return [make(flat) for flat in gen_residues]
 
@@ -265,26 +263,10 @@ def _frame_orbit(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
     each point of Omega).  Omega is found one orbit at a time, each
     numbered consecutively.  A group of at most cap elements moves a point
     to at most cap points, so an orbit passing cap points raises
-    OrderCapExceeded.  An orbit grows by layers: row i of g X, for X the
-    layer's points as ``bytes`` columns, is a sum of rows of X scaled by
-    ``bytes.translate`` as in ``_residue_mults``, and each column of g X
-    is then normalized."""
-    tables, inv, mod = _byte_tables(p, d)
-    join, scale = b"".join, lambda row, c: row.translate(tables[c])
+    OrderCapExceeded.  An orbit grows by layers, each layer's images under
+    a generator the d x 1 case of ``_layer_products``."""
     frame = [bytes(int(i == j) for i in range(d)) for j in range(d)] + [bytes((1,) * d)]
-
-    def make(flat):
-        spec = [[(k, c) for k, c in enumerate(flat[i * d:(i + 1) * d]) if c] for i in range(d)]
-
-        def images(layer: list) -> list:
-            x, m = join(layer), len(layer)
-            rows = [x[k::d] for k in range(d)]
-            gx = join([bytes(map(mod, map(sum, zip(*[scale(rows[k], c) for k, c in row]))))
-                       for row in spec])
-            out = [gx[j::m] for j in range(m)]
-            return [w if (lead := next(filter(None, w))) == 1 else scale(w, inv[lead]) for w in out]
-        return images
-    maps = [make(flat) for flat in gen_residues]
+    maps = _layer_products(gen_residues, d, 1, p)
     index: dict = {}
     images: list[list[int]] = [[] for _ in maps]
     for v0 in frame:
@@ -320,10 +302,13 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
     images, one ``bytes.translate`` when the frame's orbit has at most 256
     points and a tuple otherwise.  The walk records each new vertex's
     parent and letter, its tree edge; once the keys and their index are
-    freed, the residues and words are built along the tree: n - 1 residue
-    products.  Every other edge x -a-> y has g_a r_x = r_y because their
-    keys agree.  So a key and a residue are never held for every element
-    at once; what is returned is kept by the group."""
+    freed, the residues are built along the tree a layer at a time: the
+    vertices after the last computed one whose parents are computed, at
+    most 1024 of them, are g_a times their parents for each letter a, one
+    ``_layer_products`` call per letter, n - 1 residue products in all.
+    Every other edge x -a-> y has g_a r_x = r_y because their keys agree.
+    So a key and a residue are never held for every element at once; what
+    is returned is kept by the group."""
     frame, images = _frame_orbit(gen_residues, d, p, cap)
     if all(len(image) <= 256 for image in images):
         key0, step = bytes(frame), bytes.translate
@@ -331,10 +316,10 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
     else:
         key0, step = tuple(frame), lambda key, lookup: tuple(map(lookup, key))
         tables = [image.__getitem__ for image in images]
-    mults = _residue_mults(gen_residues, d, p)
     keys = [key0]
     index = {key0: 0}
-    parents, letters = array("I"), bytearray()  # the tree edge of vertex 1, 2, ...
+    # the tree edge of vertex y, the root's a placeholder: parents never decrease
+    parents, letters = array("I", [0]), bytearray(1)
     perms: list[list[int]] = [[] for _ in tables]
     for x, kx in enumerate(keys):
         for a, table in enumerate(tables):
@@ -350,12 +335,21 @@ def _residue_bfs(gen_residues: Sequence[Sequence[int]], d: int, p: int, cap: int
                 letters.append(a)
             perms[a].append(y)
     del keys, index
-    residues = [bytes(int(f // d == f % d) for f in range(d * d))]
+    n = len(parents)
     words = [b""]
-    letter_bytes = [bytes((a,)) for a in range(len(mults))]
-    for x, a in zip(parents, letters):
-        residues.append(mults[a](residues[x]))
+    letter_bytes = [bytes((a,)) for a in range(len(tables))]
+    for x, a in zip(itertools.islice(parents, 1, None), itertools.islice(letters, 1, None)):
         words.append(words[x] + letter_bytes[a])
+    residues = [bytes(int(f // d == f % d) for f in range(d * d))] * n
+    mults = _layer_products(gen_residues, d, d, p)
+    done = 1
+    while done < n:
+        stop = min(bisect.bisect_left(parents, done, done), done + 1024)
+        for a, mult in enumerate(mults):
+            ys = list(itertools.compress(range(done, stop), map(a.__eq__, letters[done:stop])))
+            for y, r in zip(ys, mult(list(map(residues.__getitem__, map(parents.__getitem__, ys))))):
+                residues[y] = r
+        done = stop
     return residues, words, perms
 
 
@@ -712,8 +706,10 @@ class FinGroup:
         mod an odd split prime is injective on a finite matrix group
         (Minkowski), so the residue Cayley graph is the group's.  It tells
         elements apart by their images of a projective frame, which fix an
-        element of PGL_d(Z/p), and computes each element's residue once,
-        along its spanning tree (``_residue_bfs``).  When every residue
+        element of PGL_d(Z/p), and computes the residues a layer of its
+        spanning tree at a time, each layer's products under one generator
+        in one call of the batched kernel ``_layer_products``
+        (``_residue_bfs``).  When every residue
         value has one preimage among the entries of the identity and the
         generators, the elements are read off their residues
         (``_read_off``), and they are kept when each preimage reduces to

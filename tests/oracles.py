@@ -603,20 +603,29 @@ def exact_bfs_group(gens, cap: int = 250000):
     return FinGroup([elems[i] for i in order], new_perms, [words[i] for i in order], dim)
 
 
+def residue_product(g, x: bytes, d: int, p: int) -> bytes:
+    """The normal form mod p of g x, for g a flat d x d residue matrix and x
+    a d x c one as row-major ``bytes``: the matrix product mod p, scaled so
+    that its first nonzero entry is 1."""
+    c = len(x) // d
+    gx = [sum(g[i * d + k] * x[k * c + j] for k in range(d)) % p for i in range(d) for j in range(c)]
+    scale = pow(next(v for v in gx if v), -1, p)
+    return bytes(v * scale % p for v in gx)
+
+
 def residue_bfs(gen_residues, d: int, p: int, cap: int):
     """groups._residue_bfs keyed by the residues themselves: every vertex's
-    residue is compared, one residue product per Cayley-graph edge."""
-    from fanoterm.groups import OrderCapExceeded, _residue_mults
+    residue is compared, one ``residue_product`` per Cayley-graph edge."""
+    from fanoterm.groups import OrderCapExceeded
 
-    mults = _residue_mults(gen_residues, d, p)
-    r0 = (bytes if p < 256 else tuple)(int(f // d == f % d) for f in range(d * d))
+    r0 = bytes(int(f // d == f % d) for f in range(d * d))
     residues = [r0]
     index = {r0: 0}
     words = [b""]
-    perms = [[] for _ in mults]
+    perms = [[] for _ in gen_residues]
     for x, rx in enumerate(residues):
-        for a, mult in enumerate(mults):
-            ry = mult(rx)
+        for a, g in enumerate(gen_residues):
+            ry = residue_product(g, rx, d, p)
             y = index.get(ry)
             if y is None:
                 y = len(residues)

@@ -114,6 +114,22 @@ def _q8_s3_from(marker):
     return text[text.index(marker):]
 
 
+# the number of distinct cyclotomic literals in each definition file
+DISTINCT_LITERALS = {"Q8_S3": 16, "A3_5": 7, "L2_11": 37, "M10_first": 12, "M10_second": 49,
+                     "G1944": 10, "A7_perm": 6, "A7_second": 22, "C3_4_A6": 6}
+
+
+def test_load_group_parses_each_distinct_literal_once(monkeypatch):
+    parsed = []
+    parse = catalog.parse_cyclo
+    monkeypatch.setattr(catalog, "parse_cyclo", lambda text: parsed.append(text) or parse(text))
+    for key in group_keys():
+        parsed.clear()
+        definition = load_group.__wrapped__(key)
+        assert len(parsed) == len(set(parsed)) == DISTINCT_LITERALS[key]
+        assert definition == load_group(key)
+
+
 @pytest.mark.parametrize("key,old,new,message", [
     # the coefficient of x1*x4*x5, the first ", 2, " of the file, from 2 to 3
     pytest.param("Q8_S3", ", 2, ", ", 3, ", "does not preserve the cubic", id="cubic-coefficient"),

@@ -290,10 +290,21 @@ def test_targeted_bad_word(capsys):
     assert "out of range" in err
 
 
-@pytest.mark.parametrize("spec, message", [
+BAD_SUBGROUPS = [
     ("(g1", "unbalanced parentheses in word '(g1'"),
     ("mat:1,0;0,1", "subgroup specification 'mat:1,0;0,1' leaves the ambient group"),
-])
+    # a zero denominator is named as one
+    ("mat:ER(1/0)", "bad matrix in subgroup specification 'mat:ER(1/0)': zero denominator in 1/0"),
+]
+
+
+@pytest.mark.parametrize("spec, message", BAD_SUBGROUPS)
+def test_main_reports_a_bad_subgroup_on_one_line(capsys, spec, message):
+    got = run_cli(capsys, "table", "--group", "Q8_S3", "--mode", "targeted", "--subgroup", spec)
+    assert got == (EXIT_VALIDATION, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec, message", BAD_SUBGROUPS)
 def test_module_entry_reports_a_bad_subgroup_on_one_line(spec, message):
     # under python -m the command line runs as __main__, so the --subgroup
     # grammar, imported when targeted mode runs, must raise an error that

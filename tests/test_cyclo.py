@@ -189,6 +189,11 @@ def test_zero_inversion_rejected():
         ZERO.inv()
 
 
+def test_zero_denominator_named():
+    with pytest.raises(ZeroDivisionError, match=r"^zero denominator in 1/0$"):
+        rational(1, 0)
+
+
 def test_conductor_limit_enforced():
     z11 = root_of_unity(11, 1)
     z24 = root_of_unity(24, 1)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+from collections import Counter
 import random
 import signal
 import sys
@@ -27,7 +28,8 @@ from fanoterm.groups import (
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
 from oracles import (all_joins_subgroup_classes, bfs_closure, bounded_closure, commuting_center,
                      coset_table_quotient, exact_bfs_group, fixpoint_normal_closure, greedy_gens,
-                     int_cyclotomic_poly, product_class_map, residue_bfs, subgroup_orbit)
+                     int_cyclotomic_poly, product_class_map, residue_bfs, residue_product,
+                     subgroup_orbit)
 
 W = root_of_unity(3, 1)
 
@@ -104,11 +106,11 @@ FRAME_ORBIT_SIZES = {"Q8_S3": 58, "A3_5": 23, "L2_11": 1706, "M10_first": 84, "M
 
 @pytest.mark.parametrize("key", sorted(FRAME_ORBIT_SIZES))
 def test_residue_bfs_matches_the_residue_keyed_oracle(monkeypatch, key):
-    # frame-image keys with residues along the tree give exactly the
-    # residues, words and permutations of comparing every edge's residue,
-    # with one residue product per element but the identity
+    # frame-image keys with residues built a tree layer at a time give
+    # exactly the residues, words and permutations of comparing every
+    # edge's residue, with one residue product per element but the identity
     calls, products = [], []
-    residue_bfs_under_test, residue_mults = groups._residue_bfs, groups._residue_mults
+    residue_bfs_under_test, layer_products = groups._residue_bfs, groups._layer_products
 
     def recorded_bfs(*args):
         # generate recodes the residues and relabels the perms in place, so
@@ -117,20 +119,49 @@ def test_residue_bfs_matches_the_residue_keyed_oracle(monkeypatch, key):
         calls.append((args, tuple(map(list, got))))
         return got
 
-    def counted_mults(*args):
-        return [lambda x, m=m: products.append(1) or m(x) for m in residue_mults(*args)]
+    def counted_products(gen_residues, d, c, p):
+        # the frame orbit's d x 1 images are not residue products
+        kernels = layer_products(gen_residues, d, c, p)
+        if c != d:
+            return kernels
+        return [lambda xs, k=k: (out := k(xs), products.append(len(out)))[0] for k in kernels]
 
     monkeypatch.setattr(groups, "_residue_bfs", recorded_bfs)
-    monkeypatch.setattr(groups, "_residue_mults", counted_mults)
+    monkeypatch.setattr(groups, "_layer_products", counted_products)
     definition = load_group(key)
     FinGroup.generate(definition.generators, cap=definition.order)
     [(args, got)] = calls
-    assert len(got[0]) == definition.order and len(products) == definition.order - 1
+    assert len(got[0]) == definition.order and sum(products) == definition.order - 1
     gen_residues, d, p, cap = args
     _, images = groups._frame_orbit(gen_residues, d, p, cap)
     assert {len(image) for image in images} == {FRAME_ORBIT_SIZES[key]}
-    monkeypatch.setattr(groups, "_residue_mults", residue_mults)
     assert got == residue_bfs(*args)
+
+
+@pytest.mark.parametrize("key", sorted(FRAME_ORBIT_SIZES))
+def test_layer_products_match_the_per_element_product(key):
+    # the batched kernel gives each product of the plain matrix product mod
+    # p, normalized, on stacks of 1, 2 and more than 1024 residues and of
+    # d x 1 points.  A stack of two or more holds x and 2x, whose products
+    # lead with l and 2l, so one of them leads with l != 1 and is scaled;
+    # some inputs have zero rows, so some products lead past their entry 0
+    definition = load_group(key)
+    n_cond = math.lcm(*(e.n for g in definition.generators for row in g.rows for e in row))
+    p, _, gen_residues = groups._residue_prime(definition.generators, n_cond)
+    d, rng = 6, random.Random(key)
+    double = bytes(2 * v % p for v in range(256))
+
+    def matrix(c):
+        zero_rows = rng.choice((0, 0, 1, d - 1))
+        return bytes(rng.randrange(p) if f >= zero_rows * c else 0 for f in range(d * c - 1)) + b"\1"
+
+    for c in (d, 1):
+        kernels = groups._layer_products(gen_residues, d, c, p)
+        for m in (1, 2, 1030):
+            xs = [matrix(c) for _ in range(m - m // 2)]
+            xs += [x.translate(double) for x in xs[:m // 2]]
+            for g, kernel in zip(gen_residues, kernels):
+                assert kernel(xs) == [residue_product(g, x, d, p) for x in xs]
 
 
 def _assert_same_enumeration(got, want):
@@ -1027,6 +1058,47 @@ def test_subgroup_classes_match_all_joins(built, key):
     group = ODD_GROUPS[key]() if key in ODD_GROUPS else built(key)
     classes = group.subgroup_conjugacy_classes()
     assert [sorted(c.members) for c in classes] == all_joins_subgroup_classes(group)
+
+
+# the number of subgroups of each ambient, its classes' conjugates summed
+SUBGROUP_TOTALS = {"Q8_S3": 55, "A3_5": 626, "L2_11": 620, "M10_first": 793, "M10_second": 793,
+                   "G1944": 6794, "A7_perm": 3786, "A7_second": 3786}
+
+
+@pytest.mark.parametrize("key", sorted(SUBGROUP_TOTALS))
+def test_sweep_counts_match_element_orders_and_frobenius(built, key):
+    # identities the sweep's classes must meet, each conjugation orbit
+    # walked under the generators' conjugators: (i) a cyclic subgroup of
+    # order m holds phi(m) of the elements of order m, and no other does;
+    # (ii) the subgroups of each prime power order p^k dividing |G| number
+    # 1 mod p (Frobenius); (iii) A7 has 3786 subgroups in 40 classes.
+    # C3_4_A6 is left out: its walks take about 13 s
+    group = built(key)
+    conjugators = [group.conjugator(g) for g in group.gen_idx]
+    by_order, cyclic = Counter(), Counter()
+    classes = group.subgroup_conjugacy_classes()
+    for c in classes:
+        orbit, queue = {c.members}, [c.members]
+        for members in queue:
+            for conj in conjugators:
+                t = frozenset(map(conj, members))
+                if t not in orbit:
+                    orbit.add(t)
+                    queue.append(t)
+        by_order[c.order] += len(orbit)
+        if any(group.order_of(x) == c.order for x in c.elements):
+            cyclic[c.order] += len(orbit)
+    phi = lambda m: sum(math.gcd(k, m) == 1 for k in range(m))
+    assert Counter({m: k * phi(m) for m, k in cyclic.items()}) == Counter(map(group.order_of,
+                                                                              range(group.n)))
+    for q in (q for q in range(2, group.n + 1) if group.n % q == 0 and all(q % r for r in range(2, q))):
+        power = q
+        while group.n % power == 0:
+            assert by_order[power] % q == 1, (q, power)
+            power *= q
+    assert sum(by_order.values()) == SUBGROUP_TOTALS[key]
+    if key.startswith("A7"):
+        assert (len(classes), sum(by_order.values())) == (40, 3786)
 
 
 def test_full_group_only_runs_no_sweep(monkeypatch):
