@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: table, detect-l3, check-deformation, fingerprint,
-validate-catalog.  Exit codes: 0 success, 2 validation or input failure.
+validate-catalog.  Exit codes: 0 success, 2 validation or input failure
+or a subgroup-class sweep no certificate proves complete (SweepUnproved).
 ``table`` sweeps any ambient with no multiplication table.  Identical
 invocations produce byte-identical output.  Targeted mode imports the
 ``--subgroup`` grammar (``targeted``) and check-deformation the obstruction
@@ -17,7 +18,7 @@ import sys
 from typing import Optional, Sequence
 
 from .catalog import CatalogValidationError, build_group, group_keys, load_group
-from .groups import GroupId, fingerprint, identify
+from .groups import GroupId, SweepUnproved, fingerprint, identify
 from .invariants import classification_table, detect_l3
 
 EXIT_OK = 0
@@ -271,7 +272,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, CatalogValidationError) as exc:
+    except (CliError, CatalogValidationError, SweepUnproved) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return getattr(exc, "code", EXIT_VALIDATION)
 

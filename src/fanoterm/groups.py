@@ -59,8 +59,8 @@ import math
 import operator
 import struct
 from array import array
-from collections.abc import Set
-from functools import lru_cache, reduce
+from collections.abc import Container, Set
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .cyclo import ONE, CycloNum, _phi, _prime_factors, galois
@@ -74,6 +74,7 @@ __all__ = [
     "Fingerprint",
     "OrderCapExceeded",
     "EnumerationUnproved",
+    "SweepUnproved",
     "fingerprint",
     "identify",
     "quotient_group",
@@ -82,6 +83,10 @@ __all__ = [
 
 class OrderCapExceeded(RuntimeError):
     """Enumeration passed the configured cap (runaway or wrong generators)."""
+
+
+class SweepUnproved(RuntimeError):
+    """No certificate proves that the subgroup-class sweep found every class."""
 
 
 class EnumerationUnproved(RuntimeError):
@@ -480,11 +485,11 @@ class GroupView:
     increasing order, so the identity id 0 is always the first element.
     ``mult``, ``inv``, ``coset`` and ``order_of`` are the ambient's, so
     element orders are memoized once per group.  A view memoizes its class
-    map; nothing else about it changes.
+    map, and the sweep sets ``conjugates``; nothing else about it changes.
     """
 
     __slots__ = ("elements", "members", "mult", "inv", "coset", "order_of", "gens", "ambient",
-                 "_class_map")
+                 "conjugates", "_class_map")
 
     def __init__(self, members: Iterable[int], gens: Sequence[int], ambient: "FinGroup"):
         if isinstance(members, _Indices):
@@ -498,6 +503,7 @@ class GroupView:
         self.order_of = ambient.order_of
         self.gens = tuple(gens)
         self.ambient = ambient
+        self.conjugates: Optional[int] = None  # its number of conjugates in the ambient
         self._class_map: Optional[tuple[tuple[tuple[int, ...], ...],
                                         list[int] | dict[int, int]]] = None
 
@@ -505,15 +511,13 @@ class GroupView:
     def order(self) -> int:
         return len(self.elements)
 
-    def closure(self, gens: Iterable[int], base: frozenset[int] = frozenset((0,)),
-                forbidden: Optional[frozenset[int]] = None) -> Optional[frozenset[int]]:
+    def closure(self, gens: Iterable[int], base: frozenset[int] = frozenset((0,))) -> frozenset[int]:
         """The subgroup generated by gens, grown from ``base``, a known
         subgroup of it, by cosets (Dimino; Butler, LNCS 559, 1991): per
         coset representative e and generator s, y = s e lies in a known
         coset or starts the coset y base, built by ``coset``.
         When gens and base are members, a result past half this view's
-        order is the whole group (Lagrange), so the closure stops there.
-        It returns None at its first element of ``forbidden`` outside base."""
+        order is the whole group (Lagrange), so the closure stops there."""
         gen_list = sorted({g for g in gens if g != 0})
         members, mult, coset = self.members, self.mult, self.coset
         half = self.order // 2 if members.issuperset(gen_list) and members.issuperset(base) else math.inf
@@ -525,12 +529,9 @@ class GroupView:
                 if y not in seen:
                     reps.append(y)
                     seen.add(y)
-                    new = coset(y, rest)
-                    if forbidden is not None and (y in forbidden or not forbidden.isdisjoint(new)):
-                        return None
-                    seen.update(new)
+                    seen.update(coset(y, rest))
                     if len(seen) > half:
-                        return members if forbidden is None or forbidden <= seen else None
+                        return members
         return frozenset(seen)
 
     def span(self, candidates: Iterable[int]) -> tuple[frozenset[int], tuple[int, ...]]:
@@ -820,11 +821,15 @@ class FinGroup:
     def order_of(self, x: int) -> int:
         """The order of element x, memoized on the group."""
         if x not in self._orders:
-            k, y = 1, x
-            while y:
-                k, y = k + 1, self.mult(y, x)
-            self._orders[x] = k
+            self._orders[x] = len(self.powers(x, (0,)))
         return self._orders[x]
+
+    def powers(self, x: int, members: Container[int]) -> list[int]:
+        """x, x^2, ..., x^k for the least k >= 1 with x^k in ``members``."""
+        ys = [x]
+        while ys[-1] not in members:
+            ys.append(self.mult(ys[-1], x))
+        return ys
 
     def index_of(self, mat: MatC) -> int:
         """The index of the element with lift ``mat``, any scalar multiple;
@@ -883,41 +888,34 @@ class FinGroup:
     def subgroup_conjugacy_classes(self) -> list[GroupView]:
         """One representative view per conjugacy class of subgroups, sorted
         by order and then by sorted members, each the least member list of
-        its orbit; class k is at position k - 1.
+        its orbit, whose size is its ``conjugates``; class k is at k - 1.
 
         A cyclic extension (Neubueser, Numer. Math. 2, 1960) guided by the
-        involutions S, as H is reached from N = <S & H> by joining elements
-        outside S that normalize N and bring no involution: a class K
-        generated by involutions is joined with each involution outside K,
-        every K with each <x>, x outside S normalizing <S & K>, abandoned at
-        a new involution.  One join per N_G(K)-orbit, N_G(K) from Schreier
-        generators of the walk registering each conjugate by its sorted
-        members (Holt, Eick and O'Brien, 2005).  K is extended as the
-        member set it was found as: the trivial class and an involution
-        join are generated by involutions, so N_G(<S & K>) is N_G(K); any
-        other join keeps its parent's S & K, and so its parent's N_G(<S & K>).
+        involutions S, from N = <S & H> to H by normal prime-index steps: a
+        class K generated by involutions joins each involution outside K,
+        one closure per N_G(K)-orbit, and every K each x in N_G(K) whose
+        least power x^k in K has k prime, as the cosets x^i K, made once
+        for all its elements outside K, and dropped for k = 2 when its new
+        coset holds an involution.  N_G(K) comes from Schreier generators
+        of the walk registering each conjugate by its sorted members (Holt,
+        Eick and O'Brien, 2005), kept until K is extended.  SweepUnproved
+        unless a certificate proves that no class is missed.
         """
-        view, n, mult, inv = self.view, self.n, self.mult, self._inv
+        view, n, mult, inv, coset = self.view, self.n, self.mult, self._inv, self.coset
         involutions = view.involutions()
-        forbidden = frozenset(involutions)
-        half = [0] * n  # the involution x^k of <x> for x of order 2k, 0 for odd orders
-        for c in view.class_map()[0]:
-            k, odd = divmod(view.order_of(c[0]), 2)
-            for x in () if odd else c:
-                half[x] = reduce(lambda y, _: mult(x, y), range(k - 1), x)
+        is_involution = frozenset(involutions).__contains__
+        primes = _prime_factors(n)
         code = "H" if n <= 1 << 16 else "I"
         spanning = set(view.span(self.gen_idx)[1])  # generators enough to generate G
         steps = [(conj, g) for conj, g in zip(self._conjugations, self.gen_idx) if g in spanning]
         registered: set[bytes] = set()  # every conjugate of every class found
-        # members as found, generators, letters of N_G(K)'s generators,
-        # N_G(<S & K>), whether S & K generates K, least conjugate K^t, t
-        classes = []
+        pending = []  # members as found, generators, letters of N_G(K)'s generators, N_G(K)
+        classes = []  # generators, least conjugate K^t, t, number of conjugates
 
-        def register(members: frozenset[int], gens: tuple[int, ...], candidates) -> None:
+        def register(members: frozenset[int], gens: tuple[int, ...]) -> None:
             """Key the conjugation orbit of K's sorted members, point i
             K^trans[i], and grow N_G(K) from its Schreier generators
-            trans[i] g trans[j]^-1 up to order n/|orbit|; ``candidates``
-            is N_G(<S & K>), or None when S & K generates K."""
+            trans[i] g trans[j]^-1 up to order n/|orbit|."""
             first = array(code, sorted(members))
             if first.tobytes() in registered:
                 return
@@ -940,16 +938,14 @@ class FinGroup:
                 if h not in grown:
                     normalizer.append(h)
                     grown = view.closure(normalizer, grown)
-            by_involutions = candidates is None
-            if by_involutions:
-                candidates = grown if len(grown) == n else array(code, sorted(grown))
+            pending.append((members, gens, list(map(self._conjugation_arrays, normalizer)),
+                            grown if len(grown) == n else array(code, sorted(grown))))
             r = min(range(len(points)), key=points.__getitem__)
-            classes.append((members, gens, list(map(self._conjugation_arrays, normalizer)),
-                            candidates, by_involutions, points[r], trans[r]))
+            classes.append((gens, points[r], trans[r], len(points)))
 
-        def orbit(xs: Sequence[int], letters: list[list[array]]) -> set[int]:
-            """The union of the N_G(K)-orbits of xs: a map per letter and layer."""
-            seen, layer = set(xs), list(xs)
+        def orbit(x: int, letters: list[list[array]]) -> set[int]:
+            """The N_G(K)-orbit of x: a map per letter and layer."""
+            seen, layer = {x}, [x]
             while layer:
                 found: set[int] = set()
                 for word in letters:
@@ -961,26 +957,49 @@ class FinGroup:
                 seen.update(layer)
             return seen
 
-        register(frozenset((0,)), (), None)
-        # classes grows as joins find new ones
-        for members, gens, letters, candidates, by_involutions, _, _ in classes:
-            # the involutions outside K when they generate K, then the x
-            # normalizing <S & K> whose involution, if any, is in K
+        register(frozenset((0,)), ())
+        while pending:  # it grows as joins find new classes
+            members, gens, letters, normalizer = pending.pop(0)
             covered: set[int] = set()
-            for x in itertools.chain(involutions if by_involutions else (), candidates):
-                if (x in covered or x in members
-                        or half[x] not in members and not (by_involutions and half[x] == x)):
+            if all(map(is_involution, gens)):
+                for t in involutions:
+                    if t not in covered and t not in members:
+                        covered |= orbit(t, letters)
+                        register(view.closure(gens + (t,), members), gens + (t,))
+            for x in normalizer:
+                if x in covered or x in members:
                     continue
-                o = view.order_of(x)
-                powers = itertools.accumulate(range(o - 2), lambda y, _: mult(x, y), initial=x)
-                covered |= orbit([y for k, y in enumerate(powers, 1) if math.gcd(k, o) == 1], letters)
-                joined = view.closure(gens + (x,), members, None if half[x] == x else forbidden)
-                if joined is not None:
-                    register(joined, gens + (x,), None if half[x] == x else candidates)
-        classes.sort(key=lambda c: (len(c[5]), c[5]))
-        return [view if len(rep) == n else
-                view.sub(map(view.elements.__getitem__, rep), tuple(map(self.conjugator(t), gens)))
-                for _, gens, _, _, _, rep, t in classes]
+                xs = self.powers(x, members)
+                if len(xs) in primes:
+                    new = [y for xi in xs[:-1] for y in coset(xi, members)]
+                    covered.update(new)
+                    if len(xs) > 2 or not any(map(is_involution, new)):
+                        register(members.union(new), gens + (x,))
+        classes.sort(key=lambda c: (len(c[1]), c[1]))
+        views = [view if len(rep) == n else
+                 view.sub(map(view.elements.__getitem__, rep), tuple(map(self.conjugator(t), gens)))
+                 for gens, rep, t, _ in classes]
+        for v, c in zip(views, classes):
+            v.conjugates = c[3]
+        if not any(self._certificates(views)):
+            raise SweepUnproved(f"no certificate proves the {len(views)} subgroup classes complete")
+        return views
+
+    def _certificates(self, classes: Sequence[GroupView]) -> tuple[bool, bool]:
+        """Whether (a) and (b) hold; each proves every H / <S & H> solvable.
+        (a) Every 2-subgroup P, all found, has P / <S & P> cyclic: a missed H
+        holds a perfect R with R / (R & <S & H>) of even order (Feit-Thompson),
+        so its Sylow 2-subgroup, a quotient of P / <S & P> for a Sylow P of R,
+        is noncyclic (Burnside's normal p-complement theorem).  (b) Every N > 1
+        generated by involutions (by its generators) has |N_G(N) : N| divisible
+        by at most two primes (Burnside's p^a q^b theorem); N = 1 has |H| odd."""
+        omegas = [(p, p.closure(x for x in p.elements if self.order_of(x) == 2))
+                  for p in classes if p.order & (p.order - 1) == 0]
+        cyclic = all(any(len(self.powers(x, omega)) * len(omega) == p.order for x in p.elements)
+                     for p, omega in omegas)
+        two_primes = all(len(_prime_factors(self.n // c.conjugates // c.order)) <= 2 for c in classes
+                         if c.order > 1 and all(self.order_of(g) == 2 for g in c.gens))
+        return cyclic, two_primes
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from fanoterm.cyclo import ONE, ZERO, rational, root_of_unity
+from fanoterm.cyclo import ONE, ZERO, rational, root_of_unity, sqrt_rational
 from fanoterm import catalog, cli, cosets, groups
 from fanoterm.catalog import group_keys, load_group
 from fanoterm.cli import EXIT_VALIDATION, main as cli_main
@@ -886,7 +886,7 @@ def test_closure_from_a_base_matches_the_oracle(built, key):
     group = built(key)
     classes, _ = group.view.class_map()
     normal = min((group.view.normal_closure([c[0]])[0] for c in classes[1:]), key=len)
-    rng, pick = random.Random(19), random.Random(23)
+    rng = random.Random(19)
     for view in (group.view, quotient_view(group.view, normal)):
         for _ in range(8):
             gens = rng.sample(view.elements, rng.randint(1, min(3, view.order)))
@@ -895,10 +895,6 @@ def test_closure_from_a_base_matches_the_oracle(built, key):
             want = bfs_closure(view, gens)
             assert view.closure(gens, base) == want
             assert view.closure(gens) == want
-            # with a forbidden set: None exactly when the closure meets it outside base
-            for forbidden in (frozenset(pick.sample(view.elements, min(2, view.order))),
-                              frozenset(view.elements) - want):
-                assert view.closure(gens, base, forbidden) == (None if forbidden & (want - base) else want)
             with counted_products(view.ambient) as products:
                 inner = GroupView(base, gens[:cut], view.ambient)
             assert inner.closure(gens, base) == want
@@ -981,6 +977,8 @@ def test_subgroup_classes_budget():
         s7.subgroup_conjugacy_classes(budget=10)
     classes = s7.subgroup_conjugacy_classes()
     assert s7.n == 5040 and len(classes) == 96
+    # C(t) / <t> is S5 for a transposition t, so only (a) proves them all
+    assert s7._certificates(classes) == (True, False)
 
 
 def _oracle_subgroup_classes(group):
@@ -1052,42 +1050,43 @@ ODD_GROUPS = {
 
 @pytest.mark.parametrize("key", ["Q8_S3", "A3_5", "L2_11", "M10_first", *ODD_GROUPS])
 def test_subgroup_classes_match_all_joins(built, key):
-    # joining involutions from involution-generated classes and other
-    # cyclic subgroups from every class, over normalizer orbits only,
-    # finds exactly the classes of the join with every cyclic subgroup
+    # joining involutions to involution-generated classes, one per
+    # normalizer orbit, and every class with its normal prime-index
+    # extensions finds exactly the classes of the join of every class
+    # with every cyclic subgroup
     group = ODD_GROUPS[key]() if key in ODD_GROUPS else built(key)
     classes = group.subgroup_conjugacy_classes()
     assert [sorted(c.members) for c in classes] == all_joins_subgroup_classes(group)
 
 
+# which certificate holds on each ambient's classes: (a) every 2-subgroup
+# P has P / Omega(P) cyclic, (b) every nontrivial N generated by
+# involutions has |N_G(N) : N| divisible by at most two primes.  (a) fails
+# through a Q8 of P / Omega(P) = C2 x C2
+CERTIFICATES = {"A3_5": (True, True), "A7_perm": (True, True), "A7_second": (True, True),
+                "C3_4_A6": (True, True), "L2_11": (True, True), "G1944": (False, True),
+                "M10_first": (False, True), "M10_second": (False, True), "Q8_S3": (False, True)}
+
 # the number of subgroups of each ambient, its classes' conjugates summed
 SUBGROUP_TOTALS = {"Q8_S3": 55, "A3_5": 626, "L2_11": 620, "M10_first": 793, "M10_second": 793,
-                   "G1944": 6794, "A7_perm": 3786, "A7_second": 3786}
+                   "G1944": 6794, "A7_perm": 3786, "A7_second": 3786, "C3_4_A6": 104774}
 
 
 @pytest.mark.parametrize("key", sorted(SUBGROUP_TOTALS))
 def test_sweep_counts_match_element_orders_and_frobenius(built, key):
-    # identities the sweep's classes must meet, each conjugation orbit
-    # walked under the generators' conjugators: (i) a cyclic subgroup of
-    # order m holds phi(m) of the elements of order m, and no other does;
-    # (ii) the subgroups of each prime power order p^k dividing |G| number
-    # 1 mod p (Frobenius); (iii) A7 has 3786 subgroups in 40 classes.
-    # C3_4_A6 is left out: its walks take about 13 s
+    # identities the sweep's classes must meet, each class counted by its
+    # view's number of conjugates: (i) a cyclic subgroup of order m holds
+    # phi(m) of the elements of order m, and no other does; (ii) the
+    # subgroups of each prime power order p^k dividing |G| number 1 mod p
+    # (Frobenius); (iii) A7 has 3786 subgroups in 40 classes; and the
+    # ambient's certificates
     group = built(key)
-    conjugators = [group.conjugator(g) for g in group.gen_idx]
     by_order, cyclic = Counter(), Counter()
     classes = group.subgroup_conjugacy_classes()
     for c in classes:
-        orbit, queue = {c.members}, [c.members]
-        for members in queue:
-            for conj in conjugators:
-                t = frozenset(map(conj, members))
-                if t not in orbit:
-                    orbit.add(t)
-                    queue.append(t)
-        by_order[c.order] += len(orbit)
+        by_order[c.order] += c.conjugates
         if any(group.order_of(x) == c.order for x in c.elements):
-            cyclic[c.order] += len(orbit)
+            cyclic[c.order] += c.conjugates
     phi = lambda m: sum(math.gcd(k, m) == 1 for k in range(m))
     assert Counter({m: k * phi(m) for m, k in cyclic.items()}) == Counter(map(group.order_of,
                                                                               range(group.n)))
@@ -1099,6 +1098,44 @@ def test_sweep_counts_match_element_orders_and_frobenius(built, key):
     assert sum(by_order.values()) == SUBGROUP_TOTALS[key]
     if key.startswith("A7"):
         assert (len(classes), sum(by_order.values())) == (40, 3786)
+    if key == "C3_4_A6":
+        assert len(classes) == 302
+    assert group._certificates(classes) == CERTIFICATES[key]
+
+
+def sl25():
+    """SL(2,5) as 2 + 1 block matrices over Q(zeta_5), so that its central
+    involution is no scalar: order 120 and one involution."""
+    e, r = root_of_unity(5, 1), ONE / sqrt_rational(5)
+    s = MatC([[-(e - e ** 4) * r, (e ** 2 - e ** 3) * r, ZERO],
+              [(e ** 2 - e ** 3) * r, (e - e ** 4) * r, ZERO], [ZERO, ZERO, ONE]])
+    t = diag([e ** 3, e ** 2, ONE])
+    return FinGroup.generate([s, t])
+
+
+def test_sweep_refuses_sl25(monkeypatch):
+    # SL(2,5) / <S & SL(2,5)> is A5, so the sweep cannot reach SL(2,5)
+    # from its one involution; neither certificate holds, and the sweep
+    # raises rather than return its 11 of the 12 classes
+    group = sl25()
+    assert group.n == 120 and len(group.view.involutions()) == 1
+    with pytest.raises(groups.SweepUnproved, match="no certificate proves the 11 subgroup classes"):
+        group.subgroup_conjugacy_classes()
+    monkeypatch.setattr(FinGroup, "_certificates", lambda self, classes: (True, True))
+    found = group.subgroup_conjugacy_classes()
+    assert (len(found), len(all_joins_subgroup_classes(group))) == (11, 12)
+    monkeypatch.undo()
+    assert group._certificates(found) == (False, False)
+
+
+def test_table_reports_an_unproved_sweep(monkeypatch, capsys):
+    def refuse(self):
+        raise groups.SweepUnproved("no certificate proves the 11 subgroup classes complete")
+
+    monkeypatch.setattr(FinGroup, "subgroup_conjugacy_classes", refuse)
+    assert cli_main(["table", "--group", "Q8_S3"]) == EXIT_VALIDATION == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: no certificate proves the 11 subgroup classes complete\n")
 
 
 def test_full_group_only_runs_no_sweep(monkeypatch):
@@ -1119,6 +1156,8 @@ def test_subgroup_classes_lagrange_and_nonconjugacy(built):
         assert group.n % c.order == 0
     # representatives are pairwise non-conjugate: orbits are disjoint
     orbits = [subgroup_orbit(group, c.members) for c in classes]
+    # each view's number of conjugates is its orbit's size
+    assert [c.conjugates for c in classes] == list(map(len, orbits))
     all_sets = [s for orbit in orbits for s in orbit]
     assert len(all_sets) == len(set(all_sets))
     for i, ci in enumerate(classes):
