@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .cyclo import ONE, CycloNum, parse_cyclo
 from .data import DATA_DIR, data_lines, read_data as _read
@@ -25,12 +25,13 @@ __all__ = [
     "load_group",
     "build_group",
     "load_rank_rows",
+    "table_rows",
 ]
 
 
 class CatalogValidationError(RuntimeError):
-    """Shipped data disagree: a definition failed a check, or a computed
-    rank contradicts the rank table or the codimension-2 bounds."""
+    """Shipped data disagree: a definition or a table line failed a check,
+    or a computed rank contradicts the rank table or the codimension-2 bounds."""
 
 
 class GroupDefinition(NamedTuple):
@@ -142,8 +143,22 @@ def build_group(key: str) -> FinGroup:
 # -- tables -------------------------------------------------------------------
 
 
+def table_rows(name: str, text: str, parse: Callable[[str], object]) -> list:
+    """``parse`` of each line of the text of the shipped table ``name``; a
+    line it refuses with a ValueError is a CatalogValidationError that
+    names the file and quotes the line."""
+    rows = []
+    for line in data_lines(text):
+        try:
+            rows.append(parse(line))
+        except ValueError as exc:
+            raise CatalogValidationError(f"{name}: bad line {line!r}: {exc}") from None
+    return rows
+
+
 @lru_cache(maxsize=None)
 def load_rank_rows() -> tuple[tuple[str, GroupId, int], ...]:
-    rows = map(str.split, data_lines(_read("rkl.table")))
-    return tuple((label, GroupId(int(order), int(gid)), int(rank))
-                 for label, order, gid, rank in rows)
+    def row(line: str) -> tuple[str, GroupId, int]:
+        label, order, gid, rank = line.split()
+        return label, GroupId(int(order), int(gid)), int(rank)
+    return tuple(table_rows("rkl.table", _read("rkl.table"), row))

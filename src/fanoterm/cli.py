@@ -139,11 +139,7 @@ def cmd_detect_l3(args) -> int:
 def cmd_check_deformation(args) -> int:
     from .deform import load_deformation_catalog, load_fixtures, obstruction_report
 
-    try:
-        fixtures = load_fixtures()
-    except ValueError as exc:
-        raise CliError(f"cannot read fixtures: {exc}")
-    report = obstruction_report(fixtures, load_deformation_catalog())
+    report = obstruction_report(load_fixtures(), load_deformation_catalog())
     if args.format == "structured":
         def enc(es):
             return [

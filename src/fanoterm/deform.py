@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .data import data_lines, read_data as _read
+from .catalog import table_rows
+from .data import read_data as _read
 from .groups import GroupId
 
 __all__ = [
@@ -53,7 +54,7 @@ class ObstructionReport(NamedTuple):
 
 
 def _load_b2_table(name: str) -> dict[int, tuple[int, ...]]:
-    rows = [tuple(map(int, line.split())) for line in data_lines(_read(name))]
+    rows = table_rows(name, _read(name), lambda line: tuple(map(int, line.split())))
     return {row[0]: row[1:] for row in rows}
 
 
@@ -68,13 +69,12 @@ def load_deformation_catalog() -> KnownClassCatalog:
 
 @lru_cache(maxsize=None)
 def load_fixtures() -> tuple[ObstructionEntry, ...]:
-    rows = []
-    for line in data_lines(_read("fixtures.list")):
-        order, gid, b2, ambient = (int(x) for x in line.split())
+    def row(line: str) -> ObstructionEntry:
+        order, gid, b2, ambient = map(int, line.split())
         if order <= 0 or ambient <= 0:
-            raise ValueError(f"fixture row {line!r}: orders must be positive")
-        rows.append(ObstructionEntry(GroupId(order, gid), b2, ambient))
-    return tuple(rows)
+            raise ValueError("orders must be positive")
+        return ObstructionEntry(GroupId(order, gid), b2, ambient)
+    return tuple(table_rows("fixtures.list", _read("fixtures.list"), row))
 
 
 def is_square_rational(q) -> bool:

@@ -40,15 +40,15 @@ element's generator word through per-generator translation tables, and
 conjugation by each generator is one array, built from the inverses
 and those tables, so conjugation by any element walks its word through
 arrays.  A quotient acts regularly on its cosets, so it is a
-``FinGroup`` too, and every subgroup and quotient is a ``GroupView``,
-a member set of one.  Matrices are multiplied again only per conjugacy
-class, by the L3 test and the class traces of the rank.  No
-multiplication table is built: a closure maps a coset through one
-translation table per letter.  Every conjugacy question about a
-subgroup (its classes, center, normal closures and normality of a
-divisor) is a read of its memoized class map.  All derived data
-(orderings, class lists, subgroup lattices) is canonical: two runs
-produce identical output.
+``FinGroup`` too, built only for pi1 by ``quotient_group``, and every
+subgroup and quotient is a ``GroupView``, a member set of one.
+Matrices are multiplied again only per conjugacy class, by the L3 test
+and the class traces of the rank.  No multiplication table is built: a
+closure maps a coset through one translation table per letter.  Every
+conjugacy question about a subgroup (its classes, center, normal
+closures and normality of a divisor) is a read of its memoized class
+map.  All derived data (orderings, class lists, subgroup lattices) is
+canonical: two runs produce identical output.
 """
 
 from __future__ import annotations
@@ -560,8 +560,9 @@ class GroupView:
         The class index is looked up by element: for a whole enumerated
         group, whose elements are the indices 0 <= x < n, it is a list, and
         its classes hold the group's own ints, not the fresh ints that the
-        conjugation arrays return; for any other view it is a dict.  The
-        orbits' sets are transient."""
+        conjugation arrays return; for any other view it is a dict.  It is
+        also the walk's visited set: an element gets its class number when
+        the walk first reaches it, and the orbit's list is the queue."""
         if self._class_map is None:
             conjugators = list(map(self.ambient.conjugator, self.gens))
             elements = self.elements
@@ -571,19 +572,17 @@ class GroupView:
             for x in elements:
                 if class_of[x] is not None:
                     continue
-                orbit = {x}
-                queue = [x]
-                for y in queue:
+                k = len(classes)
+                class_of[x] = k
+                orbit = [x]
+                for y in orbit:
                     for conj in conjugators:
                         z = conj(y)
-                        if z not in orbit:
-                            orbit.add(z)
-                            queue.append(z)
-                k = len(classes)
-                for z in orbit:
-                    class_of[z] = k
-                members = sorted(orbit)
-                classes.append(tuple(map(elements.__getitem__, members) if whole else members))
+                        if class_of[z] is None:
+                            class_of[z] = k
+                            orbit.append(z)
+                orbit.sort()
+                classes.append(tuple(map(elements.__getitem__, orbit) if whole else orbit))
             self._class_map = (tuple(classes), class_of)
         return self._class_map
 
@@ -653,12 +652,13 @@ class FinGroup:
     PGL_d (``generate``), the normal form of x, the identity first and the
     rest sorted by their entries, so the indexing is reproducible (an
     ``_Elements``, which keeps each element's code and no matrix); for a
-    quotient (``quotient_view``, ``dim`` None), the least member of coset
-    x.  Nothing about the group changes after construction but its memo of
-    element orders.  Per element it keeps its code, its word, one index
-    in each translation table, its inverse and one entry in each
-    generator's conjugation array x -> g^-1 x g, an ``array('I')``; these
-    index lists and the view's members share one int object per index.
+    quotient (``quotient_group``, ``dim`` None, built only for pi1), the
+    least member of coset x.  Nothing about the group changes after
+    construction but its memo of element orders.  Per element it keeps
+    its code, its word, one index in each translation table, its inverse
+    and one entry in each generator's conjugation array x -> g^-1 x g, an
+    ``array('I')``; these index lists and the view's members share one int
+    object per index.
 
     Building it holds no second copy of a per-element list: the BFS's keys
     are freed before its residues are built, the residues or normal forms
@@ -866,14 +866,10 @@ class FinGroup:
             xs = map(self._perms[a].__getitem__, xs)
         return list(xs)
 
-    def _conjugation_arrays(self, h: int) -> list[array]:
-        """The arrays that map x -> h^-1 x h in turn: for h = g_ak ... g_a1,
-        word a_1 ... a_k, conjugation by g_ak first."""
-        return [self._conjugations[a] for a in reversed(self._rword[h])]
-
     def conjugator(self, h: int) -> Callable[[int], int]:
-        """x -> h^-1 x h, one array lookup per letter of h's word."""
-        arrays = self._conjugation_arrays(h)
+        """x -> h^-1 x h, one array lookup per letter of h's word: for
+        h = g_ak ... g_a1, word a_1 ... a_k, conjugation by g_ak first."""
+        arrays = [self._conjugations[a] for a in reversed(self._rword[h])]
         if len(arrays) == 1:
             return arrays[0].__getitem__
 
@@ -893,13 +889,14 @@ class FinGroup:
         A cyclic extension (Neubueser, Numer. Math. 2, 1960) guided by the
         involutions S, from N = <S & H> to H by normal prime-index steps: a
         class K generated by involutions joins each involution outside K,
-        one closure per N_G(K)-orbit, and every K each x in N_G(K) whose
-        least power x^k in K has k prime, as the cosets x^i K, made once
-        for all its elements outside K, and dropped for k = 2 when its new
-        coset holds an involution.  N_G(K) comes from Schreier generators
-        of the walk registering each conjugate by its sorted members (Holt,
-        Eick and O'Brien, 2005), kept until K is extended.  SweepUnproved
-        unless a certificate proves that no class is missed.
+        one closure per N_G(K)-orbit, each orbit marked as covered as it
+        is walked, and every K each x in N_G(K) whose least power x^k in K
+        has k prime, as the cosets x^i K, made once for all its elements
+        outside K, and dropped for k = 2 when its new coset holds an
+        involution.  N_G(K) comes from Schreier generators of the walk
+        registering each conjugate by its sorted members (Holt, Eick and
+        O'Brien, 2005), kept until K is extended.  SweepUnproved unless a
+        certificate proves that no class is missed.
         """
         view, n, mult, inv, coset = self.view, self.n, self.mult, self._inv, self.coset
         involutions = view.involutions()
@@ -909,7 +906,7 @@ class FinGroup:
         spanning = set(view.span(self.gen_idx)[1])  # generators enough to generate G
         steps = [(conj, g) for conj, g in zip(self._conjugations, self.gen_idx) if g in spanning]
         registered: set[bytes] = set()  # every conjugate of every class found
-        pending = []  # members as found, generators, letters of N_G(K)'s generators, N_G(K)
+        pending = []  # members as found, generators, conjugators by N_G(K)'s generators, N_G(K)
         classes = []  # generators, least conjugate K^t, t, number of conjugates
 
         def register(members: frozenset[int], gens: tuple[int, ...]) -> None:
@@ -938,33 +935,26 @@ class FinGroup:
                 if h not in grown:
                     normalizer.append(h)
                     grown = view.closure(normalizer, grown)
-            pending.append((members, gens, list(map(self._conjugation_arrays, normalizer)),
+            pending.append((members, gens, list(map(self.conjugator, normalizer)),
                             grown if len(grown) == n else array(code, sorted(grown))))
             r = min(range(len(points)), key=points.__getitem__)
             classes.append((gens, points[r], trans[r], len(points)))
 
-        def orbit(x: int, letters: list[list[array]]) -> set[int]:
-            """The N_G(K)-orbit of x: a map per letter and layer."""
-            seen, layer = {x}, [x]
-            while layer:
-                found: set[int] = set()
-                for word in letters:
-                    ys = layer
-                    for conj in word:
-                        ys = map(conj.__getitem__, ys)
-                    found.update(ys)
-                layer = list(found - seen)
-                seen.update(layer)
-            return seen
-
         register(frozenset((0,)), ())
         while pending:  # it grows as joins find new classes
-            members, gens, letters, normalizer = pending.pop(0)
+            members, gens, conjugators, normalizer = pending.pop(0)
             covered: set[int] = set()
             if all(map(is_involution, gens)):
                 for t in involutions:
                     if t not in covered and t not in members:
-                        covered |= orbit(t, letters)
+                        covered.add(t)
+                        orbit = [t]
+                        for y in orbit:
+                            for conj in conjugators:
+                                z = conj(y)
+                                if z not in covered:
+                                    covered.add(z)
+                                    orbit.append(z)
                         register(view.closure(gens + (t,), members), gens + (t,))
             for x in normalizer:
                 if x in covered or x in members:
@@ -1006,31 +996,29 @@ class FinGroup:
 # quotients
 
 
-def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
-    """The quotient of a view's group by a normal subgroup N, as the view
-    of a FinGroup on the cosets, numbered in order of their least members.
-    The group acts regularly on them, so each distinct nontrivial
-    generator coset has one translation table, one product per coset, and
-    the words come from a breadth-first walk from N.  Normality is the
-    caller's responsibility (checked in quotient_group); N the whole view
-    gives the one-element group at once."""
-    if len(normal_members) == view.order:
+def quotient_group(h: GroupView, n: GroupView) -> GroupView:
+    """H/N, the view of a FinGroup on the cosets of N, numbered in order of
+    their least members; ValueError unless N is normal in H, that is, the
+    H-class of each generator of N lies in N.  H acts regularly on the
+    cosets: one translation table per distinct nontrivial generator coset,
+    from its least member, one product per coset, and the words from a
+    breadth-first walk from N.  N = H gives the one-element group at once."""
+    if not n.members <= h.members:
+        raise ValueError("divisor is not contained in the subgroup")
+    classes, class_of = h.class_map()
+    if not all(n.members.issuperset(classes[class_of[s]]) for s in n.gens):
+        raise ValueError("divisor is not normal in the subgroup")
+    if n.order == h.order:
         return FinGroup([0], [], [b""], None).view
-    coset = view.ambient.coset
-    nm = sorted(normal_members)
+    coset, nm = h.ambient.coset, n.elements
     coset_of: dict[int, int] = {}
     reps: list[int] = []
-    for x in view.elements:
+    for x in h.elements:
         if x not in coset_of:
             coset_of.update(dict.fromkeys(coset(x, nm), len(reps)))
             reps.append(x)
-    perms: list[list[int]] = []
-    found = {0}
-    for g in view.gens:
-        q = coset_of[g]
-        if q not in found:
-            found.add(q)
-            perms.append(list(map(coset_of.__getitem__, coset(g, reps))))
+    perms = [list(map(coset_of.__getitem__, coset(reps[q], reps)))
+             for q in dict.fromkeys(map(coset_of.__getitem__, h.gens)) if q]
     words: list[Optional[bytes]] = [b""] + [None] * (len(reps) - 1)
     queue = [0]
     for x in queue:
@@ -1040,17 +1028,6 @@ def quotient_view(view: GroupView, normal_members: frozenset[int]) -> GroupView:
                 words[y] = words[x] + bytes((a,))
                 queue.append(y)
     return FinGroup(reps, perms, words, None).view
-
-
-def quotient_group(h: GroupView, n: GroupView) -> GroupView:
-    """H/N on minimal coset representatives; verifies N is normal in H,
-    that is, the H-class of each generator of N lies in N."""
-    if not n.members <= h.members:
-        raise ValueError("divisor is not contained in the subgroup")
-    classes, class_of = h.class_map()
-    if not all(n.members.issuperset(classes[class_of[s]]) for s in n.gens):
-        raise ValueError("divisor is not normal in the subgroup")
-    return quotient_view(h, n.members)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,12 +1061,18 @@ class Fingerprint(NamedTuple):
     derived_sizes: tuple[int, ...]
 
 
-def _abelian_invariants(q: GroupView) -> tuple[int, ...]:
-    if q.order == 1:
+def _abelian_invariants(view: GroupView, derived: Set[int]) -> tuple[int, ...]:
+    """The abelian invariants of H/H', read off the order of each coset
+    xH': the least k with x^k in H', one ``powers`` walk per element of H.
+    Each coset is counted |H'| times, which leaves every ratio of the
+    counts below unchanged."""
+    index = view.order // len(derived)
+    if index == 1:
         return ()
-    orders = [q.order_of(x) for x in q.elements]
+    powers = view.ambient.powers
+    orders = [len(powers(x, derived)) for x in view.elements]
     out = []
-    for p in _prime_factors(q.order):  # by Cauchy, the primes of the element orders
+    for p in _prime_factors(index):  # by Cauchy, the primes of the element orders
         # c_k = number of elements of order dividing p^k determines the
         # partition of the p-part
         k = 1
@@ -1129,7 +1112,9 @@ def _derived_data(view: GroupView) -> tuple[frozenset[int], tuple[int, ...]]:
 def fingerprint(view: GroupView) -> Fingerprint:
     """The view's isomorphism invariants.  The order histogram, the class
     count and the center, whose elements are the singleton classes, are
-    read off the class map, with one element order per class."""
+    read off the class map, with one element order per class.  The
+    abelian invariants are read off the orders modulo the derived
+    subgroup, so no quotient group is built."""
     n = view.order
     classes, _ = view.class_map()
     hist: dict[int, int] = {}
@@ -1138,7 +1123,7 @@ def fingerprint(view: GroupView) -> Fingerprint:
         hist[o] = hist.get(o, 0) + len(c)
     # abelianization, then the derived series down to its perfect end
     dm, dg = _derived_data(view)
-    ab = _abelian_invariants(quotient_view(view, dm))
+    ab = _abelian_invariants(view, dm)
     sizes = [n, len(dm)]
     while 1 < sizes[-1] < sizes[-2]:
         dm, dg = _derived_data(view.sub(dm, dg))
@@ -1168,16 +1153,19 @@ def _load_id_catalog() -> dict[tuple, list[GroupId]]:
     """Tier-1 fingerprint -> the catalog ids that carry it."""
     import json
 
-    from .data import data_lines, read_data
+    from .catalog import table_rows
+    from .data import read_data
 
-    table: dict[tuple, list[GroupId]] = {}
-    for line in data_lines(read_data("idcatalog.data")):
+    def row(line: str) -> tuple[tuple, GroupId]:
         ids, t1 = line.split("|")
         order_s, gid_s = ids.split()
-        gid = GroupId(int(order_s), int(gid_s))
         # a tuple's repr is JSON with brackets for parentheses and no trailing comma
         t1 = json.loads(t1.replace("(", "[").replace(")", "]").replace(",]", "]"))
-        table.setdefault(_tuples(t1), []).append(gid)
+        return _tuples(t1), GroupId(int(order_s), int(gid_s))
+
+    table: dict[tuple, list[GroupId]] = {}
+    for t1, gid in table_rows("idcatalog.data", read_data("idcatalog.data"), row):
+        table.setdefault(t1, []).append(gid)
     return table
 
 

@@ -387,8 +387,8 @@ def product_class_map(view):
 class CosetTable:
     """A group given by its multiplication table: the ambient of the views
     that coset_table_quotient returns, with every product looked up in the
-    table, conjugation by g as two products and an element's order as its
-    powers, one product each."""
+    table, conjugation by g as two products and an element's order and
+    its powers up to a member set, one product each."""
 
     def __init__(self, table):
         self.table = table
@@ -409,6 +409,12 @@ class CosetTable:
             k, y = k + 1, self.table[y][x]
         return k
 
+    def powers(self, x, members):
+        ys = [x]
+        while ys[-1] not in members:
+            ys.append(self.table[ys[-1]][x])
+        return ys
+
     def conjugator(self, g):
         table, g_inv = self.table, self._inv[g]
         return lambda x: table[table[g_inv][x]][g]
@@ -417,7 +423,7 @@ class CosetTable:
 def coset_table_quotient(view, normal_members):
     """The view's group modulo a normal subgroup over its m x m coset
     table, one product per entry, cosets numbered in order of their least
-    members: the reference for groups.quotient_view."""
+    members: the reference for groups.quotient_group."""
     from fanoterm.groups import GroupView
 
     coset_of, reps = {}, []

@@ -354,6 +354,42 @@ def test_check_deformation_nonpositive_order(capsys, monkeypatch):
     assert "Traceback" not in err and len(err.splitlines()) == 1
 
 
+# a malformed line appended to each shipped table, and a command that reads it
+MALFORMED_TABLES = [
+    ("rkl.table", "X 60 5 oops", ("table", "--group", "A3_5")),
+    ("vfuj.table", "4 x", ("check-deformation",)),
+    ("vk3.table", "4 x", ("check-deformation",)),
+    ("vkum.table", "4 x", ("check-deformation",)),
+    ("idcatalog.data", "12 3 | (12, oops)", ("fingerprint", "--group", "Q8_S3")),
+]
+
+
+@pytest.mark.parametrize("name, line, command", MALFORMED_TABLES)
+def test_malformed_table_line_exits_2(capsys, monkeypatch, name, line, command):
+    # a table's malformed line is one error line naming the file and
+    # quoting the line, with exit 2 and nothing on stdout
+    from fanoterm import catalog, data, deform, groups, ranks
+
+    read = data.read_data
+    patched = lambda n: read(n) + "\n" + line + "\n" if n == name else read(n)
+    loaders = (catalog.load_rank_rows, ranks._rank_by_id, deform.load_deformation_catalog,
+               groups._load_id_catalog)
+    for module, attr in ((catalog, "_read"), (deform, "_read"), (data, "read_data")):
+        monkeypatch.setattr(module, attr, patched)
+    for loader in loaders:
+        loader.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, *command)
+    finally:
+        monkeypatch.undo()
+        for loader in loaders:
+            loader.cache_clear()
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"error: {name}: ") and repr(line) in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_fingerprint_command(capsys):
     code, out, _ = run_cli(capsys, "fingerprint", "--group", "Q8_S3")
     assert code == EXIT_OK

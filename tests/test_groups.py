@@ -23,7 +23,6 @@ from fanoterm.groups import (
     fingerprint,
     identify,
     quotient_group,
-    quotient_view,
 )
 from fanoterm.linalg import MatC, diag, identity, mat_from_strings, perm_mat
 from oracles import (all_joins_subgroup_classes, bfs_closure, bounded_closure, commuting_center,
@@ -768,6 +767,23 @@ def test_conjugation_arrays_match_word_walks(built, key):
     assert len(class_of) == len(want_class_of) == group.n
 
 
+def test_class_map_holds_no_orbit_set(built):
+    # the whole C3_4_A6 class map, on a fresh view, marks its class index
+    # as it walks: the traced peak stays within 1.6 times what it retains
+    # (1.34; 3.02 with a set per orbit and a second pass writing the index)
+    group = built("C3_4_A6")
+    view = GroupView(group.view.members, group.gen_idx, group)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classes, _ = view.class_map()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, classes)) == group.n == 29160
+    assert peak - before < 1.6 * (retained - before)
+
+
 def test_whole_group_class_map_holds_the_groups_ints(built):
     # the whole group's classes hold the ints of its view, not fresh ones
     # from the conjugation arrays, and the class index is looked up by
@@ -815,12 +831,35 @@ def test_quotients_match_the_coset_table(built, key):
     for h in built(key).subgroup_conjugacy_classes():
         commutators = {h.mult(h.mult(h.inv(a), h.inv(b)), h.mult(a, b)) for a in h.gens for b in h.gens}
         for normal in (h.span(h.involutions())[0], fixpoint_normal_closure(h, commutators)):
-            q = quotient_view(h, normal)
+            q = quotient_group(h, h.sub(*h.span(normal)))
             assert fingerprint(q) == fingerprint(coset_table_quotient(h, normal)), (h.order, h.gens)
             for g in q.elements:
                 conj = q.ambient.conjugator(g)
                 assert list(map(conj, q.elements)) == [q.mult(q.mult(q.inv(g), x), g)
                                                        for x in q.elements], (h.order, h.gens, g)
+
+
+def test_fingerprint_builds_no_group(built, monkeypatch):
+    # the abelian invariants are read off the orders modulo the derived
+    # subgroup, so fingerprinting every sweep class builds no FinGroup
+    classes = [h for key in ("A3_5", "G1944") for h in built(key).subgroup_conjugacy_classes()]
+    made = []
+    init = FinGroup.__init__
+    monkeypatch.setattr(FinGroup, "__init__", lambda g, *args: made.append(1) or init(g, *args))
+    for h in classes:
+        fingerprint(h)
+    assert not made
+
+
+@pytest.mark.parametrize("key", ["A3_5", "L2_11", "M10_first", "M10_second", "Q8_S3", "G1944"])
+def test_abelian_invariants_match_the_coset_table(built, key):
+    # on every sweep class H, the abelian invariants read off the orders
+    # modulo H' against those of H/H' built on its coset table
+    for h in built(key).subgroup_conjugacy_classes():
+        commutators = {h.mult(h.mult(h.inv(a), h.inv(b)), h.mult(a, b)) for a in h.gens for b in h.gens}
+        derived = fixpoint_normal_closure(h, commutators)
+        want = fingerprint(coset_table_quotient(h, derived)).abelian_invariants
+        assert fingerprint(h).abelian_invariants == want, (h.order, h.gens)
 
 
 def test_conjugacy_classes_a7(built):
@@ -887,7 +926,7 @@ def test_closure_from_a_base_matches_the_oracle(built, key):
     classes, _ = group.view.class_map()
     normal = min((group.view.normal_closure([c[0]])[0] for c in classes[1:]), key=len)
     rng = random.Random(19)
-    for view in (group.view, quotient_view(group.view, normal)):
+    for view in (group.view, quotient_group(group.view, group.view.sub(*group.view.span(normal)))):
         for _ in range(8):
             gens = rng.sample(view.elements, rng.randint(1, min(3, view.order)))
             cut = rng.randrange(len(gens))
