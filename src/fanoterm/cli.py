@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: table, detect-l3, check-deformation, fingerprint,
-validate-catalog.  Exit codes: 0 success, 2 validation or input failure
-or a subgroup-class sweep no certificate proves complete (SweepUnproved).
+validate-catalog.  Exit codes: 0 success, 1 a standard output closed
+before the output was written, 2 validation or input failure or a
+subgroup-class sweep no certificate proves complete (SweepUnproved).
 ``table`` sweeps any ambient with no multiplication table.  Identical
 invocations produce byte-identical output.  Targeted mode imports the
 ``--subgroup`` grammar (``targeted``) and check-deformation the obstruction
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -22,6 +24,7 @@ from .groups import GroupId, SweepUnproved, fingerprint, identify
 from .invariants import classification_table, detect_l3
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_VALIDATION = 2
 
 
@@ -273,5 +276,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return getattr(exc, "code", EXIT_VALIDATION)
 
 
+def run() -> None:
+    """The process entry point, of ``python -m fanoterm.cli`` and of the
+    ``fanoterm`` script: ``main``, then a flush of stdout and stderr and
+    ``os._exit``, which skips freeing every interned value, memo entry and
+    module at interpreter teardown.  An exception from ``main``, such as
+    argparse's SystemExit, ends the process the normal way.  A closed
+    stdout exits 1 with nothing on stderr, fd 1 pointed at os.devnull (the
+    note on SIGPIPE in Python's ``signal`` docs)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

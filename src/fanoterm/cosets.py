@@ -68,7 +68,9 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, words: Sequence[byte
     Every product has a fixed factor, a generator on the left or one of
     H's on the right, and comes out in normal form: its lead entry c, the
     first nonzero in row-major order, is found by one dot per probe, and
-    the fixed factor is scaled by 1/c, once per factor and lead.  Exact
+    the fixed factor is scaled by 1/c, once per factor and lead, only
+    when c is not one.  The probed entries, zeros and then one once
+    scaled, start the product's first row and are not computed again.  Exact
     products, with r = n/|H| cosets and k generators: |w| - 1 for each of
     H's generators of word w, |H| - 1 per generator of H, |H| - 1 per
     coset but H and k per representative but the identity.
@@ -112,23 +114,24 @@ def _exact_cosets(gens: Sequence[MatC], residues: Sequence, words: Sequence[byte
             f = scaled[pos, c] = factors[pos].scale(c.inv())
         return f
 
-    def lead(x: MatC, y: MatC) -> CycloNum:
-        """The first nonzero entry of x y, in its first row as x y is
-        invertible."""
+    def lead(x: MatC, y: MatC) -> tuple[tuple[CycloNum, ...], CycloNum]:
+        """The first nonzero entry c of x y, in its first row as x y is
+        invertible, and the head of that row scaled by 1/c: the zeros
+        before c, then one."""
         row, ks, rows = x.rows[0], x.nnz[0], y.rows
         for j in range(d):
-            terms = [(row[k], rows[k][j]) for k in ks if rows[k][j] is not ZERO]
-            if terms:
-                c = dot(terms)
-                if not c.is_zero:
-                    return c
+            c = dot([(row[k], rows[k][j]) for k in ks if rows[k][j] is not ZERO])
+            if c is not ZERO:
+                return (ZERO,) * j + (ONE,), c
         raise ZeroDivisionError("zero matrix has no projective class")
 
     def left(b: int, t: MatC) -> MatC:
-        return fixed(b, lead(gens[b], t)) * t
+        head, c = lead(gens[b], t)
+        return fixed(b, c).times(t, head)
 
     def right(t: MatC, pos: int) -> MatC:
-        return t * fixed(pos, lead(t, factors[pos]))
+        head, c = lead(t, factors[pos])
+        return t.times(fixed(pos, c), head)
 
     hverts, _ = _coset_subgroup(residues, words, perms, d, perms[a][0])
     hpos = [a]

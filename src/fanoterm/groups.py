@@ -893,7 +893,8 @@ class FinGroup:
         is walked, and every K each x in N_G(K) whose least power x^k in K
         has k prime, as the cosets x^i K, made once for all its elements
         outside K, and dropped for k = 2 when its new coset holds an
-        involution.  N_G(K) comes from Schreier generators of the walk
+        involution; for k composite the powers x^j, j prime to k, are
+        covered with x.  N_G(K) comes from Schreier generators of the walk
         registering each conjugate by its sorted members (Holt, Eick and
         O'Brien, 2005), kept until K is extended.  SweepUnproved unless a
         certificate proves that no class is missed.
@@ -960,11 +961,14 @@ class FinGroup:
                 if x in covered or x in members:
                     continue
                 xs = self.powers(x, members)
-                if len(xs) in primes:
+                k = len(xs)
+                if k in primes:
                     new = [y for xi in xs[:-1] for y in coset(xi, members)]
                     covered.update(new)
-                    if len(xs) > 2 or not any(map(is_involution, new)):
+                    if k > 2 or not any(map(is_involution, new)):
                         register(members.union(new), gens + (x,))
+                else:  # each x^j, j prime to k, has the same composite k
+                    covered.update(xs[j - 1] for j in range(2, k) if math.gcd(j, k) == 1)
         classes.sort(key=lambda c: (len(c[1]), c[1]))
         views = [view if len(rep) == n else
                  view.sub(map(view.elements.__getitem__, rep), tuple(map(self.conjugator(t), gens)))

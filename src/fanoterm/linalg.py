@@ -72,6 +72,11 @@ class MatC:
     def __mul__(self, other: "MatC") -> "MatC":
         if not isinstance(other, MatC):
             return NotImplemented
+        return self.times(other)
+
+    def times(self, other: "MatC", head: Sequence[CycloNum] = ()) -> "MatC":
+        """The product self other, whose first row starts with ``head``,
+        entries known already and not computed again."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         d = self.dim
@@ -88,7 +93,8 @@ class MatC:
                 brow = brows[k]
                 for j in bnnz[k]:
                     terms[j].append((aik, brow[j]))
-            out.append([dot(t) for t in terms])
+            out.append([*head, *map(dot, terms[len(head):])])
+            head = ()
         return MatC(out)
 
     def scale(self, c: CycloNum) -> "MatC":

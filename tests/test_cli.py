@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 import fanoterm
-from fanoterm.cli import EXIT_OK, EXIT_VALIDATION, main
+from fanoterm.cli import EXIT_BROKEN_PIPE, EXIT_OK, EXIT_VALIDATION, main
 from fanoterm.linalg import identity
 from oracles import cayley_hamilton_inverse
 
@@ -460,3 +461,73 @@ def test_output_does_not_depend_on_the_hash_seed():
             runs.append(proc.stdout)
         outputs.append(runs)
     assert outputs[0] == outputs[1]
+
+
+def module_entry(args, **kwargs):
+    """python -m fanoterm.cli: main through run, which flushes stdout and
+    stderr and ends the process with os._exit."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(fanoterm.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered streams, whose writes a missing flush loses
+    return subprocess.run([sys.executable, "-m", "fanoterm.cli", *args], env=env, **kwargs)
+
+
+def in_process(capsys, args):
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out.encode(), out.err.encode()
+
+
+@pytest.mark.parametrize("key, size", [("G1944", 65536), ("Q8_S3", 0)])
+def test_module_entry_writes_what_main_writes(capsys, tmp_path, key, size):
+    # G1944's 71 KB table passes a pipe's buffer; Q8_S3's stays in the
+    # stream's buffer, so only run's flush before os._exit writes it
+    args = ["table", "--group", key, "--all-subgroups", "--format", "structured"]
+    want = in_process(capsys, args)
+    assert want[0] == EXIT_OK and len(want[1]) > size
+    proc = module_entry(args, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    with open(tmp_path / "out", "wb") as out:
+        proc = module_entry(args, stdout=out, stderr=subprocess.PIPE)
+    assert (proc.returncode, (tmp_path / "out").read_bytes(), proc.stderr) == want
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--help"], EXIT_OK),
+    (["table", "--group", "G1944", "--format", "yaml"], EXIT_VALIDATION),
+])
+def test_module_entry_exits_as_argparse_does(capsys, monkeypatch, args, code):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text's width, in both processes
+    want = in_process(capsys, args)
+    assert want[0] == code
+    proc = module_entry(args, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+@pytest.mark.parametrize("args", [
+    ["table", "--group", "Q8_S3", "--all-subgroups"],  # raised by run's flush
+    ["table", "--group", "G1944", "--all-subgroups", "--format", "structured"],  # by main's write
+])
+def test_module_entry_on_a_closed_stdout_exits_1_silently(args):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = module_entry(args, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")
+
+
+def test_console_script_and_module_entry_call_one_function():
+    # pyproject.toml read as text: Python 3.10 has no tomllib
+    pyproject = (pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip().startswith('fanoterm = "fanoterm.cli:')
+    name = scripts.strip()[len('fanoterm = "fanoterm.cli:'):-1]
+    tree = ast.parse(pathlib.Path(fanoterm.cli.__file__).read_text())
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+    assert callable(getattr(fanoterm.cli, name))

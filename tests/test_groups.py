@@ -284,8 +284,8 @@ def test_coset_subgroup_of_each_exact_group(monkeypatch, key):
 ])
 def test_generate_exact_product_count(monkeypatch, key, read_off):
     products = []
-    mul = MatC.__mul__
-    monkeypatch.setattr(MatC, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    times = MatC.times  # every product, a * b included
+    monkeypatch.setattr(MatC, "times", lambda a, b, head=(): products.append(1) or times(a, b, head))
     calls = _record_coset_subgroup(monkeypatch)
     definition = load_group(key)
     group = FinGroup.generate(definition.generators, cap=definition.order)
@@ -317,6 +317,26 @@ def test_generate_scales_each_factor_once_per_lead(monkeypatch):
     factors = {*gens, *(group.elements[group._rword.index(words[v])] for v in hverts)}
     assert scaled and len(set(scaled)) == len(scaled)
     assert {m for m, _ in scaled} <= factors
+
+
+@pytest.mark.parametrize("key", ["Q8_S3", "L2_11", "M10_second"])
+def test_generate_probes_no_lead_twice(monkeypatch, key):
+    # a product's lead probes are the first entries of its first row, so
+    # the closure makes one dot per entry of its products and no other:
+    # on L2_11, 878 products, all of lead one, and 878 x 36 dots
+    from fanoterm import linalg
+
+    dots, dot = [], linalg.dot
+    counted = lambda pairs: dots.append(1) or dot(pairs)
+    monkeypatch.setattr(linalg, "dot", counted)
+    monkeypatch.setattr(cosets, "dot", counted)
+    products, times = [], MatC.times
+    monkeypatch.setattr(MatC, "times", lambda a, b, head=(): products.append(1) or times(a, b, head))
+    definition = load_group(key)
+    FinGroup.generate(definition.generators, cap=definition.order)
+    assert products and len(dots) == 36 * len(products)
+    if key == "L2_11":
+        assert len(products) == 878
 
 
 @pytest.mark.parametrize("gens", [
@@ -576,17 +596,17 @@ def test_generate_refuses_a_tampered_element(monkeypatch):
     # coset after H
     gens = load_group("Q8_S3").generators
     s = _normalize(gens[2])
-    mul, chained = MatC.__mul__, []
+    times, chained = MatC.times, []
 
-    def tampered(a, b):
-        c = mul(a, b)
+    def tampered(a, b, head=()):
+        c = times(a, b, head)
         if b == s:
             chained.append(c)
             if len(chained) == 18:
-                return mul(gens[0], c)
+                return times(gens[0], c)
         return c
 
-    monkeypatch.setattr(MatC, "__mul__", tampered)
+    monkeypatch.setattr(MatC, "times", tampered)
     with pytest.raises(EnumerationUnproved, match="the group has more than 48 elements"):
         FinGroup.generate(gens, cap=48)
     assert len(chained) >= 18
@@ -599,16 +619,16 @@ def test_generate_refuses_a_tampered_generator_of_the_coset_subgroup(monkeypatch
     gens = load_group("M10_second").generators
     g = _normalize(gens[0])
     calls = _record_coset_subgroup(monkeypatch)
-    mul, products = MatC.__mul__, []
+    times, products = MatC.times, []
 
-    def tampered(a, b):
-        products.append(mul(a, b))
+    def tampered(a, b, head=()):
+        products.append(times(a, b, head))
         [(words, hverts, _)] = calls
         if len(products) == len(words[hverts[1]]) - 1:
-            return _normalize(mul(g, products[-1]))
+            return _normalize(times(g, products[-1]))
         return products[-1]
 
-    monkeypatch.setattr(MatC, "__mul__", tampered)
+    monkeypatch.setattr(MatC, "times", tampered)
     with pytest.raises(EnumerationUnproved, match="the product along the word of element"):
         FinGroup.generate(gens, cap=720)
     [(words, hverts, _)] = calls
@@ -1140,6 +1160,23 @@ def test_sweep_counts_match_element_orders_and_frobenius(built, key):
     if key == "C3_4_A6":
         assert len(classes) == 302
     assert group._certificates(classes) == CERTIFICATES[key]
+
+
+# the FinGroup.powers walks of each ambient's sweep: an x whose least
+# power in K has composite exponent k covers each x^j, j prime to k, which
+# has the same k (18428 walks on G1944 and 1436 on A7_perm without)
+POWER_WALKS = {"G1944": 11424, "A7_perm": 991}
+
+
+@pytest.mark.parametrize("key", sorted(POWER_WALKS))
+def test_sweep_walks_no_coprime_power_of_a_composite_candidate(monkeypatch, key):
+    # a fresh group, as order_of memoizes its walks on the group
+    definition = load_group(key)
+    group = FinGroup.generate(definition.generators, cap=definition.order)
+    walks, powers = [], FinGroup.powers
+    monkeypatch.setattr(FinGroup, "powers", lambda g, x, m: walks.append(x) or powers(g, x, m))
+    group.subgroup_conjugacy_classes()
+    assert len(walks) == POWER_WALKS[key]
 
 
 def sl25():
